@@ -165,8 +165,13 @@ def schedule_dummy_jobs(
     still_parked = set(schedule.dummy_jobs)
     order = sorted(schedule.dummy_jobs,
                    key=lambda jid: (-qos_index(jobs_by_id[jid]), jid))
+    largest = max(available.values(), default=0)
     for jid in order:
         job = jobs_by_id[jid]
+        if job.pe_count > largest:
+            # no block has room: the scan below would reject every resource
+            stats.steps += len(available)
+            continue
         ranked = sorted(
             available,
             key=lambda rid: (placement_cost(job, res_by_id[rid]), rid),
@@ -183,6 +188,7 @@ def schedule_dummy_jobs(
         if placed is None:
             continue
         available[placed] -= job.pe_count
+        largest = max(available.values())
         for did in dummy_ids:
             entries.pop((did, jid), None)
         entries[(placed, jid)] = job.pe_count

@@ -7,6 +7,19 @@ time misses the job's deadline are excluded up front; a dummy parking
 resource (always pair-eligible, budget-exempt) absorbs demand the real
 grid cannot host.
 
+``build_relaxed`` keeps every admissible pair in the model, but the
+integer program handed to the solver gets only the columns that can
+matter (``RelaxedModel.lp_columns``): per job, its admissible real pairs
+in ascending (cost coefficient, resource id) order, stopping once their
+summed free PEs reach the batch's total PE demand, plus the dummy pair.
+This loses no optimum.  Any PE placed outside its job's prefix leaves
+some prefix resource with a spare PE (the prefix alone can hold the whole
+batch); moving the PE there costs no more, and under ``TIME_INCLUSIVE``
+budgets (budget weight == cost coefficient) spends no more either, so the
+per-pair bounds still hold.  Under ``LITERAL`` budgets the weight is the
+bare rate, a cheaper placement can charge more, and every admissible pair
+stays a column.
+
 ``solve_relaxed`` hands the integer program to the HiGHS branch-and-cut
 engine (via scipy) at zero optimality gap and re-checks the rounded
 answer exactly in pure Python.  ``brute_force_relaxed`` is an independent
@@ -15,7 +28,6 @@ pure-Python enumerator used as a cross-check oracle on small instances.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -55,7 +67,9 @@ class RelaxedModel:
     jid on resource rid (rate x execution time).  ``budget_weight`` is the
     per-PE amount counted against the job's budget (zero-weight dummy pairs
     are omitted).  ``pair_order`` fixes the deterministic variable order:
-    job-major, resource-minor.
+    job-major, resource-minor.  ``lp_columns`` is the subset of
+    ``pair_order`` (same order) that the solver sees; see the module
+    docstring for why dropping the rest is exact.
     """
 
     jobs: tuple[JobRequest, ...]
@@ -65,20 +79,67 @@ class RelaxedModel:
     budget_weight: Mapping[tuple[str, str], float]
     pair_order: tuple[tuple[str, str], ...]
     dummy_id: str | None
-
-    def upper_bound(self, rid: str, jid: str) -> int:
-        job = next(j for j in self.jobs if j.job_id == jid)
-        res = next(r for r in self.resources if r.resource_id == rid)
-        return _pair_upper_bound(job, res, self.budget_weight.get((rid, jid), 0.0))
+    lp_columns: tuple[tuple[str, str], ...]
 
 
-def _pair_upper_bound(job: JobRequest, res: ResourceInfo, weight: float) -> int:
-    """Largest PE count this single pair could ever carry."""
-    ub = min(res.free_pes, job.pe_count)
-    if weight > 0.0:
-        # no feasible solution puts more than budget/weight PEs here
-        ub = min(ub, int((job.budget_gd + 1e-9 * max(1.0, job.budget_gd)) / weight))
-    return max(ub, 0)
+def _pair_table(jobs, resources, config):
+    """Job x resource arrays: cost coefficient, budget weight, admissible.
+
+    A real pair is admissible iff the job meets its deadline there and one
+    PE is affordable; dummy pairs always are, at zero budget weight.
+    """
+    eps = config.epsilon
+    longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
+    speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
+    deadline = np.array([j.deadline_s for j in jobs], dtype=float)
+    budget = np.array([j.budget_gd for j in jobs], dtype=float)
+    dummy = np.array([r.is_dummy for r in resources], dtype=bool)
+    exec_s = longest[:, None] / speed[None, :]
+    on_time = dummy | ~(exec_s > (deadline + eps)[:, None])
+    rate = np.full(exec_s.shape, np.nan)
+    for k, res in enumerate(resources):
+        if isinstance(res.cost_per_pe_second, Mapping):
+            # a per-job map is only consulted where the pair could be kept
+            for i, job in enumerate(jobs):
+                if on_time[i, k]:
+                    rate[i, k] = res.rate_for(job.job_id)
+        else:
+            rate[:, k] = res.cost_per_pe_second
+    coeff = rate * exec_s
+    weight = rate if config.budget_semantics is BudgetSemantics.LITERAL else coeff
+    weight = np.where(dummy, 0.0, weight)
+    admissible = dummy | (on_time & (weight <= (budget + eps)[:, None]))
+    return coeff, weight, admissible
+
+
+def _needs_dummy(jobs, resources, weight, admissible, eps) -> bool:
+    """Whether the real grid cannot cover the aggregate demand, or some job
+    cannot afford its PEs even alone.  A job's budget binds jointly across
+    resources, so count the PEs it can afford taking the cheapest per-PE
+    charges first."""
+    free = np.array([r.free_pes for r in resources], dtype=int)
+    pes = np.array([j.pe_count for j in jobs], dtype=int)
+    if pes.sum() > free.sum():
+        return True
+    cap = np.minimum(free[None, :], pes[:, None])
+    order = np.lexsort((cap, weight, ~admissible), axis=-1)
+    offered = admissible.sum(axis=1)
+    for i, job in enumerate(jobs):
+        row = order[i, : offered[i]]
+        affordable = 0
+        left = job.budget_gd + eps * max(1.0, job.budget_gd)
+        for w, c in zip(weight[i, row].tolist(), cap[i, row].tolist()):
+            if affordable >= job.pe_count:
+                break
+            if w <= 0.0:
+                affordable += c
+            else:
+                take = min(c, int(left / w))
+                affordable += take
+                left -= take * w
+        if affordable < job.pe_count:
+            return True
+    return False
 
 
 def build_relaxed(
@@ -100,84 +161,43 @@ def build_relaxed(
     if not res_list and not (config.allow_dummy or force_dummy):
         raise EmptyGridError("no resources and dummy parking disabled")
 
-    eps = config.epsilon
-
-    def admissible(job: JobRequest, res: ResourceInfo) -> bool:
-        if res.is_dummy:
-            return True
-        if exec_time(job, res) > job.deadline_s + eps:
-            return False
-        if config.budget_semantics is BudgetSemantics.LITERAL:
-            one_pe = res.rate_for(job.job_id)
-        else:
-            one_pe = res.rate_for(job.job_id) * exec_time(job, res)
-        return one_pe <= job.budget_gd + eps
-
-    def pair_weight(job: JobRequest, res: ResourceInfo) -> float:
-        if res.is_dummy:
-            return 0.0
-        if config.budget_semantics is BudgetSemantics.LITERAL:
-            return res.rate_for(job.job_id)
-        return res.rate_for(job.job_id) * exec_time(job, res)
-
+    coeff, weight, admissible = _pair_table(jobs, res_list, config)
     have_dummy = any(r.is_dummy for r in res_list)
-    if not have_dummy and (config.allow_dummy or force_dummy) and jobs:
-        need = force_dummy
-        if not need:
-            total_real = sum(r.free_pes for r in res_list)
-            if sum(j.pe_count for j in jobs) > total_real:
-                need = True
-        if not need:
-            # a job's budget binds jointly across resources, so count the
-            # PEs it can afford taking the cheapest per-PE charges first
-            for job in jobs:
-                offers = sorted(
-                    (pair_weight(job, res), min(res.free_pes, job.pe_count))
-                    for res in res_list
-                    if admissible(job, res)
-                )
-                affordable = 0
-                left = job.budget_gd + eps * max(1.0, job.budget_gd)
-                for w, cap in offers:
-                    if affordable >= job.pe_count:
-                        break
-                    if w <= 0.0:
-                        affordable += cap
-                    else:
-                        take = min(cap, int(left / w))
-                        affordable += take
-                        left -= take * w
-                if affordable < job.pe_count:
-                    need = True
-                    break
-        if need:
-            res_list = res_list + [make_dummy_resource(jobs, res_list)]
-            res_list.sort(key=lambda r: r.resource_id)
+    if not have_dummy and (config.allow_dummy or force_dummy) and jobs and (
+        force_dummy or _needs_dummy(jobs, res_list, weight, admissible, config.epsilon)
+    ):
+        res_list = res_list + [make_dummy_resource(jobs, res_list)]
+        res_list.sort(key=lambda r: r.resource_id)
+        coeff, weight, admissible = _pair_table(jobs, res_list, config)
 
-    pairs: set[tuple[str, str]] = set()
-    coeff: dict[tuple[str, str], float] = {}
-    weight: dict[tuple[str, str], float] = {}
-    for job in jobs:
-        for res in res_list:
-            if not admissible(job, res):
-                continue
-            key = (res.resource_id, job.job_id)
-            pairs.add(key)
-            coeff[key] = res.rate_for(job.job_id) * exec_time(job, res)
-            w = pair_weight(job, res)
-            if w > 0.0:
-                weight[key] = w
+    dummy = np.array([r.is_dummy for r in res_list], dtype=bool)
+    columns = admissible
+    if config.budget_semantics is not BudgetSemantics.LITERAL and jobs:
+        # per job, the cheapest admissible real pairs (stable sort: ties by
+        # resource id) until the capacity before a pair covers the demand
+        real = admissible & ~dummy
+        order = np.argsort(np.where(real, coeff, np.inf), axis=1, kind="stable")
+        free = np.array([r.free_pes for r in res_list], dtype=int)
+        cap = np.where(np.take_along_axis(real, order, axis=1), free[order], 0)
+        before = np.cumsum(cap, axis=1) - cap
+        prefix = np.zeros_like(real)
+        np.put_along_axis(prefix, order, before < sum(j.pe_count for j in jobs), axis=1)
+        columns = (real & prefix) | (admissible & dummy)
 
-    order = tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
-    dummies = sorted(r.resource_id for r in res_list if r.is_dummy)
+    rids = [r.resource_id for r in res_list]
+    jids = [j.job_id for j in jobs]
+    ji, ri = np.nonzero(admissible)  # row-major: job-major, resource-minor
+    pairs = tuple((rids[r], jids[j]) for j, r in zip(ji.tolist(), ri.tolist()))
+    dummies = sorted(rid for rid, d in zip(rids, dummy.tolist()) if d)
     return RelaxedModel(
         jobs=jobs,
         resources=tuple(res_list),
         feasible_pairs=frozenset(pairs),
-        cost_coeff=coeff,
-        budget_weight=weight,
-        pair_order=order,
+        cost_coeff=dict(zip(pairs, coeff[ji, ri].tolist())),
+        budget_weight={p: w for p, w in zip(pairs, weight[ji, ri].tolist()) if w > 0.0},
+        pair_order=pairs,
         dummy_id=dummies[0] if dummies else None,
+        lp_columns=tuple(p for p, keep in zip(pairs, columns[ji, ri].tolist()) if keep),
     )
 
 
@@ -194,75 +214,49 @@ def relaxed_objective(model: RelaxedModel, alloc: AllocationMatrix) -> float:
 
 
 def _model_arrays(model: RelaxedModel):
-    """LP ingredients shared by every branch-and-bound node."""
-    pair_index = {p: k for k, p in enumerate(model.pair_order)}
-    n_vars = len(model.pair_order)
-    c = np.array([model.cost_coeff[p] for p in model.pair_order])
+    """LP ingredients over ``model.lp_columns``: objective, capacity rows
+    then the budget rows that can bind, demand rows, per-column bounds."""
+    cols = model.lp_columns
+    n = len(cols)
+    job_row = {j.job_id: i for i, j in enumerate(model.jobs)}
+    res_row = {r.resource_id: i for i, r in enumerate(model.resources)}
+    ji = np.fromiter((job_row[j] for _, j in cols), dtype=int, count=n)
+    ri = np.fromiter((res_row[r] for r, _ in cols), dtype=int, count=n)
+    c = np.fromiter((model.cost_coeff[p] for p in cols), dtype=float, count=n)
+    w = np.fromiter((model.budget_weight.get(p, 0.0) for p in cols), dtype=float, count=n)
+    free = np.array([r.free_pes for r in model.resources], dtype=float)
+    pes = np.array([j.pe_count for j in model.jobs], dtype=float)
+    budget = np.array([j.budget_gd for j in model.jobs], dtype=float)
+    k = np.arange(n)
 
-    jobs = model.jobs
-    res_by_id = {r.resource_id: r for r in model.resources}
+    # largest PE count a single pair could ever carry: no feasible solution
+    # puts more than budget/weight PEs on a weighted pair
+    ub = np.minimum(free[ri], pes[ji])
+    weighted = w > 0.0
+    slack = budget + 1e-9 * np.maximum(1.0, budget)
+    ub[weighted] = np.minimum(ub[weighted], np.floor(slack[ji[weighted]] / w[weighted]))
+    ub = np.maximum(ub, 0.0)
 
     # demand rows: one per job, sum of its pairs == pe_count
-    a_eq_rows, a_eq_cols, a_eq_vals, b_eq = [], [], [], []
-    for row, job in enumerate(jobs):
-        b_eq.append(job.pe_count)
-        for (rid, jid), k in pair_index.items():
-            if jid == job.job_id:
-                a_eq_rows.append(row)
-                a_eq_cols.append(k)
-                a_eq_vals.append(1.0)
+    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.jobs), n))
 
-    # inequality rows: capacity per resource, then budget per job
-    a_ub_rows, a_ub_cols, a_ub_vals, b_ub = [], [], [], []
-    row = 0
-    for rid in sorted(res_by_id):
-        cols = [k for (r, j), k in pair_index.items() if r == rid]
-        if not cols:
-            continue
-        for k in cols:
-            a_ub_rows.append(row)
-            a_ub_cols.append(k)
-            a_ub_vals.append(1.0)
-        b_ub.append(float(res_by_id[rid].free_pes))
-        row += 1
-    for job in jobs:
-        terms = [
-            (k, model.budget_weight[(rid, jid)])
-            for (rid, jid), k in pair_index.items()
-            if jid == job.job_id and (rid, jid) in model.budget_weight
-        ]
-        if not terms:
-            continue
-        ubs = {}
-        for (rid, jid), k in pair_index.items():
-            if jid == job.job_id:
-                ubs[k] = _pair_upper_bound(job, res_by_id[rid],
-                                           model.budget_weight.get((rid, jid), 0.0))
-        if sum(w * ubs[k] for k, w in terms) <= job.budget_gd + 1e-9:
-            continue  # row can never bind given the bounds
-        for k, w in terms:
-            a_ub_rows.append(row)
-            a_ub_cols.append(k)
-            a_ub_vals.append(w)
-        b_ub.append(job.budget_gd)
-        row += 1
-
-    jobs_by_id = {j.job_id: j for j in jobs}
-    base_ub = np.zeros(n_vars)
-    for p, k in pair_index.items():
-        rid, jid = p
-        base_ub[k] = _pair_upper_bound(
-            jobs_by_id[jid], res_by_id[rid], model.budget_weight.get(p, 0.0)
-        )
-
-    a_eq = sparse.csr_matrix(
-        (a_eq_vals, (a_eq_rows, a_eq_cols)), shape=(len(jobs), n_vars)
-    )
-    n_ub = row
+    # inequality rows: capacity per used resource, then each budget row
+    # that could bind given the bounds
+    used = np.unique(ri)
+    cap_row = np.searchsorted(used, ri)
+    reach = np.bincount(ji[weighted], weights=(w * ub)[weighted], minlength=len(model.jobs))
+    binds = np.bincount(ji[weighted], minlength=len(model.jobs)) > 0
+    binds &= ~(reach <= budget + 1e-9)
+    bud_row = len(used) + np.cumsum(binds) - 1
+    terms = weighted & binds[ji]
+    n_ub = len(used) + int(binds.sum())
     a_ub = sparse.csr_matrix(
-        (a_ub_vals, (a_ub_rows, a_ub_cols)), shape=(n_ub, n_vars)
+        (np.concatenate([np.ones(n), w[terms]]),
+         (np.concatenate([cap_row, bud_row[ji[terms]]]), np.concatenate([k, k[terms]]))),
+        shape=(n_ub, n),
     ) if n_ub else None
-    return c, a_ub, (np.array(b_ub) if n_ub else None), a_eq, np.array(b_eq, float), base_ub
+    b_ub = np.concatenate([free[used], budget[binds]]) if n_ub else None
+    return c, a_ub, b_ub, a_eq, pes, ub
 
 
 def _check_integer_solution(model: RelaxedModel, counts: dict, config_eps: float = 1e-9) -> bool:
@@ -304,12 +298,13 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     """
     if not model.jobs:
         return AllocationMatrix.empty()
+    placeable = {jid for _, jid in model.lp_columns}
     for job in model.jobs:
-        if not any(jid == job.job_id for (_, jid) in model.feasible_pairs):
+        if job.job_id not in placeable:
             raise InfeasibleError(f"job {job.job_id} has no admissible pair")
 
     c, a_ub, b_ub, a_eq, b_eq, base_ub = _model_arrays(model)
-    n = len(model.pair_order)
+    n = len(model.lp_columns)
     bounds = np.column_stack([np.zeros(n), base_ub])
     exact = {"mip_rel_gap": 0.0}
     tightened = {
@@ -335,11 +330,8 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
             raise RuntimeError(
                 f"MILP solve failed with status {res.status}: {res.message}"
             )
-        counts = {
-            model.pair_order[k]: int(round(res.x[k]))
-            for k in range(n)
-            if int(round(res.x[k])) != 0
-        }
+        x = np.rint(res.x).astype(int)
+        counts = {model.lp_columns[k]: int(x[k]) for k in np.flatnonzero(x)}
         if _check_integer_solution(model, counts):
             return AllocationMatrix(counts)
     raise RuntimeError("MILP optimum failed the exact feasibility recheck")

@@ -260,6 +260,29 @@ def test_schedule_dummy_jobs_leaves_hopeless_jobs_parked(s1_resources):
     assert rescued.dummy_jobs == {"Z"}
 
 
+def test_schedule_dummy_jobs_skips_job_larger_than_every_free_block():
+    small = JobRequest("U", "S", 1e6, 100.0, (1000.0,) * 3, 3)  # visited first
+    large = JobRequest("U", "L", 1e6, 100.0, (1000.0,) * 4, 4)
+    resources = [
+        ResourceInfo("R1", 4, 1.0, 100.0),  # S costs 30 here, 60 on R2
+        ResourceInfo("R2", 3, 2.0, 100.0),
+    ]
+    pool, dummy_id = ensure_dummy([small, large], resources)
+    parked = build_schedule(
+        AllocationMatrix({(dummy_id, "S"): 3, (dummy_id, "L"): 4}),
+        [small, large], pool,
+    )
+    stats = MmcStats()
+    rescued = schedule_dummy_jobs(parked, [small, large], pool, stats=stats)
+    # S takes R1 at the first step; L (4 PEs) then exceeds every free block
+    # (1 and 3 PEs) and is charged one step per real resource, as a full
+    # scan would have been
+    assert rescued.assignments.pes("R1", "S") == 3
+    assert rescued.dummy_jobs == {"L"}
+    assert rescued.assignments.pes(dummy_id, "L") == 4
+    assert stats.steps == 1 + 2
+
+
 def test_fuzzed_output_is_always_sgn_feasible():
     for seed in range(250):
         jobs, resources = fuzz_instance(seed)

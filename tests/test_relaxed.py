@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
-from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, tiny_instance
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_instance
 from metagrid.model import (
     AllocationMatrix,
+    BudgetSemantics,
     JobKind,
     JobRequest,
     ResourceInfo,
     SchedulerConfig,
+    exec_time,
     schedule_cost,
     validate,
 )
@@ -25,6 +30,7 @@ from metagrid.relaxed import (
     relaxed_objective,
     solve_relaxed,
 )
+from metagrid.workload import ScenarioConfig, generate_scenario
 
 
 def solve_with_fallback(jobs, resources, config=None):
@@ -77,6 +83,31 @@ def test_build_empty_grid_without_dummy_raises():
     job = JobRequest("U", "J", 10.0, 10.0, (100.0,), 1)
     with pytest.raises(EmptyGridError):
         build_relaxed([job], [], SchedulerConfig(allow_dummy=False))
+
+
+@pytest.mark.parametrize("semantics", list(BudgetSemantics))
+def test_pair_table_matches_the_per_pair_rule(semantics):
+    """Reference loop: each pair's admissibility, coefficient and budget
+    weight, computed one pair at a time; the floats must be identical."""
+    config = SchedulerConfig(budget_semantics=semantics)
+    eps = config.epsilon
+    for seed in range(100):
+        jobs, resources = fuzz_instance(seed)
+        model = build_relaxed(jobs, resources, config, force_dummy=True)
+        for job in model.jobs:
+            for res in model.resources:
+                key = (res.resource_id, job.job_id)
+                coeff = res.rate_for(job.job_id) * exec_time(job, res)
+                if res.is_dummy:
+                    weight, admissible = 0.0, True
+                else:
+                    weight = res.rate_for(job.job_id) if semantics is BudgetSemantics.LITERAL else coeff
+                    admissible = (exec_time(job, res) <= job.deadline_s + eps
+                                  and weight <= job.budget_gd + eps)
+                assert (key in model.feasible_pairs) is admissible, f"seed {seed} {key}"
+                if admissible:
+                    assert model.cost_coeff[key] == coeff
+                    assert model.budget_weight.get(key, 0.0) == weight
 
 
 def test_force_dummy_flag(s1_jobs, s1_resources):
@@ -133,6 +164,133 @@ def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
         pes for (rid, _), pes in alloc.items() if rid == model.dummy_id
     )
     assert parked_pes == 15 - 8  # everything beyond the real grid
+
+
+# --- solver columns ---------------------------------------------------------
+
+
+def every_column(model):
+    return dataclasses.replace(model, lp_columns=model.pair_order)
+
+
+def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
+    jobs = [
+        JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 2, 2),
+        JobRequest("U", "B", 1e6, 100.0, (1000.0,) * 3, 3),
+    ]  # 5 PEs in the batch
+    resources = [
+        ResourceInfo("R1", 2, 3.0, 100.0),  # coeff 30
+        ResourceInfo("R2", 4, 1.0, 100.0),  # coeff 10
+        ResourceInfo("R3", 9, 2.0, 100.0),  # coeff 20: 4 + 9 >= 5
+        ResourceInfo("R4", 9, 1.0, 50.0),  # coeff 20, after R3 on the id
+    ]
+    model = build_relaxed(jobs, resources)
+    assert len(model.pair_order) == 8
+    assert model.lp_columns == (
+        ("R2", "A"), ("R3", "A"), ("R2", "B"), ("R3", "B"),
+    )
+
+
+def test_columns_keep_the_dummy_pair(s1_resources):
+    jobs = [
+        JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
+    ]
+    model = build_relaxed(jobs, s1_resources)
+    assert {p for p in model.lp_columns if p[0] == model.dummy_id} == {
+        (model.dummy_id, j.job_id) for j in jobs
+    }
+
+
+def test_literal_budgets_keep_every_admissible_column():
+    literal = SchedulerConfig(budget_semantics=BudgetSemantics.LITERAL)
+    for seed in range(60):
+        jobs, resources = fuzz_instance(seed)
+        model = build_relaxed(jobs, resources, literal)
+        assert model.lp_columns == model.pair_order, f"instance seed {seed}"
+
+
+def solve_both(model):
+    """Objectives with the default columns and with every admissible pair
+    (None where the instance is infeasible)."""
+    out = []
+    for m in (model, every_column(model)):
+        try:
+            out.append(relaxed_objective(m, solve_relaxed(m)))
+        except InfeasibleError:
+            out.append(None)
+    return out
+
+
+def test_column_pruning_keeps_the_optimum_on_tiny_instances():
+    pruned = 0
+    for seed in range(200):
+        jobs, resources = tiny_instance(seed)
+        for force in (False, True):
+            model = build_relaxed(jobs, resources, force_dummy=force)
+            fewer, full = solve_both(model)
+            if full is None:
+                assert fewer is None, f"instance seed {seed}"
+            else:
+                assert fewer == pytest.approx(full, abs=1e-9), f"instance seed {seed}"
+            pruned += len(model.lp_columns) < len(model.pair_order)
+    assert pruned > 50
+
+
+@pytest.mark.parametrize("resource_count", [25, 200])
+@pytest.mark.parametrize("deadline_mode", ["tight", "medium"])
+def test_column_pruning_keeps_the_optimum_on_generated_scenarios(resource_count, deadline_mode):
+    for seed in range(5):
+        grid, jobs = generate_scenario(
+            ScenarioConfig(resource_count=resource_count, deadline_mode=deadline_mode, rng_seed=seed)
+        )
+        model = build_relaxed(jobs, grid)
+        fewer, full = solve_both(model)
+        if full is None:  # the dummy heuristic under-inserted
+            assert fewer is None, f"scenario seed {seed}"
+            model = build_relaxed(jobs, grid, force_dummy=True)
+            fewer, full = solve_both(model)
+        assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
+        if resource_count == 200:
+            assert len(model.lp_columns) < len(model.pair_order) / 3
+
+
+@st.composite
+def spread_instances(draw):
+    """In-guard instances with speeds up to 100x apart and unequal rates."""
+    resources = [
+        ResourceInfo(
+            f"R{i + 1}",
+            draw(st.integers(0, 6)),
+            draw(st.floats(0.5, 5.0)),
+            draw(st.floats(20.0, 2000.0)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    jobs = []
+    for j in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(1, 4))
+        jobs.append(
+            JobRequest(
+                user_id=f"U{j + 1}",
+                job_id=f"J{j + 1}",
+                budget_gd=draw(st.floats(5.0, 500.0)),
+                deadline_s=draw(st.floats(1.0, 60.0)),
+                task_sizes_mi=tuple(draw(st.floats(100.0, 4000.0)) for _ in range(m)),
+                pe_count=m,
+            )
+        )
+    return jobs, resources
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spread_instances())
+def test_solver_matches_brute_force_on_wide_speed_spreads(instance):
+    jobs, resources = instance
+    model, alloc = solve_with_fallback(jobs, resources)
+    reference = brute_force_relaxed(model)
+    assert relaxed_objective(model, alloc) == pytest.approx(
+        relaxed_objective(model, reference), rel=1e-9, abs=1e-9
+    )
 
 
 # --- oracles ----------------------------------------------------------------
