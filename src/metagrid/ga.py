@@ -28,13 +28,14 @@ from .model import (
     Schedule,
     SchedulerConfig,
     UnknownIdError,
+    budget_limit,
     build_schedule,
     ensure_dummy,
     exec_time,
     placement_feasible,
     qos_index,
 )
-from .relaxed import InfeasibleError, build_relaxed, solve_relaxed
+from .relaxed import build_relaxed, solve_relaxed
 
 logger = logging.getLogger(__name__)
 
@@ -153,7 +154,7 @@ class _Evaluator:
                     if config.budget_semantics.value == "literal"
                     else rate * job.pe_count * t
                 )
-                if charge > job.budget_gd + eps * max(1.0, job.budget_gd):
+                if charge > budget_limit(job.budget_gd, eps):
                     count += 1
                 self.breaches[key] = count
 
@@ -460,21 +461,16 @@ def lpga(
     """Relaxation-seeded meta-scheduler.
 
     Pipeline: sort resources by cost and jobs by priority, solve the
-    split-allowed relaxation exactly (adding the dummy when demand
-    overflows), consolidate whole-job placements, then refine with the GA
+    split-allowed relaxation exactly (parking on the dummy as a last
+    resort), consolidate whole-job placements, then refine with the GA
     seeded by that consolidated schedule.
     """
     if not jobs:
         return Schedule.empty(), _empty_result()
     by_cost = sorted(resources, key=lambda r: (_mean_rate(r), r.resource_id))
     by_priority = sorted(jobs, key=lambda j: (-qos_index(j), j.job_id))
-    try:
-        model = build_relaxed(by_priority, by_cost, config)
-        alloc = solve_relaxed(model)
-    except InfeasibleError:
-        logger.debug("relaxation infeasible without parking; retrying with dummy")
-        model = build_relaxed(by_priority, by_cost, config, force_dummy=True)
-        alloc = solve_relaxed(model)
+    model = build_relaxed(by_priority, by_cost, config)
+    alloc = solve_relaxed(model)
     pool, _ = ensure_dummy(jobs, model.resources)
     seed_schedule = modified_min_cost(
         mappings_from_allocation(alloc), by_priority, pool, config, stats=mmc_stats

@@ -21,6 +21,7 @@ Grid conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -54,8 +55,8 @@ class SchedulerConfig:
     """Knobs shared by every scheduler.
 
     ``epsilon`` is the global absolute tolerance for constraint
-    comparisons; ``allow_dummy`` controls whether unplaceable jobs may be
-    parked on a dummy resource instead of raising.
+    comparisons (see ``budget_limit``); ``allow_dummy`` controls whether
+    unplaceable jobs may be parked on a dummy resource instead of raising.
     """
 
     budget_semantics: BudgetSemantics = BudgetSemantics.TIME_INCLUSIVE
@@ -66,13 +67,24 @@ class SchedulerConfig:
 DEFAULT_CONFIG = SchedulerConfig()
 
 
+def budget_limit(budget_gd, epsilon: float = DEFAULT_CONFIG.epsilon):
+    """Largest charge a budget admits: the budget plus the absolute
+    tolerance.  Every budget check in the package compares against this,
+    for scalars and numpy arrays alike."""
+    return budget_gd + epsilon
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ResourceInfo:
     """One grid resource (provider site).
 
     ``cost_per_pe_second`` is either a single scalar rate applied to every
     job or a per-job-id map; rates are in G$ per PE per second and must be
-    strictly positive.
+    finite and strictly positive, as must the speed.
     """
 
     resource_id: str
@@ -86,14 +98,19 @@ class ResourceInfo:
             raise ValueError("resource_id must be non-empty")
         if not isinstance(self.free_pes, int) or self.free_pes < 0:
             raise ValueError(f"free_pes must be a nonnegative int, got {self.free_pes!r}")
-        if self.pe_speed_mips <= 0:
-            raise ValueError(f"pe_speed_mips must be positive, got {self.pe_speed_mips!r}")
+        if not _positive(self.pe_speed_mips):
+            raise ValueError(
+                f"pe_speed_mips must be finite and positive, got {self.pe_speed_mips!r}"
+            )
         rates = self.cost_per_pe_second
         if isinstance(rates, Mapping):
-            if any(v <= 0 for v in rates.values()):
-                raise ValueError(f"all cost rates must be positive on {self.resource_id}")
-        elif rates <= 0:
-            raise ValueError(f"cost rate must be positive, got {rates!r}")
+            if not all(_positive(v) for v in rates.values()):
+                raise ValueError(
+                    f"cost_per_pe_second: all rates must be finite and positive "
+                    f"on {self.resource_id}"
+                )
+        elif not _positive(rates):
+            raise ValueError(f"cost_per_pe_second must be finite and positive, got {rates!r}")
 
     def rate_for(self, job_id: str) -> float:
         """Money rate (G$/PE/s) this resource charges the given job."""
@@ -136,14 +153,14 @@ class JobRequest:
                 f"job {self.job_id}: pe_count {self.pe_count} != "
                 f"{len(self.task_sizes_mi)} task sizes"
             )
-        if any(m <= 0 for m in self.task_sizes_mi):
-            raise ValueError(f"job {self.job_id}: task sizes must be positive")
-        if self.budget_gd <= 0:
-            raise ValueError(f"job {self.job_id}: budget must be positive")
-        if self.deadline_s <= 0:
-            raise ValueError(f"job {self.job_id}: deadline must be positive")
-        if self.submit_time_s < 0:
-            raise ValueError(f"job {self.job_id}: submit time must be >= 0")
+        if not all(_positive(m) for m in self.task_sizes_mi):
+            raise ValueError(f"job {self.job_id}: task_sizes_mi must be finite and positive")
+        if not _positive(self.budget_gd):
+            raise ValueError(f"job {self.job_id}: budget_gd must be finite and positive")
+        if not _positive(self.deadline_s):
+            raise ValueError(f"job {self.job_id}: deadline_s must be finite and positive")
+        if not (math.isfinite(self.submit_time_s) and self.submit_time_s >= 0):
+            raise ValueError(f"job {self.job_id}: submit_time_s must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -279,7 +296,7 @@ def placement_feasible(
         charge = resource.rate_for(job.job_id) * job.pe_count
     else:
         charge = placement_cost(job, resource)
-    return charge <= job.budget_gd + eps
+    return charge <= budget_limit(job.budget_gd, eps)
 
 
 def qos_index(job: JobRequest) -> float:
@@ -404,7 +421,7 @@ def validate(
         if not real:
             continue
         charge = budget_charge(job, real, res_by_id, config.budget_semantics)
-        if charge > job.budget_gd + eps:
+        if charge > budget_limit(job.budget_gd, eps):
             violations.append(
                 Violation(ViolationKind.BUDGET, None, jid,
                           f"job {jid} spends {charge:.6g} over budget {job.budget_gd:.6g}")
@@ -442,24 +459,30 @@ def make_dummy_resource(
     dummy_id: str = DUMMY_ID,
 ) -> ResourceInfo:
     """Build the parking-lot resource for a batch: capacity for every PE of
-    every job, priced strictly above any real rate so optimizers only use
-    it as a last resort."""
+    every job, at the fastest real speed, priced so optimizers only park as
+    a last resort.
+
+    The rate is ``DUMMY_RATE_FACTOR`` x the dearest real price per
+    instruction, taken at the dummy's own speed:
+    ``10 * max_k(rate_k * max_speed / speed_k)`` (floored at 10 G$).  A
+    PE's coefficient is rate x longest task / speed, so parking one PE of a
+    job costs at least 10x that job's dearest real coefficient.  Hence a
+    cost-minimal allocation parks a PE only when no admissible real
+    resource has a free PE the job can still afford: moving the PE there
+    keeps every constraint and lowers the cost strictly.
+    """
     real = [r for r in resources if not r.is_dummy]
-    max_rate = 1.0
-    max_speed = 1.0
+    max_speed = max([1.0] + [r.pe_speed_mips for r in real])
+    rate = 1.0
     for r in real:
         rates = r.cost_per_pe_second
-        if isinstance(rates, Mapping):
-            if rates:
-                max_rate = max(max_rate, max(rates.values()))
-        else:
-            max_rate = max(max_rate, rates)
-        max_speed = max(max_speed, r.pe_speed_mips)
+        for k in rates.values() if isinstance(rates, Mapping) else (rates,):
+            rate = max(rate, k * max_speed / r.pe_speed_mips)
     capacity = sum(j.pe_count for j in jobs)
     return ResourceInfo(
         resource_id=dummy_id,
         free_pes=capacity,
-        cost_per_pe_second=max_rate * DUMMY_RATE_FACTOR,
+        cost_per_pe_second=rate * DUMMY_RATE_FACTOR,
         pe_speed_mips=max_speed,
         is_dummy=True,
     )

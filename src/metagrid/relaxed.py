@@ -3,9 +3,15 @@
 The relaxation treats every job as splittable: choose nonnegative integer
 PE counts r[i, j] minimizing total money subject to resource capacities,
 exact per-job PE demands, and per-job budget caps.  Pairs whose execution
-time misses the job's deadline are excluded up front; a dummy parking
-resource (always pair-eligible, budget-exempt) absorbs demand the real
-grid cannot host.
+time misses the job's deadline are excluded up front.  Whenever parking
+is allowed, the model carries a dummy parking resource (always
+pair-eligible, budget-exempt) that absorbs demand the real grid cannot
+host, so the model is always feasible.  Parking is a last resort by
+price, not by a guess about the batch: one parked PE costs at least 10x
+its job's dearest real placement (see ``make_dummy_resource``), so an
+optimum parks a PE only when no admissible real resource has a free PE
+the job can still afford; moving the PE there would keep every
+constraint and cost strictly less.
 
 ``build_relaxed`` keeps every admissible pair in the model, but the
 integer program handed to the solver gets only the columns that can
@@ -18,7 +24,9 @@ batch); moving the PE there costs no more, and under ``TIME_INCLUSIVE``
 budgets (budget weight == cost coefficient) spends no more either, so the
 per-pair bounds still hold.  Under ``LITERAL`` budgets the weight is the
 bare rate, a cheaper placement can charge more, and every admissible pair
-stays a column.
+stays a column.  Pruning keeps parking a last resort: a job's prefix can
+hold the whole batch, so while any PE parks some prefix resource has a
+free PE, and it is no dearer than any resource outside the prefix.
 
 ``solve_relaxed`` hands the integer program to the HiGHS branch-and-cut
 engine (via scipy) at zero optimality gap and re-checks the rounded
@@ -42,6 +50,7 @@ from .model import (
     JobRequest,
     ResourceInfo,
     SchedulerConfig,
+    budget_limit,
     exec_time,
     make_dummy_resource,
 )
@@ -69,7 +78,8 @@ class RelaxedModel:
     are omitted).  ``pair_order`` fixes the deterministic variable order:
     job-major, resource-minor.  ``lp_columns`` is the subset of
     ``pair_order`` (same order) that the solver sees; see the module
-    docstring for why dropping the rest is exact.
+    docstring for why dropping the rest is exact.  ``epsilon`` is the
+    budget tolerance of the config the model was built with.
     """
 
     jobs: tuple[JobRequest, ...]
@@ -80,6 +90,7 @@ class RelaxedModel:
     pair_order: tuple[tuple[str, str], ...]
     dummy_id: str | None
     lp_columns: tuple[tuple[str, str], ...]
+    epsilon: float = DEFAULT_CONFIG.epsilon
 
 
 def _pair_table(jobs, resources, config):
@@ -108,68 +119,34 @@ def _pair_table(jobs, resources, config):
     coeff = rate * exec_s
     weight = rate if config.budget_semantics is BudgetSemantics.LITERAL else coeff
     weight = np.where(dummy, 0.0, weight)
-    admissible = dummy | (on_time & (weight <= (budget + eps)[:, None]))
+    admissible = dummy | (on_time & (weight <= budget_limit(budget, eps)[:, None]))
     return coeff, weight, admissible
-
-
-def _needs_dummy(jobs, resources, weight, admissible, eps) -> bool:
-    """Whether the real grid cannot cover the aggregate demand, or some job
-    cannot afford its PEs even alone.  A job's budget binds jointly across
-    resources, so count the PEs it can afford taking the cheapest per-PE
-    charges first."""
-    free = np.array([r.free_pes for r in resources], dtype=int)
-    pes = np.array([j.pe_count for j in jobs], dtype=int)
-    if pes.sum() > free.sum():
-        return True
-    cap = np.minimum(free[None, :], pes[:, None])
-    order = np.lexsort((cap, weight, ~admissible), axis=-1)
-    offered = admissible.sum(axis=1)
-    for i, job in enumerate(jobs):
-        row = order[i, : offered[i]]
-        affordable = 0
-        left = job.budget_gd + eps * max(1.0, job.budget_gd)
-        for w, c in zip(weight[i, row].tolist(), cap[i, row].tolist()):
-            if affordable >= job.pe_count:
-                break
-            if w <= 0.0:
-                affordable += c
-            else:
-                take = min(c, int(left / w))
-                affordable += take
-                left -= take * w
-        if affordable < job.pe_count:
-            return True
-    return False
 
 
 def build_relaxed(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     config: SchedulerConfig = DEFAULT_CONFIG,
-    force_dummy: bool = False,
 ) -> RelaxedModel:
     """Assemble the relaxation for one batch.
 
     Keeps a (resource, job) pair iff the job finishes within its deadline
-    there and a single PE is affordable; dummy pairs are always kept.  A
-    dummy resource is appended when the admissible real capacity cannot
-    cover some job (or aggregate demand), so the model stays feasible
-    whenever parking is allowed.
+    there and a single PE is affordable; dummy pairs are always kept.
+    When ``config.allow_dummy`` is set and the batch has jobs, a dummy
+    resource is appended unless one is given, so the model is feasible
+    whatever the grid; its price keeps parking a last resort (module
+    docstring).  Without it, an uncoverable batch makes ``solve_relaxed``
+    raise ``InfeasibleError``.
     """
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     res_list = sorted(resources, key=lambda r: r.resource_id)
-    if not res_list and not (config.allow_dummy or force_dummy):
+    if not res_list and not config.allow_dummy:
         raise EmptyGridError("no resources and dummy parking disabled")
+    if config.allow_dummy and jobs and not any(r.is_dummy for r in res_list):
+        res_list.append(make_dummy_resource(jobs, res_list))
+        res_list.sort(key=lambda r: r.resource_id)
 
     coeff, weight, admissible = _pair_table(jobs, res_list, config)
-    have_dummy = any(r.is_dummy for r in res_list)
-    if not have_dummy and (config.allow_dummy or force_dummy) and jobs and (
-        force_dummy or _needs_dummy(jobs, res_list, weight, admissible, config.epsilon)
-    ):
-        res_list = res_list + [make_dummy_resource(jobs, res_list)]
-        res_list.sort(key=lambda r: r.resource_id)
-        coeff, weight, admissible = _pair_table(jobs, res_list, config)
-
     dummy = np.array([r.is_dummy for r in res_list], dtype=bool)
     columns = admissible
     if config.budget_semantics is not BudgetSemantics.LITERAL and jobs:
@@ -198,6 +175,7 @@ def build_relaxed(
         pair_order=pairs,
         dummy_id=dummies[0] if dummies else None,
         lp_columns=tuple(p for p, keep in zip(pairs, columns[ji, ri].tolist()) if keep),
+        epsilon=config.epsilon,
     )
 
 
@@ -233,8 +211,8 @@ def _model_arrays(model: RelaxedModel):
     # puts more than budget/weight PEs on a weighted pair
     ub = np.minimum(free[ri], pes[ji])
     weighted = w > 0.0
-    slack = budget + 1e-9 * np.maximum(1.0, budget)
-    ub[weighted] = np.minimum(ub[weighted], np.floor(slack[ji[weighted]] / w[weighted]))
+    limit = budget_limit(budget, model.epsilon)
+    ub[weighted] = np.minimum(ub[weighted], np.floor(limit[ji[weighted]] / w[weighted]))
     ub = np.maximum(ub, 0.0)
 
     # demand rows: one per job, sum of its pairs == pe_count
@@ -246,7 +224,7 @@ def _model_arrays(model: RelaxedModel):
     cap_row = np.searchsorted(used, ri)
     reach = np.bincount(ji[weighted], weights=(w * ub)[weighted], minlength=len(model.jobs))
     binds = np.bincount(ji[weighted], minlength=len(model.jobs)) > 0
-    binds &= ~(reach <= budget + 1e-9)
+    binds &= ~(reach <= limit)
     bud_row = len(used) + np.cumsum(binds) - 1
     terms = weighted & binds[ji]
     n_ub = len(used) + int(binds.sum())
@@ -259,9 +237,8 @@ def _model_arrays(model: RelaxedModel):
     return c, a_ub, b_ub, a_eq, pes, ub
 
 
-def _check_integer_solution(model: RelaxedModel, counts: dict, config_eps: float = 1e-9) -> bool:
+def _check_integer_solution(model: RelaxedModel, counts: dict) -> bool:
     """Exact feasibility re-check of a rounded candidate."""
-    jobs_by_id = {j.job_id: j for j in model.jobs}
     res_by_id = {r.resource_id: r for r in model.resources}
     load: dict[str, int] = {}
     demand: dict[str, int] = {}
@@ -280,7 +257,7 @@ def _check_integer_solution(model: RelaxedModel, counts: dict, config_eps: float
     for job in model.jobs:
         if demand.get(job.job_id, 0) != job.pe_count:
             return False
-        if spend.get(job.job_id, 0.0) > job.budget_gd + config_eps * max(1.0, job.budget_gd):
+        if spend.get(job.job_id, 0.0) > budget_limit(job.budget_gd, model.epsilon):
             return False
     return True
 
@@ -294,7 +271,7 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     tolerances if the first pass is numerically off).  Deterministic for
     a fixed environment; ties between equal-cost optima resolve by the
     engine's fixed search order.  Raises InfeasibleError when the demands
-    cannot be met (only possible without a dummy resource).
+    cannot be met, which needs a model built with ``allow_dummy=False``.
     """
     if not model.jobs:
         return AllocationMatrix.empty()
@@ -401,7 +378,7 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
             w = model.budget_weight.get(key, 0.0)
             for take in range(0, cap + 1):
                 new_spent = spent + w * take
-                if new_spent > job.budget_gd + 1e-9 * max(1.0, job.budget_gd):
+                if new_spent > budget_limit(job.budget_gd, model.epsilon):
                     break
                 if take:
                     current[key] = take
@@ -447,7 +424,7 @@ def brute_force_sgn(
                 charge = res.rate_for(job.job_id) * job.pe_count
             else:
                 charge = res.rate_for(job.job_id) * job.pe_count * exec_time(job, res)
-            if charge > job.budget_gd + eps:
+            if charge > budget_limit(job.budget_gd, eps):
                 continue
             cost = res.rate_for(job.job_id) * job.pe_count * exec_time(job, res)
             opts.append((res.resource_id, cost))

@@ -28,7 +28,6 @@ from .ga import GaParams, hga, lpga
 from .greedy import greedy_schedule
 from .mmc import mappings_from_allocation, modified_min_cost
 from .model import (
-    AllocationMatrix,
     DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
@@ -38,7 +37,7 @@ from .model import (
     ensure_dummy,
     exec_time,
 )
-from .relaxed import InfeasibleError, build_relaxed, solve_relaxed
+from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
 logger = logging.getLogger(__name__)
@@ -84,28 +83,14 @@ def jsonl_sink(stream) -> Callable[[SimEvent], None]:
     return sink
 
 
-def _solve_with_fallback(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    config: SchedulerConfig,
-) -> tuple[AllocationMatrix, tuple[ResourceInfo, ...]]:
-    """Exact split-allowed solve; on infeasibility retry with the dummy
-    present so overflow jobs can park instead of failing the whole batch."""
-    try:
-        model = build_relaxed(jobs, resources, config)
-        return solve_relaxed(model), model.resources
-    except InfeasibleError:
-        model = build_relaxed(jobs, resources, config, force_dummy=True)
-        return solve_relaxed(model), model.resources
-
-
 def _run_greedy(jobs, resources, config, params):
     return greedy_schedule(jobs, resources, config), 0
 
 
 def _run_mmc(jobs, resources, config, params):
-    alloc, pool = _solve_with_fallback(jobs, resources, config)
-    pool, _ = ensure_dummy(jobs, pool)
+    model = build_relaxed(jobs, resources, config)
+    alloc = solve_relaxed(model)
+    pool, _ = ensure_dummy(jobs, model.resources)
     schedule = modified_min_cost(
         mappings_from_allocation(alloc), jobs, pool, config
     )
@@ -113,8 +98,8 @@ def _run_mmc(jobs, resources, config, params):
 
 
 def _run_relaxed_mgn(jobs, resources, config, params):
-    alloc, pool = _solve_with_fallback(jobs, resources, config)
-    return build_schedule(alloc, jobs, pool, config), 0
+    model = build_relaxed(jobs, resources, config)
+    return build_schedule(solve_relaxed(model), jobs, model.resources, config), 0
 
 
 def _run_lpga(jobs, resources, config, params):

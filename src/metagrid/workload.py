@@ -22,10 +22,11 @@ all-means job).
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .model import JobKind, JobRequest, ResourceInfo
@@ -78,6 +79,10 @@ class ScenarioConfig:
     budget_factor: float = 2.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise BadConfigError(f"{f.name} must be finite, got {value!r}")
         if self.resource_count < 0:
             raise BadConfigError("resource_count must not be negative")
         if self.job_count < 0:
@@ -259,6 +264,8 @@ def _resource_from_dict(data: dict) -> ResourceInfo:
         )
     except KeyError as exc:
         raise BadConfigError(f"resource record missing field {exc}") from exc
+    except ValueError as exc:
+        raise BadConfigError(f"bad resource record: {exc}") from exc
 
 
 def _job_to_dict(job: JobRequest) -> dict:
@@ -291,6 +298,8 @@ def _job_from_dict(data: dict) -> JobRequest:
         )
     except KeyError as exc:
         raise BadConfigError(f"job record missing field {exc}") from exc
+    except ValueError as exc:
+        raise BadConfigError(f"bad job record: {exc}") from exc
 
 
 def _records_from_lines(text: str) -> list[dict]:

@@ -34,7 +34,6 @@ from metagrid.model import (
     validate,
 )
 from metagrid.relaxed import (
-    InfeasibleError,
     brute_force_relaxed,
     brute_force_sgn,
     build_relaxed,
@@ -56,12 +55,8 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _solve_batch(jobs, resources):
-    try:
-        model = build_relaxed(jobs, resources)
-        return model, solve_relaxed(model)
-    except InfeasibleError:
-        model = build_relaxed(jobs, resources, force_dummy=True)
-        return model, solve_relaxed(model)
+    model = build_relaxed(jobs, resources)
+    return model, solve_relaxed(model)
 
 
 def _consolidate(jobs, resources):

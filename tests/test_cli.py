@@ -118,6 +118,7 @@ def test_verbose_run_streams_events(tmp_path):
         ("[sweep]\nresource_counts = abc\n", "bad"),
         ("[sweep]\ndeadline_modes = loose\n", "loose"),
         ("[ga]\npopulation_size = 1\n", "population_size"),
+        ("[sweep]\ninterval_s = nan\n", "interval_s"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, ini_text, complaint):

@@ -77,6 +77,16 @@ def test_fitness_accepts_chromosome_and_custom_weight(s1_jobs, s1_resources):
     assert fitness(chrom, s1_jobs, s1_resources, penalty_weight=7.0) == 127.0
 
 
+def test_fitness_and_decode_share_the_budget_tolerance():
+    # the job costs 2000 on a budget 5e-8 short of it, beyond the absolute
+    # tolerance: a budget breach for fitness as well as for decoding
+    res = ResourceInfo("R1", 4, 1.0, 1.0)
+    job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
+    weight = default_penalty_weight([job], [res])
+    assert fitness({"A": "R1"}, [job], [res]) == 2000.0 + weight
+    assert decode_schedule({"A": "R1"}, [job], [res]).dummy_jobs == {"A"}
+
+
 # ------------------------------------------------------------- selection
 
 

@@ -25,7 +25,6 @@ from metagrid.model import (
     validate,
 )
 from metagrid.relaxed import (
-    InfeasibleError,
     brute_force_sgn,
     build_relaxed,
     relaxed_objective,
@@ -34,13 +33,9 @@ from metagrid.relaxed import (
 
 
 def consolidate(jobs, resources, stats=None):
-    """Full pipeline: relaxed solve (dummy fallback) then consolidation."""
-    try:
-        model = build_relaxed(jobs, resources)
-        alloc = solve_relaxed(model)
-    except InfeasibleError:
-        model = build_relaxed(jobs, resources, force_dummy=True)
-        alloc = solve_relaxed(model)
+    """Full pipeline: relaxed solve then consolidation."""
+    model = build_relaxed(jobs, resources)
+    alloc = solve_relaxed(model)
     pool, _ = ensure_dummy(jobs, model.resources)
     return modified_min_cost(
         mappings_from_allocation(alloc), jobs, pool, stats=stats
@@ -300,12 +295,8 @@ def test_sandwich_between_relaxed_and_feasible():
     compared = parked_but_solvable = 0
     for seed in range(120):
         jobs, resources = tiny_instance(seed)
-        try:
-            model = build_relaxed(jobs, resources)
-            alloc = solve_relaxed(model)
-        except InfeasibleError:
-            model = build_relaxed(jobs, resources, force_dummy=True)
-            alloc = solve_relaxed(model)
+        model = build_relaxed(jobs, resources)
+        alloc = solve_relaxed(model)
         pool, _ = ensure_dummy(jobs, model.resources)
         schedule = modified_min_cost(
             mappings_from_allocation(alloc), jobs, pool
@@ -331,12 +322,8 @@ def test_sandwich_between_relaxed_and_feasible():
 def test_freeze_correctness_single_provider_jobs_stay_put():
     for seed in range(80):
         jobs, resources = fuzz_instance(seed)
-        try:
-            model = build_relaxed(jobs, resources)
-            alloc = solve_relaxed(model)
-        except InfeasibleError:
-            model = build_relaxed(jobs, resources, force_dummy=True)
-            alloc = solve_relaxed(model)
+        model = build_relaxed(jobs, resources)
+        alloc = solve_relaxed(model)
         pool, _ = ensure_dummy(jobs, model.resources)
         relaxed = mappings_from_allocation(alloc)
         schedule = modified_min_cost(relaxed, jobs, pool)

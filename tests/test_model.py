@@ -201,12 +201,29 @@ def test_make_dummy_resource_parameters(s1_jobs, s1_resources):
     dummy = make_dummy_resource(s1_jobs, s1_resources)
     assert dummy.is_dummy
     assert dummy.free_pes == 5  # total demanded PEs
-    assert dummy.cost_per_pe_second == 30.0  # 10 x the max real rate
+    # 10 x the dearest real price per instruction (R2: 3 G$ at 200 MIPS),
+    # taken at the dummy's speed
+    assert dummy.cost_per_pe_second == 30.0
     assert dummy.pe_speed_mips == 200.0  # fastest real speed
-    # strictly pricier than every real rate, deadline-feasible for every job
+    # deadline-feasible for every job
     for job in s1_jobs:
         assert placement_feasible(job, dummy)
         assert exec_time(job, dummy) <= job.deadline_s
+
+    # speeds 100x apart, the slow machine dearest per instruction: the
+    # price follows it, not the largest rate
+    spread = [
+        ResourceInfo("R1", 4, 2.0, 20.0),
+        ResourceInfo("R2", 4, 3.0, 2000.0),
+        ResourceInfo("R3", 4, {"A": 1.5, "B": 4.0}, 400.0),
+    ]
+    dummy = make_dummy_resource(s1_jobs, spread)
+    assert dummy.cost_per_pe_second == 2000.0  # 10 x 2 G$ x 2000 / 20
+    assert dummy.pe_speed_mips == 2000.0
+    for job in s1_jobs:
+        parked = placement_cost(job, dummy) / job.pe_count
+        for res in spread:
+            assert parked >= 10 * placement_cost(job, res) / job.pe_count, res.resource_id
 
 
 def test_ensure_dummy_is_idempotent(s1_jobs, s1_resources):
@@ -244,6 +261,28 @@ def test_invalid_records_are_rejected():
         JobRequest("U", "J", 0.0, 10.0, (100.0,), 1)
     with pytest.raises(ValueError):
         JobRequest("U", "J", 10.0, -1.0, (100.0,), 1)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["rate", "rate_map", "speed"])
+def test_resource_rejects_non_finite_numbers(field, bad):
+    rate = {"rate": bad, "rate_map": {"J": 1.0, "K": bad}}.get(field, 1.0)
+    speed = bad if field == "speed" else 100.0
+    with pytest.raises(ValueError, match="finite"):
+        ResourceInfo("R", 4, rate, speed)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["budget_gd", "deadline_s", "task_sizes_mi", "submit_time_s"])
+def test_job_rejects_non_finite_numbers(field, bad):
+    values = {"budget_gd": 10.0, "deadline_s": 10.0, "task_sizes_mi": (100.0, 100.0),
+              "submit_time_s": 0.0}
+    values[field] = (100.0, bad) if field == "task_sizes_mi" else bad
+    with pytest.raises(ValueError, match=field):
+        JobRequest("U", "J", pe_count=2, **values)
 
 
 def test_allocation_matrix_drops_zero_entries():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from metagrid.model import (
     JobRequest,
     ResourceInfo,
     SchedulerConfig,
+    budget_limit,
     exec_time,
     schedule_cost,
     validate,
@@ -33,28 +35,26 @@ from metagrid.relaxed import (
 from metagrid.workload import ScenarioConfig, generate_scenario
 
 
-def solve_with_fallback(jobs, resources, config=None):
-    """build + solve, retrying with a forced dummy when the heuristic
-    under-inserted one (cross-job contention)."""
-    kwargs = {} if config is None else {"config": config}
-    model = build_relaxed(jobs, resources, **kwargs)
-    try:
-        return model, solve_relaxed(model)
-    except InfeasibleError:
-        model = build_relaxed(jobs, resources, force_dummy=True, **kwargs)
-        return model, solve_relaxed(model)
+def build_and_solve(jobs, resources):
+    model = build_relaxed(jobs, resources)
+    return model, solve_relaxed(model)
 
 
 # --- model building ---------------------------------------------------------
 
 
 def test_build_s1_feasible_pairs(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(s1_jobs, s1_resources, SchedulerConfig(allow_dummy=False))
     assert model.feasible_pairs == {("R1", "A"), ("R2", "A"), ("R2", "B")}
     assert model.cost_coeff[("R1", "A")] == 10.0
     assert model.cost_coeff[("R2", "A")] == 15.0
     assert model.cost_coeff[("R2", "B")] == 30.0
     assert model.dummy_id is None  # real capacity suffices
+    # with parking allowed the dummy is always there, one pair per job
+    parked = build_relaxed(s1_jobs, s1_resources)
+    assert parked.feasible_pairs - model.feasible_pairs == {
+        (parked.dummy_id, "A"), (parked.dummy_id, "B"),
+    }
 
 
 def test_build_excludes_deadline_violating_pairs(s1_jobs, s1_resources):
@@ -93,7 +93,7 @@ def test_pair_table_matches_the_per_pair_rule(semantics):
     eps = config.epsilon
     for seed in range(100):
         jobs, resources = fuzz_instance(seed)
-        model = build_relaxed(jobs, resources, config, force_dummy=True)
+        model = build_relaxed(jobs, resources, config)
         for job in model.jobs:
             for res in model.resources:
                 key = (res.resource_id, job.job_id)
@@ -108,11 +108,6 @@ def test_pair_table_matches_the_per_pair_rule(semantics):
                 if admissible:
                     assert model.cost_coeff[key] == coeff
                     assert model.budget_weight.get(key, 0.0) == weight
-
-
-def test_force_dummy_flag(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources, force_dummy=True)
-    assert model.dummy_id is not None
 
 
 # --- exact solve ------------------------------------------------------------
@@ -184,7 +179,7 @@ def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
         ResourceInfo("R3", 9, 2.0, 100.0),  # coeff 20: 4 + 9 >= 5
         ResourceInfo("R4", 9, 1.0, 50.0),  # coeff 20, after R3 on the id
     ]
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(jobs, resources, SchedulerConfig(allow_dummy=False))
     assert len(model.pair_order) == 8
     assert model.lp_columns == (
         ("R2", "A"), ("R3", "A"), ("R2", "B"), ("R3", "B"),
@@ -225,8 +220,8 @@ def test_column_pruning_keeps_the_optimum_on_tiny_instances():
     pruned = 0
     for seed in range(200):
         jobs, resources = tiny_instance(seed)
-        for force in (False, True):
-            model = build_relaxed(jobs, resources, force_dummy=force)
+        for allow_dummy in (False, True):
+            model = build_relaxed(jobs, resources, SchedulerConfig(allow_dummy=allow_dummy))
             fewer, full = solve_both(model)
             if full is None:
                 assert fewer is None, f"instance seed {seed}"
@@ -245,10 +240,6 @@ def test_column_pruning_keeps_the_optimum_on_generated_scenarios(resource_count,
         )
         model = build_relaxed(jobs, grid)
         fewer, full = solve_both(model)
-        if full is None:  # the dummy heuristic under-inserted
-            assert fewer is None, f"scenario seed {seed}"
-            model = build_relaxed(jobs, grid, force_dummy=True)
-            fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
         if resource_count == 200:
             assert len(model.lp_columns) < len(model.pair_order) / 3
@@ -286,11 +277,61 @@ def spread_instances(draw):
 @given(spread_instances())
 def test_solver_matches_brute_force_on_wide_speed_spreads(instance):
     jobs, resources = instance
-    model, alloc = solve_with_fallback(jobs, resources)
+    model, alloc = build_and_solve(jobs, resources)
     reference = brute_force_relaxed(model)
     assert relaxed_objective(model, alloc) == pytest.approx(
         relaxed_objective(model, reference), rel=1e-9, abs=1e-9
     )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spread_instances())
+def test_parking_is_a_last_resort_on_wide_speed_spreads(instance):
+    """A job holds a PE on the dummy only when no admissible real resource
+    has a free PE whose budget weight still fits the job's budget."""
+    jobs, resources = instance
+    model, alloc = build_and_solve(jobs, resources)
+    load = Counter()
+    spent = Counter()
+    for (rid, jid), pes in alloc.items():
+        load[rid] += pes
+        spent[jid] += model.budget_weight.get((rid, jid), 0.0) * pes
+    free = {r.resource_id: r.free_pes - load[r.resource_id] for r in model.resources}
+    for job in model.jobs:
+        if not alloc.pes(model.dummy_id, job.job_id):
+            continue
+        limit = budget_limit(job.budget_gd, model.epsilon)
+        for rid, jid in model.feasible_pairs:
+            if jid != job.job_id or rid == model.dummy_id or free[rid] <= 0:
+                continue
+            assert spent[jid] + model.budget_weight[(rid, jid)] > limit, (
+                f"{jid} parks a PE while {rid} has {free[rid]} free and affordable"
+            )
+
+
+def test_a_slow_free_machine_beats_parking():
+    # speeds 20x apart: parking priced off the largest rate alone would
+    # cost 50 here, half of B's placement on the slow machine
+    resources = [ResourceInfo("R1", 4, 1.0, 100.0), ResourceInfo("R2", 1, 1.0, 2000.0)]
+    jobs = [JobRequest("U", jid, 1e6, 1e6, (10000.0,), 1) for jid in ("A", "B")]
+    model, alloc = build_and_solve(jobs, resources)
+    assert model.dummy_id not in alloc.resource_ids()
+    assert relaxed_objective(model, alloc) == 105.0
+
+
+def test_one_budget_tolerance_in_the_solver_and_the_oracle():
+    """Two PEs cost 2000 on a budget 5e-8 short of it: beyond the absolute
+    tolerance, so only one PE runs and the other parks."""
+    res = ResourceInfo("R1", 4, 1.0, 1.0)
+    job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
+    model = build_relaxed([job], [res])
+    alloc = solve_relaxed(model)
+    assert validate(alloc, [job], model.resources, JobKind.MGN) == []
+    assert dict(alloc.entries) == {("R1", "A"): 1, (model.dummy_id, "A"): 1}
+    assert brute_force_relaxed(model) == alloc
+    strict = build_relaxed([job], [res], SchedulerConfig(allow_dummy=False))
+    with pytest.raises(InfeasibleError):
+        solve_relaxed(strict)
 
 
 # --- oracles ----------------------------------------------------------------
@@ -317,7 +358,7 @@ def test_oracle_equivalence_over_random_instances():
     checked = 0
     for seed in range(120):
         jobs, resources = tiny_instance(seed)
-        model, alloc = solve_with_fallback(jobs, resources)
+        model, alloc = build_and_solve(jobs, resources)
         reference = brute_force_relaxed(model)
         assert relaxed_objective(model, alloc) == pytest.approx(
             relaxed_objective(model, reference), abs=1e-9
@@ -330,7 +371,7 @@ def test_oracle_equivalence_over_random_instances():
 def test_relaxed_is_lower_bound_for_whole_job_schedules():
     for seed in range(60):
         jobs, resources = tiny_instance(seed)
-        model, alloc = solve_with_fallback(jobs, resources)
+        model, alloc = build_and_solve(jobs, resources)
         sgn = brute_force_sgn(jobs, resources)
         if sgn is None:
             continue
@@ -349,8 +390,8 @@ def test_adding_a_resource_never_hurts():
     compared = 0
     for seed in range(120):
         jobs, resources = tiny_instance(seed)
-        model, alloc = solve_with_fallback(jobs, resources)
-        bigger_model, bigger = solve_with_fallback(jobs, resources + [extra])
+        model, alloc = build_and_solve(jobs, resources)
+        bigger_model, bigger = build_and_solve(jobs, resources + [extra])
 
         def parked(m, a):
             return any(rid == m.dummy_id for rid, _ in a.entries)
@@ -379,7 +420,7 @@ def test_brute_force_sgn_none_when_impossible(s1_resources):
 
 
 def test_dump_lp_s1(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(s1_jobs, s1_resources, SchedulerConfig(allow_dummy=False))
     text = dump_lp(model)
     assert text.startswith("min: 10 x[R1,A] + 15 x[R2,A] + 30 x[R2,B]; st: ")
     assert "cap[R1]: x[R1,A] <= 4" in text

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from statistics import fmean
 
@@ -46,6 +47,13 @@ def test_rejects_bad_bounds():
         ScenarioConfig(resource_count=5, runtime_spread=1.0)
     with pytest.raises(BadConfigError):
         ScenarioConfig(resource_count=5, budget_factor=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["interval_s", "rate_mean_gd", "mips_max", "budget_factor"])
+def test_rejects_non_finite_floats(field, bad):
+    with pytest.raises(BadConfigError, match=field):
+        ScenarioConfig(resource_count=5, **{field: bad})
 
 
 def test_mode_accepts_strings_and_rejects_junk():
@@ -204,6 +212,26 @@ def test_unknown_fields_are_rejected():
 def test_missing_fields_are_rejected():
     with pytest.raises(BadConfigError, match="missing field"):
         grid_from_json('[{"resource_id": "R"}]')
+
+
+def test_non_finite_values_are_rejected_at_load():
+    with pytest.raises(BadConfigError, match="cost_per_pe_second"):
+        grid_from_json(
+            '[{"resource_id": "R", "free_pes": 1, "cost_per_pe_second": NaN,'
+            ' "pe_speed_mips": 100.0}]'
+        )
+    with pytest.raises(BadConfigError, match="pe_speed_mips"):
+        grid_from_lines(
+            '{"resource_id": "R", "free_pes": 1, "cost_per_pe_second": 1.0,'
+            ' "pe_speed_mips": Infinity}'
+        )
+    record = json.loads(jobs_to_lines(_sample_jobs()[:1]))
+    record["budget_gd"] = float("nan")
+    with pytest.raises(BadConfigError, match="budget_gd"):
+        jobs_from_lines(json.dumps(record))
+    record["budget_gd"], record["deadline_s"] = 10.0, float("inf")
+    with pytest.raises(BadConfigError, match="deadline_s"):
+        jobs_from_json(json.dumps([record]))
 
 
 def test_malformed_line_is_rejected_with_its_number():
