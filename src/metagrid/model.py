@@ -67,7 +67,7 @@ class SchedulerConfig:
 DEFAULT_CONFIG = SchedulerConfig()
 
 
-def budget_limit(budget_gd, epsilon: float = DEFAULT_CONFIG.epsilon):
+def budget_limit(budget_gd, epsilon: float):
     """Largest charge a budget admits: the budget plus the absolute
     tolerance.  Every budget check in the package compares against this,
     for scalars and numpy arrays alike."""
@@ -459,17 +459,17 @@ def make_dummy_resource(
     dummy_id: str = DUMMY_ID,
 ) -> ResourceInfo:
     """Build the parking-lot resource for a batch: capacity for every PE of
-    every job, at the fastest real speed, priced so optimizers only park as
-    a last resort.
+    every job, at the fastest real speed, priced above every real
+    placement.
 
     The rate is ``DUMMY_RATE_FACTOR`` x the dearest real price per
     instruction, taken at the dummy's own speed:
     ``10 * max_k(rate_k * max_speed / speed_k)`` (floored at 10 G$).  A
     PE's coefficient is rate x longest task / speed, so parking one PE of a
-    job costs at least 10x that job's dearest real coefficient.  Hence a
-    cost-minimal allocation parks a PE only when no admissible real
-    resource has a free PE the job can still afford: moving the PE there
-    keeps every constraint and lowers the cost strictly.
+    job costs at least 10x that job's dearest real coefficient at any
+    speed spread.  The relaxation adds a batch-wide surcharge per parked
+    PE (``relaxed`` module docstring), so this price only weighs in among
+    allocations that park equally few PEs.
     """
     real = [r for r in resources if not r.is_dummy]
     max_speed = max([1.0] + [r.pe_speed_mips for r in real])

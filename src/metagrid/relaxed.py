@@ -6,12 +6,14 @@ exact per-job PE demands, and per-job budget caps.  Pairs whose execution
 time misses the job's deadline are excluded up front.  Whenever parking
 is allowed, the model carries a dummy parking resource (always
 pair-eligible, budget-exempt) that absorbs demand the real grid cannot
-host, so the model is always feasible.  Parking is a last resort by
-price, not by a guess about the batch: one parked PE costs at least 10x
-its job's dearest real placement (see ``make_dummy_resource``), so an
-optimum parks a PE only when no admissible real resource has a free PE
-the job can still afford; moving the PE there would keep every
-constraint and cost strictly less.
+host, so the model is always feasible.  Parking is priced
+lexicographically, not by a guess about the batch: besides the dummy's
+own price, each parked PE pays M = sum over jobs of pe_count x dearest
+admissible coefficient, which no allocation's unsurcharged cost exceeds.
+So parking fewer PEs always costs less, and the optimum parks the fewest
+PEs that capacities, deadlines and budgets allow: no PE parks while its
+job can afford a free real PE, and no job parks to free a cheaper
+machine for another.
 
 ``build_relaxed`` keeps every admissible pair in the model, but the
 integer program handed to the solver gets only the columns that can
@@ -24,9 +26,8 @@ batch); moving the PE there costs no more, and under ``TIME_INCLUSIVE``
 budgets (budget weight == cost coefficient) spends no more either, so the
 per-pair bounds still hold.  Under ``LITERAL`` budgets the weight is the
 bare rate, a cheaper placement can charge more, and every admissible pair
-stays a column.  Pruning keeps parking a last resort: a job's prefix can
-hold the whole batch, so while any PE parks some prefix resource has a
-free PE, and it is no dearer than any resource outside the prefix.
+stays a column.  The move never touches a parked PE, so the pruned
+program keeps the fewest parked PEs too.
 
 ``solve_relaxed`` hands the integer program to the HiGHS branch-and-cut
 engine (via scipy) at zero optimality gap and re-checks the rounded
@@ -73,7 +74,8 @@ class RelaxedModel:
     """The built relaxation: admissible pairs and their cost coefficients.
 
     ``cost_coeff[(rid, jid)]`` is the money per PE of placing one PE of job
-    jid on resource rid (rate x execution time).  ``budget_weight`` is the
+    jid on resource rid (rate x execution time; dummy pairs add the
+    parking surcharge of the module docstring).  ``budget_weight`` is the
     per-PE amount counted against the job's budget (zero-weight dummy pairs
     are omitted).  ``pair_order`` fixes the deterministic variable order:
     job-major, resource-minor.  ``lp_columns`` is the subset of
@@ -90,7 +92,7 @@ class RelaxedModel:
     pair_order: tuple[tuple[str, str], ...]
     dummy_id: str | None
     lp_columns: tuple[tuple[str, str], ...]
-    epsilon: float = DEFAULT_CONFIG.epsilon
+    epsilon: float
 
 
 def _pair_table(jobs, resources, config):
@@ -134,9 +136,9 @@ def build_relaxed(
     there and a single PE is affordable; dummy pairs are always kept.
     When ``config.allow_dummy`` is set and the batch has jobs, a dummy
     resource is appended unless one is given, so the model is feasible
-    whatever the grid; its price keeps parking a last resort (module
-    docstring).  Without it, an uncoverable batch makes ``solve_relaxed``
-    raise ``InfeasibleError``.
+    whatever the grid; its pairs carry the parking surcharge that makes
+    parking a last resort (module docstring).  Without it, an uncoverable
+    batch makes ``solve_relaxed`` raise ``InfeasibleError``.
     """
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     res_list = sorted(resources, key=lambda r: r.resource_id)
@@ -148,6 +150,11 @@ def build_relaxed(
 
     coeff, weight, admissible = _pair_table(jobs, res_list, config)
     dummy = np.array([r.is_dummy for r in res_list], dtype=bool)
+    if dummy.any():
+        # lexicographic parking: a parked PE also pays a bound on the batch's
+        # unsurcharged cost, so an optimum parks the fewest PEs possible
+        pes = np.array([j.pe_count for j in jobs], dtype=float)
+        coeff[:, dummy] += pes @ np.where(admissible, coeff, 0.0).max(axis=1)
     columns = admissible
     if config.budget_semantics is not BudgetSemantics.LITERAL and jobs:
         # per job, the cheapest admissible real pairs (stable sort: ties by

@@ -39,9 +39,9 @@ S1_OPTIMAL_ALLOC = {("R1", "A"): 2, ("R2", "B"): 3}
 def tiny_instance(seed: int) -> tuple[list[JobRequest], list[ResourceInfo]]:
     """Random instance inside the brute-force guard: <=5 jobs, <=3 resources,
     <=20 total PEs.  Speeds stay within a 4x band; parking stays a last
-    resort at any spread because of how the dummy is priced (see
-    ``make_dummy_resource``), and the band is kept so the acceptance
-    corpus stays fixed."""
+    resort at any spread because the relaxation prices it
+    lexicographically (``relaxed`` module docstring), and the band is
+    kept so the acceptance corpus stays fixed."""
     rng = random.Random(seed)
     resources = [
         ResourceInfo(

@@ -88,12 +88,15 @@ def test_build_empty_grid_without_dummy_raises():
 @pytest.mark.parametrize("semantics", list(BudgetSemantics))
 def test_pair_table_matches_the_per_pair_rule(semantics):
     """Reference loop: each pair's admissibility, coefficient and budget
-    weight, computed one pair at a time; the floats must be identical."""
+    weight, computed one pair at a time; the floats must be identical.  A
+    dummy pair also carries the parking surcharge: every job's PEs at its
+    dearest admissible coefficient."""
     config = SchedulerConfig(budget_semantics=semantics)
     eps = config.epsilon
     for seed in range(100):
         jobs, resources = fuzz_instance(seed)
         model = build_relaxed(jobs, resources, config)
+        kept = {}
         for job in model.jobs:
             for res in model.resources:
                 key = (res.resource_id, job.job_id)
@@ -106,8 +109,17 @@ def test_pair_table_matches_the_per_pair_rule(semantics):
                                   and weight <= job.budget_gd + eps)
                 assert (key in model.feasible_pairs) is admissible, f"seed {seed} {key}"
                 if admissible:
-                    assert model.cost_coeff[key] == coeff
+                    kept[key] = coeff
                     assert model.budget_weight.get(key, 0.0) == weight
+        surcharge = sum(
+            job.pe_count * max(c for (_, jid), c in kept.items() if jid == job.job_id)
+            for job in model.jobs
+        )
+        for key, coeff in kept.items():
+            if key[0] == model.dummy_id:
+                assert model.cost_coeff[key] == pytest.approx(coeff + surcharge, rel=1e-12)
+            else:
+                assert model.cost_coeff[key] == coeff
 
 
 # --- exact solve ------------------------------------------------------------
@@ -317,6 +329,56 @@ def test_a_slow_free_machine_beats_parking():
     model, alloc = build_and_solve(jobs, resources)
     assert model.dummy_id not in alloc.resource_ids()
     assert relaxed_objective(model, alloc) == 105.0
+
+
+def test_no_job_parks_to_save_money_for_another():
+    # parking A to give B the cheap machine costs 20 + 100 at A's own
+    # parking price, less than placing both (1 + 200)
+    resources = [ResourceInfo("R1", 1, 1.0, 100.0), ResourceInfo("R2", 1, 2.0, 100.0)]
+    jobs = [
+        JobRequest("U", "A", 1.5, 1e6, (100.0,), 1),
+        JobRequest("U", "B", 1e6, 1e6, (10000.0,), 1),
+    ]
+    model, alloc = build_and_solve(jobs, resources)
+    assert dict(alloc.entries) == {("R1", "A"): 1, ("R2", "B"): 1}
+    assert relaxed_objective(model, alloc) == 201.0
+
+
+def parked_count(model, alloc):
+    return sum(pes for (rid, _), pes in alloc.items() if rid == model.dummy_id)
+
+
+@st.composite
+def contended_instances(draw):
+    """One PE per machine on unequally priced machines, single-PE jobs of
+    short or ~100x longer tasks, budgets between a job's cheapest and
+    dearest PE: placing everyone may need a tight short job on the cheap
+    machine and a long job on a dear one."""
+    resources = [
+        ResourceInfo(f"R{i + 1}", 1, draw(st.floats(0.5, 5.0)), draw(st.floats(20.0, 2000.0)))
+        for i in range(draw(st.integers(2, 3)))
+    ]
+    jobs = []
+    for j in range(draw(st.integers(2, 4))):
+        size = draw(st.sampled_from([50.0, 5000.0])) * draw(st.floats(1.0, 2.0))
+        per_pe = [r.cost_per_pe_second * size / r.pe_speed_mips for r in resources]
+        budget = draw(st.floats(min(per_pe), max(per_pe)))
+        jobs.append(JobRequest(f"U{j + 1}", f"J{j + 1}", budget, 1e6, (size,), 1))
+    return jobs, resources
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(contended_instances())
+def test_the_relaxation_parks_the_fewest_pes_possible(instance):
+    """No allocation of the batch parks fewer PEs than the optimum does:
+    the oracle re-solves the same model with parked PEs as the only cost."""
+    jobs, resources = instance
+    model, alloc = build_and_solve(jobs, resources)
+    parking_only = dataclasses.replace(
+        model,
+        cost_coeff={p: float(p[0] == model.dummy_id) for p in model.pair_order},
+    )
+    assert parked_count(model, alloc) == parked_count(model, brute_force_relaxed(parking_only))
 
 
 def test_one_budget_tolerance_in_the_solver_and_the_oracle():
