@@ -3,134 +3,4 @@ grids: cost model, exact split-allowed solver, whole-job consolidation,
 seeded genetic refinement, baselines, workload generator, and a periodic
 scheduling simulator."""
 
-from .ga import (
-    Chromosome,
-    GaParams,
-    GaResult,
-    chromosome_from_schedule,
-    crossover,
-    decode_schedule,
-    default_penalty_weight,
-    fitness,
-    hga,
-    lpga,
-    mutate,
-    roulette_select,
-    run_ga,
-)
-from .greedy import greedy_schedule
-from .mmc import (
-    JobMapping,
-    MmcStats,
-    interchange_capacity,
-    mappings_from_allocation,
-    modified_min_cost,
-    schedule_dummy_jobs,
-)
-from .model import (
-    AllocationMatrix,
-    BudgetSemantics,
-    DEFAULT_CONFIG,
-    JobKind,
-    JobRequest,
-    ResourceInfo,
-    Schedule,
-    SchedulerConfig,
-    UnknownIdError,
-    Violation,
-    ViolationKind,
-    exec_time,
-    make_dummy_resource,
-    qos_index,
-    schedule_cost,
-    validate,
-)
-from .relaxed import (
-    EmptyGridError,
-    InfeasibleError,
-    RelaxedModel,
-    TooLargeError,
-    brute_force_relaxed,
-    brute_force_sgn,
-    build_relaxed,
-    dump_lp,
-    solve_relaxed,
-)
-from .simulator import (
-    ScenarioMetrics,
-    SimEvent,
-    UnknownSchedulerError,
-    list_schedulers,
-    rollover,
-    run_scenario,
-)
-from .workload import (
-    BadConfigError,
-    DeadlineMode,
-    ScenarioConfig,
-    generate_grid,
-    generate_jobs,
-    generate_scenario,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllocationMatrix",
-    "BadConfigError",
-    "BudgetSemantics",
-    "Chromosome",
-    "DEFAULT_CONFIG",
-    "DeadlineMode",
-    "EmptyGridError",
-    "GaParams",
-    "GaResult",
-    "InfeasibleError",
-    "JobKind",
-    "JobMapping",
-    "JobRequest",
-    "MmcStats",
-    "RelaxedModel",
-    "ResourceInfo",
-    "ScenarioConfig",
-    "ScenarioMetrics",
-    "Schedule",
-    "SchedulerConfig",
-    "SimEvent",
-    "TooLargeError",
-    "UnknownIdError",
-    "UnknownSchedulerError",
-    "Violation",
-    "ViolationKind",
-    "brute_force_relaxed",
-    "brute_force_sgn",
-    "build_relaxed",
-    "chromosome_from_schedule",
-    "crossover",
-    "decode_schedule",
-    "default_penalty_weight",
-    "dump_lp",
-    "exec_time",
-    "fitness",
-    "generate_grid",
-    "generate_jobs",
-    "generate_scenario",
-    "greedy_schedule",
-    "hga",
-    "interchange_capacity",
-    "list_schedulers",
-    "lpga",
-    "make_dummy_resource",
-    "mappings_from_allocation",
-    "modified_min_cost",
-    "mutate",
-    "qos_index",
-    "rollover",
-    "roulette_select",
-    "run_ga",
-    "run_scenario",
-    "schedule_cost",
-    "schedule_dummy_jobs",
-    "solve_relaxed",
-    "validate",
-]

@@ -27,11 +27,11 @@ from .model import (
     ResourceInfo,
     Schedule,
     SchedulerConfig,
-    UnknownIdError,
-    budget_limit,
+    breach_count,
     build_schedule,
     ensure_dummy,
     exec_time,
+    placement_cost,
     placement_feasible,
     qos_index,
 )
@@ -92,18 +92,9 @@ def default_penalty_weight(
 ) -> float:
     """Penalty unit that dominates any attainable real scheduling cost."""
     real = [r for r in resources if not r.is_dummy]
-    max_rate = 0.0
-    max_exec = 0.0
-    max_pes = 0
-    for job in jobs:
-        max_pes = max(max_pes, job.pe_count)
-        for res in real:
-            try:
-                rate = res.rate_for(job.job_id)
-            except UnknownIdError:
-                continue
-            max_rate = max(max_rate, rate)
-            max_exec = max(max_exec, exec_time(job, res))
+    max_rate = max((r.cost_per_pe_second for r in real), default=0.0)
+    max_exec = max((exec_time(j, r) for j in jobs for r in real), default=0.0)
+    max_pes = max((j.pe_count for j in jobs), default=0)
     return 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
 
 
@@ -129,34 +120,14 @@ class _Evaluator:
         self.capacity = {
             r.resource_id: r.free_pes for r in resources if not r.is_dummy
         }
-        eps = config.epsilon
         self.cost: dict[tuple[str, str], float] = {}
         self.breaches: dict[tuple[str, str], int] = {}
         for job in jobs:
             for res in resources:
-                if res.is_dummy:
-                    continue
-                key = (job.job_id, res.resource_id)
-                try:
-                    rate = res.rate_for(job.job_id)
-                except UnknownIdError:
-                    # pair unusable: as bad as a deadline plus budget breach
-                    self.cost[key] = 0.0
-                    self.breaches[key] = 2
-                    continue
-                t = exec_time(job, res)
-                self.cost[key] = rate * job.pe_count * t
-                count = 0
-                if t > job.deadline_s + eps:
-                    count += 1
-                charge = (
-                    rate * job.pe_count
-                    if config.budget_semantics.value == "literal"
-                    else rate * job.pe_count * t
-                )
-                if charge > budget_limit(job.budget_gd, eps):
-                    count += 1
-                self.breaches[key] = count
+                if not res.is_dummy:
+                    key = (job.job_id, res.resource_id)
+                    self.cost[key] = placement_cost(job, res)
+                    self.breaches[key] = breach_count(job, res, config)
 
     def fitness_of(self, genes: Mapping[str, str]) -> float:
         base = 0.0
@@ -289,20 +260,9 @@ def decode_schedule(
     assign: dict[str, str] = {}
     for jid in sorted(jobs_by_id):
         rid = genes[jid]
-        if rid in dummy_ids:
-            assign[jid] = dummy_id
-            continue
-        job = jobs_by_id[jid]
-        res = res_by_id[rid]
-        usable = True
-        try:
-            res.rate_for(jid)
-        except UnknownIdError:
-            usable = False
-        if not usable or not placement_feasible(job, res, config):
-            assign[jid] = dummy_id
-        else:
-            assign[jid] = rid
+        if rid in dummy_ids or not placement_feasible(jobs_by_id[jid], res_by_id[rid], config):
+            rid = dummy_id
+        assign[jid] = rid
 
     holders: dict[str, list[str]] = {}
     for jid, rid in assign.items():
@@ -434,13 +394,6 @@ def run_ga(
     )
 
 
-def _mean_rate(res: ResourceInfo) -> float:
-    rates = res.cost_per_pe_second
-    if isinstance(rates, Mapping):
-        return sum(rates.values()) / len(rates) if rates else 0.0
-    return float(rates)
-
-
 def _log_placements(tag: str, schedule: Schedule) -> None:
     if not logger.isEnabledFor(logging.DEBUG):
         return
@@ -467,7 +420,7 @@ def lpga(
     """
     if not jobs:
         return Schedule.empty(), _empty_result()
-    by_cost = sorted(resources, key=lambda r: (_mean_rate(r), r.resource_id))
+    by_cost = sorted(resources, key=lambda r: (r.cost_per_pe_second, r.resource_id))
     by_priority = sorted(jobs, key=lambda j: (-qos_index(j), j.job_id))
     model = build_relaxed(by_priority, by_cost, config)
     alloc = solve_relaxed(model)

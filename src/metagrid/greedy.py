@@ -37,14 +37,11 @@ def greedy_schedule(
     res_by_id = {r.resource_id: r for r in pool}
     real = [r for r in pool if not r.is_dummy]
     available = {r.resource_id: r.free_pes for r in real}
+    ranked = sorted(real, key=lambda r: (r.cost_per_pe_second, r.resource_id))
 
     entries: dict[tuple[str, str], int] = {}
     order = sorted(jobs, key=lambda j: (-qos_index(j), j.job_id))
     for job in order:
-        ranked = sorted(
-            real,
-            key=lambda r: (r.rate_for(job.job_id), r.resource_id),
-        )
         placed = None
         for res in ranked:
             if available[res.resource_id] < job.pe_count:

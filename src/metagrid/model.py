@@ -46,6 +46,8 @@ class BudgetSemantics(str, enum.Enum):
 
 
 class JobKind(str, enum.Enum):
+    """The placement mode ``validate`` checks an allocation against."""
+
     MGN = "mgn"  # job tasks may be split across resources
     SGN = "sgn"  # all PEs of the job must sit on one resource
 
@@ -74,55 +76,41 @@ def budget_limit(budget_gd, epsilon: float):
     return budget_gd + epsilon
 
 
-def _positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+def _finite(value) -> bool:
+    """A finite int or float; bools and every other type are rejected."""
+    return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
 
 
 @dataclass(frozen=True)
 class ResourceInfo:
     """One grid resource (provider site).
 
-    ``cost_per_pe_second`` is either a single scalar rate applied to every
-    job or a per-job-id map; rates are in G$ per PE per second and must be
-    finite and strictly positive, as must the speed.
+    A resource posts one rate, ``cost_per_pe_second`` (G$ per PE per
+    second), that every job pays.  Rate and speed must be finite, strictly
+    positive numbers.
     """
 
     resource_id: str
     free_pes: int
-    cost_per_pe_second: float | Mapping[str, float]
+    cost_per_pe_second: float
     pe_speed_mips: float
     is_dummy: bool = False
 
     def __post_init__(self) -> None:
         if not self.resource_id:
             raise ValueError("resource_id must be non-empty")
-        if not isinstance(self.free_pes, int) or self.free_pes < 0:
+        if type(self.free_pes) is not int or self.free_pes < 0:
             raise ValueError(f"free_pes must be a nonnegative int, got {self.free_pes!r}")
-        if not _positive(self.pe_speed_mips):
-            raise ValueError(
-                f"pe_speed_mips must be finite and positive, got {self.pe_speed_mips!r}"
-            )
-        rates = self.cost_per_pe_second
-        if isinstance(rates, Mapping):
-            if not all(_positive(v) for v in rates.values()):
-                raise ValueError(
-                    f"cost_per_pe_second: all rates must be finite and positive "
-                    f"on {self.resource_id}"
-                )
-        elif not _positive(rates):
-            raise ValueError(f"cost_per_pe_second must be finite and positive, got {rates!r}")
-
-    def rate_for(self, job_id: str) -> float:
-        """Money rate (G$/PE/s) this resource charges the given job."""
-        rates = self.cost_per_pe_second
-        if isinstance(rates, Mapping):
-            try:
-                return rates[job_id]
-            except KeyError:
-                raise UnknownIdError(
-                    f"resource {self.resource_id} has no cost rate for job {job_id}"
-                ) from None
-        return rates
+        if type(self.is_dummy) is not bool:
+            raise ValueError(f"is_dummy must be a bool, got {self.is_dummy!r}")
+        for name in ("cost_per_pe_second", "pe_speed_mips"):
+            value = getattr(self, name)
+            if not _positive(value):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,15 +127,16 @@ class JobRequest:
     deadline_s: float
     task_sizes_mi: tuple[float, ...]
     pe_count: int
-    kind: JobKind = JobKind.SGN
     submit_time_s: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "task_sizes_mi", tuple(self.task_sizes_mi))
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
-        if self.pe_count < 1:
-            raise ValueError(f"pe_count must be >= 1, got {self.pe_count}")
+        if type(self.pe_count) is not int or self.pe_count < 1:
+            raise ValueError(
+                f"job {self.job_id}: pe_count must be an int >= 1, got {self.pe_count!r}"
+            )
         if len(self.task_sizes_mi) != self.pe_count:
             raise ValueError(
                 f"job {self.job_id}: pe_count {self.pe_count} != "
@@ -159,7 +148,7 @@ class JobRequest:
             raise ValueError(f"job {self.job_id}: budget_gd must be finite and positive")
         if not _positive(self.deadline_s):
             raise ValueError(f"job {self.job_id}: deadline_s must be finite and positive")
-        if not (math.isfinite(self.submit_time_s) and self.submit_time_s >= 0):
+        if not (_finite(self.submit_time_s) and self.submit_time_s >= 0):
             raise ValueError(f"job {self.job_id}: submit_time_s must be finite and >= 0")
 
 
@@ -257,7 +246,39 @@ def exec_time(job: JobRequest, resource: ResourceInfo) -> float:
 
 def placement_cost(job: JobRequest, resource: ResourceInfo) -> float:
     """Money spent placing the whole job (all PEs) on one resource."""
-    return resource.rate_for(job.job_id) * job.pe_count * exec_time(job, resource)
+    return resource.cost_per_pe_second * job.pe_count * exec_time(job, resource)
+
+
+# --- the whole-job rule ------------------------------------------------------
+# Every deadline and budget check in the package goes through these three
+# helpers (``relaxed`` evaluates the same rule over a numpy table).
+
+
+def meets_deadline(job: JobRequest, resource: ResourceInfo, epsilon: float) -> bool:
+    """The job finishes within its deadline (plus tolerance) on the resource."""
+    return exec_time(job, resource) <= job.deadline_s + epsilon
+
+
+def pair_charge(
+    job: JobRequest, resource: ResourceInfo, pes: int, semantics: BudgetSemantics
+) -> float:
+    """What ``pes`` PEs of the job on one real resource count against its
+    budget: rate x PEs (LITERAL) or rate x PEs x runtime (TIME_INCLUSIVE,
+    which is also what they cost)."""
+    if semantics is BudgetSemantics.LITERAL:
+        return resource.cost_per_pe_second * pes
+    return resource.cost_per_pe_second * pes * exec_time(job, resource)
+
+
+def breach_count(
+    job: JobRequest, resource: ResourceInfo, config: SchedulerConfig = DEFAULT_CONFIG
+) -> int:
+    """Deadline plus budget breaches (0-2) of the whole job on one real
+    resource.  Capacity is the caller's concern."""
+    eps = config.epsilon
+    late = not meets_deadline(job, resource, eps)
+    charge = pair_charge(job, resource, job.pe_count, config.budget_semantics)
+    return late + (charge > budget_limit(job.budget_gd, eps))
 
 
 def budget_charge(
@@ -269,13 +290,7 @@ def budget_charge(
     """The quantity capped by the job's budget, for its non-dummy PEs."""
     total = 0.0
     for rid in sorted(real_allocations):
-        res = resources_by_id[rid]
-        rate = res.rate_for(job.job_id)
-        pes = real_allocations[rid]
-        if semantics is BudgetSemantics.LITERAL:
-            total += rate * pes
-        else:
-            total += rate * pes * exec_time(job, res)
+        total += pair_charge(job, resources_by_id[rid], real_allocations[rid], semantics)
     return total
 
 
@@ -287,16 +302,7 @@ def placement_feasible(
     Dummy resources are always eligible (parking defers the job instead of
     running it).  Capacity is the caller's concern.
     """
-    if resource.is_dummy:
-        return True
-    eps = config.epsilon
-    if exec_time(job, resource) > job.deadline_s + eps:
-        return False
-    if config.budget_semantics is BudgetSemantics.LITERAL:
-        charge = resource.rate_for(job.job_id) * job.pe_count
-    else:
-        charge = placement_cost(job, resource)
-    return charge <= budget_limit(job.budget_gd, eps)
+    return resource.is_dummy or breach_count(job, resource, config) == 0
 
 
 def qos_index(job: JobRequest) -> float:
@@ -345,7 +351,7 @@ def schedule_cost(
         if res.is_dummy:
             continue
         job = jobs_by_id[jid]
-        total += res.rate_for(jid) * pes * exec_time(job, res)
+        total += res.cost_per_pe_second * pes * exec_time(job, res)
     return total
 
 
@@ -434,8 +440,8 @@ def validate(
         if res.is_dummy:
             continue
         job = jobs_by_id[jid]
-        t = exec_time(job, res)
-        if t > job.deadline_s + eps:
+        if not meets_deadline(job, res, eps):
+            t = exec_time(job, res)
             violations.append(
                 Violation(ViolationKind.DEADLINE, rid, jid,
                           f"job {jid} needs {t:.6g}s on {rid}, deadline {job.deadline_s:.6g}s")
@@ -454,9 +460,7 @@ def validate(
 
 
 def make_dummy_resource(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    dummy_id: str = DUMMY_ID,
+    jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]
 ) -> ResourceInfo:
     """Build the parking-lot resource for a batch: capacity for every PE of
     every job, at the fastest real speed, priced above every real
@@ -473,14 +477,10 @@ def make_dummy_resource(
     """
     real = [r for r in resources if not r.is_dummy]
     max_speed = max([1.0] + [r.pe_speed_mips for r in real])
-    rate = 1.0
-    for r in real:
-        rates = r.cost_per_pe_second
-        for k in rates.values() if isinstance(rates, Mapping) else (rates,):
-            rate = max(rate, k * max_speed / r.pe_speed_mips)
+    rate = max([1.0] + [r.cost_per_pe_second * max_speed / r.pe_speed_mips for r in real])
     capacity = sum(j.pe_count for j in jobs)
     return ResourceInfo(
-        resource_id=dummy_id,
+        resource_id=DUMMY_ID,
         free_pes=capacity,
         cost_per_pe_second=rate * DUMMY_RATE_FACTOR,
         pe_speed_mips=max_speed,
@@ -541,7 +541,7 @@ def build_schedule(
             res = res_by_id[rid]
             entries[(rid, jid)] = pes
             t = exec_time(job, res)
-            cost += res.rate_for(jid) * pes * t
+            cost += res.cost_per_pe_second * pes * t
             finish = max(finish, t)
         per_cost[jid] = cost
         per_time[jid] = finish

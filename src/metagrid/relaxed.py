@@ -52,8 +52,9 @@ from .model import (
     ResourceInfo,
     SchedulerConfig,
     budget_limit,
-    exec_time,
     make_dummy_resource,
+    placement_cost,
+    placement_feasible,
 )
 
 
@@ -98,29 +99,23 @@ class RelaxedModel:
 def _pair_table(jobs, resources, config):
     """Job x resource arrays: cost coefficient, budget weight, admissible.
 
-    A real pair is admissible iff the job meets its deadline there and one
-    PE is affordable; dummy pairs always are, at zero budget weight.
+    The whole-job rule of ``model`` (``meets_deadline``, and
+    ``pair_charge`` for one PE), evaluated for every pair at once: a real
+    pair is admissible iff the job meets its deadline there and one PE is
+    affordable; dummy pairs always are, at zero budget weight.
     """
     eps = config.epsilon
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
     speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
     deadline = np.array([j.deadline_s for j in jobs], dtype=float)
     budget = np.array([j.budget_gd for j in jobs], dtype=float)
+    rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
     dummy = np.array([r.is_dummy for r in resources], dtype=bool)
     exec_s = longest[:, None] / speed[None, :]
-    on_time = dummy | ~(exec_s > (deadline + eps)[:, None])
-    rate = np.full(exec_s.shape, np.nan)
-    for k, res in enumerate(resources):
-        if isinstance(res.cost_per_pe_second, Mapping):
-            # a per-job map is only consulted where the pair could be kept
-            for i, job in enumerate(jobs):
-                if on_time[i, k]:
-                    rate[i, k] = res.rate_for(job.job_id)
-        else:
-            rate[:, k] = res.cost_per_pe_second
+    on_time = dummy | (exec_s <= (deadline + eps)[:, None])
     coeff = rate * exec_s
-    weight = rate if config.budget_semantics is BudgetSemantics.LITERAL else coeff
-    weight = np.where(dummy, 0.0, weight)
+    literal = config.budget_semantics is BudgetSemantics.LITERAL
+    weight = np.where(dummy, 0.0, np.broadcast_to(rate, exec_s.shape) if literal else coeff)
     admissible = dummy | (on_time & (weight <= budget_limit(budget, eps)[:, None]))
     return coeff, weight, admissible
 
@@ -419,22 +414,11 @@ def brute_force_sgn(
     if total_pes > 20 or len(real) > 4:
         raise TooLargeError("SGN brute force limited to 20 total PEs / 4 resources")
     job_list = sorted(jobs, key=lambda j: j.job_id)
-    eps = config.epsilon
 
     options: list[list[tuple[str, float]]] = []
     for job in job_list:
-        opts = []
-        for res in real:
-            if exec_time(job, res) > job.deadline_s + eps:
-                continue
-            if config.budget_semantics is BudgetSemantics.LITERAL:
-                charge = res.rate_for(job.job_id) * job.pe_count
-            else:
-                charge = res.rate_for(job.job_id) * job.pe_count * exec_time(job, res)
-            if charge > budget_limit(job.budget_gd, eps):
-                continue
-            cost = res.rate_for(job.job_id) * job.pe_count * exec_time(job, res)
-            opts.append((res.resource_id, cost))
+        opts = [(res.resource_id, placement_cost(job, res))
+                for res in real if placement_feasible(job, res, config)]
         if not opts:
             return None
         options.append(opts)

@@ -32,7 +32,6 @@ from .model import (
     JobRequest,
     ResourceInfo,
     Schedule,
-    SchedulerConfig,
     build_schedule,
     ensure_dummy,
     exec_time,
@@ -143,7 +142,6 @@ def run_scenario(
     config: ScenarioConfig,
     scheduler: str,
     ga_params: GaParams | None = None,
-    sched_config: SchedulerConfig = DEFAULT_CONFIG,
     event_sink: Callable[[SimEvent], None] | None = None,
     grid: Sequence[ResourceInfo] | None = None,
     jobs: Sequence[JobRequest] | None = None,
@@ -235,7 +233,7 @@ def run_scenario(
                 rng_seed=config.rng_seed * GA_PERIOD_SEED_STRIDE + period,
             )
             t0 = _time.perf_counter()
-            schedule, iters = adapter(presented, snapshot, sched_config, params)
+            schedule, iters = adapter(presented, snapshot, DEFAULT_CONFIG, params)
             sched_time += _time.perf_counter() - t0
             ga_iterations += iters
 
@@ -261,7 +259,7 @@ def run_scenario(
                     free[rid] -= pes
                     seq += 1
                     heapq.heappush(running, (end, seq, rid, jid, pes))
-                    total_cost += res.rate_for(jid) * pes * exec_s
+                    total_cost += res.cost_per_pe_second * pes * exec_s
                     emit(SimEvent(now, "schedule", jid, rid, detail=f"pes={pes}"))
             leftover = (
                 set(by_job) - {j.job_id for j in placed} - set(schedule.dummy_jobs)

@@ -25,11 +25,11 @@ import json
 import math
 import random
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .model import JobKind, JobRequest, ResourceInfo
+from .model import JobRequest, ResourceInfo
 
 
 class BadConfigError(ValueError):
@@ -57,7 +57,6 @@ class ScenarioConfig:
     deadline_mode: DeadlineMode = DeadlineMode.MEDIUM
     job_count: int = 50
     rng_seed: int = 0
-    job_kind: JobKind = JobKind.SGN
     interval_s: float = 50.0
     submit_window_s: float = 20.0
     # resource mix
@@ -90,7 +89,6 @@ class ScenarioConfig:
         object.__setattr__(
             self, "deadline_mode", DeadlineMode(self.deadline_mode)
         )
-        object.__setattr__(self, "job_kind", JobKind(self.job_kind))
         if self.pe_min < 1 or self.pe_max < self.pe_min:
             raise BadConfigError("PE bounds must satisfy 1 <= pe_min <= pe_max")
         for lo, hi, what in (
@@ -121,19 +119,16 @@ def _gauss_clamped(
     return min(hi, max(lo, rng.gauss(mean, sigma)))
 
 
-def generate_grid(
-    config: ScenarioConfig, rng: random.Random | None = None
-) -> list[ResourceInfo]:
+def generate_grid(config: ScenarioConfig) -> list[ResourceInfo]:
     """Deterministic resource pool for ``config`` (dummy not included).
 
-    The draw stream defaults to one derived from ``config.rng_seed`` and
-    independent of the job stream; pass ``rng`` to take over sequencing.
+    The draw stream is derived from ``config.rng_seed`` and independent of
+    the job stream.
     """
     if config.resource_count == 0:
         warnings.warn("scenario has no resources; every job will be deferred")
         return []
-    if rng is None:
-        rng = random.Random(f"{config.rng_seed}:grid")
+    rng = random.Random(f"{config.rng_seed}:grid")
     pe_sigma = (config.pe_max - config.pe_min) / 6.0
     rate_sigma = (config.rate_max_gd - config.rate_min_gd) / 6.0
     mips_sigma = (config.mips_max - config.mips_min) / 6.0
@@ -159,17 +154,14 @@ def generate_grid(
     return out
 
 
-def generate_jobs(
-    config: ScenarioConfig, rng: random.Random | None = None
-) -> list[JobRequest]:
+def generate_jobs(config: ScenarioConfig) -> list[JobRequest]:
     """Deterministic job stream for ``config``, ordered by submission id.
 
     Per-job draw order is fixed (task variation, task count, runtime
     estimate, deadline slack, submission time), so adding fields later
     cannot silently reshuffle existing scenarios.
     """
-    if rng is None:
-        rng = random.Random(f"{config.rng_seed}:jobs")
+    rng = random.Random(f"{config.rng_seed}:jobs")
     runtime_sigma = config.runtime_mean_s * config.runtime_spread / 3.0
     runtime_lo = config.runtime_mean_s * (1.0 - config.runtime_spread)
     runtime_hi = config.runtime_mean_s * (1.0 + config.runtime_spread)
@@ -212,7 +204,6 @@ def generate_jobs(
                 deadline_s=runtime_est + slack,
                 task_sizes_mi=(task_mi,) * count,
                 pe_count=count,
-                kind=config.job_kind,
                 submit_time_s=submit,
             )
         )
@@ -235,22 +226,23 @@ _RESOURCE_KEYS = {
 }
 _JOB_KEYS = {
     "user_id", "job_id", "budget_gd", "deadline_s", "task_sizes_mi",
-    "pe_count", "kind", "submit_time_s",
+    "pe_count", "submit_time_s",
 }
 
 
 def _resource_to_dict(res: ResourceInfo) -> dict:
-    rates = res.cost_per_pe_second
     return {
         "resource_id": res.resource_id,
         "free_pes": res.free_pes,
-        "cost_per_pe_second": dict(rates) if isinstance(rates, Mapping) else rates,
+        "cost_per_pe_second": res.cost_per_pe_second,
         "pe_speed_mips": res.pe_speed_mips,
         "is_dummy": res.is_dummy,
     }
 
 
 def _resource_from_dict(data: dict) -> ResourceInfo:
+    if not isinstance(data, dict):
+        raise BadConfigError(f"resource record must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - _RESOURCE_KEYS)
     if unknown:
         raise BadConfigError(f"unknown resource fields: {', '.join(unknown)}")
@@ -276,12 +268,13 @@ def _job_to_dict(job: JobRequest) -> dict:
         "deadline_s": job.deadline_s,
         "task_sizes_mi": list(job.task_sizes_mi),
         "pe_count": job.pe_count,
-        "kind": job.kind.value,
         "submit_time_s": job.submit_time_s,
     }
 
 
 def _job_from_dict(data: dict) -> JobRequest:
+    if not isinstance(data, dict):
+        raise BadConfigError(f"job record must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - _JOB_KEYS)
     if unknown:
         raise BadConfigError(f"unknown job fields: {', '.join(unknown)}")
@@ -293,7 +286,6 @@ def _job_from_dict(data: dict) -> JobRequest:
             deadline_s=data["deadline_s"],
             task_sizes_mi=tuple(data["task_sizes_mi"]),
             pe_count=data["pe_count"],
-            kind=JobKind(data.get("kind", JobKind.SGN.value)),
             submit_time_s=data.get("submit_time_s", 0.0),
         )
     except KeyError as exc:

@@ -261,7 +261,6 @@ def test_acceptance_4_deadline_mode_trend():
                     deadline_mode=mode,
                     job_count=50,
                     rng_seed=seed,
-                    job_kind=JobKind.MGN,
                 )
                 m = run_scenario(cfg, "relaxed-mgn")
                 cost[(count, mode, seed)] = m.total_cost_gd

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from conftest import S1_OPTIMAL_COST, fuzz_instance, tiny_instance
+from hypothesis import given, settings, strategies as st
 from metagrid.ga import (
     Chromosome,
     GaParams,
@@ -22,13 +23,22 @@ from metagrid.ga import (
 )
 from metagrid.model import (
     AllocationMatrix,
+    BudgetSemantics,
     JobKind,
     JobRequest,
     ResourceInfo,
+    SchedulerConfig,
+    breach_count,
     build_schedule,
     ensure_dummy,
+    exec_time,
+    pair_charge,
+    placement_cost,
+    placement_feasible,
+    schedule_cost,
     validate,
 )
+from metagrid.relaxed import brute_force_sgn
 
 
 class _FixedCut:
@@ -85,6 +95,54 @@ def test_fitness_and_decode_share_the_budget_tolerance():
     weight = default_penalty_weight([job], [res])
     assert fitness({"A": "R1"}, [job], [res]) == 2000.0 + weight
     assert decode_schedule({"A": "R1"}, [job], [res]).dummy_jobs == {"A"}
+
+
+@st.composite
+def placements(draw, semantics):
+    """One job and one to three resources that each have room for it.  Its
+    budget and deadline are multiples of its charge and runtime on the
+    first resource; a multiple of 1.0 puts them exactly on the limit."""
+    pes = draw(st.integers(1, 4))
+    sizes = tuple(draw(st.lists(st.floats(100.0, 4000.0), min_size=pes, max_size=pes)))
+    resources = [
+        ResourceInfo(f"R{i + 1}", draw(st.integers(pes, 8)), draw(st.floats(1.0, 6.0)),
+                     draw(st.floats(100.0, 900.0)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    factor = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 10.0)
+    probe = JobRequest("U", "J", 1.0, 1.0, sizes, pes)
+    budget = pair_charge(probe, resources[0], pes, semantics) * draw(factor)
+    deadline = exec_time(probe, resources[0]) * draw(factor)
+    return JobRequest("U", "J", budget, deadline, sizes, pes), resources
+
+
+@pytest.mark.parametrize("semantics", list(BudgetSemantics))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(semantics, data):
+    """On a resource with room, a gene's fitness is its cost plus one
+    penalty per breach, decoding parks it exactly when the placement is
+    infeasible, and the whole-job oracle chooses among the feasible
+    resources only."""
+    job, resources = data.draw(placements(semantics))
+    config = SchedulerConfig(budget_semantics=semantics)
+    weight = default_penalty_weight([job], resources)
+    for res in resources:
+        genes = {job.job_id: res.resource_id}
+        breaches = breach_count(job, res, config)
+        feasible = placement_feasible(job, res, config)
+        assert feasible is (breaches == 0)
+        got = fitness(genes, [job], resources, config=config)
+        assert got == placement_cost(job, res) + weight * breaches
+        parked = decode_schedule(genes, [job], resources, config).dummy_jobs
+        assert (job.job_id in parked) is not feasible
+    options = [placement_cost(job, r) for r in resources if placement_feasible(job, r, config)]
+    whole = brute_force_sgn([job], resources, config)
+    if not options:
+        assert whole is None
+    else:
+        assert whole is not None
+        assert schedule_cost(whole, [job], resources) == min(options)
 
 
 # ------------------------------------------------------------- selection

@@ -215,7 +215,7 @@ def test_make_dummy_resource_parameters(s1_jobs, s1_resources):
     spread = [
         ResourceInfo("R1", 4, 2.0, 20.0),
         ResourceInfo("R2", 4, 3.0, 2000.0),
-        ResourceInfo("R3", 4, {"A": 1.5, "B": 4.0}, 400.0),
+        ResourceInfo("R3", 4, 1.5, 400.0),
     ]
     dummy = make_dummy_resource(s1_jobs, spread)
     assert dummy.cost_per_pe_second == 2000.0  # 10 x 2 G$ x 2000 / 20
@@ -267,9 +267,9 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
-@pytest.mark.parametrize("field", ["rate", "rate_map", "speed"])
+@pytest.mark.parametrize("field", ["rate", "speed"])
 def test_resource_rejects_non_finite_numbers(field, bad):
-    rate = {"rate": bad, "rate_map": {"J": 1.0, "K": bad}}.get(field, 1.0)
+    rate = bad if field == "rate" else 1.0
     speed = bad if field == "speed" else 100.0
     with pytest.raises(ValueError, match="finite"):
         ResourceInfo("R", 4, rate, speed)

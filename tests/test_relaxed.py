@@ -17,7 +17,8 @@ from metagrid.model import (
     ResourceInfo,
     SchedulerConfig,
     budget_limit,
-    exec_time,
+    meets_deadline,
+    pair_charge,
     schedule_cost,
     validate,
 )
@@ -88,9 +89,10 @@ def test_build_empty_grid_without_dummy_raises():
 @pytest.mark.parametrize("semantics", list(BudgetSemantics))
 def test_pair_table_matches_the_per_pair_rule(semantics):
     """Reference loop: each pair's admissibility, coefficient and budget
-    weight, computed one pair at a time; the floats must be identical.  A
-    dummy pair also carries the parking surcharge: every job's PEs at its
-    dearest admissible coefficient."""
+    weight, computed one pair at a time by the whole-job rule of ``model``
+    (the deadline predicate and the charge of one PE); the floats must be
+    identical.  A dummy pair also carries the parking surcharge: every
+    job's PEs at its dearest admissible coefficient."""
     config = SchedulerConfig(budget_semantics=semantics)
     eps = config.epsilon
     for seed in range(100):
@@ -100,13 +102,13 @@ def test_pair_table_matches_the_per_pair_rule(semantics):
         for job in model.jobs:
             for res in model.resources:
                 key = (res.resource_id, job.job_id)
-                coeff = res.rate_for(job.job_id) * exec_time(job, res)
+                coeff = pair_charge(job, res, 1, BudgetSemantics.TIME_INCLUSIVE)
                 if res.is_dummy:
                     weight, admissible = 0.0, True
                 else:
-                    weight = res.rate_for(job.job_id) if semantics is BudgetSemantics.LITERAL else coeff
-                    admissible = (exec_time(job, res) <= job.deadline_s + eps
-                                  and weight <= job.budget_gd + eps)
+                    weight = pair_charge(job, res, 1, semantics)
+                    admissible = (meets_deadline(job, res, eps)
+                                  and weight <= budget_limit(job.budget_gd, eps))
                 assert (key in model.feasible_pairs) is admissible, f"seed {seed} {key}"
                 if admissible:
                     kept[key] = coeff

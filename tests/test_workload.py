@@ -7,7 +7,7 @@ import math
 from statistics import fmean
 
 import pytest
-from metagrid.model import JobKind, JobRequest, ResourceInfo
+from metagrid.model import JobRequest, ResourceInfo
 from metagrid.workload import (
     BadConfigError,
     DeadlineMode,
@@ -117,7 +117,6 @@ def test_job_draws_respect_clamps():
         slack = job.deadline_s - runtime
         assert 200.0 - 1e-9 <= slack <= 300.0 + 1e-9
         assert 0.0 <= job.submit_time_s <= 20.0
-        assert job.kind is JobKind.SGN
 
 
 def test_budget_is_exact_when_runtime_is_pinned():
@@ -165,7 +164,7 @@ def test_generate_scenario_bundles_both():
 
 def _sample_grid() -> list[ResourceInfo]:
     grid = generate_grid(ScenarioConfig(resource_count=5, rng_seed=13))
-    grid.append(ResourceInfo("RUX", 6, {"JA": 1.5, "JB": 2.0}, 350.0))
+    grid.append(ResourceInfo("RUX", 6, 1.5, 350.0))
     return grid
 
 
@@ -232,6 +231,41 @@ def test_non_finite_values_are_rejected_at_load():
     record["budget_gd"], record["deadline_s"] = 10.0, float("inf")
     with pytest.raises(BadConfigError, match="deadline_s"):
         jobs_from_json(json.dumps([record]))
+
+
+_RESOURCE = {"resource_id": "R", "free_pes": 1, "cost_per_pe_second": 1.0,
+             "pe_speed_mips": 100.0}
+_JOB = {"user_id": "U", "job_id": "J", "budget_gd": 10.0, "deadline_s": 10.0,
+        "task_sizes_mi": [100.0], "pe_count": 1}
+
+
+def _with(record: dict, field: str, value) -> str:
+    return json.dumps([{**record, field: value}])
+
+
+@pytest.mark.parametrize("load, text, match", [
+    pytest.param(grid_from_json, _with(_RESOURCE, "pe_speed_mips", "fast"), "pe_speed_mips",
+                 id="speed-str"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "cost_per_pe_second", None),
+                 "cost_per_pe_second", id="rate-null"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "cost_per_pe_second", True),
+                 "cost_per_pe_second", id="rate-bool"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "cost_per_pe_second", {"J": 1.0}),
+                 "cost_per_pe_second", id="rate-map"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "free_pes", True), "free_pes",
+                 id="free_pes-bool"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "is_dummy", "no"), "is_dummy",
+                 id="is_dummy-str"),
+    pytest.param(grid_from_json, "[1]", "JSON object", id="resource-not-object"),
+    pytest.param(jobs_from_json, _with(_JOB, "budget_gd", "10"), "budget_gd", id="budget-str"),
+    pytest.param(jobs_from_json, _with(_JOB, "pe_count", "1"), "pe_count", id="pe_count-str"),
+    pytest.param(jobs_from_json, _with(_JOB, "pe_count", 1.0), "pe_count", id="pe_count-float"),
+    pytest.param(jobs_from_json, _with(_JOB, "kind", "sgn"), "kind", id="kind"),
+    pytest.param(jobs_from_lines, "[1]", "JSON object", id="job-not-object"),
+])
+def test_mistyped_records_are_rejected_at_load(load, text, match):
+    with pytest.raises(BadConfigError, match=match):
+        load(text)
 
 
 def test_malformed_line_is_rejected_with_its_number():
