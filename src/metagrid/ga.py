@@ -1,10 +1,14 @@
 """Genetic-algorithm refinement stage and the two seeded meta-schedulers.
 
-A chromosome maps every job id to the id of the resource it runs on
-(possibly the dummy, meaning the job is deferred).  Fitness is the real
-scheduling cost plus a large penalty per constraint violation, so the
-search orders candidates feasibility-first, cost-second, and a feasible
-fully-placed chromosome's fitness is exactly its schedule cost.
+A chromosome gives every job the resource it runs on (possibly the dummy,
+meaning the job is deferred).  Inside the GA it is a row of ints, one
+gene per job in sorted job-id order, each an index into the sorted pool
+ids; gene maps (job id -> resource id) appear only at the boundary.
+Fitness is the real scheduling cost plus a large penalty per constraint
+violation, so the search orders candidates feasibility-first,
+cost-second, and a feasible fully-placed chromosome's fitness is exactly
+its schedule cost.  One ``random.Random`` stream, drawn in a fixed order,
+determines the whole run.
 
 ``lpga`` seeds the population with the consolidated relaxation solution;
 ``hga`` seeds it with the greedy baseline.  Everything downstream of the
@@ -15,23 +19,27 @@ from __future__ import annotations
 
 import logging
 import random
-from collections.abc import Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from math import inf
+
+import numpy as np
 
 from .greedy import greedy_schedule
 from .mmc import MmcStats, mappings_from_allocation, modified_min_cost
 from .model import (
     AllocationMatrix,
+    BudgetSemantics,
     DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
     Schedule,
     SchedulerConfig,
-    breach_count,
+    budget_limit,
     build_schedule,
     ensure_dummy,
-    exec_time,
-    placement_cost,
     placement_feasible,
     qos_index,
 )
@@ -42,13 +50,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class Chromosome:
-    """One candidate solution: each job's gene is the resource it runs on."""
+    """A gene map at the GA boundary: each job id maps to the id of the
+    resource it runs on."""
 
     genes: dict[str, str]
-    cached_fitness: float | None = None
-
-    def copy(self) -> Chromosome:
-        return Chromosome(dict(self.genes), self.cached_fitness)
 
 
 @dataclass(frozen=True)
@@ -93,13 +98,20 @@ def default_penalty_weight(
     """Penalty unit that dominates any attainable real scheduling cost."""
     real = [r for r in resources if not r.is_dummy]
     max_rate = max((r.cost_per_pe_second for r in real), default=0.0)
-    max_exec = max((exec_time(j, r) for j in jobs for r in real), default=0.0)
+    # exec_time's largest value over every pair: the longest task on the
+    # slowest PE, as rounded division is monotone in both operands
+    max_exec = max((max(j.task_sizes_mi) for j in jobs), default=0.0) / min(
+        (r.pe_speed_mips for r in real), default=inf
+    )
     max_pes = max((j.pe_count for j in jobs), default=0)
     return 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
 
 
-class _Evaluator:
-    """Per-run fitness tables: pair costs and feasibility flags."""
+class FitnessTables:
+    """Per-run fitness tables over jobs (rows, sorted ids) and resources
+    (columns, sorted ids): placement cost and breach count of each pair,
+    where a dummy column costs 0.0 and counts one breach, plus each
+    resource's PE capacity (inf on a dummy) and each job's PE count."""
 
     def __init__(
         self,
@@ -108,50 +120,63 @@ class _Evaluator:
         config: SchedulerConfig = DEFAULT_CONFIG,
         penalty_weight: float | None = None,
     ) -> None:
-        self.config = config
         self.weight = (
             penalty_weight
             if penalty_weight is not None
             else default_penalty_weight(jobs, resources)
         )
-        self.job_ids = tuple(sorted(j.job_id for j in jobs))
-        self.pe_count = {j.job_id: j.pe_count for j in jobs}
-        self.dummy_ids = frozenset(r.resource_id for r in resources if r.is_dummy)
-        self.capacity = {
-            r.resource_id: r.free_pes for r in resources if not r.is_dummy
-        }
-        self.cost: dict[tuple[str, str], float] = {}
-        self.breaches: dict[tuple[str, str], int] = {}
-        for job in jobs:
-            for res in resources:
-                if not res.is_dummy:
-                    key = (job.job_id, res.resource_id)
-                    self.cost[key] = placement_cost(job, res)
-                    self.breaches[key] = breach_count(job, res, config)
+        ordered = sorted(jobs, key=lambda j: j.job_id)
+        pool = sorted(resources, key=lambda r: r.resource_id)
+        self.job_ids = [j.job_id for j in ordered]
+        self.resource_ids = [r.resource_id for r in pool]
+        self._column = {rid: k for k, rid in enumerate(self.resource_ids)}
+        self._jobs = np.arange(len(ordered))
+        self.pes = np.array([j.pe_count for j in ordered], dtype=float)
+        dummy = np.array([r.is_dummy for r in pool], dtype=bool)
+        self.capacity = np.where(dummy, inf, [float(r.free_pes) for r in pool])
 
-    def fitness_of(self, genes: Mapping[str, str]) -> float:
-        base = 0.0
-        violations = 0.0
-        load = dict.fromkeys(self.capacity, 0)
+        # placement_cost and breach_count of every pair, with the scalar
+        # operations in the same order, so each entry is bit-identical
+        eps = config.epsilon
+        longest = np.array([max(j.task_sizes_mi) for j in ordered], dtype=float)
+        deadline = np.array([j.deadline_s for j in ordered], dtype=float)
+        budget = np.array([j.budget_gd for j in ordered], dtype=float)
+        speed = np.array([r.pe_speed_mips for r in pool], dtype=float)
+        rate = np.array([r.cost_per_pe_second for r in pool], dtype=float)
+        exec_s = longest[:, None] / speed
+        rate_pes = rate * self.pes[:, None]
+        cost = rate_pes * exec_s
+        charge = rate_pes if config.budget_semantics is BudgetSemantics.LITERAL else cost
+        late = ~(exec_s <= (deadline + eps)[:, None])
+        dear = charge > budget_limit(budget, eps)[:, None]
+        self.cost = np.where(dummy, 0.0, cost)
+        self.breaches = np.where(dummy, 1, late.astype(int) + dear)
+
+    def encode(self, genes: Mapping[str, str]) -> list[int]:
+        """Gene row of a gene map; ``ValueError`` names a job without a
+        gene or a gene outside the pool."""
         for jid in self.job_ids:
-            rid = genes[jid]
-            if rid in self.dummy_ids:
-                violations += 1
-                continue
-            key = (jid, rid)
-            base += self.cost[key]
-            violations += self.breaches[key]
-            load[rid] += self.pe_count[jid]
-        for rid in self.capacity:
-            over = load[rid] - self.capacity[rid]
-            if over > 0:
-                violations += over
-        return base + self.weight * violations
+            if genes.get(jid) not in self._column:
+                what = "no gene" if jid not in genes else f"resource {genes[jid]!r} outside the pool"
+                raise ValueError(f"gene map gives job {jid} {what}")
+        return [self._column[genes[jid]] for jid in self.job_ids]
 
-    def evaluate(self, chromosome: Chromosome) -> float:
-        if chromosome.cached_fitness is None:
-            chromosome.cached_fitness = self.fitness_of(chromosome.genes)
-        return chromosome.cached_fitness
+    def gene_map(self, row: Sequence[int]) -> dict[str, str]:
+        return {jid: self.resource_ids[g] for jid, g in zip(self.job_ids, row)}
+
+    def score(self, population: np.ndarray) -> np.ndarray:
+        """Fitness of every row of a chromosomes x jobs gene array."""
+        rows, n = len(population), len(self.resource_ids)
+        # cumsum adds the costs one job at a time, as a scalar loop would;
+        # np.sum's pairwise summation would change the last bits
+        base = np.cumsum(self.cost[self._jobs, population], axis=1)[:, -1]
+        breaches = self.breaches[self._jobs, population].sum(axis=1)
+        slots = population + n * np.arange(rows)[:, None]
+        load = np.bincount(
+            slots.ravel(), weights=np.tile(self.pes, rows), minlength=rows * n
+        ).reshape(rows, n)
+        overload = np.maximum(load - self.capacity, 0.0).sum(axis=1)
+        return base + self.weight * (breaches + overload)
 
 
 def fitness(
@@ -161,80 +186,61 @@ def fitness(
     penalty_weight: float | None = None,
     config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Penalised cost of one chromosome (lower is better)."""
+    """Penalised cost of one chromosome (lower is better); 0.0 for no jobs."""
+    if not jobs:
+        return 0.0
     genes = (
         chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
     )
-    return _Evaluator(jobs, resources, config, penalty_weight).fitness_of(genes)
+    tables = FitnessTables(jobs, resources, config, penalty_weight)
+    return float(tables.score(np.array([tables.encode(genes)]))[0])
 
 
-def roulette_select(
-    population: Sequence[Chromosome],
-    rng: random.Random,
-    floor: float | None = None,
-) -> tuple[Chromosome, Chromosome]:
-    """Fitness-proportionate pick of two parents for a minimisation problem.
+def roulette_wheel(
+    fits: Sequence[float], floor: float | None = None
+) -> Callable[[random.Random], int]:
+    """Fitness-proportionate picker of population indexes for a
+    minimisation problem; each call of the returned function draws once.
 
     Selection weight is the gap to the worst member plus a small positive
     floor (by default one millionth of the worst fitness, or 1 when that is
     zero), so the worst member keeps a nonzero chance and a uniform
-    population degrades to a uniform pick.  Requires evaluated chromosomes.
+    population degrades to a uniform pick.  A pick lands on the first
+    member whose running weight total reaches it.
     """
-    fits = [c.cached_fitness for c in population]
-    if not fits or any(f is None for f in fits):
-        raise ValueError("population must be non-empty and evaluated")
+    if not fits:
+        raise ValueError("population must be non-empty")
     f_max = max(fits)
     if floor is None:
         floor = 1e-6 * f_max if f_max > 0 else 1.0
     weights = [(f_max - f) + floor for f in fits]
-    total = sum(weights)
+    prefix = list(accumulate(weights))
+    total = sum(weights)  # not prefix[-1]: Python >= 3.12 compensates sum()
+    last = len(fits) - 1
 
-    def draw() -> Chromosome:
-        pick = rng.random() * total
-        acc = 0.0
-        for chromosome, w in zip(population, weights):
-            acc += w
-            if pick <= acc:
-                return chromosome
-        return population[-1]
+    def spin(rng: random.Random) -> int:
+        return min(bisect_left(prefix, rng.random() * total), last)
 
-    return draw(), draw()
+    return spin
 
 
 def crossover(
-    a: Chromosome, b: Chromosome, rng: random.Random
-) -> tuple[Chromosome, Chromosome]:
-    """Single-point crossover over the sorted job ids."""
-    ids = sorted(a.genes)
-    cut = rng.randint(0, len(ids))
-    g1: dict[str, str] = {}
-    g2: dict[str, str] = {}
-    for i, jid in enumerate(ids):
-        if i < cut:
-            g1[jid] = a.genes[jid]
-            g2[jid] = b.genes[jid]
-        else:
-            g1[jid] = b.genes[jid]
-            g2[jid] = a.genes[jid]
-    return Chromosome(g1), Chromosome(g2)
+    a: list[int], b: list[int], rng: random.Random
+) -> tuple[list[int], list[int]]:
+    """Single-point crossover of two gene rows."""
+    cut = rng.randint(0, len(a))
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
 
 
 def mutate(
-    chromosome: Chromosome,
-    rng: random.Random,
-    mutation_rate: float,
-    resources: Sequence[ResourceInfo],
-) -> Chromosome:
+    genes: list[int], rng: random.Random, mutation_rate: float, n_choices: int
+) -> list[int]:
     """Uniform per-gene reset mutation: each gene is redrawn with
-    probability ``mutation_rate`` from all resources, dummy included."""
-    choices = sorted(r.resource_id for r in resources)
-    genes = dict(chromosome.genes)
-    changed = False
-    for jid in sorted(genes):
-        if rng.random() < mutation_rate:
-            genes[jid] = rng.choice(choices)
-            changed = True
-    return Chromosome(genes, None if changed else chromosome.cached_fitness)
+    probability ``mutation_rate`` from all ``n_choices`` resources, dummy
+    included.  Returns a new row."""
+    choices = range(n_choices)
+    draw, pick = rng.random, rng.choice
+    return [pick(choices) if draw() < mutation_rate else g for g in genes]
 
 
 def decode_schedule(
@@ -307,7 +313,7 @@ def chromosome_from_schedule(
 
 def _empty_result() -> GaResult:
     return GaResult(
-        best=Chromosome({}, 0.0),
+        best=Chromosome({}),
         iterations_used=0,
         best_fitness_trace=(0.0,),
         converged=True,
@@ -336,57 +342,46 @@ def run_ga(
         return _empty_result()
     pool, _ = ensure_dummy(jobs, resources)
     rng = random.Random(params.rng_seed)
-    evaluator = _Evaluator(jobs, pool, config)
-    gene_choices = sorted(r.resource_id for r in pool)
+    tables = FitnessTables(jobs, pool, config)
+    n_choices = len(tables.resource_ids)
+    choices = range(n_choices)
 
-    population = [c.copy() for c in seed_chromosomes]
-    while len(population) < params.population_size:
-        population.append(
-            Chromosome({jid: rng.choice(gene_choices) for jid in evaluator.job_ids})
-        )
-    for chromosome in population:
-        evaluator.evaluate(chromosome)
+    rows = [tables.encode(c.genes) for c in seed_chromosomes]
+    while len(rows) < params.population_size:
+        rows.append([rng.choice(choices) for _ in tables.job_ids])
+    fits = tables.score(np.array(rows)).tolist()
     iterations = 1
-    seed_fitness = min(
-        (c.cached_fitness for c in population[: len(seed_chromosomes)]),
-        default=float("inf"),
-    )
-
-    def argbest(pop: Sequence[Chromosome]) -> Chromosome:
-        return min(pop, key=lambda c: c.cached_fitness)
-
-    best = argbest(population).copy()
-    trace = [best.cached_fitness]
+    seed_fitness = min(fits[: len(seed_chromosomes)], default=inf)
+    best_fit = min(fits)
+    best_row = rows[fits.index(best_fit)]
+    trace = [best_fit]
     stale = 0
 
     while iterations < params.max_iterations and stale < params.convergence_window:
-        ranked = sorted(
-            range(len(population)), key=lambda i: population[i].cached_fitness
-        )
-        next_pop = [population[i].copy() for i in ranked[: params.elitism]]
-        while len(next_pop) < params.population_size:
-            p1, p2 = roulette_select(population, rng)
+        ranked = sorted(range(len(rows)), key=fits.__getitem__)
+        next_rows = [rows[i] for i in ranked[: params.elitism]]
+        spin = roulette_wheel(fits)
+        while len(next_rows) < params.population_size:
+            c1, c2 = rows[spin(rng)], rows[spin(rng)]
             if rng.random() < params.crossover_rate:
-                c1, c2 = crossover(p1, p2, rng)
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            next_pop.append(mutate(c1, rng, params.mutation_rate, pool))
-            if len(next_pop) < params.population_size:
-                next_pop.append(mutate(c2, rng, params.mutation_rate, pool))
-        population = next_pop
-        for chromosome in population:
-            evaluator.evaluate(chromosome)
+                c1, c2 = crossover(c1, c2, rng)
+            next_rows.append(mutate(c1, rng, params.mutation_rate, n_choices))
+            if len(next_rows) < params.population_size:
+                next_rows.append(mutate(c2, rng, params.mutation_rate, n_choices))
+        rows = next_rows
+        fits = tables.score(np.array(rows)).tolist()
         iterations += 1
-        gen_best = argbest(population)
-        if gen_best.cached_fitness < best.cached_fitness - 1e-12:
-            best = gen_best.copy()
+        gen_best = min(fits)
+        if gen_best < best_fit - 1e-12:
+            best_fit = gen_best
+            best_row = rows[fits.index(gen_best)]
             stale = 0
         else:
             stale += 1
-        trace.append(best.cached_fitness)
+        trace.append(best_fit)
 
     return GaResult(
-        best=best,
+        best=Chromosome(tables.gene_map(best_row)),
         iterations_used=iterations,
         best_fitness_trace=tuple(trace),
         converged=stale >= params.convergence_window,

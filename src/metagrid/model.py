@@ -101,8 +101,8 @@ class ResourceInfo:
     is_dummy: bool = False
 
     def __post_init__(self) -> None:
-        if not self.resource_id:
-            raise ValueError("resource_id must be non-empty")
+        if type(self.resource_id) is not str or not self.resource_id:
+            raise ValueError(f"resource_id must be a non-empty string, got {self.resource_id!r}")
         if type(self.free_pes) is not int or self.free_pes < 0:
             raise ValueError(f"free_pes must be a nonnegative int, got {self.free_pes!r}")
         if type(self.is_dummy) is not bool:
@@ -130,9 +130,15 @@ class JobRequest:
     submit_time_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if type(self.job_id) is not str or not self.job_id:
+            raise ValueError(f"job_id must be a non-empty string, got {self.job_id!r}")
+        if type(self.user_id) is not str:
+            raise ValueError(f"job {self.job_id}: user_id must be a string, got {self.user_id!r}")
+        if not isinstance(self.task_sizes_mi, (list, tuple)):
+            raise ValueError(
+                f"job {self.job_id}: task_sizes_mi must be a list, got {self.task_sizes_mi!r}"
+            )
         object.__setattr__(self, "task_sizes_mi", tuple(self.task_sizes_mi))
-        if not self.job_id:
-            raise ValueError("job_id must be non-empty")
         if type(self.pe_count) is not int or self.pe_count < 1:
             raise ValueError(
                 f"job {self.job_id}: pe_count must be an int >= 1, got {self.pe_count!r}"
@@ -251,7 +257,7 @@ def placement_cost(job: JobRequest, resource: ResourceInfo) -> float:
 
 # --- the whole-job rule ------------------------------------------------------
 # Every deadline and budget check in the package goes through these three
-# helpers (``relaxed`` evaluates the same rule over a numpy table).
+# helpers (``relaxed`` and ``ga`` evaluate the same rule over numpy tables).
 
 
 def meets_deadline(job: JobRequest, resource: ResourceInfo, epsilon: float) -> bool:

@@ -284,7 +284,7 @@ def _job_from_dict(data: dict) -> JobRequest:
             job_id=data["job_id"],
             budget_gd=data["budget_gd"],
             deadline_s=data["deadline_s"],
-            task_sizes_mi=tuple(data["task_sizes_mi"]),
+            task_sizes_mi=data["task_sizes_mi"],
             pe_count=data["pe_count"],
             submit_time_s=data.get("submit_time_s", 0.0),
         )
@@ -292,6 +292,16 @@ def _job_from_dict(data: dict) -> JobRequest:
         raise BadConfigError(f"job record missing field {exc}") from exc
     except ValueError as exc:
         raise BadConfigError(f"bad job record: {exc}") from exc
+
+
+def _records_from_json(text: str) -> list:
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadConfigError(f"not valid JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise BadConfigError(f"expected a JSON array of records, got {type(records).__name__}")
+    return records
 
 
 def _records_from_lines(text: str) -> list[dict]:
@@ -312,7 +322,7 @@ def grid_to_json(resources: Sequence[ResourceInfo]) -> str:
 
 
 def grid_from_json(text: str) -> list[ResourceInfo]:
-    return [_resource_from_dict(d) for d in json.loads(text)]
+    return [_resource_from_dict(d) for d in _records_from_json(text)]
 
 
 def grid_to_lines(resources: Sequence[ResourceInfo]) -> str:
@@ -328,7 +338,7 @@ def jobs_to_json(jobs: Sequence[JobRequest]) -> str:
 
 
 def jobs_from_json(text: str) -> list[JobRequest]:
-    return [_job_from_dict(d) for d in json.loads(text)]
+    return [_job_from_dict(d) for d in _records_from_json(text)]
 
 
 def jobs_to_lines(jobs: Sequence[JobRequest]) -> str:

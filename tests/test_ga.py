@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from conftest import S1_OPTIMAL_COST, fuzz_instance, tiny_instance
 from hypothesis import given, settings, strategies as st
 from metagrid.ga import (
     Chromosome,
+    FitnessTables,
     GaParams,
     chromosome_from_schedule,
     crossover,
@@ -18,7 +21,7 @@ from metagrid.ga import (
     hga,
     lpga,
     mutate,
-    roulette_select,
+    roulette_wheel,
     run_ga,
 )
 from metagrid.model import (
@@ -27,6 +30,7 @@ from metagrid.model import (
     JobKind,
     JobRequest,
     ResourceInfo,
+    DEFAULT_CONFIG,
     SchedulerConfig,
     breach_count,
     build_schedule,
@@ -50,6 +54,60 @@ class _FixedCut:
     def randint(self, lo: int, hi: int) -> int:
         assert lo <= self.cut <= hi
         return self.cut
+
+
+class _FixedDraws:
+    """rng stand-in whose random() returns the given values in turn."""
+
+    def __init__(self, values) -> None:
+        self.values = iter(values)
+
+    def random(self) -> float:
+        return next(self.values)
+
+
+class DictWalkFitness:
+    """Scalar reference for ``FitnessTables.score``: walks one gene map job
+    by job in sorted order, adding each placement's cost and breaches, then
+    adds each real resource's PE overload."""
+
+    def __init__(self, jobs, resources, config=DEFAULT_CONFIG, penalty_weight=None):
+        self.weight = (
+            penalty_weight
+            if penalty_weight is not None
+            else default_penalty_weight(jobs, resources)
+        )
+        self.job_ids = tuple(sorted(j.job_id for j in jobs))
+        self.pe_count = {j.job_id: j.pe_count for j in jobs}
+        self.dummy_ids = frozenset(r.resource_id for r in resources if r.is_dummy)
+        self.capacity = {r.resource_id: r.free_pes for r in resources if not r.is_dummy}
+        self.cost: dict[tuple[str, str], float] = {}
+        self.breaches: dict[tuple[str, str], int] = {}
+        for job in jobs:
+            for res in resources:
+                if not res.is_dummy:
+                    key = (job.job_id, res.resource_id)
+                    self.cost[key] = placement_cost(job, res)
+                    self.breaches[key] = breach_count(job, res, config)
+
+    def __call__(self, genes: Mapping[str, str]) -> float:
+        base = 0.0
+        violations = 0.0
+        load = dict.fromkeys(self.capacity, 0)
+        for jid in self.job_ids:
+            rid = genes[jid]
+            if rid in self.dummy_ids:
+                violations += 1
+                continue
+            key = (jid, rid)
+            base += self.cost[key]
+            violations += self.breaches[key]
+            load[rid] += self.pe_count[jid]
+        for rid in self.capacity:
+            over = load[rid] - self.capacity[rid]
+            if over > 0:
+                violations += over
+        return base + self.weight * violations
 
 
 # ---------------------------------------------------------------- fitness
@@ -80,6 +138,10 @@ def test_fitness_counts_deadline_and_budget_breaches(s1_jobs, s1_resources):
     # B on R1 runs 20 s against a 15 s deadline: one breach
     got = fitness({"A": "R2", "B": "R1"}, s1_jobs, s1_resources)
     assert got == (30.0 + 60.0) + 1800.0
+
+
+def test_fitness_of_an_empty_batch_is_zero(s1_resources):
+    assert fitness({}, [], s1_resources) == 0.0
 
 
 def test_fitness_accepts_chromosome_and_custom_weight(s1_jobs, s1_resources):
@@ -145,111 +207,167 @@ def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(semantics, data
         assert schedule_cost(whole, [job], resources) == min(options)
 
 
+@st.composite
+def scored_batches(draw):
+    """A batch, a pool with its dummy, and gene rows over the pool.  Every
+    batch gets an all-parked row and, for each real resource, a row that
+    puts every job there, so dummy genes and overloads always occur; the
+    remaining rows are drawn freely."""
+    resources = [
+        ResourceInfo(f"R{i + 1}", draw(st.integers(1, 8)), draw(st.floats(0.5, 9.0)),
+                     draw(st.floats(100.0, 900.0)))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    jobs = []
+    for j in range(draw(st.integers(1, 20))):
+        pes = draw(st.integers(1, 6))
+        sizes = tuple(draw(st.lists(st.floats(100.0, 4000.0), min_size=pes, max_size=pes)))
+        jobs.append(JobRequest(f"U{j}", f"J{j:02d}", draw(st.floats(1.0, 2000.0)),
+                               draw(st.floats(0.5, 40.0)), sizes, pes))
+    pool, _ = ensure_dummy(jobs, resources)
+    n = len(pool)
+    fixed = [[k] * len(jobs) for k in range(n)]
+    free = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=len(jobs),
+                                  max_size=len(jobs)), max_size=6))
+    return jobs, pool, fixed + free
+
+
+@pytest.mark.parametrize("semantics", list(BudgetSemantics))
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(batch=scored_batches())
+def test_batch_scores_equal_the_dict_walk_bit_for_bit(semantics, batch):
+    jobs, pool, rows = batch
+    config = SchedulerConfig(budget_semantics=semantics)
+    tables = FitnessTables(jobs, pool, config)
+    oracle = DictWalkFitness(jobs, pool, config)
+    got = tables.score(np.array(rows)).tolist()
+    assert got == [oracle(tables.gene_map(row)) for row in rows]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(batch=scored_batches())
+def test_default_penalty_weight_is_the_max_over_every_pair(batch):
+    jobs, pool, _ = batch
+    real = [r for r in pool if not r.is_dummy]
+    max_exec = max(exec_time(j, r) for j in jobs for r in real)
+    max_rate = max(r.cost_per_pe_second for r in real)
+    max_pes = max(j.pe_count for j in jobs)
+    expected = 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
+    assert default_penalty_weight(jobs, pool) == expected
+
+
 # ------------------------------------------------------------- selection
 
 
 def test_roulette_singleton_population_returns_it_twice():
-    only = Chromosome({"A": "R1"}, 5.0)
-    p1, p2 = roulette_select([only], random.Random(0))
-    assert p1 is only and p2 is only
+    spin = roulette_wheel([5.0])
+    rng = random.Random(0)
+    assert (spin(rng), spin(rng)) == (0, 0)
 
 
-def test_roulette_requires_evaluated_population():
+def test_roulette_requires_a_nonempty_population():
     with pytest.raises(ValueError):
-        roulette_select([Chromosome({"A": "R1"})], random.Random(0))
+        roulette_wheel([])
 
 
 def test_roulette_equal_fitness_degrades_to_uniform():
-    pop = [Chromosome({"A": "R1"}, 10.0), Chromosome({"A": "R2"}, 10.0)]
+    spin = roulette_wheel([10.0, 10.0])
     rng = random.Random(42)
-    hits = 0
-    draws = 10_000
-    for _ in range(draws):
-        p1, p2 = roulette_select(pop, rng)
-        hits += (p1 is pop[0]) + (p2 is pop[0])
-    freq = hits / (2 * draws)
+    draws = 20_000
+    freq = sum(spin(rng) == 0 for _ in range(draws)) / draws
     assert abs(freq - 0.5) < 0.02
 
 
 def test_roulette_weights_follow_fitness_gap():
     # weights (30-10)+1 : (30-30)+1, so the better one wins 21/22 of picks
-    pop = [Chromosome({"A": "R1"}, 10.0), Chromosome({"A": "R2"}, 30.0)]
+    spin = roulette_wheel([10.0, 30.0], floor=1.0)
     rng = random.Random(7)
-    hits = 0
-    draws = 100_000
-    for _ in range(draws):
-        p1, p2 = roulette_select(pop, rng, floor=1.0)
-        hits += (p1 is pop[0]) + (p2 is pop[0])
-    freq = hits / (2 * draws)
+    draws = 200_000
+    freq = sum(spin(rng) == 0 for _ in range(draws)) / draws
     assert abs(freq - 21 / 22) < 0.01
+
+
+def test_roulette_pick_on_a_running_total_takes_that_member():
+    # weights 4 : 2 : 2 of total 8; draws landing exactly on the running
+    # totals 4 and 6 pick the member whose total they reach
+    spin = roulette_wheel([0.0, 2.0, 2.0], floor=2.0)
+    rng = _FixedDraws([0.0, 0.5, 0.75, 0.99])
+    assert [spin(rng) for _ in range(4)] == [0, 0, 1, 2]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(fits=st.lists(st.floats(0.0, 1e7) | st.sampled_from([0.0, 5.0]), min_size=1,
+                     max_size=12), seed=st.integers(0, 2**32))
+def test_roulette_picks_the_first_member_whose_running_total_reaches_the_draw(fits, seed):
+    f_max = max(fits)
+    floor = 1e-6 * f_max if f_max > 0 else 1.0
+    weights = [(f_max - f) + floor for f in fits]
+    total = sum(weights)
+    spin, rng, ref_rng = roulette_wheel(fits), random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        pick = ref_rng.random() * total
+        acc, expected = 0.0, len(fits) - 1
+        for i, w in enumerate(weights):
+            acc += w
+            if pick <= acc:
+                expected = i
+                break
+        assert spin(rng) == expected
 
 
 # ------------------------------------------------------------- crossover
 
 
 def test_crossover_cut_zero_swaps_parents_whole():
-    a = Chromosome({"A": "R1", "B": "R1"})
-    b = Chromosome({"A": "R2", "B": "R2"})
-    c1, c2 = crossover(a, b, _FixedCut(0))
-    assert c1.genes == b.genes
-    assert c2.genes == a.genes
+    c1, c2 = crossover([0, 0], [1, 1], _FixedCut(0))
+    assert c1 == [1, 1]
+    assert c2 == [0, 0]
 
 
 def test_crossover_cut_one_splits_on_sorted_job_ids():
-    a = Chromosome({"A": "R1", "B": "R1"})
-    b = Chromosome({"A": "R2", "B": "R2"})
-    c1, c2 = crossover(a, b, _FixedCut(1))
-    assert c1.genes == {"A": "R1", "B": "R2"}
-    assert c2.genes == {"A": "R2", "B": "R1"}
+    c1, c2 = crossover([0, 0], [1, 1], _FixedCut(1))
+    assert c1 == [0, 1]
+    assert c2 == [1, 0]
 
 
 def test_crossover_of_identical_parents_is_identity():
-    a = Chromosome({"A": "R1", "B": "R2"})
+    a = [0, 1]
     for seed in range(5):
-        c1, c2 = crossover(a, a.copy(), random.Random(seed))
-        assert c1.genes == a.genes
-        assert c2.genes == a.genes
+        c1, c2 = crossover(a, list(a), random.Random(seed))
+        assert c1 == a
+        assert c2 == a
 
 
-def test_crossover_children_start_unevaluated():
-    a = Chromosome({"A": "R1"}, 1.0)
-    b = Chromosome({"A": "R2"}, 2.0)
-    c1, c2 = crossover(a, b, random.Random(0))
-    assert c1.cached_fitness is None
-    assert c2.cached_fitness is None
+def test_crossover_leaves_the_parents_untouched():
+    a, b = [0, 0, 0], [1, 1, 1]
+    for seed in range(5):
+        c1, c2 = crossover(a, b, random.Random(seed))
+        assert c1 is not a and c2 is not b
+    assert (a, b) == ([0, 0, 0], [1, 1, 1])
 
 
 # -------------------------------------------------------------- mutation
 
 
-def test_mutate_rate_zero_is_identity_and_keeps_cache():
-    chrom = Chromosome({"A": "R1", "B": "R2"}, 55.0)
-    out = mutate(chrom, random.Random(0), 0.0, [ResourceInfo("R9", 1, 1.0, 100.0)])
-    assert out.genes == chrom.genes
-    assert out.cached_fitness == 55.0
+def test_mutate_rate_zero_is_identity():
+    assert mutate([0, 1], random.Random(0), 0.0, 9) == [0, 1]
 
 
 def test_mutate_rate_one_redraws_every_gene():
-    chrom = Chromosome({"A": "R1", "B": "R1"}, 55.0)
-    only = ResourceInfo("R2", 4, 1.0, 100.0)
-    out = mutate(chrom, random.Random(0), 1.0, [only])
-    assert out.genes == {"A": "R2", "B": "R2"}
-    assert out.cached_fitness is None
+    assert mutate([3, 3], random.Random(0), 1.0, 1) == [0, 0]
 
 
 def test_mutate_is_seed_deterministic():
-    chrom = Chromosome({f"J{i}": "R1" for i in range(12)})
-    pool = [ResourceInfo(f"R{i}", 4, 1.0, 100.0) for i in range(4)]
-    a = mutate(chrom, random.Random(9), 0.5, pool)
-    b = mutate(chrom, random.Random(9), 0.5, pool)
-    assert a.genes == b.genes
+    row = [0] * 12
+    a = mutate(row, random.Random(9), 0.5, 4)
+    b = mutate(row, random.Random(9), 0.5, 4)
+    assert a == b
 
 
 def test_mutate_does_not_touch_the_input():
-    chrom = Chromosome({"A": "R1"}, 55.0)
-    mutate(chrom, random.Random(0), 1.0, [ResourceInfo("R2", 4, 1.0, 100.0)])
-    assert chrom.genes == {"A": "R1"}
-    assert chrom.cached_fitness == 55.0
+    row = [0]
+    mutate(row, random.Random(0), 1.0, 5)
+    assert row == [0]
 
 
 # ------------------------------------------------------ decode / encode
@@ -307,6 +425,16 @@ def test_run_ga_rejects_oversized_seed_list(s1_jobs, s1_resources):
     seeds = [Chromosome({"A": "R1", "B": "R2"}) for _ in range(3)]
     with pytest.raises(ValueError):
         run_ga(seeds, s1_jobs, s1_resources, GaParams(population_size=2))
+
+
+@pytest.mark.parametrize(
+    "genes, named",
+    [({"A": "R1"}, "job B"), ({"A": "R1", "B": "R7"}, "'R7'")],
+    ids=["missing-job", "unknown-resource"],
+)
+def test_run_ga_rejects_a_seed_that_does_not_fit_the_batch(s1_jobs, s1_resources, genes, named):
+    with pytest.raises(ValueError, match=named):
+        run_ga([Chromosome(genes)], s1_jobs, s1_resources, GaParams(population_size=4))
 
 
 def test_run_ga_empty_jobs_short_circuits(s1_resources):

@@ -262,6 +262,15 @@ def _with(record: dict, field: str, value) -> str:
     pytest.param(jobs_from_json, _with(_JOB, "pe_count", 1.0), "pe_count", id="pe_count-float"),
     pytest.param(jobs_from_json, _with(_JOB, "kind", "sgn"), "kind", id="kind"),
     pytest.param(jobs_from_lines, "[1]", "JSON object", id="job-not-object"),
+    pytest.param(jobs_from_json, "5", "JSON array", id="jobs-not-array"),
+    pytest.param(grid_from_json, "5", "JSON array", id="grid-not-array"),
+    pytest.param(grid_from_json, "{not json", "not valid JSON", id="grid-not-json"),
+    pytest.param(jobs_from_json, _with(_JOB, "task_sizes_mi", 5), "task_sizes_mi",
+                 id="task_sizes-number"),
+    pytest.param(jobs_from_json, _with(_JOB, "job_id", 8), "job_id", id="job_id-number"),
+    pytest.param(jobs_from_json, _with(_JOB, "user_id", 7), "user_id", id="user_id-number"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "resource_id", 3), "resource_id",
+                 id="resource_id-number"),
 ])
 def test_mistyped_records_are_rejected_at_load(load, text, match):
     with pytest.raises(BadConfigError, match=match):
