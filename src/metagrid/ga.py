@@ -31,17 +31,15 @@ from .greedy import greedy_schedule
 from .mmc import MmcStats, mappings_from_allocation, modified_min_cost
 from .model import (
     AllocationMatrix,
-    BudgetSemantics,
     DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
     Schedule,
     SchedulerConfig,
-    budget_limit,
     build_schedule,
     ensure_dummy,
+    pair_table,
     placement_feasible,
-    qos_index,
 )
 from .relaxed import build_relaxed, solve_relaxed
 
@@ -108,10 +106,11 @@ def default_penalty_weight(
 
 
 class FitnessTables:
-    """Per-run fitness tables over jobs (rows, sorted ids) and resources
-    (columns, sorted ids): placement cost and breach count of each pair,
-    where a dummy column costs 0.0 and counts one breach, plus each
-    resource's PE capacity (inf on a dummy) and each job's PE count."""
+    """Per-run fitness tables over the batch's ``pair_table`` (jobs as
+    rows, resources as columns, both sorted by id): placement cost and
+    breach count of each pair, where a dummy column costs 0.0 and counts
+    one breach, plus each resource's PE capacity (inf on a dummy) and each
+    job's PE count."""
 
     def __init__(
         self,
@@ -125,32 +124,15 @@ class FitnessTables:
             if penalty_weight is not None
             else default_penalty_weight(jobs, resources)
         )
-        ordered = sorted(jobs, key=lambda j: j.job_id)
-        pool = sorted(resources, key=lambda r: r.resource_id)
-        self.job_ids = [j.job_id for j in ordered]
-        self.resource_ids = [r.resource_id for r in pool]
+        table = pair_table(jobs, resources, config)
+        self.job_ids = [j.job_id for j in table.jobs]
+        self.resource_ids = [r.resource_id for r in table.resources]
         self._column = {rid: k for k, rid in enumerate(self.resource_ids)}
-        self._jobs = np.arange(len(ordered))
-        self.pes = np.array([j.pe_count for j in ordered], dtype=float)
-        dummy = np.array([r.is_dummy for r in pool], dtype=bool)
-        self.capacity = np.where(dummy, inf, [float(r.free_pes) for r in pool])
-
-        # placement_cost and breach_count of every pair, with the scalar
-        # operations in the same order, so each entry is bit-identical
-        eps = config.epsilon
-        longest = np.array([max(j.task_sizes_mi) for j in ordered], dtype=float)
-        deadline = np.array([j.deadline_s for j in ordered], dtype=float)
-        budget = np.array([j.budget_gd for j in ordered], dtype=float)
-        speed = np.array([r.pe_speed_mips for r in pool], dtype=float)
-        rate = np.array([r.cost_per_pe_second for r in pool], dtype=float)
-        exec_s = longest[:, None] / speed
-        rate_pes = rate * self.pes[:, None]
-        cost = rate_pes * exec_s
-        charge = rate_pes if config.budget_semantics is BudgetSemantics.LITERAL else cost
-        late = ~(exec_s <= (deadline + eps)[:, None])
-        dear = charge > budget_limit(budget, eps)[:, None]
-        self.cost = np.where(dummy, 0.0, cost)
-        self.breaches = np.where(dummy, 1, late.astype(int) + dear)
+        self._jobs = np.arange(len(table.jobs))
+        self.pes = table.pes
+        self.capacity = np.where(table.dummy, inf, table.free)
+        self.cost = np.where(table.dummy, 0.0, table.cost)
+        self.breaches = np.where(table.dummy, 1, table.breaches)
 
     def encode(self, genes: Mapping[str, str]) -> list[int]:
         """Gene row of a gene map; ``ValueError`` names a job without a
@@ -408,20 +390,19 @@ def lpga(
 ) -> tuple[Schedule, GaResult]:
     """Relaxation-seeded meta-scheduler.
 
-    Pipeline: sort resources by cost and jobs by priority, solve the
-    split-allowed relaxation exactly (parking on the dummy as a last
-    resort), consolidate whole-job placements, then refine with the GA
-    seeded by that consolidated schedule.
+    Pipeline: solve the split-allowed relaxation exactly (parking on the
+    dummy as a last resort), consolidate whole-job placements, then refine
+    with the GA seeded by that consolidated schedule.  No stage depends on
+    the order of ``jobs`` or ``resources``: each works over id-sorted
+    tables and ranks by cost or priority itself.
     """
     if not jobs:
         return Schedule.empty(), _empty_result()
-    by_cost = sorted(resources, key=lambda r: (r.cost_per_pe_second, r.resource_id))
-    by_priority = sorted(jobs, key=lambda j: (-qos_index(j), j.job_id))
-    model = build_relaxed(by_priority, by_cost, config)
+    model = build_relaxed(jobs, resources, config)
     alloc = solve_relaxed(model)
     pool, _ = ensure_dummy(jobs, model.resources)
     seed_schedule = modified_min_cost(
-        mappings_from_allocation(alloc), by_priority, pool, config, stats=mmc_stats
+        mappings_from_allocation(alloc), jobs, pool, config, stats=mmc_stats
     )
     seed = chromosome_from_schedule(seed_schedule, jobs, pool)
     result = run_ga([seed], jobs, pool, params, config)

@@ -40,6 +40,8 @@ from .model import (
     Schedule,
     SchedulerConfig,
     build_schedule,
+    ensure_dummy,
+    pair_table,
     placement_cost,
     placement_feasible,
     qos_index,
@@ -66,7 +68,6 @@ class MmcStats:
     """Instrumentation: elementary comparisons/moves performed."""
 
     steps: int = 0
-    consolidations: int = 0
     displacements: int = 0
     parked: int = 0
 
@@ -147,65 +148,44 @@ def schedule_dummy_jobs(
     In priority order (qos_index descending) each parked job is placed
     whole on the cheapest-placement real resource with enough remaining
     PEs that meets its deadline and budget; jobs with no such resource
-    stay parked.
+    stay parked on the dummy of ``ensure_dummy``.  The ranking and the
+    eligibility come from the batch's ``pair_table``.
     """
     if not schedule.dummy_jobs:
         return schedule
     stats = stats if stats is not None else MmcStats()
-    jobs_by_id = {j.job_id: j for j in jobs}
-    res_by_id = {r.resource_id: r for r in resources}
+    pool, dummy_id = ensure_dummy(jobs, resources)
+    table = pair_table(jobs, pool, config)
+    row = {j.job_id: i for i, j in enumerate(table.jobs)}
+    rids = [r.resource_id for r in table.resources]
 
-    available = {r.resource_id: r.free_pes for r in resources if not r.is_dummy}
+    available = {r.resource_id: r.free_pes for r in pool if not r.is_dummy}
+    entries = {}
     for (rid, jid), pes in schedule.assignments.items():
-        if rid in available and jid not in schedule.dummy_jobs:
-            available[rid] -= pes
+        if jid not in schedule.dummy_jobs:
+            entries[(rid, jid)] = pes
+            if rid in available:
+                available[rid] -= pes
 
-    entries = dict(schedule.assignments.entries)
-    dummy_ids = {r.resource_id for r in resources if r.is_dummy}
-    still_parked = set(schedule.dummy_jobs)
-    order = sorted(schedule.dummy_jobs,
-                   key=lambda jid: (-qos_index(jobs_by_id[jid]), jid))
+    order = sorted(schedule.dummy_jobs, key=lambda jid: (-qos_index(table.jobs[row[jid]]), jid))
     largest = max(available.values(), default=0)
     for jid in order:
-        job = jobs_by_id[jid]
+        job = table.jobs[row[jid]]
+        placed = dummy_id
         if job.pe_count > largest:
             # no block has room: the scan below would reject every resource
             stats.steps += len(available)
-            continue
-        ranked = sorted(
-            available,
-            key=lambda rid: (placement_cost(job, res_by_id[rid]), rid),
-        )
-        placed = None
-        for rid in ranked:
-            stats.steps += 1
-            if available[rid] < job.pe_count:
-                continue
-            if not placement_feasible(job, res_by_id[rid], config):
-                continue
-            placed = rid
-            break
-        if placed is None:
-            continue
-        available[placed] -= job.pe_count
-        largest = max(available.values())
-        for did in dummy_ids:
-            entries.pop((did, jid), None)
+        else:
+            feasible = table.feasible[row[jid]].tolist()
+            for k in table.order[row[jid]].tolist():
+                stats.steps += 1
+                if available[rids[k]] >= job.pe_count and feasible[k]:
+                    placed = rids[k]
+                    available[placed] -= job.pe_count
+                    largest = max(available.values())
+                    break
         entries[(placed, jid)] = job.pe_count
-        still_parked.discard(jid)
-
-    out = build_schedule(AllocationMatrix(entries), jobs, resources, config)
-    if still_parked - set(out.dummy_jobs):
-        # parking was representational (no dummy in the list), so the
-        # rebuilt schedule cannot see it in the rows; restore the set
-        out = Schedule(
-            assignments=out.assignments,
-            per_job_cost_gd=out.per_job_cost_gd,
-            per_job_time_s=out.per_job_time_s,
-            dummy_jobs=frozenset(set(out.dummy_jobs) | still_parked),
-            total_cost_gd=out.total_cost_gd,
-        )
-    return out
+    return build_schedule(AllocationMatrix(entries), jobs, pool, config)
 
 
 def modified_min_cost(
@@ -223,11 +203,12 @@ def modified_min_cost(
     just hints that guide provider choice and eviction.
     """
     stats = stats if stats is not None else MmcStats()
+    pool, dummy_id = ensure_dummy(jobs, resources)
     jobs_by_id = {j.job_id: j for j in jobs}
-    res_by_id = {r.resource_id: r for r in resources}
-    dummy_ids = {r.resource_id for r in resources if r.is_dummy}
+    res_by_id = {r.resource_id: r for r in pool}
+    dummy_ids = {r.resource_id for r in pool if r.is_dummy}
 
-    available = {r.resource_id: r.free_pes for r in resources if not r.is_dummy}
+    available = {r.resource_id: r.free_pes for r in pool if not r.is_dummy}
     committed: dict[str, str] = {}  # job_id -> resource_id (real)
     parked: set[str] = set()
     resolved: set[str] = set()
@@ -240,20 +221,21 @@ def modified_min_cost(
         for rid, _ in jm.provider_allocations:
             holders.setdefault(rid, set()).add(jm.job_id)
 
-    def commit(jid: str, rid: str) -> None:
-        available[rid] -= jobs_by_id[jid].pe_count
-        assert available[rid] >= 0, f"overcommitted {rid}"
-        committed[jid] = rid
+    def settle(jid: str) -> None:
         resolved.add(jid)
         for held in holders.values():
             held.discard(jid)
 
+    def commit(jid: str, rid: str) -> None:
+        available[rid] -= jobs_by_id[jid].pe_count
+        assert available[rid] >= 0, f"overcommitted {rid}"
+        committed[jid] = rid
+        settle(jid)
+
     def park(jid: str) -> None:
         parked.add(jid)
-        resolved.add(jid)
         stats.parked += 1
-        for held in holders.values():
-            held.discard(jid)
+        settle(jid)
 
     order = sorted(relaxed, key=lambda jm: (jm.provider_count, jm.job_id))
     for jm in order:
@@ -282,12 +264,10 @@ def modified_min_cost(
             ),
         )
         target: str | None = None
-        to_dummy = False
         for rid, _ in candidates:
             stats.steps += 1
             if rid in dummy_ids:
-                to_dummy = True
-                break
+                break  # reaching the relaxation's dummy share parks the job
             if available[rid] < job.pe_count:
                 continue
             if not placement_feasible(job, res_by_id[rid], config):
@@ -295,13 +275,12 @@ def modified_min_cost(
             target = rid
             break
 
-        if to_dummy or target is None:
+        if target is None:
             park(jm.job_id)
             continue
 
         displaced_ids = sorted(holders.get(target, set()) - {jm.job_id})
         commit(jm.job_id, target)
-        stats.consolidations += 1
         if displaced_ids:
             ctx = InterchangeContext(
                 jobs_by_id=jobs_by_id,
@@ -319,26 +298,10 @@ def modified_min_cost(
                     park(jid)
                 else:
                     committed[jid] = new_rid
-                    resolved.add(jid)
-                    for held in holders.values():
-                        held.discard(jid)
+                    settle(jid)
 
-    entries: dict[tuple[str, str], int] = {}
-    for jid, rid in committed.items():
-        entries[(rid, jid)] = jobs_by_id[jid].pe_count
-    dummy_home = sorted(dummy_ids)[0] if dummy_ids else None
+    entries = {(rid, jid): jobs_by_id[jid].pe_count for jid, rid in committed.items()}
     for jid in parked:
-        if dummy_home is not None:
-            entries[(dummy_home, jid)] = jobs_by_id[jid].pe_count
-
-    interim = build_schedule(AllocationMatrix(entries), jobs, resources, config)
-    if parked and dummy_home is None:
-        # no dummy in the list: represent parking via the dummy_jobs set only
-        interim = Schedule(
-            assignments=interim.assignments,
-            per_job_cost_gd=interim.per_job_cost_gd,
-            per_job_time_s=interim.per_job_time_s,
-            dummy_jobs=frozenset(parked),
-            total_cost_gd=interim.total_cost_gd,
-        )
-    return schedule_dummy_jobs(interim, jobs, resources, config, stats=stats)
+        entries[(dummy_id, jid)] = jobs_by_id[jid].pe_count
+    interim = build_schedule(AllocationMatrix(entries), jobs, pool, config)
+    return schedule_dummy_jobs(interim, jobs, pool, config, stats=stats)

@@ -25,6 +25,8 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 DUMMY_ID = "DUMMY"
 DUMMY_RATE_FACTOR = 10.0
 
@@ -257,7 +259,8 @@ def placement_cost(job: JobRequest, resource: ResourceInfo) -> float:
 
 # --- the whole-job rule ------------------------------------------------------
 # Every deadline and budget check in the package goes through these three
-# helpers (``relaxed`` and ``ga`` evaluate the same rule over numpy tables).
+# helpers, one pair at a time, or through ``pair_table``, which evaluates
+# the same rule for a whole batch at once.
 
 
 def meets_deadline(job: JobRequest, resource: ResourceInfo, epsilon: float) -> bool:
@@ -311,27 +314,89 @@ def placement_feasible(
     return resource.is_dummy or breach_count(job, resource, config) == 0
 
 
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """The whole-job rule for every job x resource pair of one batch.
+
+    Rows are the jobs, columns the resources, each sorted by id.  Every
+    entry is bit-identical to the scalar helper it stands for, a dummy
+    column included: ``exec_s`` is ``exec_time``, ``coeff`` the cost of one
+    PE (``pair_charge`` for one PE under ``TIME_INCLUSIVE``), ``cost``
+    ``placement_cost``, ``on_time`` ``meets_deadline``, ``breaches``
+    ``breach_count`` and ``feasible`` ``placement_feasible``.  ``weight`` is
+    what one PE counts against the budget, ``pair_charge`` for one PE, and
+    0.0 on a dummy, which is budget-exempt.  Row j of ``order`` lists the
+    job's real columns by (``placement_cost``, resource id).  ``pes`` holds
+    each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
+    resource's free PEs.
+    """
+
+    jobs: tuple[JobRequest, ...]
+    resources: tuple[ResourceInfo, ...]
+    pes: np.ndarray
+    limit: np.ndarray
+    free: np.ndarray
+    exec_s: np.ndarray
+    coeff: np.ndarray
+    cost: np.ndarray
+    weight: np.ndarray
+    on_time: np.ndarray
+    breaches: np.ndarray
+    feasible: np.ndarray
+    dummy: np.ndarray
+    order: np.ndarray
+
+
+def pair_table(
+    jobs: Sequence[JobRequest],
+    resources: Sequence[ResourceInfo],
+    config: SchedulerConfig = DEFAULT_CONFIG,
+) -> PairTable:
+    """Evaluate the whole-job rule over the batch, with each scalar
+    operation in the order the helpers above perform it."""
+    jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
+    resources = tuple(sorted(resources, key=lambda r: r.resource_id))
+    eps = config.epsilon
+    longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
+    pes = np.array([j.pe_count for j in jobs], dtype=float)
+    deadline = np.array([j.deadline_s for j in jobs], dtype=float)
+    limit = budget_limit(np.array([j.budget_gd for j in jobs], dtype=float), eps)
+    free = np.array([r.free_pes for r in resources], dtype=int)
+    speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
+    rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
+    dummy = np.array([r.is_dummy for r in resources], dtype=bool)
+
+    exec_s = longest[:, None] / speed
+    coeff = rate * exec_s
+    rate_pes = rate * pes[:, None]
+    cost = rate_pes * exec_s
+    literal = config.budget_semantics is BudgetSemantics.LITERAL
+    on_time = exec_s <= (deadline + eps)[:, None]
+    breaches = (~on_time).astype(int) + ((rate_pes if literal else cost) > limit[:, None])
+    weight = np.where(dummy, 0.0, np.broadcast_to(rate, exec_s.shape) if literal else coeff)
+    real = np.flatnonzero(~dummy)
+    order = real[np.argsort(cost[:, real], axis=1, kind="stable")]
+    return PairTable(
+        jobs, resources, pes, limit, free, exec_s, coeff, cost, weight, on_time,
+        breaches, dummy | (breaches == 0), dummy, order,
+    )
+
+
 def qos_index(job: JobRequest) -> float:
     """Priority score: budget per deadline-second per PE (higher = richer
     and more urgent per unit of work, scheduled first)."""
     return job.budget_gd / (job.deadline_s * job.pe_count)
 
 
-def _index_resources(resources: Sequence[ResourceInfo]) -> dict[str, ResourceInfo]:
+def _index(records: Sequence, key: str) -> dict:
+    """Records by their id attribute ``key``; two records with one id are
+    a ``ValueError``."""
     out = {}
-    for r in resources:
-        if r.resource_id in out:
-            raise ValueError(f"duplicate resource_id {r.resource_id}")
-        out[r.resource_id] = r
-    return out
-
-
-def _index_jobs(jobs: Sequence[JobRequest]) -> dict[str, JobRequest]:
-    out = {}
-    for j in jobs:
-        if j.job_id in out:
-            raise ValueError(f"duplicate job_id {j.job_id}")
-        out[j.job_id] = j
+    for record in records:
+        value = getattr(record, key)
+        if value in out:
+            raise ValueError(f"duplicate {key} {value}")
+        out[value] = record
     return out
 
 
@@ -345,8 +410,8 @@ def schedule_cost(
     Each entry contributes rate x PEs x execution time.  Raises
     UnknownIdError if an entry references an unknown job or resource.
     """
-    jobs_by_id = _index_jobs(jobs)
-    res_by_id = _index_resources(resources)
+    jobs_by_id = _index(jobs, "job_id")
+    res_by_id = _index(resources, "resource_id")
     total = 0.0
     for (rid, jid), pes in alloc.items():
         if rid not in res_by_id:
@@ -378,8 +443,8 @@ def validate(
     job is accounted for) but are exempt from budget and deadline, which
     only constrain actual execution.
     """
-    jobs_by_id = _index_jobs(jobs)
-    res_by_id = _index_resources(resources)
+    jobs_by_id = _index(jobs, "job_id")
+    res_by_id = _index(resources, "resource_id")
     eps = config.epsilon
     for (rid, jid) in alloc.entries:
         if rid not in res_by_id:
@@ -520,8 +585,8 @@ def build_schedule(
     because a partially-placed job cannot run, and its PEs are re-parked on
     the dummy.  Costs and times cover really-placed jobs only.
     """
-    jobs_by_id = _index_jobs(jobs)
-    res_by_id = _index_resources(resources)
+    jobs_by_id = _index(jobs, "job_id")
+    res_by_id = _index(resources, "resource_id")
     dummy_ids = {r.resource_id for r in resources if r.is_dummy}
     by_job = alloc.by_job()
 
@@ -530,15 +595,14 @@ def build_schedule(
         if any(rid in dummy_ids for rid in allocs):
             parked.add(jid)
 
-    dummy_home = sorted(dummy_ids)[0] if dummy_ids else None
+    dummy_home = min(dummy_ids, default=None)
     entries: dict[tuple[str, str], int] = {}
     per_cost: dict[str, float] = {}
     per_time: dict[str, float] = {}
     for jid in sorted(by_job):
         job = jobs_by_id[jid]
         if jid in parked:
-            if dummy_home is not None:
-                entries[(dummy_home, jid)] = job.pe_count
+            entries[(dummy_home, jid)] = job.pe_count
             continue
         cost = 0.0
         finish = 0.0

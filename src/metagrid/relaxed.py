@@ -15,10 +15,11 @@ PEs that capacities, deadlines and budgets allow: no PE parks while its
 job can afford a free real PE, and no job parks to free a cheaper
 machine for another.
 
-``build_relaxed`` keeps every admissible pair in the model, but the
-integer program handed to the solver gets only the columns that can
-matter (``RelaxedModel.lp_columns``): per job, its admissible real pairs
-in ascending (cost coefficient, resource id) order, stopping once their
+The model is a set of job x resource arrays over the batch's
+``model.pair_table``.  It keeps every admissible pair, but the integer
+program handed to the solver gets only the columns that can matter
+(``RelaxedModel.columns``): per job, its admissible real pairs in
+ascending (cost coefficient, resource id) order, stopping once their
 summed free PEs reach the batch's total PE demand, plus the dummy pair.
 This loses no optimum.  Any PE placed outside its job's prefix leaves
 some prefix resource with a spare PE (the prefix alone can hold the whole
@@ -31,13 +32,12 @@ program keeps the fewest parked PEs too.
 
 ``solve_relaxed`` hands the integer program to the HiGHS branch-and-cut
 engine (via scipy) at zero optimality gap and re-checks the rounded
-answer exactly in pure Python.  ``brute_force_relaxed`` is an independent
-pure-Python enumerator used as a cross-check oracle on small instances.
+answer exactly before trusting it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +49,11 @@ from .model import (
     BudgetSemantics,
     DEFAULT_CONFIG,
     JobRequest,
+    PairTable,
     ResourceInfo,
     SchedulerConfig,
-    budget_limit,
-    make_dummy_resource,
-    placement_cost,
-    placement_feasible,
+    ensure_dummy,
+    pair_table,
 )
 
 
@@ -66,58 +65,36 @@ class InfeasibleError(RuntimeError):
     """The PE demands cannot all be met, even using every admissible pair."""
 
 
-class TooLargeError(ValueError):
-    """Instance exceeds the brute-force enumeration guard."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxedModel:
-    """The built relaxation: admissible pairs and their cost coefficients.
+    """The built relaxation: job x resource arrays over ``table``, whose
+    jobs and resources it repeats, with the id of its dummy if it has one.
 
-    ``cost_coeff[(rid, jid)]`` is the money per PE of placing one PE of job
-    jid on resource rid (rate x execution time; dummy pairs add the
-    parking surcharge of the module docstring).  ``budget_weight`` is the
-    per-PE amount counted against the job's budget (zero-weight dummy pairs
-    are omitted).  ``pair_order`` fixes the deterministic variable order:
-    job-major, resource-minor.  ``lp_columns`` is the subset of
-    ``pair_order`` (same order) that the solver sees; see the module
-    docstring for why dropping the rest is exact.  ``epsilon`` is the
-    budget tolerance of the config the model was built with.
+    ``admissible`` marks the pairs the model keeps and ``columns`` the
+    subset the solver sees (module docstring); both are walked row-major,
+    so variables run job-major, resource-minor.  ``objective`` is the money
+    per PE of each pair: the table's ``coeff``, plus the parking surcharge
+    of the module docstring on dummy columns.  A pair's budget weight is
+    ``table.weight``, and the job's budget with its tolerance
+    ``table.limit``.
     """
 
     jobs: tuple[JobRequest, ...]
     resources: tuple[ResourceInfo, ...]
-    feasible_pairs: frozenset[tuple[str, str]]
-    cost_coeff: Mapping[tuple[str, str], float]
-    budget_weight: Mapping[tuple[str, str], float]
-    pair_order: tuple[tuple[str, str], ...]
     dummy_id: str | None
-    lp_columns: tuple[tuple[str, str], ...]
-    epsilon: float
+    table: PairTable
+    objective: np.ndarray
+    admissible: np.ndarray
+    columns: np.ndarray
 
-
-def _pair_table(jobs, resources, config):
-    """Job x resource arrays: cost coefficient, budget weight, admissible.
-
-    The whole-job rule of ``model`` (``meets_deadline``, and
-    ``pair_charge`` for one PE), evaluated for every pair at once: a real
-    pair is admissible iff the job meets its deadline there and one PE is
-    affordable; dummy pairs always are, at zero budget weight.
-    """
-    eps = config.epsilon
-    longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
-    speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
-    deadline = np.array([j.deadline_s for j in jobs], dtype=float)
-    budget = np.array([j.budget_gd for j in jobs], dtype=float)
-    rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
-    dummy = np.array([r.is_dummy for r in resources], dtype=bool)
-    exec_s = longest[:, None] / speed[None, :]
-    on_time = dummy | (exec_s <= (deadline + eps)[:, None])
-    coeff = rate * exec_s
-    literal = config.budget_semantics is BudgetSemantics.LITERAL
-    weight = np.where(dummy, 0.0, np.broadcast_to(rate, exec_s.shape) if literal else coeff)
-    admissible = dummy | (on_time & (weight <= budget_limit(budget, eps)[:, None]))
-    return coeff, weight, admissible
+    @property
+    def pair_order(self) -> tuple[tuple[str, str], ...]:
+        """Every admissible (resource id, job id) pair, job-major; built on
+        each call."""
+        ji, ri = np.nonzero(self.admissible)
+        rids = [r.resource_id for r in self.resources]
+        jids = [j.job_id for j in self.jobs]
+        return tuple(zip(map(rids.__getitem__, ri.tolist()), map(jids.__getitem__, ji.tolist())))
 
 
 def build_relaxed(
@@ -129,83 +106,50 @@ def build_relaxed(
 
     Keeps a (resource, job) pair iff the job finishes within its deadline
     there and a single PE is affordable; dummy pairs are always kept.
-    When ``config.allow_dummy`` is set and the batch has jobs, a dummy
-    resource is appended unless one is given, so the model is feasible
-    whatever the grid; its pairs carry the parking surcharge that makes
-    parking a last resort (module docstring).  Without it, an uncoverable
-    batch makes ``solve_relaxed`` raise ``InfeasibleError``.
+    When ``config.allow_dummy`` is set and the batch has jobs, the pool
+    gets a dummy from ``ensure_dummy``, so the model is feasible whatever
+    the grid; its pairs carry the parking surcharge that makes parking a
+    last resort (module docstring).  Without it, an uncoverable batch makes
+    ``solve_relaxed`` raise ``InfeasibleError``.
     """
-    jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
-    res_list = sorted(resources, key=lambda r: r.resource_id)
-    if not res_list and not config.allow_dummy:
+    if not resources and not config.allow_dummy:
         raise EmptyGridError("no resources and dummy parking disabled")
-    if config.allow_dummy and jobs and not any(r.is_dummy for r in res_list):
-        res_list.append(make_dummy_resource(jobs, res_list))
-        res_list.sort(key=lambda r: r.resource_id)
-
-    coeff, weight, admissible = _pair_table(jobs, res_list, config)
-    dummy = np.array([r.is_dummy for r in res_list], dtype=bool)
+    if config.allow_dummy and jobs:
+        resources, _ = ensure_dummy(jobs, resources)
+    table = pair_table(jobs, resources, config)
+    dummy = table.dummy
+    admissible = dummy | (table.on_time & (table.weight <= table.limit[:, None]))
+    objective = table.coeff.copy()
     if dummy.any():
         # lexicographic parking: a parked PE also pays a bound on the batch's
         # unsurcharged cost, so an optimum parks the fewest PEs possible
-        pes = np.array([j.pe_count for j in jobs], dtype=float)
-        coeff[:, dummy] += pes @ np.where(admissible, coeff, 0.0).max(axis=1)
+        objective[:, dummy] += table.pes @ np.where(admissible, table.coeff, 0.0).max(axis=1)
     columns = admissible
     if config.budget_semantics is not BudgetSemantics.LITERAL and jobs:
         # per job, the cheapest admissible real pairs (stable sort: ties by
         # resource id) until the capacity before a pair covers the demand
         real = admissible & ~dummy
-        order = np.argsort(np.where(real, coeff, np.inf), axis=1, kind="stable")
-        free = np.array([r.free_pes for r in res_list], dtype=int)
-        cap = np.where(np.take_along_axis(real, order, axis=1), free[order], 0)
+        order = np.argsort(np.where(real, table.coeff, np.inf), axis=1, kind="stable")
+        cap = np.where(np.take_along_axis(real, order, axis=1), table.free[order], 0)
         before = np.cumsum(cap, axis=1) - cap
         prefix = np.zeros_like(real)
         np.put_along_axis(prefix, order, before < sum(j.pe_count for j in jobs), axis=1)
         columns = (real & prefix) | (admissible & dummy)
-
-    rids = [r.resource_id for r in res_list]
-    jids = [j.job_id for j in jobs]
-    ji, ri = np.nonzero(admissible)  # row-major: job-major, resource-minor
-    pairs = tuple((rids[r], jids[j]) for j, r in zip(ji.tolist(), ri.tolist()))
-    dummies = sorted(rid for rid, d in zip(rids, dummy.tolist()) if d)
+    dummy_id = next((r.resource_id for r in table.resources if r.is_dummy), None)
     return RelaxedModel(
-        jobs=jobs,
-        resources=tuple(res_list),
-        feasible_pairs=frozenset(pairs),
-        cost_coeff=dict(zip(pairs, coeff[ji, ri].tolist())),
-        budget_weight={p: w for p, w in zip(pairs, weight[ji, ri].tolist()) if w > 0.0},
-        pair_order=pairs,
-        dummy_id=dummies[0] if dummies else None,
-        lp_columns=tuple(p for p, keep in zip(pairs, columns[ji, ri].tolist()) if keep),
-        epsilon=config.epsilon,
+        table.jobs, table.resources, dummy_id, table, objective, admissible, columns
     )
 
 
-def relaxed_objective(model: RelaxedModel, alloc: AllocationMatrix) -> float:
-    """Canonical objective: coefficient-weighted PE counts summed in the
-    model's fixed pair order (so equal allocations give identical floats).
-    Includes dummy pairs at their deterrent price."""
-    total = 0.0
-    for key in model.pair_order:
-        pes = alloc.pes(*key)
-        if pes:
-            total += model.cost_coeff[key] * pes
-    return total
-
-
 def _model_arrays(model: RelaxedModel):
-    """LP ingredients over ``model.lp_columns``: objective, capacity rows
+    """LP ingredients over ``model.columns``: objective, capacity rows
     then the budget rows that can bind, demand rows, per-column bounds."""
-    cols = model.lp_columns
-    n = len(cols)
-    job_row = {j.job_id: i for i, j in enumerate(model.jobs)}
-    res_row = {r.resource_id: i for i, r in enumerate(model.resources)}
-    ji = np.fromiter((job_row[j] for _, j in cols), dtype=int, count=n)
-    ri = np.fromiter((res_row[r] for r, _ in cols), dtype=int, count=n)
-    c = np.fromiter((model.cost_coeff[p] for p in cols), dtype=float, count=n)
-    w = np.fromiter((model.budget_weight.get(p, 0.0) for p in cols), dtype=float, count=n)
-    free = np.array([r.free_pes for r in model.resources], dtype=float)
-    pes = np.array([j.pe_count for j in model.jobs], dtype=float)
+    ji, ri = np.nonzero(model.columns)  # row-major: job-major, resource-minor
+    n = len(ji)
+    c = model.objective[ji, ri]
+    w = model.table.weight[ji, ri]
+    free = model.table.free.astype(float)
+    pes, limit = model.table.pes, model.table.limit
     budget = np.array([j.budget_gd for j in model.jobs], dtype=float)
     k = np.arange(n)
 
@@ -213,7 +157,6 @@ def _model_arrays(model: RelaxedModel):
     # puts more than budget/weight PEs on a weighted pair
     ub = np.minimum(free[ri], pes[ji])
     weighted = w > 0.0
-    limit = budget_limit(budget, model.epsilon)
     ub[weighted] = np.minimum(ub[weighted], np.floor(limit[ji[weighted]] / w[weighted]))
     ub = np.maximum(ub, 0.0)
 
@@ -239,29 +182,19 @@ def _model_arrays(model: RelaxedModel):
     return c, a_ub, b_ub, a_eq, pes, ub
 
 
-def _check_integer_solution(model: RelaxedModel, counts: dict) -> bool:
-    """Exact feasibility re-check of a rounded candidate."""
-    res_by_id = {r.resource_id: r for r in model.resources}
-    load: dict[str, int] = {}
-    demand: dict[str, int] = {}
-    spend: dict[str, float] = {}
-    for (rid, jid), v in counts.items():
-        if v < 0:
-            return False
-        load[rid] = load.get(rid, 0) + v
-        demand[jid] = demand.get(jid, 0) + v
-        w = model.budget_weight.get((rid, jid), 0.0)
-        if w:
-            spend[jid] = spend.get(jid, 0.0) + w * v
-    for rid, used in load.items():
-        if used > res_by_id[rid].free_pes:
-            return False
-    for job in model.jobs:
-        if demand.get(job.job_id, 0) != job.pe_count:
-            return False
-        if spend.get(job.job_id, 0.0) > budget_limit(job.budget_gd, model.epsilon):
-            return False
-    return True
+def _check_integer_solution(model: RelaxedModel, ji, ri, x) -> bool:
+    """Exact feasibility re-check of a rounded candidate ``x`` over the
+    columns (``ji``, ``ri``): no negative count, no resource above its free
+    PEs, every demand met exactly and no budget overspent."""
+    table = model.table
+    load = np.bincount(ri, weights=x, minlength=len(table.free))
+    demand = np.bincount(ji, weights=x, minlength=len(table.pes))
+    # bincount adds one column at a time, in column order
+    spend = np.bincount(ji, weights=table.weight[ji, ri] * x, minlength=len(table.pes))
+    return bool(
+        (x >= 0).all() and (load <= table.free).all() and (demand == table.pes).all()
+        and (spend <= table.limit).all()
+    )
 
 
 def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
@@ -269,21 +202,22 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
 
     The integer program goes straight to the HiGHS branch-and-cut engine
     at zero optimality gap, and the rounded answer is re-checked exactly
-    in pure Python before we trust it (once more with tightened solver
-    tolerances if the first pass is numerically off).  Deterministic for
-    a fixed environment; ties between equal-cost optima resolve by the
-    engine's fixed search order.  Raises InfeasibleError when the demands
-    cannot be met, which needs a model built with ``allow_dummy=False``.
+    before we trust it (once more with tightened solver tolerances if the
+    first pass is numerically off).  Deterministic for a fixed
+    environment; ties between equal-cost optima resolve by the engine's
+    fixed search order.  Raises InfeasibleError when the demands cannot be
+    met, which needs a model built with ``allow_dummy=False``.
     """
     if not model.jobs:
         return AllocationMatrix.empty()
-    placeable = {jid for _, jid in model.lp_columns}
-    for job in model.jobs:
-        if job.job_id not in placeable:
-            raise InfeasibleError(f"job {job.job_id} has no admissible pair")
+    placeable = model.columns.any(axis=1)
+    if not placeable.all():
+        job = model.jobs[int(np.argmin(placeable))]
+        raise InfeasibleError(f"job {job.job_id} has no admissible pair")
 
     c, a_ub, b_ub, a_eq, b_eq, base_ub = _model_arrays(model)
-    n = len(model.lp_columns)
+    ji, ri = np.nonzero(model.columns)
+    n = len(ji)
     bounds = np.column_stack([np.zeros(n), base_ub])
     exact = {"mip_rel_gap": 0.0}
     tightened = {
@@ -310,175 +244,9 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
                 f"MILP solve failed with status {res.status}: {res.message}"
             )
         x = np.rint(res.x).astype(int)
-        counts = {model.lp_columns[k]: int(x[k]) for k in np.flatnonzero(x)}
-        if _check_integer_solution(model, counts):
-            return AllocationMatrix(counts)
+        if _check_integer_solution(model, ji, ri, x):
+            return AllocationMatrix({
+                (model.resources[ri[k]].resource_id, model.jobs[ji[k]].job_id): int(x[k])
+                for k in np.flatnonzero(x)
+            })
     raise RuntimeError("MILP optimum failed the exact feasibility recheck")
-
-
-def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
-    """Reference oracle: exhaustive search over all integer allocations.
-
-    Guarded to small instances (total PEs <= 20, at most 4 resources).
-    Enumerates jobs in id order and, per job, PE splits over its admissible
-    resources in id order with counts ascending, keeping the first optimum
-    found -- i.e. the lexicographically smallest optimal vector in
-    job-major order.
-    """
-    total_pes = sum(j.pe_count for j in model.jobs)
-    if total_pes > 20 or len(model.resources) > 4:
-        raise TooLargeError(
-            f"brute force limited to 20 total PEs / 4 resources, "
-            f"got {total_pes} PEs / {len(model.resources)} resources"
-        )
-    jobs = sorted(model.jobs, key=lambda j: j.job_id)
-    res_by_id = {r.resource_id: r for r in model.resources}
-
-    # admissible resources and cheapest per-PE coefficient per job
-    arcs: dict[str, list[str]] = {}
-    cheapest: dict[str, float] = {}
-    for job in jobs:
-        rids = sorted(rid for (rid, jid) in model.feasible_pairs if jid == job.job_id)
-        if not rids:
-            raise InfeasibleError(f"job {job.job_id} has no admissible pair")
-        arcs[job.job_id] = rids
-        cheapest[job.job_id] = min(model.cost_coeff[(rid, job.job_id)] for rid in rids)
-
-    remaining_lb = [0.0] * (len(jobs) + 1)
-    for i in range(len(jobs) - 1, -1, -1):
-        remaining_lb[i] = remaining_lb[i + 1] + cheapest[jobs[i].job_id] * jobs[i].pe_count
-
-    best_obj = float("inf")
-    best: dict[tuple[str, str], int] | None = None
-    capacity = {r.resource_id: r.free_pes for r in model.resources}
-    current: dict[tuple[str, str], int] = {}
-
-    def place_job(ji: int, partial_cost: float) -> None:
-        nonlocal best_obj, best
-        if partial_cost + remaining_lb[ji] > best_obj + 1e-12:
-            return
-        if ji == len(jobs):
-            if partial_cost < best_obj - 1e-12:
-                best_obj = partial_cost
-                best = dict(current)
-            return
-        job = jobs[ji]
-        rids = arcs[job.job_id]
-
-        def split(ai: int, left: int, cost_so_far: float, spent: float) -> None:
-            # optimistic completion: rest of this job at its cheapest rate,
-            # every later job at its own cheapest rate
-            if cost_so_far + cheapest[job.job_id] * left + remaining_lb[ji + 1] > best_obj + 1e-12:
-                return
-            if ai == len(rids):
-                if left == 0:
-                    place_job(ji + 1, cost_so_far)
-                return
-            rid = rids[ai]
-            key = (rid, job.job_id)
-            cap = min(capacity[rid], left)
-            w = model.budget_weight.get(key, 0.0)
-            for take in range(0, cap + 1):
-                new_spent = spent + w * take
-                if new_spent > budget_limit(job.budget_gd, model.epsilon):
-                    break
-                if take:
-                    current[key] = take
-                    capacity[rid] -= take
-                split(ai + 1, left - take,
-                      cost_so_far + model.cost_coeff[key] * take, new_spent)
-                if take:
-                    del current[key]
-                    capacity[rid] += take
-
-        split(0, job.pe_count, partial_cost, 0.0)
-
-    place_job(0, 0.0)
-    if best is None:
-        raise InfeasibleError("no integer allocation satisfies the demands")
-    return AllocationMatrix(best)
-
-
-def brute_force_sgn(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
-) -> AllocationMatrix | None:
-    """Optimal whole-job-per-resource assignment by exhaustive search.
-
-    Real resources only (no parking): returns None when some job cannot be
-    placed in any arrangement.  Same size guard as brute_force_relaxed.
-    """
-    total_pes = sum(j.pe_count for j in jobs)
-    real = sorted((r for r in resources if not r.is_dummy), key=lambda r: r.resource_id)
-    if total_pes > 20 or len(real) > 4:
-        raise TooLargeError("SGN brute force limited to 20 total PEs / 4 resources")
-    job_list = sorted(jobs, key=lambda j: j.job_id)
-
-    options: list[list[tuple[str, float]]] = []
-    for job in job_list:
-        opts = [(res.resource_id, placement_cost(job, res))
-                for res in real if placement_feasible(job, res, config)]
-        if not opts:
-            return None
-        options.append(opts)
-
-    capacity = {r.resource_id: r.free_pes for r in real}
-    best_obj = float("inf")
-    best: dict[tuple[str, str], int] | None = None
-    current: dict[tuple[str, str], int] = {}
-
-    def assign(ji: int, cost: float) -> None:
-        nonlocal best_obj, best
-        if cost > best_obj + 1e-12:
-            return
-        if ji == len(job_list):
-            if cost < best_obj - 1e-12:
-                best_obj = cost
-                best = dict(current)
-            return
-        job = job_list[ji]
-        for rid, pair_cost in options[ji]:
-            if capacity[rid] < job.pe_count:
-                continue
-            capacity[rid] -= job.pe_count
-            current[(rid, job.job_id)] = job.pe_count
-            assign(ji + 1, cost + pair_cost)
-            del current[(rid, job.job_id)]
-            capacity[rid] += job.pe_count
-
-    assign(0, 0.0)
-    if best is None:
-        return None
-    return AllocationMatrix(best)
-
-
-def dump_lp(model: RelaxedModel) -> str:
-    """Debug dump of the model as one LP-ish text line per row."""
-    def var(rid: str, jid: str) -> str:
-        return f"x[{rid},{jid}]"
-
-    terms = " + ".join(
-        f"{model.cost_coeff[p]:.6g} {var(*p)}" for p in model.pair_order
-    )
-    rows: list[str] = []
-    by_res: dict[str, list[tuple[str, str]]] = {}
-    for p in model.pair_order:
-        by_res.setdefault(p[0], []).append(p)
-    for res in model.resources:
-        rid = res.resource_id
-        if rid not in by_res:
-            continue
-        lhs = " + ".join(var(*p) for p in sorted(by_res[rid], key=lambda p: p[1]))
-        rows.append(f"cap[{rid}]: {lhs} <= {res.free_pes}")
-    for job in model.jobs:
-        mine = [p for p in model.pair_order if p[1] == job.job_id]
-        lhs = " + ".join(var(*p) for p in mine)
-        rows.append(f"dem[{job.job_id}]: {lhs} = {job.pe_count}")
-    for job in model.jobs:
-        mine = [p for p in model.pair_order if p[1] == job.job_id and p in model.budget_weight]
-        if not mine:
-            continue
-        lhs = " + ".join(f"{model.budget_weight[p]:.6g} {var(*p)}" for p in mine)
-        rows.append(f"bud[{job.job_id}]: {lhs} <= {job.budget_gd:.6g}")
-    return f"min: {terms}; st: " + "; ".join(rows) + ";"

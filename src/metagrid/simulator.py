@@ -33,7 +33,6 @@ from .model import (
     ResourceInfo,
     Schedule,
     build_schedule,
-    ensure_dummy,
     exec_time,
 )
 from .relaxed import build_relaxed, solve_relaxed
@@ -89,11 +88,7 @@ def _run_greedy(jobs, resources, config, params):
 def _run_mmc(jobs, resources, config, params):
     model = build_relaxed(jobs, resources, config)
     alloc = solve_relaxed(model)
-    pool, _ = ensure_dummy(jobs, model.resources)
-    schedule = modified_min_cost(
-        mappings_from_allocation(alloc), jobs, pool, config
-    )
-    return schedule, 0
+    return modified_min_cost(mappings_from_allocation(alloc), jobs, model.resources, config), 0
 
 
 def _run_relaxed_mgn(jobs, resources, config, params):

@@ -25,11 +25,12 @@ import json
 import math
 import random
 import warnings
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .model import JobRequest, ResourceInfo
+from .model import DUMMY_ID, JobRequest, ResourceInfo
 
 
 class BadConfigError(ValueError):
@@ -317,12 +318,27 @@ def _records_from_lines(text: str) -> list[dict]:
     return records
 
 
+def _unique(records: list, key: str) -> list:
+    """The records, unless two share the id ``key``."""
+    twice = [value for value, n in Counter(getattr(r, key) for r in records).items() if n > 1]
+    if twice:
+        raise BadConfigError(f"duplicate {key} {twice[0]}")
+    return records
+
+
+def _grid(records: list) -> list[ResourceInfo]:
+    grid = [_resource_from_dict(d) for d in records]
+    if any(r.resource_id == DUMMY_ID and not r.is_dummy for r in grid):
+        raise BadConfigError(f"non-dummy resource uses reserved id {DUMMY_ID}")
+    return _unique(grid, "resource_id")
+
+
 def grid_to_json(resources: Sequence[ResourceInfo]) -> str:
     return json.dumps([_resource_to_dict(r) for r in resources], indent=2)
 
 
 def grid_from_json(text: str) -> list[ResourceInfo]:
-    return [_resource_from_dict(d) for d in _records_from_json(text)]
+    return _grid(_records_from_json(text))
 
 
 def grid_to_lines(resources: Sequence[ResourceInfo]) -> str:
@@ -330,7 +346,7 @@ def grid_to_lines(resources: Sequence[ResourceInfo]) -> str:
 
 
 def grid_from_lines(text: str) -> list[ResourceInfo]:
-    return [_resource_from_dict(d) for d in _records_from_lines(text)]
+    return _grid(_records_from_lines(text))
 
 
 def jobs_to_json(jobs: Sequence[JobRequest]) -> str:
@@ -338,7 +354,7 @@ def jobs_to_json(jobs: Sequence[JobRequest]) -> str:
 
 
 def jobs_from_json(text: str) -> list[JobRequest]:
-    return [_job_from_dict(d) for d in _records_from_json(text)]
+    return _unique([_job_from_dict(d) for d in _records_from_json(text)], "job_id")
 
 
 def jobs_to_lines(jobs: Sequence[JobRequest]) -> str:
@@ -346,4 +362,4 @@ def jobs_to_lines(jobs: Sequence[JobRequest]) -> str:
 
 
 def jobs_from_lines(text: str) -> list[JobRequest]:
-    return [_job_from_dict(d) for d in _records_from_lines(text)]
+    return _unique([_job_from_dict(d) for d in _records_from_lines(text)], "job_id")

@@ -33,15 +33,10 @@ from metagrid.model import (
     schedule_cost,
     validate,
 )
-from metagrid.relaxed import (
-    brute_force_relaxed,
-    brute_force_sgn,
-    build_relaxed,
-    relaxed_objective,
-    solve_relaxed,
-)
+from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import run_scenario
 from metagrid.workload import ScenarioConfig, generate_scenario
+from oracles import brute_force_relaxed, brute_force_sgn, relaxed_objective
 
 SWEEP_COUNTS = (25, 50, 100, 150, 200)
 SWEEP_SEEDS = tuple(range(10))

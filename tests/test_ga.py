@@ -42,7 +42,7 @@ from metagrid.model import (
     schedule_cost,
     validate,
 )
-from metagrid.relaxed import brute_force_sgn
+from oracles import brute_force_sgn
 
 
 class _FixedCut:

@@ -12,7 +12,7 @@ from metagrid.model import (
     schedule_cost,
     validate,
 )
-from metagrid.relaxed import brute_force_sgn
+from oracles import brute_force_sgn
 
 
 def test_s1(s1_jobs, s1_resources):

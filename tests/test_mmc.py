@@ -13,6 +13,7 @@ from metagrid.mmc import (
     schedule_dummy_jobs,
 )
 from metagrid.model import (
+    DUMMY_ID,
     AllocationMatrix,
     DEFAULT_CONFIG,
     JobKind,
@@ -24,12 +25,8 @@ from metagrid.model import (
     schedule_cost,
     validate,
 )
-from metagrid.relaxed import (
-    brute_force_sgn,
-    build_relaxed,
-    relaxed_objective,
-    solve_relaxed,
-)
+from metagrid.relaxed import build_relaxed, solve_relaxed
+from oracles import brute_force_sgn, relaxed_objective
 
 
 def consolidate(jobs, resources, stats=None):
@@ -345,7 +342,7 @@ def test_step_counter_is_instrumented(s1_jobs, s1_resources):
 
 
 def test_modified_min_cost_without_dummy_resource_still_reports_parked():
-    # no dummy in the pool at all: parking is visible via dummy_jobs only
+    # no dummy in the pool: the one ensure_dummy adds holds the parked job
     job = JobRequest("U", "C", 1e6, 100.0, (1000.0,) * 3, 3)
     resources = [
         ResourceInfo("R1", 2, 1.0, 100.0),
@@ -355,4 +352,4 @@ def test_modified_min_cost_without_dummy_resource_still_reports_parked():
     schedule = modified_min_cost(relaxed, [job], resources)
     assert isinstance(schedule, Schedule)
     assert schedule.dummy_jobs == {"C"}
-    assert schedule.assignments.entries == {}
+    assert schedule.assignments.entries == {(DUMMY_ID, "C"): 3}

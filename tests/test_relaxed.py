@@ -5,35 +5,48 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog as scipy_linprog
 
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_instance
 from metagrid.model import (
+    DUMMY_ID,
     AllocationMatrix,
     BudgetSemantics,
     JobKind,
     JobRequest,
     ResourceInfo,
     SchedulerConfig,
+    breach_count,
     budget_limit,
+    exec_time,
     meets_deadline,
     pair_charge,
+    placement_cost,
+    placement_feasible,
     schedule_cost,
     validate,
 )
+import metagrid.relaxed as relaxed_module
 from metagrid.relaxed import (
     EmptyGridError,
     InfeasibleError,
-    TooLargeError,
-    brute_force_relaxed,
-    brute_force_sgn,
+    _model_arrays,
     build_relaxed,
-    dump_lp,
-    relaxed_objective,
     solve_relaxed,
 )
 from metagrid.workload import ScenarioConfig, generate_scenario
+from oracles import (
+    TooLargeError,
+    brute_force_relaxed,
+    brute_force_sgn,
+    relaxed_objective,
+    views,
+)
+
+TIME_INCLUSIVE = BudgetSemantics.TIME_INCLUSIVE
 
 
 def build_and_solve(jobs, resources):
@@ -45,22 +58,23 @@ def build_and_solve(jobs, resources):
 
 
 def test_build_s1_feasible_pairs(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources, SchedulerConfig(allow_dummy=False))
+    strict = build_relaxed(s1_jobs, s1_resources, SchedulerConfig(allow_dummy=False))
+    model = views(strict)
     assert model.feasible_pairs == {("R1", "A"), ("R2", "A"), ("R2", "B")}
     assert model.cost_coeff[("R1", "A")] == 10.0
     assert model.cost_coeff[("R2", "A")] == 15.0
     assert model.cost_coeff[("R2", "B")] == 30.0
-    assert model.dummy_id is None  # real capacity suffices
+    assert strict.dummy_id is None  # real capacity suffices
     # with parking allowed the dummy is always there, one pair per job
     parked = build_relaxed(s1_jobs, s1_resources)
-    assert parked.feasible_pairs - model.feasible_pairs == {
+    assert views(parked).feasible_pairs - model.feasible_pairs == {
         (parked.dummy_id, "A"), (parked.dummy_id, "B"),
     }
 
 
 def test_build_excludes_deadline_violating_pairs(s1_jobs, s1_resources):
     model = build_relaxed(s1_jobs, s1_resources)
-    assert ("R1", "B") not in model.feasible_pairs  # 20 s > 15 s deadline
+    assert ("R1", "B") not in model.pair_order  # 20 s > 15 s deadline
 
 
 def test_build_adds_dummy_when_demand_overflows(s1_resources):
@@ -69,7 +83,7 @@ def test_build_adds_dummy_when_demand_overflows(s1_resources):
     ]  # 15 PEs demanded, 8 real
     model = build_relaxed(greedy_jobs, s1_resources)
     assert model.dummy_id is not None
-    dummy_pairs = {p for p in model.feasible_pairs if p[0] == model.dummy_id}
+    dummy_pairs = {p for p in model.pair_order if p[0] == model.dummy_id}
     assert len(dummy_pairs) == 3  # always admissible
 
 
@@ -77,7 +91,7 @@ def test_build_adds_dummy_for_unplaceable_job(s1_resources):
     impossible = JobRequest("U", "X", 1e6, 1.0, (9000.0,), 1)  # no machine fast enough
     model = build_relaxed([impossible], s1_resources)
     assert model.dummy_id is not None
-    assert all(p[0] == model.dummy_id for p in model.feasible_pairs)
+    assert all(p[0] == model.dummy_id for p in model.pair_order)
 
 
 def test_build_empty_grid_without_dummy_raises():
@@ -86,42 +100,77 @@ def test_build_empty_grid_without_dummy_raises():
         build_relaxed([job], [], SchedulerConfig(allow_dummy=False))
 
 
+def test_build_rejects_a_real_resource_using_the_dummy_id():
+    # a real "DUMMY" at rate 1.0 must not pass for the parking lot: the
+    # model would hold two resources of that id and park jobs on 1 PE
+    resources = [ResourceInfo("DUMMY", 1, 1.0, 100.0), ResourceInfo("R1", 1, 1.0, 100.0)]
+    jobs = [JobRequest("U", jid, 1e6, 1e6, (1000.0,), 1) for jid in "ABC"]
+    with pytest.raises(ValueError, match="reserved id DUMMY"):
+        build_relaxed(jobs, resources)
+
+
 @pytest.mark.parametrize("semantics", list(BudgetSemantics))
 def test_pair_table_matches_the_per_pair_rule(semantics):
-    """Reference loop: each pair's admissibility, coefficient and budget
-    weight, computed one pair at a time by the whole-job rule of ``model``
-    (the deadline predicate and the charge of one PE); the floats must be
-    identical.  A dummy pair also carries the parking surcharge: every
+    """Reference loop: every field of the batch's pair table, and each
+    pair's admissibility and objective coefficient in the relaxation,
+    computed one pair at a time by the scalar helpers of ``model``; the
+    floats must be identical.  A dummy column follows the same formulas,
+    except that its budget weight is 0.0 and it is always feasible and
+    admissible.  Its coefficient also carries the parking surcharge: every
     job's PEs at its dearest admissible coefficient."""
     config = SchedulerConfig(budget_semantics=semantics)
     eps = config.epsilon
     for seed in range(100):
         jobs, resources = fuzz_instance(seed)
         model = build_relaxed(jobs, resources, config)
-        kept = {}
-        for job in model.jobs:
-            for res in model.resources:
-                key = (res.resource_id, job.job_id)
-                coeff = pair_charge(job, res, 1, BudgetSemantics.TIME_INCLUSIVE)
-                if res.is_dummy:
-                    weight, admissible = 0.0, True
-                else:
-                    weight = pair_charge(job, res, 1, semantics)
-                    admissible = (meets_deadline(job, res, eps)
-                                  and weight <= budget_limit(job.budget_gd, eps))
-                assert (key in model.feasible_pairs) is admissible, f"seed {seed} {key}"
-                if admissible:
-                    kept[key] = coeff
-                    assert model.budget_weight.get(key, 0.0) == weight
-        surcharge = sum(
-            job.pe_count * max(c for (_, jid), c in kept.items() if jid == job.job_id)
-            for job in model.jobs
+        table = model.table
+        assert table.jobs == tuple(sorted(jobs, key=lambda j: j.job_id))
+        assert [r.resource_id for r in table.resources] == sorted(
+            [r.resource_id for r in resources] + [DUMMY_ID]
         )
-        for key, coeff in kept.items():
-            if key[0] == model.dummy_id:
-                assert model.cost_coeff[key] == pytest.approx(coeff + surcharge, rel=1e-12)
+        kept = {}
+        for j, job in enumerate(table.jobs):
+            for r, res in enumerate(table.resources):
+                where = f"seed {seed} ({res.resource_id}, {job.job_id})"
+                weight = 0.0 if res.is_dummy else pair_charge(job, res, 1, semantics)
+                assert table.exec_s[j, r] == exec_time(job, res), where
+                assert table.coeff[j, r] == pair_charge(job, res, 1, TIME_INCLUSIVE), where
+                assert table.cost[j, r] == placement_cost(job, res), where
+                assert table.weight[j, r] == weight, where
+                assert table.on_time[j, r] == meets_deadline(job, res, eps), where
+                assert table.breaches[j, r] == breach_count(job, res, config), where
+                assert table.feasible[j, r] == placement_feasible(job, res, config), where
+                assert table.dummy[r] == res.is_dummy, where
+                admissible = res.is_dummy or (
+                    meets_deadline(job, res, eps) and weight <= budget_limit(job.budget_gd, eps)
+                )
+                assert model.admissible[j, r] == admissible, where
+                if admissible:
+                    kept[(j, r)] = pair_charge(job, res, 1, TIME_INCLUSIVE)
+        surcharge = sum(
+            job.pe_count * max(c for (row, _), c in kept.items() if row == j)
+            for j, job in enumerate(table.jobs)
+        )
+        for (j, r), coeff in kept.items():
+            if table.dummy[r]:
+                assert model.objective[j, r] == pytest.approx(coeff + surcharge, rel=1e-12)
             else:
-                assert model.cost_coeff[key] == coeff
+                assert model.objective[j, r] == coeff
+
+
+def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources):
+    """The benchmark's tracer rebinds ``build_relaxed``, ``solve_relaxed``,
+    ``_model_arrays`` and ``linprog`` in this module and reports
+    ``len(model.pair_order)`` and the row counts of the assembled arrays."""
+    model = build_relaxed(s1_jobs, s1_resources)
+    assert len(model.pair_order) == model.admissible.sum() == 5
+    arrays = _model_arrays(model)
+    assert len(arrays) == 6
+    c, a_ub, b_ub, a_eq, b_eq, ub = arrays
+    assert len(c) == len(ub) == a_eq.shape[1] == model.columns.sum()
+    assert a_eq.shape[0] == len(b_eq) == len(model.jobs)
+    assert a_ub.shape[0] == len(b_ub)
+    assert relaxed_module.linprog is scipy_linprog
 
 
 # --- exact solve ------------------------------------------------------------
@@ -179,7 +228,7 @@ def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
 
 
 def every_column(model):
-    return dataclasses.replace(model, lp_columns=model.pair_order)
+    return dataclasses.replace(model, columns=model.admissible)
 
 
 def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
@@ -195,7 +244,7 @@ def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
     ]
     model = build_relaxed(jobs, resources, SchedulerConfig(allow_dummy=False))
     assert len(model.pair_order) == 8
-    assert model.lp_columns == (
+    assert views(model).lp_columns == (
         ("R2", "A"), ("R3", "A"), ("R2", "B"), ("R3", "B"),
     )
 
@@ -205,7 +254,7 @@ def test_columns_keep_the_dummy_pair(s1_resources):
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]
     model = build_relaxed(jobs, s1_resources)
-    assert {p for p in model.lp_columns if p[0] == model.dummy_id} == {
+    assert {p for p in views(model).lp_columns if p[0] == model.dummy_id} == {
         (model.dummy_id, j.job_id) for j in jobs
     }
 
@@ -215,7 +264,7 @@ def test_literal_budgets_keep_every_admissible_column():
     for seed in range(60):
         jobs, resources = fuzz_instance(seed)
         model = build_relaxed(jobs, resources, literal)
-        assert model.lp_columns == model.pair_order, f"instance seed {seed}"
+        assert (model.columns == model.admissible).all(), f"instance seed {seed}"
 
 
 def solve_both(model):
@@ -241,7 +290,7 @@ def test_column_pruning_keeps_the_optimum_on_tiny_instances():
                 assert fewer is None, f"instance seed {seed}"
             else:
                 assert fewer == pytest.approx(full, abs=1e-9), f"instance seed {seed}"
-            pruned += len(model.lp_columns) < len(model.pair_order)
+            pruned += model.columns.sum() < model.admissible.sum()
     assert pruned > 50
 
 
@@ -256,7 +305,7 @@ def test_column_pruning_keeps_the_optimum_on_generated_scenarios(resource_count,
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
         if resource_count == 200:
-            assert len(model.lp_columns) < len(model.pair_order) / 3
+            assert model.columns.sum() < model.admissible.sum() / 3
 
 
 @st.composite
@@ -305,20 +354,21 @@ def test_parking_is_a_last_resort_on_wide_speed_spreads(instance):
     has a free PE whose budget weight still fits the job's budget."""
     jobs, resources = instance
     model, alloc = build_and_solve(jobs, resources)
+    view = views(model)
     load = Counter()
     spent = Counter()
     for (rid, jid), pes in alloc.items():
         load[rid] += pes
-        spent[jid] += model.budget_weight.get((rid, jid), 0.0) * pes
+        spent[jid] += view.budget_weight.get((rid, jid), 0.0) * pes
     free = {r.resource_id: r.free_pes - load[r.resource_id] for r in model.resources}
     for job in model.jobs:
         if not alloc.pes(model.dummy_id, job.job_id):
             continue
-        limit = budget_limit(job.budget_gd, model.epsilon)
-        for rid, jid in model.feasible_pairs:
+        limit = budget_limit(job.budget_gd, SchedulerConfig().epsilon)
+        for rid, jid in view.feasible_pairs:
             if jid != job.job_id or rid == model.dummy_id or free[rid] <= 0:
                 continue
-            assert spent[jid] + model.budget_weight[(rid, jid)] > limit, (
+            assert spent[jid] + view.budget_weight[(rid, jid)] > limit, (
                 f"{jid} parks a PE while {rid} has {free[rid]} free and affordable"
             )
 
@@ -377,8 +427,7 @@ def test_the_relaxation_parks_the_fewest_pes_possible(instance):
     jobs, resources = instance
     model, alloc = build_and_solve(jobs, resources)
     parking_only = dataclasses.replace(
-        model,
-        cost_coeff={p: float(p[0] == model.dummy_id) for p in model.pair_order},
+        model, objective=np.broadcast_to(model.table.dummy.astype(float), model.objective.shape)
     )
     assert parked_count(model, alloc) == parked_count(model, brute_force_relaxed(parking_only))
 
@@ -478,18 +527,3 @@ def test_brute_force_sgn_s1(s1_jobs, s1_resources):
 def test_brute_force_sgn_none_when_impossible(s1_resources):
     job = JobRequest("U", "J", 1e6, 100.0, (1000.0,) * 5, 5)  # 5 > any n_i
     assert brute_force_sgn([job], s1_resources) is None
-
-
-# --- debug dump -------------------------------------------------------------
-
-
-def test_dump_lp_s1(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources, SchedulerConfig(allow_dummy=False))
-    text = dump_lp(model)
-    assert text.startswith("min: 10 x[R1,A] + 15 x[R2,A] + 30 x[R2,B]; st: ")
-    assert "cap[R1]: x[R1,A] <= 4" in text
-    assert "cap[R2]: x[R2,A] + x[R2,B] <= 4" in text
-    assert "dem[A]: x[R1,A] + x[R2,A] = 2" in text
-    assert "dem[B]: x[R2,B] = 3" in text
-    assert "bud[A]: 10 x[R1,A] + 15 x[R2,A] <= 100" in text
-    assert text.endswith(";")

@@ -271,6 +271,16 @@ def _with(record: dict, field: str, value) -> str:
     pytest.param(jobs_from_json, _with(_JOB, "user_id", 7), "user_id", id="user_id-number"),
     pytest.param(grid_from_json, _with(_RESOURCE, "resource_id", 3), "resource_id",
                  id="resource_id-number"),
+    pytest.param(grid_from_json, json.dumps([_RESOURCE, _RESOURCE]), "duplicate resource_id R",
+                 id="resource_id-duplicate"),
+    pytest.param(grid_from_lines, "\n".join([json.dumps(_RESOURCE)] * 2),
+                 "duplicate resource_id R", id="resource_id-duplicate-lines"),
+    pytest.param(jobs_from_json, json.dumps([_JOB, _JOB]), "duplicate job_id J",
+                 id="job_id-duplicate"),
+    pytest.param(jobs_from_lines, "\n".join([json.dumps(_JOB)] * 2), "duplicate job_id J",
+                 id="job_id-duplicate-lines"),
+    pytest.param(grid_from_json, _with(_RESOURCE, "resource_id", "DUMMY"), "reserved id DUMMY",
+                 id="resource_id-reserved"),
 ])
 def test_mistyped_records_are_rejected_at_load(load, text, match):
     with pytest.raises(BadConfigError, match=match):
