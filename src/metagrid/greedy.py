@@ -34,7 +34,6 @@ def greedy_schedule(
     if not jobs:
         return Schedule.empty()
     pool, dummy_id = ensure_dummy(jobs, resources)
-    res_by_id = {r.resource_id: r for r in pool}
     real = [r for r in pool if not r.is_dummy]
     available = {r.resource_id: r.free_pes for r in real}
     ranked = sorted(real, key=lambda r: (r.cost_per_pe_second, r.resource_id))

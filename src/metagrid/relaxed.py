@@ -30,9 +30,18 @@ bare rate, a cheaper placement can charge more, and every admissible pair
 stays a column.  The move never touches a parked PE, so the pruned
 program keeps the fewest parked PEs too.
 
-``solve_relaxed`` hands the integer program to the HiGHS branch-and-cut
-engine (via scipy) at zero optimality gap and re-checks the rounded
-answer exactly before trusting it.
+``solve_relaxed`` hands these arrays to HiGHS (via scipy) as a plain LP
+first.  Without budget rows the constraints are one demand equality per
+job and one capacity inequality per resource over job x resource
+columns: a transportation matrix, which is totally unimodular.  Every
+right-hand side and every column bound is an integer (PE counts, free
+PEs, and bounds floored in ``_model_arrays``), so every vertex of the LP
+is integral and the vertex HiGHS returns is an optimum of the integer
+program.  Only a budget row can break this, and ``_model_arrays`` keeps
+only the budget rows that can bind.  When one makes the vertex
+fractional, the same arrays go to the branch-and-cut engine at zero
+optimality gap.  Either answer is re-checked exactly before it is
+trusted.
 """
 
 from __future__ import annotations
@@ -200,13 +209,18 @@ def _check_integer_solution(model: RelaxedModel, ji, ri, x) -> bool:
 def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     """Optimal integer solution of the relaxation.
 
-    The integer program goes straight to the HiGHS branch-and-cut engine
-    at zero optimality gap, and the rounded answer is re-checked exactly
-    before we trust it (once more with tightened solver tolerances if the
-    first pass is numerically off).  Deterministic for a fixed
-    environment; ties between equal-cost optima resolve by the engine's
-    fixed search order.  Raises InfeasibleError when the demands cannot be
-    met, which needs a model built with ``allow_dummy=False``.
+    The arrays go to HiGHS (via scipy) first as a plain LP.  When no budget
+    row binds, its vertex is already an integer optimum (module docstring),
+    and it is taken if every entry lies within 1e-9 of an integer and the
+    rounded answer passes an exact feasibility re-check.  Otherwise the
+    same arrays go to the branch-and-cut engine as an integer program at
+    zero optimality gap, and its rounded answer must pass the same re-check.
+    A fractional vertex is never rounded and taken: feasible is not
+    optimal.  Deterministic for a fixed environment; ties between
+    equal-cost optima resolve by the engine's fixed pivoting and search
+    order.  Raises InfeasibleError when the demands cannot be met, which
+    needs a model built with ``allow_dummy=False``; an infeasible LP says
+    so at once, since the integer program is then infeasible too.
     """
     if not model.jobs:
         return AllocationMatrix.empty()
@@ -219,13 +233,7 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     ji, ri = np.nonzero(model.columns)
     n = len(ji)
     bounds = np.column_stack([np.zeros(n), base_ub])
-    exact = {"mip_rel_gap": 0.0}
-    tightened = {
-        **exact,
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
-    for options in (exact, tightened):
+    for integrality in (None, np.ones(n)):  # the LP, then the integer program
         res = linprog(
             c,
             A_ub=a_ub,
@@ -234,16 +242,17 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
             b_eq=b_eq,
             bounds=bounds,
             method="highs",
-            integrality=np.ones(n),
-            options=options,
+            integrality=integrality,
+            options={"mip_rel_gap": 0.0},
         )
         if res.status == 2:  # infeasible
             raise InfeasibleError("no integer allocation satisfies the demands")
         if res.status != 0:
-            raise RuntimeError(
-                f"MILP solve failed with status {res.status}: {res.message}"
-            )
-        x = np.rint(res.x).astype(int)
+            raise RuntimeError(f"HiGHS solve failed with status {res.status}: {res.message}")
+        x = np.rint(res.x)
+        if integrality is None and np.abs(res.x - x).max() > 1e-9:
+            continue  # never round a fractional vertex: solve the integer program
+        x = x.astype(int)
         if _check_integer_solution(model, ji, ri, x):
             return AllocationMatrix({
                 (model.resources[ri[k]].resource_id, model.jobs[ji[k]].job_id): int(x[k])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from metagrid.relaxed import (
     build_relaxed,
     solve_relaxed,
 )
+from metagrid import simulator
 from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
     TooLargeError,
@@ -171,6 +174,8 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources):
     assert a_eq.shape[0] == len(b_eq) == len(model.jobs)
     assert a_ub.shape[0] == len(b_ub)
     assert relaxed_module.linprog is scipy_linprog
+    # the tracer counts HiGHS calls at this one call site
+    assert inspect.getsource(relaxed_module).count("linprog(") == 1
 
 
 # --- exact solve ------------------------------------------------------------
@@ -203,12 +208,29 @@ def test_solve_zero_jobs_is_empty():
     assert solve_relaxed(model).entries == {}
 
 
-def test_solve_infeasible_without_dummy():
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """The (integrality, result) of every HiGHS call ``solve_relaxed``
+    makes, in call order."""
+    calls = []
+
+    def recording(c, **kwargs):
+        res = scipy_linprog(c, **kwargs)
+        calls.append((kwargs.get("integrality"), res))
+        return res
+
+    monkeypatch.setattr(relaxed_module, "linprog", recording)
+    return calls
+
+
+def test_solve_infeasible_without_dummy(highs_calls):
     job = JobRequest("U", "J", 10.0, 10.0, (100.0,) * 5, 5)
     res = ResourceInfo("R", 2, 1.0, 100.0)  # capacity 2 < 5
     model = build_relaxed([job], [res], SchedulerConfig(allow_dummy=False))
     with pytest.raises(InfeasibleError):
         solve_relaxed(model)
+    # an infeasible LP relaxation needs no integer program after it
+    assert [integrality for integrality, _ in highs_calls] == [None]
 
 
 def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
@@ -445,6 +467,115 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
     strict = build_relaxed([job], [res], SchedulerConfig(allow_dummy=False))
     with pytest.raises(InfeasibleError):
         solve_relaxed(strict)
+
+
+# --- LP first, integer program on a fractional vertex ------------------------
+
+
+def binding_budget_models():
+    """The test corpus (``tiny_instance`` 0-199 and ``fuzz_instance``
+    0-299, under both budget semantics, with parking on and off) cut to the
+    solvable models that keep a budget row: the only rows that can make an
+    LP vertex fractional."""
+    for instance, count in ((tiny_instance, 200), (fuzz_instance, 300)):
+        for seed in range(count):
+            jobs, resources = instance(seed)
+            for semantics in BudgetSemantics:
+                for allow_dummy in (False, True):
+                    config = SchedulerConfig(allow_dummy=allow_dummy, budget_semantics=semantics)
+                    model = build_relaxed(jobs, resources, config)
+                    if not model.columns.any(axis=1).all():
+                        continue  # raises before any HiGHS call
+                    _, a_ub, *_ = _model_arrays(model)
+                    capacity_rows = len(np.unique(np.nonzero(model.columns)[1]))
+                    if a_ub.shape[0] > capacity_rows:
+                        yield f"{instance.__name__}({seed}) {config}", model
+
+
+def forced_milp(model):
+    """The zero-gap integer program's allocation over ``model``'s arrays,
+    with no LP pass before it; None when it is infeasible."""
+    c, a_ub, b_ub, a_eq, b_eq, ub = _model_arrays(model)
+    res = scipy_linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=np.column_stack([np.zeros(len(c)), ub]), method="highs",
+        integrality=np.ones(len(c)), options={"mip_rel_gap": 0.0},
+    )
+    if res.status == 2:
+        return None
+    ji, ri = np.nonzero(model.columns)
+    return AllocationMatrix({
+        (model.resources[r].resource_id, model.jobs[j].job_id): int(x)
+        for j, r, x in zip(ji, ri, np.rint(res.x))
+    })
+
+
+def test_fractional_vertices_fall_back_to_the_integer_program(highs_calls):
+    """The integer program runs exactly when the LP vertex is fractional,
+    so no rounded fractional vertex is ever taken, and the answer is the
+    brute-force optimum wherever the oracle can enumerate (the zero-gap
+    integer program's elsewhere: there a rounded vertex can be feasible
+    and dearer)."""
+    fallbacks = enumerated = 0
+    for where, model in binding_budget_models():
+        highs_calls.clear()
+        try:
+            alloc = solve_relaxed(model)
+        except InfeasibleError:
+            alloc = None
+        lp = highs_calls[0][1]
+        lp_fractional = lp.status == 0 and np.abs(lp.x - np.rint(lp.x)).max() > 1e-9
+        assert len(highs_calls) == 1 + lp_fractional, where
+        fallbacks += lp_fractional
+        try:
+            reference = brute_force_relaxed(model)
+            enumerated += 1
+        except TooLargeError:
+            reference = forced_milp(model)
+        except InfeasibleError:
+            reference = None
+            enumerated += 1
+        if reference is None:
+            assert alloc is None, where
+        else:
+            assert relaxed_objective(model, alloc) == pytest.approx(
+                relaxed_objective(model, reference), rel=1e-9, abs=1e-9
+            ), where
+    assert fallbacks > 0
+    assert enumerated > 100
+
+
+def first_batch(config):
+    """The jobs and resources of the first period ``run_scenario``
+    schedules for ``config``."""
+    seen = []
+
+    class Seen(Exception):
+        pass
+
+    def capture(jobs, resources, *_):
+        seen.append((jobs, resources))
+        raise Seen
+
+    with mock.patch.dict(simulator.SCHEDULERS, {"relaxed-mgn": capture}), pytest.raises(Seen):
+        simulator.run_scenario(config, "relaxed-mgn")
+    return seen[0]
+
+
+@pytest.mark.parametrize("resource_count, job_count", [(200, 50), (50, 200)])
+def test_benchmark_batches_take_the_lp_vertex_unchanged(resource_count, job_count, highs_calls):
+    """On the benchmark's traffic the LP vertex is integral, so no fallback
+    runs, and it is the allocation the zero-gap integer program returns."""
+    for seed in range(3):
+        jobs, resources = first_batch(ScenarioConfig(
+            resource_count=resource_count, job_count=job_count,
+            deadline_mode="medium", rng_seed=seed,
+        ))
+        model = build_relaxed(jobs, resources)
+        highs_calls.clear()
+        alloc = solve_relaxed(model)
+        assert [integrality for integrality, _ in highs_calls] == [None], f"scenario seed {seed}"
+        assert alloc == forced_milp(model), f"scenario seed {seed}"
 
 
 # --- oracles ----------------------------------------------------------------
