@@ -1,6 +1,6 @@
 """Golden GA runs: the exact iteration counts, best-fitness traces, seed
-fitness, convergence flags and best gene maps that the GA produced on six
-fixed instances.
+fitness, convergence flags and best gene maps that the GA produced on eight
+fixed instances, two of them at the benchmark's GA settings.
 
 The GA consumes one ``random.Random`` stream in a fixed order (initial
 genes, two roulette draws per pair, the crossover draw and cut, one draw
@@ -69,6 +69,18 @@ CASES = {
         _unseeded,
         GaParams(max_iterations=12, rng_seed=7),
     ),
+    # the benchmark's GA settings: long enough runs to cross many blocks
+    # of the random stream
+    "200x50-hga-bench": (
+        lambda: _batch(200, 50, 11),
+        _pipeline(hga),
+        GaParams(population_size=30, convergence_window=25, max_iterations=300, rng_seed=11),
+    ),
+    "50x200-lpga-bench": (
+        lambda: _batch(50, 200, 8),
+        _pipeline(lpga),
+        GaParams(population_size=30, convergence_window=25, max_iterations=300, rng_seed=8),
+    ),
 }
 
 
@@ -105,6 +117,54 @@ GOLDEN = {
         "seed_fitness": "451422.23563026387",
         "converged": False,
         "best": "647f872ff0f5d2fe",
+    },
+    "200x50-hga-bench": {
+        "iterations_used": 119,
+        "trace": [
+            "448702.80191582296", "448702.80191582296", "448702.80191582296",
+            "448702.80191582296", "448702.80191582296", "448702.80191582296",
+            "448702.80191582296", "448394.43289556424", "448215.43462714605",
+            "441689.20630014775", "441689.20630014775", "441689.20630014775",
+            "440879.7386075992", "436532.6183069636", "436532.6183069636",
+            "436532.6183069636", "436532.6183069636", "436532.6183069636",
+            "436532.6183069636", "436532.6183069636", "436532.6183069636",
+            "436532.6183069636", "436532.6183069636", "436532.6183069636",
+            "436532.6183069636", "436532.6183069636", "430906.47767765465",
+            "430906.47767765465", "430906.47767765465", "430473.85324310465",
+            "430473.85324310465", "430473.85324310465", "430144.9982673723",
+            "427551.4153708232", "427551.4153708232", "427551.4153708232",
+            "427551.4153708232", "427551.4153708232", "427551.4153708232",
+            "427551.4153708232", "426031.6795721688", "426031.6795721688",
+            "426031.6795721688", "426031.6795721688", "426031.6795721688",
+            "423685.8285161927", "423685.8285161927", "422922.0503575756",
+            "422922.0503575756", "422922.0503575756", "420663.5968232953",
+            "419316.6186767413", "419316.6186767413", "419316.6186767413",
+            "419316.6186767413", "419316.6186767413", "419316.6186767413",
+            "419316.6186767413", "419316.6186767413", "419316.6186767413",
+            "419316.6186767413", "419316.6186767413", "419316.6186767413",
+            "419316.6186767413", "419316.6186767413", "418862.9935817392",
+            "418862.9935817392", "418862.9935817392", "418862.9935817392",
+            "418862.9935817392", "418862.9935817392", "418862.9935817392",
+            "418862.9935817392", "418862.9935817392", "418862.9935817392",
+            "418862.9935817392", "418862.9935817392", "418862.9935817392",
+            "418862.9935817392", "418862.9935817392", "418862.9935817392",
+            "418222.63253603195", "418222.63253603195", "418222.63253603195",
+            "418222.63253603195", "418222.63253603195", "418222.63253603195",
+            "418222.63253603195", "418222.63253603195", "418222.63253603195",
+            "418222.63253603195", "418222.63253603195", "418222.63253603195",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156", "415875.05282636156",
+            "415875.05282636156", "415875.05282636156",
+        ],
+        "seed_fitness": "448702.80191582296",
+        "converged": True,
+        "best": "aa93e401e237fae2",
     },
     "200x50-lpga": {
         "iterations_used": 20,
@@ -144,6 +204,23 @@ GOLDEN = {
         "seed_fitness": "inf",
         "converged": False,
         "best": "ef19ea8f19f40b72",
+    },
+    "50x200-lpga-bench": {
+        "iterations_used": 26,
+        "trace": [
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589", "38418813.47948589",
+            "38418813.47948589", "38418813.47948589",
+        ],
+        "seed_fitness": "38418813.47948589",
+        "converged": True,
+        "best": "1f9b3b7e825f9536",
     },
     "fuzz-7-lpga": {
         "iterations_used": 15,
