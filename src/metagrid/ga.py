@@ -7,8 +7,12 @@ ids; gene maps (job id -> resource id) appear only at the boundary.
 Fitness is the real scheduling cost plus a large penalty per constraint
 violation, so the search orders candidates feasibility-first,
 cost-second, and a feasible fully-placed chromosome's fitness is exactly
-its schedule cost.  One ``random.Random`` stream, drawn in a fixed order,
-determines the whole run.
+its schedule cost.  One ``random.Random(rng_seed)`` stream, drawn in a
+fixed order, determines the whole run.  Its MT19937 words are drawn in
+blocks through numpy and decoded exactly as ``random.Random`` decodes
+them, so a generation costs no Python call per gene: its draws are
+decoded pair by pair, mutation resets are found by a scan of each block,
+and the rows are then built in one array step.
 
 ``lpga`` seeds the population with the consolidated relaxation solution;
 ``hga`` seeds it with the greedy baseline.  Everything downstream of the
@@ -22,8 +26,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from math import inf
+from math import ceil, inf
 
 import numpy as np
 
@@ -128,11 +131,22 @@ class FitnessTables:
         self.job_ids = [j.job_id for j in table.jobs]
         self.resource_ids = [r.resource_id for r in table.resources]
         self._column = {rid: k for k, rid in enumerate(self.resource_ids)}
-        self._jobs = np.arange(len(table.jobs))
         self.pes = table.pes
         self.capacity = np.where(table.dummy, inf, table.free)
-        self.cost = np.where(table.dummy, 0.0, table.cost)
-        self.breaches = np.where(table.dummy, 1, table.breaches)
+        # flat views, indexed by job row offset plus gene
+        self._cost = np.where(table.dummy, 0.0, table.cost).ravel()
+        self._breaches = np.where(table.dummy, 1, table.breaches).ravel()
+        self._job_rows = len(self.resource_ids) * np.arange(len(table.jobs))
+        self._layout_rows = -1
+
+    def _layout(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's slot offset in the load count and the PE weights of
+        all its genes, for a population of ``rows`` chromosomes."""
+        if rows != self._layout_rows:
+            self._layout_rows = rows
+            self._slots = len(self.resource_ids) * np.arange(rows)[:, None]
+            self._weights = np.tile(self.pes, rows)
+        return self._slots, self._weights
 
     def encode(self, genes: Mapping[str, str]) -> list[int]:
         """Gene row of a gene map; ``ValueError`` names a job without a
@@ -149,13 +163,14 @@ class FitnessTables:
     def score(self, population: np.ndarray) -> np.ndarray:
         """Fitness of every row of a chromosomes x jobs gene array."""
         rows, n = len(population), len(self.resource_ids)
+        slots, weights = self._layout(rows)
+        pairs = population + self._job_rows
         # cumsum adds the costs one job at a time, as a scalar loop would;
         # np.sum's pairwise summation would change the last bits
-        base = np.cumsum(self.cost[self._jobs, population], axis=1)[:, -1]
-        breaches = self.breaches[self._jobs, population].sum(axis=1)
-        slots = population + n * np.arange(rows)[:, None]
+        base = np.cumsum(self._cost[pairs], axis=1)[:, -1]
+        breaches = self._breaches[pairs].sum(axis=1)
         load = np.bincount(
-            slots.ravel(), weights=np.tile(self.pes, rows), minlength=rows * n
+            (population + slots).ravel(), weights=weights, minlength=rows * n
         ).reshape(rows, n)
         overload = np.maximum(load - self.capacity, 0.0).sum(axis=1)
         return base + self.weight * (breaches + overload)
@@ -180,49 +195,152 @@ def fitness(
 
 def roulette_wheel(
     fits: Sequence[float], floor: float | None = None
-) -> Callable[[random.Random], int]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Fitness-proportionate picker of population indexes for a
-    minimisation problem; each call of the returned function draws once.
+    minimisation problem: the returned function maps an array of
+    ``random()`` draws to one pick each.
 
     Selection weight is the gap to the worst member plus a small positive
     floor (by default one millionth of the worst fitness, or 1 when that is
     zero), so the worst member keeps a nonzero chance and a uniform
     population degrades to a uniform pick.  A pick lands on the first
-    member whose running weight total reaches it.
+    member whose running weight total reaches it, and on the last member
+    when none does.
     """
-    if not fits:
+    if not len(fits):
         raise ValueError("population must be non-empty")
-    f_max = max(fits)
+    fits = np.asarray(fits, dtype=float)
+    f_max = fits.max()
     if floor is None:
         floor = 1e-6 * f_max if f_max > 0 else 1.0
-    weights = [(f_max - f) + floor for f in fits]
-    prefix = list(accumulate(weights))
-    total = sum(weights)  # not prefix[-1]: Python >= 3.12 compensates sum()
-    last = len(fits) - 1
+    weights = (f_max - fits) + floor
+    prefix = np.cumsum(weights)[:-1]  # running totals, added left to right
+    total = sum(weights.tolist())  # not a cumsum: Python >= 3.12 compensates sum()
 
-    def spin(rng: random.Random) -> int:
-        return min(bisect_left(prefix, rng.random() * total), last)
+    def pick(draws: np.ndarray) -> np.ndarray:
+        return np.searchsorted(prefix, draws * total)
 
-    return spin
-
-
-def crossover(
-    a: list[int], b: list[int], rng: random.Random
-) -> tuple[list[int], list[int]]:
-    """Single-point crossover of two gene rows."""
-    cut = rng.randint(0, len(a))
-    return a[:cut] + b[cut:], b[:cut] + a[cut:]
+    return pick
 
 
-def mutate(
-    genes: list[int], rng: random.Random, mutation_rate: float, n_choices: int
-) -> list[int]:
-    """Uniform per-gene reset mutation: each gene is redrawn with
-    probability ``mutation_rate`` from all ``n_choices`` resources, dummy
-    included.  Returns a new row."""
-    choices = range(n_choices)
-    draw, pick = rng.random, rng.choice
-    return [pick(choices) if draw() < mutation_rate else g for g in genes]
+class _Stream:
+    """The draws of ``random.Random(seed)``, decoded from the same MT19937
+    words, which numpy draws in blocks of ``block`` words.
+
+    ``random()`` is CPython's ``random()``, made from two words.
+    ``below(n)`` is its ``_randbelow(n)``: the top ``n.bit_length()`` bits
+    of one word, drawn again while they are ``>= n``.  It is also
+    ``randint(0, n - 1)`` and ``choice(range(n))``.  ``next_hit`` skips to
+    the next ``random()`` below ``rate``: each block lists the positions
+    whose two words make one, so a mutation scan decodes no draw that
+    resets nothing.
+    """
+
+    def __init__(self, seed: int, rate: float = 0.0, block: int = 1 << 16) -> None:
+        state = random.Random(seed).getstate()[1]
+        self._bits = np.random.MT19937()
+        self._bits.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+        }
+        self._rate = rate
+        self._bound = ceil(rate * 4294967296) + 32
+        self._block = block
+        self._words, self._pos = np.empty(0, dtype=np.uint64), 0
+        self._refill(0)
+
+    def _refill(self, count: int) -> None:
+        """Start a block at the current position, with at least ``count``
+        words in it."""
+        fresh = self._bits.random_raw(max(self._block, count))
+        words = np.concatenate([self._words[self._pos :], fresh])
+        self._words, self._word, self._pos, self._end = words, memoryview(words), 0, len(words)
+        # random() < rate needs its first word below rate * 2**32 + 32;
+        # decode exact doubles only for the words that pass that test
+        first = np.flatnonzero(words[:-1] < self._bound)
+        ints = (words[first] >> 5) * 67108864 + (words[first + 1] >> 6)
+        hits = first[ints * (1.0 / 9007199254740992.0) < self._rate]
+        # split by parity, each ending in a sentinel past the block
+        self._hits = [hits[hits % 2 == odd].tolist() + [len(words)] for odd in (0, 1)]
+
+    def random(self) -> float:
+        pos = self._pos
+        if pos + 2 > self._end:
+            self._refill(2)
+            pos = 0
+        word = self._word
+        self._pos = pos + 2
+        return ((word[pos] >> 5) * 67108864.0 + (word[pos + 1] >> 6)) * (
+            1.0 / 9007199254740992.0
+        )
+
+    def below(self, n: int) -> int:
+        shift = 32 - n.bit_length()
+        while True:
+            if self._pos == self._end:
+                self._refill(1)
+            value = self._word[self._pos] >> shift
+            self._pos += 1
+            if value < n:
+                return value
+
+    def belows(self, n: int, count: int) -> np.ndarray:
+        """``count`` successive ``below(n)`` draws, as one array."""
+        shift = 32 - n.bit_length()
+        parts = [np.empty(0, dtype=np.intp)]
+        while count:
+            if self._pos + count > self._end:
+                self._refill(count)
+            # each word is kept with probability n / 2**bit_length > 1/2
+            window = self._words[self._pos : self._pos + 2 * count + 64] >> shift
+            kept = np.flatnonzero(window < n)[:count]
+            self._pos += int(kept[-1]) + 1 if len(kept) == count else len(window)
+            parts.append(window[kept].astype(np.intp))
+            count -= len(kept)
+        return np.concatenate(parts)
+
+    def next_hit(self, draws: int) -> int:
+        """How many of the next ``draws`` ``random()`` draws come before the
+        first one below ``rate``, consuming them and that one; ``draws``,
+        consuming them all, when none is below."""
+        start, end = self._pos, self._pos + 2 * draws
+        if end > self._end:
+            self._refill(2 * draws)
+            start, end = 0, 2 * draws
+        hits = self._hits[start & 1]
+        hit = hits[bisect_left(hits, start)]
+        if hit >= end:
+            self._pos = end
+            return draws
+        self._pos = hit + 2
+        return (hit - start) >> 1
+
+
+def crossover(parents: np.ndarray, cuts: np.ndarray, n_genes: int) -> np.ndarray:
+    """Single-point crossover of parent pairs, as gene sources.
+
+    ``parents`` is a pairs x 2 array of population rows (a, b), and each
+    pair has one cut.  The first child takes the genes before the cut
+    from a and the rest from b, the second child the reverse.  Returns a
+    (2 * pairs) x ``n_genes`` array: the row each child's gene comes from.
+    """
+    before = np.arange(n_genes) < cuts[:, None, None]
+    return np.where(before, parents[:, :, None], parents[:, ::-1, None]).reshape(-1, n_genes)
+
+
+def mutate(stream: _Stream, genes: range, n_choices: int) -> list[tuple[int, int]]:
+    """Uniform per-gene reset mutation: each gene of ``genes`` whose
+    ``random()`` draw falls below the stream's rate is reset to a
+    ``below(n_choices)`` draw over all resources, dummy included.  Genes
+    are flat positions in a population array, so the two children of a
+    pair, which lie end to end, mutate in one call.  Returns the (gene,
+    resource index) resets in gene order."""
+    resets = []
+    gene = genes.start + stream.next_hit(len(genes))
+    while gene < genes.stop:
+        resets.append((gene, stream.below(n_choices)))
+        gene += 1 + stream.next_hit(genes.stop - gene - 1)
+    return resets
 
 
 def decode_schedule(
@@ -303,6 +421,40 @@ def _empty_result() -> GaResult:
     )
 
 
+def _breed(
+    population: np.ndarray,
+    fits: np.ndarray,
+    stream: _Stream,
+    params: GaParams,
+    n_choices: int,
+) -> np.ndarray:
+    """The next generation: the ``elitism`` fittest rows (ties in row
+    order), then children bred pair by pair.  Each pair draws two roulette
+    picks and a crossover draw, then a cut when that draw is below
+    ``crossover_rate`` (no crossover is the cut ``n_genes``), then the
+    mutation draws of its first child and of its second.  No draw depends
+    on a gene, so the draws are decoded first and the rows built after:
+    one gather of each gene's source row, then one scatter of the resets."""
+    size, n_genes = population.shape
+    elites = np.argsort(fits, kind="stable")[: params.elitism]
+    draw, below = stream.random, stream.below
+    draws, cuts, resets = [], [], []
+    for first in range(params.elitism, size, 2):
+        draws += (draw(), draw())
+        cuts.append(below(n_genes + 1) if draw() < params.crossover_rate else n_genes)
+        children = range(first * n_genes, min(first + 2, size) * n_genes)
+        resets += mutate(stream, children, n_choices)
+    parents = roulette_wheel(fits)(np.array(draws)).reshape(-1, 2)
+    sources = np.empty((size, n_genes), dtype=np.intp)
+    sources[: params.elitism] = elites[:, None]
+    sources[params.elitism :] = crossover(parents, np.array(cuts), n_genes)[: size - params.elitism]
+    bred = np.take(population, sources * n_genes + np.arange(n_genes))
+    if resets:
+        genes, values = np.array(resets).T
+        bred.ravel()[genes] = values
+    return bred
+
+
 def run_ga(
     seed_chromosomes: Sequence[Chromosome],
     jobs: Sequence[JobRequest],
@@ -323,47 +475,40 @@ def run_ga(
     if not jobs:
         return _empty_result()
     pool, _ = ensure_dummy(jobs, resources)
-    rng = random.Random(params.rng_seed)
     tables = FitnessTables(jobs, pool, config)
+    size, n_genes = params.population_size, len(tables.job_ids)
     n_choices = len(tables.resource_ids)
-    choices = range(n_choices)
+    # a block holds about two generations' words: one draw of two words
+    # per gene, plus a few per pair
+    stream = _Stream(
+        params.rng_seed, params.mutation_rate, min(1 << 16, 4 * size * n_genes)
+    )
 
-    rows = [tables.encode(c.genes) for c in seed_chromosomes]
-    while len(rows) < params.population_size:
-        rows.append([rng.choice(choices) for _ in tables.job_ids])
-    fits = tables.score(np.array(rows)).tolist()
+    seeds = np.array([tables.encode(c.genes) for c in seed_chromosomes], dtype=np.intp)
+    drawn = stream.belows(n_choices, (size - len(seed_chromosomes)) * n_genes)
+    population = np.concatenate([seeds.reshape(-1, n_genes), drawn.reshape(-1, n_genes)])
+    fits = tables.score(population)
     iterations = 1
-    seed_fitness = min(fits[: len(seed_chromosomes)], default=inf)
-    best_fit = min(fits)
-    best_row = rows[fits.index(best_fit)]
+    seed_fitness = float(fits[: len(seed_chromosomes)].min(initial=inf))
+    best = int(fits.argmin())
+    best_fit, best_row = float(fits[best]), population[best]
     trace = [best_fit]
     stale = 0
 
     while iterations < params.max_iterations and stale < params.convergence_window:
-        ranked = sorted(range(len(rows)), key=fits.__getitem__)
-        next_rows = [rows[i] for i in ranked[: params.elitism]]
-        spin = roulette_wheel(fits)
-        while len(next_rows) < params.population_size:
-            c1, c2 = rows[spin(rng)], rows[spin(rng)]
-            if rng.random() < params.crossover_rate:
-                c1, c2 = crossover(c1, c2, rng)
-            next_rows.append(mutate(c1, rng, params.mutation_rate, n_choices))
-            if len(next_rows) < params.population_size:
-                next_rows.append(mutate(c2, rng, params.mutation_rate, n_choices))
-        rows = next_rows
-        fits = tables.score(np.array(rows)).tolist()
+        population = _breed(population, fits, stream, params, n_choices)
+        fits = tables.score(population)
         iterations += 1
-        gen_best = min(fits)
-        if gen_best < best_fit - 1e-12:
-            best_fit = gen_best
-            best_row = rows[fits.index(gen_best)]
+        best = int(fits.argmin())
+        if fits[best] < best_fit - 1e-12:
+            best_fit, best_row = float(fits[best]), population[best]
             stale = 0
         else:
             stale += 1
         trace.append(best_fit)
 
     return GaResult(
-        best=Chromosome(tables.gene_map(best_row)),
+        best=Chromosome(tables.gene_map(best_row.tolist())),
         iterations_used=iterations,
         best_fitness_trace=tuple(trace),
         converged=stale >= params.convergence_window,

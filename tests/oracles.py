@@ -1,10 +1,14 @@
 """Test-only oracles: exhaustive searches for small instances, the
-relaxation's canonical objective, and the per-pair dict views of a built
-relaxation that the oracles walk."""
+relaxation's canonical objective, the per-pair dict views of a built
+relaxation that the oracles walk, and the GA's scalar breeding loop."""
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
+from math import inf
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +72,13 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
     resources in id order with counts ascending, keeping the first optimum
     found -- i.e. the lexicographically smallest optimal vector in
     job-major order.
+
+    A branch is cut when no completion can beat the best found: when the
+    unplaced PEs cost too much even at the cheapest rate each resource's
+    free PEs allow, when they exceed those free PEs, or when the current
+    job's PEs left overrun its budget at its lightest weight.  Each of
+    these holds for every feasible completion, so the cuts never change
+    the answer; the bounds carry a 1e-9 relative slack against rounding.
     """
     total_pes = sum(j.pe_count for j in model.jobs)
     if total_pes > 20 or len(model.resources) > 4:
@@ -79,24 +90,63 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
     jobs = model.jobs  # sorted by id
     limit = dict(zip((j.job_id for j in jobs), model.table.limit.tolist()))
 
-    # admissible resources and cheapest per-PE coefficient per job
+    # admissible resources, cheapest per-PE coefficient, and the least
+    # budget weight on each suffix of the admissible resources, per job
     arcs: dict[str, list[str]] = {}
     cheapest: dict[str, float] = {}
+    lightest: dict[str, list[float]] = {}
     for job in jobs:
         rids = sorted(rid for (rid, jid) in view.feasible_pairs if jid == job.job_id)
         if not rids:
             raise InfeasibleError(f"job {job.job_id} has no admissible pair")
         arcs[job.job_id] = rids
         cheapest[job.job_id] = min(view.cost_coeff[(rid, job.job_id)] for rid in rids)
+        weights = [view.budget_weight.get((rid, job.job_id), 0.0) for rid in rids]
+        lightest[job.job_id] = [min(weights[ai:], default=inf) for ai in range(len(rids) + 1)]
+        if job.pe_count * lightest[job.job_id][0] * (1 - 1e-9) > limit[job.job_id]:
+            raise InfeasibleError(f"job {job.job_id} cannot meet its budget")
 
     remaining_lb = [0.0] * (len(jobs) + 1)
+    remaining_pes = [0] * (len(jobs) + 1)
     for i in range(len(jobs) - 1, -1, -1):
         remaining_lb[i] = remaining_lb[i + 1] + cheapest[jobs[i].job_id] * jobs[i].pe_count
+        remaining_pes[i] = remaining_pes[i + 1] + jobs[i].pe_count
+
+    # rates[ji][ai]: (rate, resource) in ascending order, where a rate is
+    # the cheapest coefficient of any PE still to place there once job ji
+    # is split up to its resource ai: its own on rids[ai:], every later
+    # job's on its admissible resources
+    rates: list[list[list[tuple[float, str]]]] = []
+    later: dict[str, float] = {}
+    for job in reversed(jobs):
+        rids = arcs[job.job_id]
+        per_split = []
+        for ai in range(len(rids) + 1):
+            best_rate = dict(later)
+            for rid in rids[ai:]:
+                rate = view.cost_coeff[(rid, job.job_id)]
+                best_rate[rid] = min(rate, best_rate.get(rid, rate))
+            per_split.append(sorted((rate, rid) for rid, rate in best_rate.items()))
+        rates.append(per_split)
+        later = {rid: rate for rate, rid in per_split[0]}
+    rates.reverse()
 
     best_obj = float("inf")
     best: dict[tuple[str, str], int] | None = None
     capacity = {r.resource_id: r.free_pes for r in model.resources}
     current: dict[tuple[str, str], int] = {}
+
+    def fill_cost(demand: int, order: list[tuple[float, str]]) -> float:
+        """Least cost of ``demand`` PEs at ``order``'s rates within the
+        free capacity left; inf when they do not fit."""
+        cost = 0.0
+        for rate, rid in order:
+            if demand <= 0:
+                break
+            take = min(capacity[rid], demand)
+            cost += rate * take
+            demand -= take
+        return cost if demand <= 0 else inf
 
     def place_job(ji: int, partial_cost: float) -> None:
         nonlocal best_obj, best
@@ -114,6 +164,14 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
             # optimistic completion: rest of this job at its cheapest rate,
             # every later job at its own cheapest rate
             if cost_so_far + cheapest[job.job_id] * left + remaining_lb[ji + 1] > best_obj + 1e-12:
+                return
+            # the same with each resource's free PEs counted: no completion
+            # when the PEs left exceed them
+            rest = fill_cost(left + remaining_pes[ji + 1], rates[ji][ai])
+            if rest == inf or cost_so_far + rest * (1 - 1e-9) > best_obj + 1e-12:
+                return
+            # nor when the PEs left of this job overrun its budget
+            if left and (spent + left * lightest[job.job_id][ai]) * (1 - 1e-9) > limit[job.job_id]:
                 return
             if ai == len(rids):
                 if left == 0:
@@ -196,3 +254,41 @@ def brute_force_sgn(
     if best is None:
         return None
     return AllocationMatrix(best)
+
+
+def scalar_mutate(
+    genes: list[int], rng: random.Random, mutation_rate: float, n_choices: int
+) -> list[int]:
+    """Per-gene reset mutation, one ``random()`` per gene and one
+    ``choice`` per reset gene.  Returns a new row."""
+    choices = range(n_choices)
+    return [rng.choice(choices) if rng.random() < mutation_rate else g for g in genes]
+
+
+def scalar_generation(
+    rows: list[list[int]], fits: list[float], rng: random.Random, params, n_choices: int
+) -> list[list[int]]:
+    """One GA generation bred pair by pair from ``random.Random``: the
+    ``elitism`` fittest rows (ties in row order), then for each pair two
+    roulette picks, the crossover draw, a ``randint`` cut when that draw is
+    below ``crossover_rate``, and each child's mutation."""
+    ranked = sorted(range(len(rows)), key=fits.__getitem__)
+    next_rows = [rows[i] for i in ranked[: params.elitism]]
+    f_max = max(fits)
+    floor = 1e-6 * f_max if f_max > 0 else 1.0
+    weights = [(f_max - f) + floor for f in fits]
+    prefix = list(accumulate(weights))
+    total = sum(weights)
+
+    def spin() -> int:
+        return min(bisect_left(prefix, rng.random() * total), len(rows) - 1)
+
+    while len(next_rows) < params.population_size:
+        c1, c2 = rows[spin()], rows[spin()]
+        if rng.random() < params.crossover_rate:
+            cut = rng.randint(0, len(c1))
+            c1, c2 = c1[:cut] + c2[cut:], c2[:cut] + c1[cut:]
+        next_rows.append(scalar_mutate(c1, rng, params.mutation_rate, n_choices))
+        if len(next_rows) < params.population_size:
+            next_rows.append(scalar_mutate(c2, rng, params.mutation_rate, n_choices))
+    return next_rows

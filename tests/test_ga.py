@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import S1_OPTIMAL_COST, fuzz_instance, tiny_instance
 from hypothesis import given, settings, strategies as st
+import metagrid.ga as ga_module
 from metagrid.ga import (
     Chromosome,
     FitnessTables,
@@ -23,6 +24,8 @@ from metagrid.ga import (
     mutate,
     roulette_wheel,
     run_ga,
+    _breed,
+    _Stream,
 )
 from metagrid.model import (
     AllocationMatrix,
@@ -42,28 +45,7 @@ from metagrid.model import (
     schedule_cost,
     validate,
 )
-from oracles import brute_force_sgn
-
-
-class _FixedCut:
-    """rng stand-in whose randint always lands on one crossover point."""
-
-    def __init__(self, cut: int) -> None:
-        self.cut = cut
-
-    def randint(self, lo: int, hi: int) -> int:
-        assert lo <= self.cut <= hi
-        return self.cut
-
-
-class _FixedDraws:
-    """rng stand-in whose random() returns the given values in turn."""
-
-    def __init__(self, values) -> None:
-        self.values = iter(values)
-
-    def random(self) -> float:
-        return next(self.values)
+from oracles import brute_force_sgn, scalar_generation, scalar_mutate
 
 
 class DictWalkFitness:
@@ -260,9 +242,9 @@ def test_default_penalty_weight_is_the_max_over_every_pair(batch):
 
 
 def test_roulette_singleton_population_returns_it_twice():
-    spin = roulette_wheel([5.0])
+    pick = roulette_wheel([5.0])
     rng = random.Random(0)
-    assert (spin(rng), spin(rng)) == (0, 0)
+    assert pick(np.array([rng.random(), rng.random()])).tolist() == [0, 0]
 
 
 def test_roulette_requires_a_nonempty_population():
@@ -270,29 +252,27 @@ def test_roulette_requires_a_nonempty_population():
         roulette_wheel([])
 
 
+def _draws(seed: int, count: int) -> np.ndarray:
+    rng = random.Random(seed)
+    return np.array([rng.random() for _ in range(count)])
+
+
 def test_roulette_equal_fitness_degrades_to_uniform():
-    spin = roulette_wheel([10.0, 10.0])
-    rng = random.Random(42)
-    draws = 20_000
-    freq = sum(spin(rng) == 0 for _ in range(draws)) / draws
-    assert abs(freq - 0.5) < 0.02
+    picks = roulette_wheel([10.0, 10.0])(_draws(42, 20_000))
+    assert abs((picks == 0).mean() - 0.5) < 0.02
 
 
 def test_roulette_weights_follow_fitness_gap():
     # weights (30-10)+1 : (30-30)+1, so the better one wins 21/22 of picks
-    spin = roulette_wheel([10.0, 30.0], floor=1.0)
-    rng = random.Random(7)
-    draws = 200_000
-    freq = sum(spin(rng) == 0 for _ in range(draws)) / draws
-    assert abs(freq - 21 / 22) < 0.01
+    picks = roulette_wheel([10.0, 30.0], floor=1.0)(_draws(7, 200_000))
+    assert abs((picks == 0).mean() - 21 / 22) < 0.01
 
 
 def test_roulette_pick_on_a_running_total_takes_that_member():
     # weights 4 : 2 : 2 of total 8; draws landing exactly on the running
     # totals 4 and 6 pick the member whose total they reach
-    spin = roulette_wheel([0.0, 2.0, 2.0], floor=2.0)
-    rng = _FixedDraws([0.0, 0.5, 0.75, 0.99])
-    assert [spin(rng) for _ in range(4)] == [0, 0, 1, 2]
+    pick = roulette_wheel([0.0, 2.0, 2.0], floor=2.0)
+    assert pick(np.array([0.0, 0.5, 0.75, 0.99])).tolist() == [0, 0, 1, 2]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -303,71 +283,163 @@ def test_roulette_picks_the_first_member_whose_running_total_reaches_the_draw(fi
     floor = 1e-6 * f_max if f_max > 0 else 1.0
     weights = [(f_max - f) + floor for f in fits]
     total = sum(weights)
-    spin, rng, ref_rng = roulette_wheel(fits), random.Random(seed), random.Random(seed)
-    for _ in range(20):
-        pick = ref_rng.random() * total
-        acc, expected = 0.0, len(fits) - 1
+    draws = _draws(seed, 20)
+    expected = []
+    for u in draws.tolist():
+        pick = u * total
+        acc, first = 0.0, len(fits) - 1
         for i, w in enumerate(weights):
             acc += w
             if pick <= acc:
-                expected = i
+                first = i
                 break
-        assert spin(rng) == expected
+        expected.append(first)
+    assert roulette_wheel(fits)(draws).tolist() == expected
 
 
 # ------------------------------------------------------------- crossover
 
 
+def _crossed(a: list[int], b: list[int], cut: int) -> tuple[list[int], list[int]]:
+    """The two children of parents ``a`` and ``b`` at ``cut``."""
+    population = np.array([a, b])
+    sources = crossover(np.array([[0, 1]]), np.array([cut]), len(a))
+    c1, c2 = population[sources, np.arange(len(a))].tolist()
+    return c1, c2
+
+
 def test_crossover_cut_zero_swaps_parents_whole():
-    c1, c2 = crossover([0, 0], [1, 1], _FixedCut(0))
+    c1, c2 = _crossed([0, 0], [1, 1], 0)
     assert c1 == [1, 1]
     assert c2 == [0, 0]
 
 
 def test_crossover_cut_one_splits_on_sorted_job_ids():
-    c1, c2 = crossover([0, 0], [1, 1], _FixedCut(1))
+    c1, c2 = _crossed([0, 0], [1, 1], 1)
     assert c1 == [0, 1]
     assert c2 == [1, 0]
 
 
 def test_crossover_of_identical_parents_is_identity():
     a = [0, 1]
-    for seed in range(5):
-        c1, c2 = crossover(a, list(a), random.Random(seed))
+    for cut in range(3):
+        c1, c2 = _crossed(a, list(a), cut)
         assert c1 == a
         assert c2 == a
 
 
 def test_crossover_leaves_the_parents_untouched():
-    a, b = [0, 0, 0], [1, 1, 1]
-    for seed in range(5):
-        c1, c2 = crossover(a, b, random.Random(seed))
-        assert c1 is not a and c2 is not b
-    assert (a, b) == ([0, 0, 0], [1, 1, 1])
+    population = np.array([[0, 0, 0], [1, 1, 1]])
+    parents = np.array([[0, 1], [1, 0]])
+    for cut in range(4):
+        sources = crossover(parents, np.array([cut, cut]), 3)
+        children = population[sources, np.arange(3)]
+        assert not np.shares_memory(children, population)
+    assert population.tolist() == [[0, 0, 0], [1, 1, 1]]
+    assert parents.tolist() == [[0, 1], [1, 0]]
 
 
 # -------------------------------------------------------------- mutation
 
 
 def test_mutate_rate_zero_is_identity():
-    assert mutate([0, 1], random.Random(0), 0.0, 9) == [0, 1]
+    assert mutate(_Stream(0, 0.0), range(2), 9) == []
 
 
 def test_mutate_rate_one_redraws_every_gene():
-    assert mutate([3, 3], random.Random(0), 1.0, 1) == [0, 0]
+    assert mutate(_Stream(0, 1.0), range(2), 1) == [(0, 0), (1, 0)]
 
 
 def test_mutate_is_seed_deterministic():
-    row = [0] * 12
-    a = mutate(row, random.Random(9), 0.5, 4)
-    b = mutate(row, random.Random(9), 0.5, 4)
+    a = mutate(_Stream(9, 0.5), range(12), 4)
+    b = mutate(_Stream(9, 0.5), range(12), 4)
     assert a == b
 
 
 def test_mutate_does_not_touch_the_input():
-    row = [0]
-    mutate(row, random.Random(0), 1.0, 5)
-    assert row == [0]
+    # a generation bred at rate 1 resets every child's genes in a new array
+    population = np.zeros((4, 3), dtype=np.intp)
+    fits = np.array([1.0, 2.0, 3.0, 4.0])
+    params = GaParams(population_size=4, mutation_rate=1.0)
+    bred = _breed(population, fits, _Stream(0, 1.0), params, 5)
+    assert not np.shares_memory(bred, population)
+    assert population.tolist() == [[0, 0, 0]] * 4
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.02, 0.3, 1.0])
+def test_mutate_equals_the_scalar_draws(rate):
+    # the resets are the genes the scalar loop changes, and both leave the
+    # stream at the same next draw; a 7-word block forces refills mid-row
+    for seed in range(20):
+        stream, rng = _Stream(seed, rate, block=7), random.Random(seed)
+        for start, n_genes in ((0, 0), (3, 1), (0, 5), (40, 40), (0, 100)):
+            row = [-1] * n_genes
+            expected = [(start + g, v) for g, v in enumerate(scalar_mutate(row, rng, rate, 9))
+                        if v >= 0]
+            assert mutate(stream, range(start, start + n_genes), 9) == expected
+            assert stream.random() == rng.random()
+
+
+# ------------------------------------------------------------ the stream
+
+SEEDS = [0, 1, -1, -12345, 2**32 - 1, 2**32, 2**32 + 7, 2**70 + 3]
+SIZES = [1, 2, 3, 4, 5, 8, 9, 50, 51, 64, 65, 201, 256, 257, 2**31, 2**31 + 1, 2**32 - 1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    seed=st.sampled_from(SEEDS) | st.integers(-(2**80), 2**80),
+    block=st.integers(1, 9) | st.just(1 << 16),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["random", "randint", "choice", "belows"]),
+                  st.sampled_from(SIZES) | st.integers(1, 2**32 - 1), st.integers(0, 40)),
+        max_size=60,
+    ),
+)
+def test_stream_draws_equal_random_random(seed, block, ops):
+    """Interleaved ``random()`` and ``below(n)`` draws equal
+    ``random.Random``'s ``random``, ``randint`` and ``choice``, on any
+    seed and across block refills."""
+    stream, rng = _Stream(seed, block=block), random.Random(seed)
+    for kind, n, count in ops:
+        if kind == "random":
+            assert stream.random() == rng.random()
+        elif kind == "randint":
+            assert stream.below(n) == rng.randint(0, n - 1)
+        elif kind == "choice":
+            assert stream.below(n) == rng.choice(range(n))
+        else:
+            expected = [rng.randrange(n) for _ in range(count)]
+            assert stream.belows(n, count).tolist() == expected
+    assert stream.random() == rng.random()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.02, 1.0])
+@pytest.mark.parametrize("crossover_rate", [0.0, 0.8, 1.0])
+def test_a_generation_equals_the_scalar_loop(rate, crossover_rate):
+    """``_breed`` builds the same next population as the scalar per-pair
+    loop over ``random.Random``, and leaves the stream at the same next
+    draw."""
+    for seed in range(12):
+        jobs, resources = fuzz_instance(seed)
+        pool, _ = ensure_dummy(jobs, resources)
+        tables = FitnessTables(jobs, pool)
+        n_choices = len(pool)
+        size = 4 + seed % 5
+        params = GaParams(population_size=size, crossover_rate=crossover_rate,
+                          mutation_rate=rate, elitism=seed % 3)
+        rng = random.Random(seed + 100)
+        rows = [[rng.randrange(n_choices) for _ in jobs] for _ in range(size)]
+        rows[-1] = list(rows[0])  # a fitness tie
+        population = np.array(rows)
+        fits = tables.score(population)
+        stream, rng = _Stream(seed, rate, block=5 + seed), random.Random(seed)
+        for _ in range(3):
+            bred = _breed(population, fits, stream, params, n_choices)
+            rows = scalar_generation(rows, fits.tolist(), rng, params, n_choices)
+            assert bred.tolist() == rows
+            assert stream.random() == rng.random()
+            population, fits = bred, tables.score(bred)
 
 
 # ------------------------------------------------------ decode / encode
@@ -487,6 +559,26 @@ def test_run_ga_trace_never_worsens():
         trace = result.best_fitness_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert len(trace) == result.iterations_used
+
+
+def test_run_ga_calls_mutate_through_the_module_global(monkeypatch, s1_jobs, s1_resources):
+    """The benchmark's tracer times mutation by rebinding ``mutate`` in
+    this module, so ``run_ga`` must look it up there, once per pair."""
+    calls = []
+    original = ga_module.mutate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ga_module, "mutate", counted)
+    params = GaParams(population_size=7, convergence_window=50, max_iterations=6, rng_seed=1)
+    result = run_ga([], s1_jobs, s1_resources, params)
+    # one call per pair of children: 3 pairs in each of 5 generations
+    assert len(calls) == 15
+    assert result.iterations_used == 6
+    monkeypatch.undo()
+    assert run_ga([], s1_jobs, s1_resources, params) == result
 
 
 def test_run_ga_is_deterministic(s1_jobs, s1_resources):

@@ -5,8 +5,10 @@ fixed instances, two of them at the benchmark's GA settings.
 The GA consumes one ``random.Random`` stream in a fixed order (initial
 genes, two roulette draws per pair, the crossover draw and cut, one draw
 per gene in mutation and one more for each mutated gene), and its fitness
-sums each chromosome's costs in sorted job order.  Any change to that
-order or to the summation shows up here as a different trace or gene map.
+sums each chromosome's costs in sorted job order.  The stream's words are
+drawn in blocks and decoded in bulk, but the draws and their order are
+those of ``random.Random``.  Any change to that order, to the decoding or
+to the summation shows up here as a different trace or gene map.
 """
 
 from __future__ import annotations
