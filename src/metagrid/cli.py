@@ -196,6 +196,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.quick:
         seeds = seeds[:1]
 
+    for what, values in (
+        ("seeds", seeds), ("schedulers", sweep.schedulers),
+        ("resource_counts", sweep.resource_counts), ("deadline_modes", sweep.deadline_modes),
+    ):
+        if not values:
+            raise BadConfigError(f"empty {what} list: the sweep would run nothing")
     known = set(list_schedulers())
     bad = [s for s in sweep.schedulers if s not in known]
     if bad:

@@ -34,11 +34,9 @@ from .greedy import greedy_schedule
 from .mmc import MmcStats, mappings_from_allocation, modified_min_cost
 from .model import (
     AllocationMatrix,
-    DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
     Schedule,
-    SchedulerConfig,
     build_schedule,
     ensure_dummy,
     pair_table,
@@ -119,7 +117,6 @@ class FitnessTables:
         self,
         jobs: Sequence[JobRequest],
         resources: Sequence[ResourceInfo],
-        config: SchedulerConfig = DEFAULT_CONFIG,
         penalty_weight: float | None = None,
     ) -> None:
         self.weight = (
@@ -127,7 +124,7 @@ class FitnessTables:
             if penalty_weight is not None
             else default_penalty_weight(jobs, resources)
         )
-        table = pair_table(jobs, resources, config)
+        table = pair_table(jobs, resources)
         self.job_ids = [j.job_id for j in table.jobs]
         self.resource_ids = [r.resource_id for r in table.resources]
         self._column = {rid: k for k, rid in enumerate(self.resource_ids)}
@@ -181,7 +178,6 @@ def fitness(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     penalty_weight: float | None = None,
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> float:
     """Penalised cost of one chromosome (lower is better); 0.0 for no jobs."""
     if not jobs:
@@ -189,7 +185,7 @@ def fitness(
     genes = (
         chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
     )
-    tables = FitnessTables(jobs, resources, config, penalty_weight)
+    tables = FitnessTables(jobs, resources, penalty_weight)
     return float(tables.score(np.array([tables.encode(genes)]))[0])
 
 
@@ -347,7 +343,6 @@ def decode_schedule(
     chromosome: Chromosome | Mapping[str, str],
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> Schedule:
     """Deterministic repair of a chromosome into a valid schedule.
 
@@ -366,7 +361,7 @@ def decode_schedule(
     assign: dict[str, str] = {}
     for jid in sorted(jobs_by_id):
         rid = genes[jid]
-        if rid in dummy_ids or not placement_feasible(jobs_by_id[jid], res_by_id[rid], config):
+        if rid in dummy_ids or not placement_feasible(jobs_by_id[jid], res_by_id[rid]):
             rid = dummy_id
         assign[jid] = rid
 
@@ -387,7 +382,7 @@ def decode_schedule(
     entries = {
         (rid, jid): jobs_by_id[jid].pe_count for jid, rid in assign.items()
     }
-    return build_schedule(AllocationMatrix(entries), jobs, pool, config)
+    return build_schedule(AllocationMatrix(entries), jobs, pool)
 
 
 def chromosome_from_schedule(
@@ -460,7 +455,6 @@ def run_ga(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     params: GaParams = GaParams(),
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> GaResult:
     """Elitist generational GA.  One iteration = one population evaluation,
     so ``max_iterations=1`` returns the best of the initial population with
@@ -475,7 +469,7 @@ def run_ga(
     if not jobs:
         return _empty_result()
     pool, _ = ensure_dummy(jobs, resources)
-    tables = FitnessTables(jobs, pool, config)
+    tables = FitnessTables(jobs, pool)
     size, n_genes = params.population_size, len(tables.job_ids)
     n_choices = len(tables.resource_ids)
     # a block holds about two generations' words: one draw of two words
@@ -530,7 +524,6 @@ def lpga(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     params: GaParams = GaParams(),
-    config: SchedulerConfig = DEFAULT_CONFIG,
     mmc_stats: MmcStats | None = None,
 ) -> tuple[Schedule, GaResult]:
     """Relaxation-seeded meta-scheduler.
@@ -543,15 +536,15 @@ def lpga(
     """
     if not jobs:
         return Schedule.empty(), _empty_result()
-    model = build_relaxed(jobs, resources, config)
+    model = build_relaxed(jobs, resources)
     alloc = solve_relaxed(model)
     pool, _ = ensure_dummy(jobs, model.resources)
     seed_schedule = modified_min_cost(
-        mappings_from_allocation(alloc), jobs, pool, config, stats=mmc_stats
+        mappings_from_allocation(alloc), jobs, pool, stats=mmc_stats
     )
     seed = chromosome_from_schedule(seed_schedule, jobs, pool)
-    result = run_ga([seed], jobs, pool, params, config)
-    schedule = decode_schedule(result.best, jobs, pool, config)
+    result = run_ga([seed], jobs, pool, params)
+    schedule = decode_schedule(result.best, jobs, pool)
     logger.debug(
         "lpga: seed fitness %.6g -> best %.6g in %d iterations",
         result.seed_fitness, result.best_fitness, result.iterations_used,
@@ -564,16 +557,15 @@ def hga(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     params: GaParams = GaParams(),
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> tuple[Schedule, GaResult]:
     """Greedy-seeded meta-scheduler: identical GA, cheaper seed."""
     if not jobs:
         return Schedule.empty(), _empty_result()
     pool, _ = ensure_dummy(jobs, resources)
-    seed_schedule = greedy_schedule(jobs, pool, config)
+    seed_schedule = greedy_schedule(jobs, pool)
     seed = chromosome_from_schedule(seed_schedule, jobs, pool)
-    result = run_ga([seed], jobs, pool, params, config)
-    schedule = decode_schedule(result.best, jobs, pool, config)
+    result = run_ga([seed], jobs, pool, params)
+    schedule = decode_schedule(result.best, jobs, pool)
     logger.debug(
         "hga: seed fitness %.6g -> best %.6g in %d iterations",
         result.seed_fitness, result.best_fitness, result.iterations_used,

@@ -13,11 +13,9 @@ from collections.abc import Sequence
 
 from .model import (
     AllocationMatrix,
-    DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
     Schedule,
-    SchedulerConfig,
     build_schedule,
     ensure_dummy,
     placement_feasible,
@@ -25,12 +23,8 @@ from .model import (
 )
 
 
-def greedy_schedule(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
-) -> Schedule:
-    """Cheapest-feasible-resource-first assignment, one job at a time."""
+def greedy_schedule(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> Schedule:
+    """Lowest-rate feasible resource first, one whole job at a time."""
     if not jobs:
         return Schedule.empty()
     pool, dummy_id = ensure_dummy(jobs, resources)
@@ -45,7 +39,7 @@ def greedy_schedule(
         for res in ranked:
             if available[res.resource_id] < job.pe_count:
                 continue
-            if not placement_feasible(job, res, config):
+            if not placement_feasible(job, res):
                 continue
             placed = res.resource_id
             break
@@ -55,4 +49,4 @@ def greedy_schedule(
             available[placed] -= job.pe_count
             entries[(placed, job.job_id)] = job.pe_count
 
-    return build_schedule(AllocationMatrix(entries), jobs, pool, config)
+    return build_schedule(AllocationMatrix(entries), jobs, pool)

@@ -34,11 +34,9 @@ from dataclasses import dataclass, field
 
 from .model import (
     AllocationMatrix,
-    DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
     Schedule,
-    SchedulerConfig,
     build_schedule,
     ensure_dummy,
     pair_table,
@@ -80,7 +78,6 @@ class InterchangeContext:
     resources_by_id: Mapping[str, ResourceInfo]
     available: dict[str, int]
     alternates: tuple[str, ...]  # the consuming job's other relaxed providers
-    config: SchedulerConfig
     stats: MmcStats = field(default_factory=MmcStats)
 
 
@@ -125,7 +122,7 @@ def interchange_capacity(
             res = context.resources_by_id[rid]
             if context.available[rid] < job.pe_count:
                 continue
-            if not placement_feasible(job, res, context.config):
+            if not placement_feasible(job, res):
                 continue
             target = rid
             break
@@ -140,7 +137,6 @@ def schedule_dummy_jobs(
     schedule: Schedule,
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
     stats: MmcStats | None = None,
 ) -> Schedule:
     """Greedy second chance for parked jobs.
@@ -155,7 +151,7 @@ def schedule_dummy_jobs(
         return schedule
     stats = stats if stats is not None else MmcStats()
     pool, dummy_id = ensure_dummy(jobs, resources)
-    table = pair_table(jobs, pool, config)
+    table = pair_table(jobs, pool)
     row = {j.job_id: i for i, j in enumerate(table.jobs)}
     rids = [r.resource_id for r in table.resources]
 
@@ -185,14 +181,13 @@ def schedule_dummy_jobs(
                     largest = max(available.values())
                     break
         entries[(placed, jid)] = job.pe_count
-    return build_schedule(AllocationMatrix(entries), jobs, pool, config)
+    return build_schedule(AllocationMatrix(entries), jobs, pool)
 
 
 def modified_min_cost(
     relaxed: Sequence[JobMapping],
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
     stats: MmcStats | None = None,
 ) -> Schedule:
     """Turn relaxed per-job mappings into a whole-job-per-resource schedule.
@@ -270,7 +265,7 @@ def modified_min_cost(
                 break  # reaching the relaxation's dummy share parks the job
             if available[rid] < job.pe_count:
                 continue
-            if not placement_feasible(job, res_by_id[rid], config):
+            if not placement_feasible(job, res_by_id[rid]):
                 continue
             target = rid
             break
@@ -287,7 +282,6 @@ def modified_min_cost(
                 resources_by_id=res_by_id,
                 available=available,
                 alternates=tuple(rid for rid in jm.providers() if rid != target),
-                config=config,
                 stats=stats,
             )
             report = interchange_capacity(
@@ -303,5 +297,5 @@ def modified_min_cost(
     entries = {(rid, jid): jobs_by_id[jid].pe_count for jid, rid in committed.items()}
     for jid in parked:
         entries[(dummy_id, jid)] = jobs_by_id[jid].pe_count
-    interim = build_schedule(AllocationMatrix(entries), jobs, pool, config)
-    return schedule_dummy_jobs(interim, jobs, pool, config, stats=stats)
+    interim = build_schedule(AllocationMatrix(entries), jobs, pool)
+    return schedule_dummy_jobs(interim, jobs, pool, stats=stats)

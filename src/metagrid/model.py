@@ -35,18 +35,6 @@ class UnknownIdError(KeyError):
     """A resource id or job id does not resolve to a known record."""
 
 
-class BudgetSemantics(str, enum.Enum):
-    """How the per-job budget cap is interpreted.
-
-    LITERAL caps the raw rate-weighted PE sum (rate x PEs); TIME_INCLUSIVE
-    caps what the job actually pays (rate x PEs x runtime).  TIME_INCLUSIVE
-    is the default because generated budgets are sized against spending.
-    """
-
-    LITERAL = "literal"
-    TIME_INCLUSIVE = "time_inclusive"
-
-
 class JobKind(str, enum.Enum):
     """The placement mode ``validate`` checks an allocation against."""
 
@@ -54,28 +42,15 @@ class JobKind(str, enum.Enum):
     SGN = "sgn"  # all PEs of the job must sit on one resource
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Knobs shared by every scheduler.
-
-    ``epsilon`` is the global absolute tolerance for constraint
-    comparisons (see ``budget_limit``); ``allow_dummy`` controls whether
-    unplaceable jobs may be parked on a dummy resource instead of raising.
-    """
-
-    budget_semantics: BudgetSemantics = BudgetSemantics.TIME_INCLUSIVE
-    allow_dummy: bool = True
-    epsilon: float = 1e-9
+# absolute tolerance of every deadline and budget comparison
+EPSILON = 1e-9
 
 
-DEFAULT_CONFIG = SchedulerConfig()
-
-
-def budget_limit(budget_gd, epsilon: float):
-    """Largest charge a budget admits: the budget plus the absolute
-    tolerance.  Every budget check in the package compares against this,
-    for scalars and numpy arrays alike."""
-    return budget_gd + epsilon
+def budget_limit(budget_gd):
+    """Largest charge a budget admits: the budget plus ``EPSILON``.  Every
+    budget check in the package compares against this, for scalars and
+    numpy arrays alike."""
+    return budget_gd + EPSILON
 
 
 def _finite(value) -> bool:
@@ -263,55 +238,43 @@ def placement_cost(job: JobRequest, resource: ResourceInfo) -> float:
 # the same rule for a whole batch at once.
 
 
-def meets_deadline(job: JobRequest, resource: ResourceInfo, epsilon: float) -> bool:
+def meets_deadline(job: JobRequest, resource: ResourceInfo) -> bool:
     """The job finishes within its deadline (plus tolerance) on the resource."""
-    return exec_time(job, resource) <= job.deadline_s + epsilon
+    return exec_time(job, resource) <= job.deadline_s + EPSILON
 
 
-def pair_charge(
-    job: JobRequest, resource: ResourceInfo, pes: int, semantics: BudgetSemantics
-) -> float:
+def pair_charge(job: JobRequest, resource: ResourceInfo, pes: int) -> float:
     """What ``pes`` PEs of the job on one real resource count against its
-    budget: rate x PEs (LITERAL) or rate x PEs x runtime (TIME_INCLUSIVE,
-    which is also what they cost)."""
-    if semantics is BudgetSemantics.LITERAL:
-        return resource.cost_per_pe_second * pes
+    budget: what they cost, rate x PEs x runtime."""
     return resource.cost_per_pe_second * pes * exec_time(job, resource)
 
 
-def breach_count(
-    job: JobRequest, resource: ResourceInfo, config: SchedulerConfig = DEFAULT_CONFIG
-) -> int:
+def breach_count(job: JobRequest, resource: ResourceInfo) -> int:
     """Deadline plus budget breaches (0-2) of the whole job on one real
     resource.  Capacity is the caller's concern."""
-    eps = config.epsilon
-    late = not meets_deadline(job, resource, eps)
-    charge = pair_charge(job, resource, job.pe_count, config.budget_semantics)
-    return late + (charge > budget_limit(job.budget_gd, eps))
+    late = not meets_deadline(job, resource)
+    return late + (pair_charge(job, resource, job.pe_count) > budget_limit(job.budget_gd))
 
 
 def budget_charge(
     job: JobRequest,
     real_allocations: Mapping[str, int],
     resources_by_id: Mapping[str, ResourceInfo],
-    semantics: BudgetSemantics,
 ) -> float:
     """The quantity capped by the job's budget, for its non-dummy PEs."""
     total = 0.0
     for rid in sorted(real_allocations):
-        total += pair_charge(job, resources_by_id[rid], real_allocations[rid], semantics)
+        total += pair_charge(job, resources_by_id[rid], real_allocations[rid])
     return total
 
 
-def placement_feasible(
-    job: JobRequest, resource: ResourceInfo, config: SchedulerConfig = DEFAULT_CONFIG
-) -> bool:
+def placement_feasible(job: JobRequest, resource: ResourceInfo) -> bool:
     """Whole-job single-resource eligibility: deadline and budget only.
 
     Dummy resources are always eligible (parking defers the job instead of
     running it).  Capacity is the caller's concern.
     """
-    return resource.is_dummy or breach_count(job, resource, config) == 0
+    return resource.is_dummy or breach_count(job, resource) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,14 +284,13 @@ class PairTable:
     Rows are the jobs, columns the resources, each sorted by id.  Every
     entry is bit-identical to the scalar helper it stands for, a dummy
     column included: ``exec_s`` is ``exec_time``, ``coeff`` the cost of one
-    PE (``pair_charge`` for one PE under ``TIME_INCLUSIVE``), ``cost``
-    ``placement_cost``, ``on_time`` ``meets_deadline``, ``breaches``
-    ``breach_count`` and ``feasible`` ``placement_feasible``.  ``weight`` is
-    what one PE counts against the budget, ``pair_charge`` for one PE, and
-    0.0 on a dummy, which is budget-exempt.  Row j of ``order`` lists the
-    job's real columns by (``placement_cost``, resource id).  ``pes`` holds
-    each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
-    resource's free PEs.
+    PE (``pair_charge`` for one PE), ``cost`` ``placement_cost``,
+    ``on_time`` ``meets_deadline``, ``breaches`` ``breach_count`` and
+    ``feasible`` ``placement_feasible``.  ``weight`` is what one PE counts
+    against the budget: ``coeff``, and 0.0 on a dummy, which is
+    budget-exempt.  Row j of ``order`` lists the job's real columns by
+    (``placement_cost``, resource id).  ``pes`` holds each job's PE count,
+    ``limit`` its ``budget_limit`` and ``free`` each resource's free PEs.
     """
 
     jobs: tuple[JobRequest, ...]
@@ -347,20 +309,15 @@ class PairTable:
     order: np.ndarray
 
 
-def pair_table(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
-) -> PairTable:
+def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> PairTable:
     """Evaluate the whole-job rule over the batch, with each scalar
     operation in the order the helpers above perform it."""
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     resources = tuple(sorted(resources, key=lambda r: r.resource_id))
-    eps = config.epsilon
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
     pes = np.array([j.pe_count for j in jobs], dtype=float)
     deadline = np.array([j.deadline_s for j in jobs], dtype=float)
-    limit = budget_limit(np.array([j.budget_gd for j in jobs], dtype=float), eps)
+    limit = budget_limit(np.array([j.budget_gd for j in jobs], dtype=float))
     free = np.array([r.free_pes for r in resources], dtype=int)
     speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
     rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
@@ -368,12 +325,10 @@ def pair_table(
 
     exec_s = longest[:, None] / speed
     coeff = rate * exec_s
-    rate_pes = rate * pes[:, None]
-    cost = rate_pes * exec_s
-    literal = config.budget_semantics is BudgetSemantics.LITERAL
-    on_time = exec_s <= (deadline + eps)[:, None]
-    breaches = (~on_time).astype(int) + ((rate_pes if literal else cost) > limit[:, None])
-    weight = np.where(dummy, 0.0, np.broadcast_to(rate, exec_s.shape) if literal else coeff)
+    cost = rate * pes[:, None] * exec_s
+    on_time = exec_s <= (deadline + EPSILON)[:, None]
+    breaches = (~on_time).astype(int) + (cost > limit[:, None])
+    weight = np.where(dummy, 0.0, coeff)
     real = np.flatnonzero(~dummy)
     order = real[np.argsort(cost[:, real], axis=1, kind="stable")]
     return PairTable(
@@ -431,7 +386,6 @@ def validate(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     mode: JobKind,
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> list[Violation]:
     """Check an allocation against the scheduling constraints.
 
@@ -445,7 +399,6 @@ def validate(
     """
     jobs_by_id = _index(jobs, "job_id")
     res_by_id = _index(resources, "resource_id")
-    eps = config.epsilon
     for (rid, jid) in alloc.entries:
         if rid not in res_by_id:
             raise UnknownIdError(f"allocation references unknown resource {rid}")
@@ -497,8 +450,8 @@ def validate(
                 if p > 0 and not res_by_id[rid].is_dummy}
         if not real:
             continue
-        charge = budget_charge(job, real, res_by_id, config.budget_semantics)
-        if charge > budget_limit(job.budget_gd, eps):
+        charge = budget_charge(job, real, res_by_id)
+        if charge > budget_limit(job.budget_gd):
             violations.append(
                 Violation(ViolationKind.BUDGET, None, jid,
                           f"job {jid} spends {charge:.6g} over budget {job.budget_gd:.6g}")
@@ -511,7 +464,7 @@ def validate(
         if res.is_dummy:
             continue
         job = jobs_by_id[jid]
-        if not meets_deadline(job, res, eps):
+        if not meets_deadline(job, res):
             t = exec_time(job, res)
             violations.append(
                 Violation(ViolationKind.DEADLINE, rid, jid,
@@ -576,7 +529,6 @@ def build_schedule(
     alloc: AllocationMatrix,
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> Schedule:
     """Normalize an allocation into a Schedule.
 

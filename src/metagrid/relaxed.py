@@ -3,17 +3,16 @@
 The relaxation treats every job as splittable: choose nonnegative integer
 PE counts r[i, j] minimizing total money subject to resource capacities,
 exact per-job PE demands, and per-job budget caps.  Pairs whose execution
-time misses the job's deadline are excluded up front.  Whenever parking
-is allowed, the model carries a dummy parking resource (always
-pair-eligible, budget-exempt) that absorbs demand the real grid cannot
-host, so the model is always feasible.  Parking is priced
-lexicographically, not by a guess about the batch: besides the dummy's
-own price, each parked PE pays M = sum over jobs of pe_count x dearest
-admissible coefficient, which no allocation's unsurcharged cost exceeds.
-So parking fewer PEs always costs less, and the optimum parks the fewest
-PEs that capacities, deadlines and budgets allow: no PE parks while its
-job can afford a free real PE, and no job parks to free a cheaper
-machine for another.
+time misses the job's deadline are excluded up front.  The model carries
+a dummy parking resource (always pair-eligible, budget-exempt) that
+absorbs demand the real grid cannot host, so it is always feasible.
+Parking is priced lexicographically, not by a guess about the batch:
+besides the dummy's own price, each parked PE pays M = sum over jobs of
+pe_count x dearest admissible coefficient, which no allocation's
+unsurcharged cost exceeds.  So parking fewer PEs always costs less, and
+the optimum parks the fewest PEs that capacities, deadlines and budgets
+allow: no PE parks while its job can afford a free real PE, and no job
+parks to free a cheaper machine for another.
 
 The model is a set of job x resource arrays over the batch's
 ``model.pair_table``.  It keeps every admissible pair, but the integer
@@ -23,12 +22,10 @@ ascending (cost coefficient, resource id) order, stopping once their
 summed free PEs reach the batch's total PE demand, plus the dummy pair.
 This loses no optimum.  Any PE placed outside its job's prefix leaves
 some prefix resource with a spare PE (the prefix alone can hold the whole
-batch); moving the PE there costs no more, and under ``TIME_INCLUSIVE``
-budgets (budget weight == cost coefficient) spends no more either, so the
-per-pair bounds still hold.  Under ``LITERAL`` budgets the weight is the
-bare rate, a cheaper placement can charge more, and every admissible pair
-stays a column.  The move never touches a parked PE, so the pruned
-program keeps the fewest parked PEs too.
+batch); moving the PE there costs no more, and as a pair's budget weight
+is its cost coefficient, spends no more either, so the per-pair bounds
+still hold.  The move never touches a parked PE, so the pruned program
+keeps the fewest parked PEs too.
 
 ``solve_relaxed`` hands these arrays to HiGHS (via scipy) as a plain LP
 first.  Without budget rows the constraints are one demand equality per
@@ -55,29 +52,19 @@ from scipy.optimize import linprog
 
 from .model import (
     AllocationMatrix,
-    BudgetSemantics,
-    DEFAULT_CONFIG,
     JobRequest,
     PairTable,
     ResourceInfo,
-    SchedulerConfig,
     ensure_dummy,
     pair_table,
 )
 
 
-class EmptyGridError(ValueError):
-    """No resources were given and dummy insertion is not permitted."""
-
-
-class InfeasibleError(RuntimeError):
-    """The PE demands cannot all be met, even using every admissible pair."""
-
-
 @dataclass(frozen=True, eq=False)
 class RelaxedModel:
     """The built relaxation: job x resource arrays over ``table``, whose
-    jobs and resources it repeats, with the id of its dummy if it has one.
+    jobs and resources it repeats, with the id of its dummy (None only for
+    an empty batch).
 
     ``admissible`` marks the pairs the model keeps and ``columns`` the
     subset the solver sees (module docstring); both are walked row-major,
@@ -106,44 +93,35 @@ class RelaxedModel:
         return tuple(zip(map(rids.__getitem__, ri.tolist()), map(jids.__getitem__, ji.tolist())))
 
 
-def build_relaxed(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
-) -> RelaxedModel:
+def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> RelaxedModel:
     """Assemble the relaxation for one batch.
 
     Keeps a (resource, job) pair iff the job finishes within its deadline
-    there and a single PE is affordable; dummy pairs are always kept.
-    When ``config.allow_dummy`` is set and the batch has jobs, the pool
-    gets a dummy from ``ensure_dummy``, so the model is feasible whatever
-    the grid; its pairs carry the parking surcharge that makes parking a
-    last resort (module docstring).  Without it, an uncoverable batch makes
-    ``solve_relaxed`` raise ``InfeasibleError``.
+    there and a single PE is affordable; dummy pairs are always kept.  A
+    batch with jobs gets a dummy from ``ensure_dummy``, so the model is
+    feasible whatever the grid; its pairs carry the parking surcharge that
+    makes parking a last resort (module docstring).
     """
-    if not resources and not config.allow_dummy:
-        raise EmptyGridError("no resources and dummy parking disabled")
-    if config.allow_dummy and jobs:
+    if jobs:
         resources, _ = ensure_dummy(jobs, resources)
-    table = pair_table(jobs, resources, config)
+    table = pair_table(jobs, resources)
     dummy = table.dummy
     admissible = dummy | (table.on_time & (table.weight <= table.limit[:, None]))
+    # lexicographic parking: a parked PE also pays a bound on the batch's
+    # unsurcharged cost, so an optimum parks the fewest PEs possible
     objective = table.coeff.copy()
-    if dummy.any():
-        # lexicographic parking: a parked PE also pays a bound on the batch's
-        # unsurcharged cost, so an optimum parks the fewest PEs possible
-        objective[:, dummy] += table.pes @ np.where(admissible, table.coeff, 0.0).max(axis=1)
-    columns = admissible
-    if config.budget_semantics is not BudgetSemantics.LITERAL and jobs:
-        # per job, the cheapest admissible real pairs (stable sort: ties by
-        # resource id) until the capacity before a pair covers the demand
-        real = admissible & ~dummy
-        order = np.argsort(np.where(real, table.coeff, np.inf), axis=1, kind="stable")
-        cap = np.where(np.take_along_axis(real, order, axis=1), table.free[order], 0)
-        before = np.cumsum(cap, axis=1) - cap
-        prefix = np.zeros_like(real)
-        np.put_along_axis(prefix, order, before < sum(j.pe_count for j in jobs), axis=1)
-        columns = (real & prefix) | (admissible & dummy)
+    objective[:, dummy] += table.pes @ np.where(admissible, table.coeff, 0.0).max(
+        axis=1, initial=0.0
+    )
+    # per job, the cheapest admissible real pairs (stable sort: ties by
+    # resource id) until the capacity before a pair covers the demand
+    real = admissible & ~dummy
+    order = np.argsort(np.where(real, table.coeff, np.inf), axis=1, kind="stable")
+    cap = np.where(np.take_along_axis(real, order, axis=1), table.free[order], 0)
+    before = np.cumsum(cap, axis=1) - cap
+    prefix = np.zeros_like(real)
+    np.put_along_axis(prefix, order, before < table.pes.sum(), axis=1)
+    columns = (real & prefix) | dummy
     dummy_id = next((r.resource_id for r in table.resources if r.is_dummy), None)
     return RelaxedModel(
         table.jobs, table.resources, dummy_id, table, objective, admissible, columns
@@ -218,17 +196,11 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     A fractional vertex is never rounded and taken: feasible is not
     optimal.  Deterministic for a fixed environment; ties between
     equal-cost optima resolve by the engine's fixed pivoting and search
-    order.  Raises InfeasibleError when the demands cannot be met, which
-    needs a model built with ``allow_dummy=False``; an infeasible LP says
-    so at once, since the integer program is then infeasible too.
+    order.  The dummy makes every model feasible, so any other HiGHS status
+    than success raises ``RuntimeError``.
     """
     if not model.jobs:
         return AllocationMatrix.empty()
-    placeable = model.columns.any(axis=1)
-    if not placeable.all():
-        job = model.jobs[int(np.argmin(placeable))]
-        raise InfeasibleError(f"job {job.job_id} has no admissible pair")
-
     c, a_ub, b_ub, a_eq, b_eq, base_ub = _model_arrays(model)
     ji, ri = np.nonzero(model.columns)
     n = len(ji)
@@ -245,8 +217,6 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
             integrality=integrality,
             options={"mip_rel_gap": 0.0},
         )
-        if res.status == 2:  # infeasible
-            raise InfeasibleError("no integer allocation satisfies the demands")
         if res.status != 0:
             raise RuntimeError(f"HiGHS solve failed with status {res.status}: {res.message}")
         x = np.rint(res.x)

@@ -27,14 +27,7 @@ from dataclasses import asdict, dataclass, replace
 from .ga import GaParams, hga, lpga
 from .greedy import greedy_schedule
 from .mmc import mappings_from_allocation, modified_min_cost
-from .model import (
-    DEFAULT_CONFIG,
-    JobRequest,
-    ResourceInfo,
-    Schedule,
-    build_schedule,
-    exec_time,
-)
+from .model import JobRequest, ResourceInfo, Schedule, build_schedule, exec_time
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
@@ -81,28 +74,32 @@ def jsonl_sink(stream) -> Callable[[SimEvent], None]:
     return sink
 
 
-def _run_greedy(jobs, resources, config, params):
-    return greedy_schedule(jobs, resources, config), 0
+# Every adapter takes (jobs, resources, ga_params, rng_seed) and returns
+# (schedule, GA iterations); the GA adapters run with the period's seed.
 
 
-def _run_mmc(jobs, resources, config, params):
-    model = build_relaxed(jobs, resources, config)
+def _run_greedy(jobs, resources, params, seed):
+    return greedy_schedule(jobs, resources), 0
+
+
+def _run_mmc(jobs, resources, params, seed):
+    model = build_relaxed(jobs, resources)
     alloc = solve_relaxed(model)
-    return modified_min_cost(mappings_from_allocation(alloc), jobs, model.resources, config), 0
+    return modified_min_cost(mappings_from_allocation(alloc), jobs, model.resources), 0
 
 
-def _run_relaxed_mgn(jobs, resources, config, params):
-    model = build_relaxed(jobs, resources, config)
-    return build_schedule(solve_relaxed(model), jobs, model.resources, config), 0
+def _run_relaxed_mgn(jobs, resources, params, seed):
+    model = build_relaxed(jobs, resources)
+    return build_schedule(solve_relaxed(model), jobs, model.resources), 0
 
 
-def _run_lpga(jobs, resources, config, params):
-    schedule, result = lpga(jobs, resources, params, config)
+def _run_lpga(jobs, resources, params, seed):
+    schedule, result = lpga(jobs, resources, replace(params, rng_seed=seed))
     return schedule, result.iterations_used
 
 
-def _run_hga(jobs, resources, config, params):
-    schedule, result = hga(jobs, resources, params, config)
+def _run_hga(jobs, resources, params, seed):
+    schedule, result = hga(jobs, resources, replace(params, rng_seed=seed))
     return schedule, result.iterations_used
 
 
@@ -223,12 +220,9 @@ def run_scenario(
                 )
                 for j in pending
             ]
-            params = replace(
-                base_params,
-                rng_seed=config.rng_seed * GA_PERIOD_SEED_STRIDE + period,
-            )
+            seed = config.rng_seed * GA_PERIOD_SEED_STRIDE + period
             t0 = _time.perf_counter()
-            schedule, iters = adapter(presented, snapshot, DEFAULT_CONFIG, params)
+            schedule, iters = adapter(presented, snapshot, base_params, seed)
             sched_time += _time.perf_counter() - t0
             ga_iterations += iters
 

@@ -15,18 +15,21 @@ import numpy as np
 
 from metagrid.model import (
     AllocationMatrix,
-    DEFAULT_CONFIG,
     JobRequest,
     ResourceInfo,
-    SchedulerConfig,
     placement_cost,
     placement_feasible,
 )
-from metagrid.relaxed import InfeasibleError, RelaxedModel
+from metagrid.relaxed import RelaxedModel
 
 
 class TooLargeError(ValueError):
     """Instance exceeds the brute-force enumeration guard."""
+
+
+class InfeasibleModelError(ValueError):
+    """No integer allocation of the model meets every demand and budget.
+    A model from ``build_relaxed`` holds the dummy and never raises it."""
 
 
 def views(model: RelaxedModel) -> SimpleNamespace:
@@ -98,13 +101,13 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
     for job in jobs:
         rids = sorted(rid for (rid, jid) in view.feasible_pairs if jid == job.job_id)
         if not rids:
-            raise InfeasibleError(f"job {job.job_id} has no admissible pair")
+            raise InfeasibleModelError(f"job {job.job_id} has no admissible pair")
         arcs[job.job_id] = rids
         cheapest[job.job_id] = min(view.cost_coeff[(rid, job.job_id)] for rid in rids)
         weights = [view.budget_weight.get((rid, job.job_id), 0.0) for rid in rids]
         lightest[job.job_id] = [min(weights[ai:], default=inf) for ai in range(len(rids) + 1)]
         if job.pe_count * lightest[job.job_id][0] * (1 - 1e-9) > limit[job.job_id]:
-            raise InfeasibleError(f"job {job.job_id} cannot meet its budget")
+            raise InfeasibleModelError(f"job {job.job_id} cannot meet its budget")
 
     remaining_lb = [0.0] * (len(jobs) + 1)
     remaining_pes = [0] * (len(jobs) + 1)
@@ -198,14 +201,13 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
 
     place_job(0, 0.0)
     if best is None:
-        raise InfeasibleError("no integer allocation satisfies the demands")
+        raise InfeasibleModelError("no integer allocation satisfies the demands")
     return AllocationMatrix(best)
 
 
 def brute_force_sgn(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-    config: SchedulerConfig = DEFAULT_CONFIG,
 ) -> AllocationMatrix | None:
     """Optimal whole-job-per-resource assignment by exhaustive search.
 
@@ -221,7 +223,7 @@ def brute_force_sgn(
     options: list[list[tuple[str, float]]] = []
     for job in job_list:
         opts = [(res.resource_id, placement_cost(job, res))
-                for res in real if placement_feasible(job, res, config)]
+                for res in real if placement_feasible(job, res)]
         if not opts:
             return None
         options.append(opts)

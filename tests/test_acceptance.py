@@ -54,8 +54,8 @@ def _solve_batch(jobs, resources):
     return model, solve_relaxed(model)
 
 
-def _consolidate(jobs, resources):
-    model, alloc = _solve_batch(jobs, resources)
+def _consolidate(jobs, model, alloc):
+    """MMC's schedule from an already solved relaxation of the batch."""
     pool, _ = ensure_dummy(jobs, model.resources)
     return modified_min_cost(mappings_from_allocation(alloc), jobs, pool)
 
@@ -71,7 +71,7 @@ def sweep_corpus():
             grid, jobs = generate_scenario(cfg)
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
             greedy_s = greedy_schedule(jobs, grid)
-            mmc_s = _consolidate(jobs, grid)
+            mmc_s = _consolidate(jobs, *_solve_batch(jobs, grid))
             lp_s, lp_r = lpga(jobs, grid, params)
             hg_s, hg_r = hga(jobs, grid, params)
             cells[(count, seed)] = {
@@ -119,7 +119,7 @@ def test_acceptance_1_oracle_equivalence():
         whole_opt = brute_force_sgn(jobs, resources)
         if whole_opt is None:
             continue
-        mmc_s = _consolidate(jobs, resources)
+        mmc_s = _consolidate(jobs, model, alloc)
         greedy_s = greedy_schedule(jobs, resources)
         if mmc_s.dummy_jobs or greedy_s.dummy_jobs:
             continue
@@ -178,7 +178,7 @@ def test_acceptance_2_feasibility_fuzz():
         model, alloc = _solve_batch(jobs, resources)
         outputs = {
             "greedy": (greedy_schedule(jobs, resources).assignments, JobKind.SGN),
-            "mmc": (_consolidate(jobs, resources).assignments, JobKind.SGN),
+            "mmc": (_consolidate(jobs, model, alloc).assignments, JobKind.SGN),
             "relaxed-mgn": (alloc, JobKind.MGN),
             "lpga": (lpga(jobs, resources, params)[0].assignments, JobKind.SGN),
             "hga": (hga(jobs, resources, params)[0].assignments, JobKind.SGN),

@@ -119,6 +119,10 @@ def test_verbose_run_streams_events(tmp_path):
         ("[sweep]\ndeadline_modes = loose\n", "loose"),
         ("[ga]\npopulation_size = 1\n", "population_size"),
         ("[sweep]\ninterval_s = nan\n", "interval_s"),
+        ("[sweep]\nschedulers =\n", "empty schedulers list"),
+        ("[sweep]\nseeds = ,\n", "empty seeds list"),
+        ("[sweep]\nresource_counts =\n", "empty resource_counts list"),
+        ("[sweep]\ndeadline_modes =\n", "empty deadline_modes list"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, ini_text, complaint):
@@ -127,6 +131,13 @@ def test_bad_config_exits_one(tmp_path, capsys, ini_text, complaint):
     code = main(["run", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 1
     assert complaint in capsys.readouterr().err
+
+
+def test_empty_seed_flag_exits_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--quick", "--seeds", "", "--out", str(out)]) == 1
+    assert "empty seeds list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_one(tmp_path):

@@ -29,12 +29,9 @@ from metagrid.ga import (
 )
 from metagrid.model import (
     AllocationMatrix,
-    BudgetSemantics,
     JobKind,
     JobRequest,
     ResourceInfo,
-    DEFAULT_CONFIG,
-    SchedulerConfig,
     breach_count,
     build_schedule,
     ensure_dummy,
@@ -53,7 +50,7 @@ class DictWalkFitness:
     by job in sorted order, adding each placement's cost and breaches, then
     adds each real resource's PE overload."""
 
-    def __init__(self, jobs, resources, config=DEFAULT_CONFIG, penalty_weight=None):
+    def __init__(self, jobs, resources, penalty_weight=None):
         self.weight = (
             penalty_weight
             if penalty_weight is not None
@@ -70,7 +67,7 @@ class DictWalkFitness:
                 if not res.is_dummy:
                     key = (job.job_id, res.resource_id)
                     self.cost[key] = placement_cost(job, res)
-                    self.breaches[key] = breach_count(job, res, config)
+                    self.breaches[key] = breach_count(job, res)
 
     def __call__(self, genes: Mapping[str, str]) -> float:
         base = 0.0
@@ -142,7 +139,7 @@ def test_fitness_and_decode_share_the_budget_tolerance():
 
 
 @st.composite
-def placements(draw, semantics):
+def placements(draw):
     """One job and one to three resources that each have room for it.  Its
     budget and deadline are multiples of its charge and runtime on the
     first resource; a multiple of 1.0 puts them exactly on the limit."""
@@ -155,33 +152,31 @@ def placements(draw, semantics):
     ]
     factor = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.1, 10.0)
     probe = JobRequest("U", "J", 1.0, 1.0, sizes, pes)
-    budget = pair_charge(probe, resources[0], pes, semantics) * draw(factor)
+    budget = pair_charge(probe, resources[0], pes) * draw(factor)
     deadline = exec_time(probe, resources[0]) * draw(factor)
     return JobRequest("U", "J", budget, deadline, sizes, pes), resources
 
 
-@pytest.mark.parametrize("semantics", list(BudgetSemantics))
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(semantics, data):
+def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(data):
     """On a resource with room, a gene's fitness is its cost plus one
     penalty per breach, decoding parks it exactly when the placement is
     infeasible, and the whole-job oracle chooses among the feasible
     resources only."""
-    job, resources = data.draw(placements(semantics))
-    config = SchedulerConfig(budget_semantics=semantics)
+    job, resources = data.draw(placements())
     weight = default_penalty_weight([job], resources)
     for res in resources:
         genes = {job.job_id: res.resource_id}
-        breaches = breach_count(job, res, config)
-        feasible = placement_feasible(job, res, config)
+        breaches = breach_count(job, res)
+        feasible = placement_feasible(job, res)
         assert feasible is (breaches == 0)
-        got = fitness(genes, [job], resources, config=config)
+        got = fitness(genes, [job], resources)
         assert got == placement_cost(job, res) + weight * breaches
-        parked = decode_schedule(genes, [job], resources, config).dummy_jobs
+        parked = decode_schedule(genes, [job], resources).dummy_jobs
         assert (job.job_id in parked) is not feasible
-    options = [placement_cost(job, r) for r in resources if placement_feasible(job, r, config)]
-    whole = brute_force_sgn([job], resources, config)
+    options = [placement_cost(job, r) for r in resources if placement_feasible(job, r)]
+    whole = brute_force_sgn([job], resources)
     if not options:
         assert whole is None
     else:
@@ -214,14 +209,12 @@ def scored_batches(draw):
     return jobs, pool, fixed + free
 
 
-@pytest.mark.parametrize("semantics", list(BudgetSemantics))
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(batch=scored_batches())
-def test_batch_scores_equal_the_dict_walk_bit_for_bit(semantics, batch):
+def test_batch_scores_equal_the_dict_walk_bit_for_bit(batch):
     jobs, pool, rows = batch
-    config = SchedulerConfig(budget_semantics=semantics)
-    tables = FitnessTables(jobs, pool, config)
-    oracle = DictWalkFitness(jobs, pool, config)
+    tables = FitnessTables(jobs, pool)
+    oracle = DictWalkFitness(jobs, pool)
     got = tables.score(np.array(rows)).tolist()
     assert got == [oracle(tables.gene_map(row)) for row in rows]
 

@@ -15,7 +15,6 @@ from metagrid.mmc import (
 from metagrid.model import (
     DUMMY_ID,
     AllocationMatrix,
-    DEFAULT_CONFIG,
     JobKind,
     JobRequest,
     ResourceInfo,
@@ -119,7 +118,6 @@ def test_interchange_no_other_jobs_is_vacuous(s1_jobs, s1_resources):
         resources_by_id={r.resource_id: r for r in s1_resources},
         available={"R1": 4, "R2": 4},
         alternates=("R2",),
-        config=DEFAULT_CONFIG,
     )
     assert interchange_capacity("R1", [], ctx) == []
 
@@ -138,7 +136,6 @@ def test_interchange_moves_displaced_job_to_alternate():
         resources_by_id=resources,
         available={"R1": 0, "R2": 4, "R3": 4},
         alternates=("R2", "R3"),  # the consumer's other relaxed providers
-        config=DEFAULT_CONFIG,
     )
     report = interchange_capacity("R1", [JobMapping("J1", (("R1", 2),))], ctx)
     assert report == [("J1", "R2")]  # cheapest feasible alternate wins
@@ -157,7 +154,6 @@ def test_interchange_rehomes_on_cheapest_placement_not_rate():
         resources_by_id=resources,
         available={"R1": 0, "R2": 4, "R3": 4},
         alternates=("R2", "R3"),
-        config=DEFAULT_CONFIG,
     )
     report = interchange_capacity("R1", [JobMapping("J1", (("R1", 2),))], ctx)
     assert report == [("J1", "R3")]
@@ -175,7 +171,6 @@ def test_interchange_parks_job_with_no_feasible_alternate():
         resources_by_id=resources,
         available={"R1": 0, "R2": 4},
         alternates=("R2",),
-        config=DEFAULT_CONFIG,
     )
     report = interchange_capacity("R1", [JobMapping("J1", (("R1", 2),))], ctx)
     assert report == [("J1", None)]
@@ -197,7 +192,6 @@ def test_interchange_visits_smallest_jobs_first():
         resources_by_id=resources,
         available={"R1": 0, "R2": 3},
         alternates=("R2",),
-        config=DEFAULT_CONFIG,
     )
     displaced = [
         JobMapping("Jbig", (("R1", 3),)),
@@ -303,9 +297,7 @@ def test_sandwich_between_relaxed_and_feasible():
             lower = relaxed_objective(model, alloc)
             # the relaxed objective includes dummy deterrent terms; compare
             # only when the relaxation also used real resources throughout
-            if model.dummy_id is None or all(
-                rid != model.dummy_id for (rid, _), _p in alloc.items()
-            ):
+            if all(rid != model.dummy_id for (rid, _), _p in alloc.items()):
                 assert lower <= schedule.total_cost_gd + 1e-9, f"seed {seed}"
                 compared += 1
         elif sgn is not None:

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from metagrid.model import (
     AllocationMatrix,
-    BudgetSemantics,
     JobKind,
     JobRequest,
     ResourceInfo,
-    SchedulerConfig,
     UnknownIdError,
     ViolationKind,
     build_schedule,
@@ -124,15 +122,6 @@ def test_validate_reports_budget_breach():
     assert kinds == {ViolationKind.BUDGET}
 
 
-def test_validate_budget_semantics_flag():
-    # literal semantics drops the time factor: 2 G$/PE x 1 PE = 2 <= 10
-    job = JobRequest("U", "J", 10.0, 100.0, (1000.0,), 1)
-    res = ResourceInfo("R", 4, 2.0, 100.0)
-    alloc = AllocationMatrix({("R", "J"): 1})
-    literal = SchedulerConfig(budget_semantics=BudgetSemantics.LITERAL)
-    assert validate(alloc, [job], [res], JobKind.SGN, literal) == []
-
-
 def test_validate_reports_negative_entries(s1_jobs, s1_resources):
     alloc = AllocationMatrix({("R1", "A"): -2, ("R2", "B"): 3})
     kinds = {v.kind for v in validate(alloc, s1_jobs, s1_resources, JobKind.SGN)}
@@ -176,10 +165,7 @@ def test_placement_cost_and_budget_charge_agree(s1_jobs, s1_resources):
     job = s1_jobs[0]
     res = s1_resources[0]
     whole = placement_cost(job, res)
-    charged = budget_charge(
-        job, {res.resource_id: job.pe_count}, {res.resource_id: res},
-        BudgetSemantics.TIME_INCLUSIVE,
-    )
+    charged = budget_charge(job, {res.resource_id: job.pe_count}, {res.resource_id: res})
     assert whole == charged == 20.0
 
 

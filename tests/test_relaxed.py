@@ -16,11 +16,9 @@ from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_inst
 from metagrid.model import (
     DUMMY_ID,
     AllocationMatrix,
-    BudgetSemantics,
     JobKind,
     JobRequest,
     ResourceInfo,
-    SchedulerConfig,
     breach_count,
     budget_limit,
     exec_time,
@@ -32,13 +30,7 @@ from metagrid.model import (
     validate,
 )
 import metagrid.relaxed as relaxed_module
-from metagrid.relaxed import (
-    EmptyGridError,
-    InfeasibleError,
-    _model_arrays,
-    build_relaxed,
-    solve_relaxed,
-)
+from metagrid.relaxed import _model_arrays, build_relaxed, solve_relaxed
 from metagrid import simulator
 from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
@@ -48,8 +40,6 @@ from oracles import (
     relaxed_objective,
     views,
 )
-
-TIME_INCLUSIVE = BudgetSemantics.TIME_INCLUSIVE
 
 
 def build_and_solve(jobs, resources):
@@ -61,18 +51,15 @@ def build_and_solve(jobs, resources):
 
 
 def test_build_s1_feasible_pairs(s1_jobs, s1_resources):
-    strict = build_relaxed(s1_jobs, s1_resources, SchedulerConfig(allow_dummy=False))
-    model = views(strict)
-    assert model.feasible_pairs == {("R1", "A"), ("R2", "A"), ("R2", "B")}
-    assert model.cost_coeff[("R1", "A")] == 10.0
-    assert model.cost_coeff[("R2", "A")] == 15.0
-    assert model.cost_coeff[("R2", "B")] == 30.0
-    assert strict.dummy_id is None  # real capacity suffices
-    # with parking allowed the dummy is always there, one pair per job
-    parked = build_relaxed(s1_jobs, s1_resources)
-    assert views(parked).feasible_pairs - model.feasible_pairs == {
-        (parked.dummy_id, "A"), (parked.dummy_id, "B"),
+    model = build_relaxed(s1_jobs, s1_resources)
+    view = views(model)
+    # the dummy is always there, one pair per job
+    assert view.feasible_pairs == {
+        ("R1", "A"), ("R2", "A"), ("R2", "B"), (model.dummy_id, "A"), (model.dummy_id, "B"),
     }
+    assert view.cost_coeff[("R1", "A")] == 10.0
+    assert view.cost_coeff[("R2", "A")] == 15.0
+    assert view.cost_coeff[("R2", "B")] == 30.0
 
 
 def test_build_excludes_deadline_violating_pairs(s1_jobs, s1_resources):
@@ -97,12 +84,6 @@ def test_build_adds_dummy_for_unplaceable_job(s1_resources):
     assert all(p[0] == model.dummy_id for p in model.pair_order)
 
 
-def test_build_empty_grid_without_dummy_raises():
-    job = JobRequest("U", "J", 10.0, 10.0, (100.0,), 1)
-    with pytest.raises(EmptyGridError):
-        build_relaxed([job], [], SchedulerConfig(allow_dummy=False))
-
-
 def test_build_rejects_a_real_resource_using_the_dummy_id():
     # a real "DUMMY" at rate 1.0 must not pass for the parking lot: the
     # model would hold two resources of that id and park jobs on 1 PE
@@ -112,8 +93,7 @@ def test_build_rejects_a_real_resource_using_the_dummy_id():
         build_relaxed(jobs, resources)
 
 
-@pytest.mark.parametrize("semantics", list(BudgetSemantics))
-def test_pair_table_matches_the_per_pair_rule(semantics):
+def test_pair_table_matches_the_per_pair_rule():
     """Reference loop: every field of the batch's pair table, and each
     pair's admissibility and objective coefficient in the relaxation,
     computed one pair at a time by the scalar helpers of ``model``; the
@@ -121,11 +101,9 @@ def test_pair_table_matches_the_per_pair_rule(semantics):
     except that its budget weight is 0.0 and it is always feasible and
     admissible.  Its coefficient also carries the parking surcharge: every
     job's PEs at its dearest admissible coefficient."""
-    config = SchedulerConfig(budget_semantics=semantics)
-    eps = config.epsilon
     for seed in range(100):
         jobs, resources = fuzz_instance(seed)
-        model = build_relaxed(jobs, resources, config)
+        model = build_relaxed(jobs, resources)
         table = model.table
         assert table.jobs == tuple(sorted(jobs, key=lambda j: j.job_id))
         assert [r.resource_id for r in table.resources] == sorted(
@@ -135,21 +113,21 @@ def test_pair_table_matches_the_per_pair_rule(semantics):
         for j, job in enumerate(table.jobs):
             for r, res in enumerate(table.resources):
                 where = f"seed {seed} ({res.resource_id}, {job.job_id})"
-                weight = 0.0 if res.is_dummy else pair_charge(job, res, 1, semantics)
+                weight = 0.0 if res.is_dummy else pair_charge(job, res, 1)
                 assert table.exec_s[j, r] == exec_time(job, res), where
-                assert table.coeff[j, r] == pair_charge(job, res, 1, TIME_INCLUSIVE), where
+                assert table.coeff[j, r] == pair_charge(job, res, 1), where
                 assert table.cost[j, r] == placement_cost(job, res), where
                 assert table.weight[j, r] == weight, where
-                assert table.on_time[j, r] == meets_deadline(job, res, eps), where
-                assert table.breaches[j, r] == breach_count(job, res, config), where
-                assert table.feasible[j, r] == placement_feasible(job, res, config), where
+                assert table.on_time[j, r] == meets_deadline(job, res), where
+                assert table.breaches[j, r] == breach_count(job, res), where
+                assert table.feasible[j, r] == placement_feasible(job, res), where
                 assert table.dummy[r] == res.is_dummy, where
                 admissible = res.is_dummy or (
-                    meets_deadline(job, res, eps) and weight <= budget_limit(job.budget_gd, eps)
+                    meets_deadline(job, res) and weight <= budget_limit(job.budget_gd)
                 )
                 assert model.admissible[j, r] == admissible, where
                 if admissible:
-                    kept[(j, r)] = pair_charge(job, res, 1, TIME_INCLUSIVE)
+                    kept[(j, r)] = pair_charge(job, res, 1)
         surcharge = sum(
             job.pe_count * max(c for (row, _), c in kept.items() if row == j)
             for j, job in enumerate(table.jobs)
@@ -204,8 +182,9 @@ def test_solve_splits_when_cheaper():
 
 
 def test_solve_zero_jobs_is_empty():
-    model = build_relaxed([], [ResourceInfo("R", 4, 1.0, 100.0)])
-    assert solve_relaxed(model).entries == {}
+    for resources in ([ResourceInfo("R", 4, 1.0, 100.0)], []):
+        model = build_relaxed([], resources)
+        assert solve_relaxed(model).entries == {}
 
 
 @pytest.fixture
@@ -221,16 +200,6 @@ def highs_calls(monkeypatch):
 
     monkeypatch.setattr(relaxed_module, "linprog", recording)
     return calls
-
-
-def test_solve_infeasible_without_dummy(highs_calls):
-    job = JobRequest("U", "J", 10.0, 10.0, (100.0,) * 5, 5)
-    res = ResourceInfo("R", 2, 1.0, 100.0)  # capacity 2 < 5
-    model = build_relaxed([job], [res], SchedulerConfig(allow_dummy=False))
-    with pytest.raises(InfeasibleError):
-        solve_relaxed(model)
-    # an infeasible LP relaxation needs no integer program after it
-    assert [integrality for integrality, _ in highs_calls] == [None]
 
 
 def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
@@ -264,10 +233,11 @@ def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
         ResourceInfo("R3", 9, 2.0, 100.0),  # coeff 20: 4 + 9 >= 5
         ResourceInfo("R4", 9, 1.0, 50.0),  # coeff 20, after R3 on the id
     ]
-    model = build_relaxed(jobs, resources, SchedulerConfig(allow_dummy=False))
-    assert len(model.pair_order) == 8
+    model = build_relaxed(jobs, resources)
+    dummy = model.dummy_id
+    assert len(model.pair_order) == 10  # 8 real pairs, one dummy pair per job
     assert views(model).lp_columns == (
-        ("R2", "A"), ("R3", "A"), ("R2", "B"), ("R3", "B"),
+        (dummy, "A"), ("R2", "A"), ("R3", "A"), (dummy, "B"), ("R2", "B"), ("R3", "B"),
     )
 
 
@@ -281,38 +251,19 @@ def test_columns_keep_the_dummy_pair(s1_resources):
     }
 
 
-def test_literal_budgets_keep_every_admissible_column():
-    literal = SchedulerConfig(budget_semantics=BudgetSemantics.LITERAL)
-    for seed in range(60):
-        jobs, resources = fuzz_instance(seed)
-        model = build_relaxed(jobs, resources, literal)
-        assert (model.columns == model.admissible).all(), f"instance seed {seed}"
-
-
 def solve_both(model):
-    """Objectives with the default columns and with every admissible pair
-    (None where the instance is infeasible)."""
-    out = []
-    for m in (model, every_column(model)):
-        try:
-            out.append(relaxed_objective(m, solve_relaxed(m)))
-        except InfeasibleError:
-            out.append(None)
-    return out
+    """Objectives with the default columns and with every admissible pair."""
+    return [relaxed_objective(m, solve_relaxed(m)) for m in (model, every_column(model))]
 
 
 def test_column_pruning_keeps_the_optimum_on_tiny_instances():
     pruned = 0
-    for seed in range(200):
+    for seed in range(600):
         jobs, resources = tiny_instance(seed)
-        for allow_dummy in (False, True):
-            model = build_relaxed(jobs, resources, SchedulerConfig(allow_dummy=allow_dummy))
-            fewer, full = solve_both(model)
-            if full is None:
-                assert fewer is None, f"instance seed {seed}"
-            else:
-                assert fewer == pytest.approx(full, abs=1e-9), f"instance seed {seed}"
-            pruned += model.columns.sum() < model.admissible.sum()
+        model = build_relaxed(jobs, resources)
+        fewer, full = solve_both(model)
+        assert fewer == pytest.approx(full, abs=1e-9), f"instance seed {seed}"
+        pruned += model.columns.sum() < model.admissible.sum()
     assert pruned > 50
 
 
@@ -386,7 +337,7 @@ def test_parking_is_a_last_resort_on_wide_speed_spreads(instance):
     for job in model.jobs:
         if not alloc.pes(model.dummy_id, job.job_id):
             continue
-        limit = budget_limit(job.budget_gd, SchedulerConfig().epsilon)
+        limit = budget_limit(job.budget_gd)
         for rid, jid in view.feasible_pairs:
             if jid != job.job_id or rid == model.dummy_id or free[rid] <= 0:
                 continue
@@ -464,45 +415,35 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
     assert validate(alloc, [job], model.resources, JobKind.MGN) == []
     assert dict(alloc.entries) == {("R1", "A"): 1, (model.dummy_id, "A"): 1}
     assert brute_force_relaxed(model) == alloc
-    strict = build_relaxed([job], [res], SchedulerConfig(allow_dummy=False))
-    with pytest.raises(InfeasibleError):
-        solve_relaxed(strict)
 
 
 # --- LP first, integer program on a fractional vertex ------------------------
 
 
 def binding_budget_models():
-    """The test corpus (``tiny_instance`` 0-199 and ``fuzz_instance``
-    0-299, under both budget semantics, with parking on and off) cut to the
-    solvable models that keep a budget row: the only rows that can make an
-    LP vertex fractional."""
-    for instance, count in ((tiny_instance, 200), (fuzz_instance, 300)):
+    """The test corpus (``tiny_instance`` 0-599 and ``fuzz_instance``
+    0-299) cut to the models that keep a budget row: the only rows that can
+    make an LP vertex fractional."""
+    for instance, count in ((tiny_instance, 600), (fuzz_instance, 300)):
         for seed in range(count):
             jobs, resources = instance(seed)
-            for semantics in BudgetSemantics:
-                for allow_dummy in (False, True):
-                    config = SchedulerConfig(allow_dummy=allow_dummy, budget_semantics=semantics)
-                    model = build_relaxed(jobs, resources, config)
-                    if not model.columns.any(axis=1).all():
-                        continue  # raises before any HiGHS call
-                    _, a_ub, *_ = _model_arrays(model)
-                    capacity_rows = len(np.unique(np.nonzero(model.columns)[1]))
-                    if a_ub.shape[0] > capacity_rows:
-                        yield f"{instance.__name__}({seed}) {config}", model
+            model = build_relaxed(jobs, resources)
+            _, a_ub, *_ = _model_arrays(model)
+            capacity_rows = len(np.unique(np.nonzero(model.columns)[1]))
+            if a_ub.shape[0] > capacity_rows:
+                yield f"{instance.__name__}({seed})", model
 
 
 def forced_milp(model):
     """The zero-gap integer program's allocation over ``model``'s arrays,
-    with no LP pass before it; None when it is infeasible."""
+    with no LP pass before it."""
     c, a_ub, b_ub, a_eq, b_eq, ub = _model_arrays(model)
     res = scipy_linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=np.column_stack([np.zeros(len(c)), ub]), method="highs",
         integrality=np.ones(len(c)), options={"mip_rel_gap": 0.0},
     )
-    if res.status == 2:
-        return None
+    assert res.status == 0, res.message
     ji, ri = np.nonzero(model.columns)
     return AllocationMatrix({
         (model.resources[r].resource_id, model.jobs[j].job_id): int(x)
@@ -519,12 +460,9 @@ def test_fractional_vertices_fall_back_to_the_integer_program(highs_calls):
     fallbacks = enumerated = 0
     for where, model in binding_budget_models():
         highs_calls.clear()
-        try:
-            alloc = solve_relaxed(model)
-        except InfeasibleError:
-            alloc = None
+        alloc = solve_relaxed(model)
         lp = highs_calls[0][1]
-        lp_fractional = lp.status == 0 and np.abs(lp.x - np.rint(lp.x)).max() > 1e-9
+        lp_fractional = np.abs(lp.x - np.rint(lp.x)).max() > 1e-9
         assert len(highs_calls) == 1 + lp_fractional, where
         fallbacks += lp_fractional
         try:
@@ -532,15 +470,9 @@ def test_fractional_vertices_fall_back_to_the_integer_program(highs_calls):
             enumerated += 1
         except TooLargeError:
             reference = forced_milp(model)
-        except InfeasibleError:
-            reference = None
-            enumerated += 1
-        if reference is None:
-            assert alloc is None, where
-        else:
-            assert relaxed_objective(model, alloc) == pytest.approx(
-                relaxed_objective(model, reference), rel=1e-9, abs=1e-9
-            ), where
+        assert relaxed_objective(model, alloc) == pytest.approx(
+            relaxed_objective(model, reference), rel=1e-9, abs=1e-9
+        ), where
     assert fallbacks > 0
     assert enumerated > 100
 
