@@ -208,32 +208,31 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise UnknownSchedulerError(
             f"unknown scheduler(s) {', '.join(bad)}; choose from {', '.join(sorted(known))}"
         )
-    for mode in sweep.deadline_modes:
-        DeadlineMode(mode)  # raises ValueError on a bad mode name
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
+    # every config is checked (bad mode name, non-finite interval) before
+    # anything is written
     combos = [
-        (count, mode, scheduler, seed)
+        (scheduler, ScenarioConfig(
+            resource_count=count,
+            deadline_mode=DeadlineMode(mode),
+            job_count=sweep.job_count,
+            rng_seed=seed,
+            interval_s=sweep.interval_s,
+        ))
         for count in sweep.resource_counts
         for mode in sweep.deadline_modes
         for scheduler in sweep.schedulers
         for seed in seeds
     ]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    rows = []
     events_fh = None
     if args.verbose:
         events_fh = (out_dir / "events.jsonl").open("w")
     try:
-        for i, (count, mode, scheduler, seed) in enumerate(combos, start=1):
-            config = ScenarioConfig(
-                resource_count=count,
-                deadline_mode=DeadlineMode(mode),
-                job_count=sweep.job_count,
-                rng_seed=seed,
-                interval_s=sweep.interval_s,
-            )
+        for i, (scheduler, config) in enumerate(combos, start=1):
+            count, mode, seed = config.resource_count, config.deadline_mode.value, config.rng_seed
             logger.info(
                 "[%d/%d] %s on %d resources, %s deadlines, seed %d",
                 i, len(combos), scheduler, count, mode, seed,

@@ -15,17 +15,48 @@ allow: no PE parks while its job can afford a free real PE, and no job
 parks to free a cheaper machine for another.
 
 The model is a set of job x resource arrays over the batch's
-``model.pair_table``.  It keeps every admissible pair, but the integer
-program handed to the solver gets only the columns that can matter
-(``RelaxedModel.columns``): per job, its admissible real pairs in
-ascending (cost coefficient, resource id) order, stopping once their
-summed free PEs reach the batch's total PE demand, plus the dummy pair.
-This loses no optimum.  Any PE placed outside its job's prefix leaves
-some prefix resource with a spare PE (the prefix alone can hold the whole
-batch); moving the PE there costs no more, and as a pair's budget weight
-is its cost coefficient, spends no more either, so the per-pair bounds
-still hold.  The move never touches a parked PE, so the pruned program
-keeps the fewest parked PEs too.
+``model.pair_table``.  It keeps every admissible pair, but the program
+handed to the solver gets only the columns that can matter
+(``RelaxedModel.columns``): every job's dummy pair and the real pairs
+that survive the rules below, none of which loses the optimum.
+
+Job-side prefix: per job, its admissible real pairs in ascending (cost
+coefficient, resource id) order, stopping once their summed free PEs
+reach the batch's total PE demand.  Any PE placed outside its job's
+prefix leaves some prefix resource with a spare PE (the prefix alone
+can hold the whole batch); moving the PE there costs no more, and as a
+pair's budget weight is its cost coefficient, spends no more either, so
+the per-pair bounds still hold.  The move never touches a parked PE, so
+the pruned program keeps the fewest parked PEs too.
+
+(a) No column on a resource without a free PE: its bound is 0 anyway.
+
+(b) The spend bound (``_spend_bound``): no allocation makes a job spend
+more than its pe_count PEs filled into its weighted columns dearest
+weight first, each up to its column bound (a fractional knapsack).  A
+budget row can bind only when that bound exceeds the job's limit, and
+``_model_arrays`` keeps only those rows.
+
+(c) Resource-side prefix, for a batch that overflows the grid.  For
+each real resource r, rank the jobs whose (j, r) column survived the
+rules above by parking gain g_jr = objective[j, dummy] -
+objective[j, r], highest first (a stable sort: ties by job id), and
+keep them until the PE counts of the jobs before each one reach the
+grid's total free real PEs F.  Suppose a job j outside r's prefix holds
+a PE on r.  The prefix asks for at least F PEs and, as j holds one real
+PE, holds at most F - 1 of them, so some prefix job k has a parked PE.
+Swapping the two (j's PE to the dummy, k's onto r) changes the cost by
+g_jr - g_kr <= 0 and keeps r's load and the parked count.  It lowers
+j's spend and raises k's, so (c) applies only when every job passes (b)
+with the uncapped column bounds min(free, pe_count): then no allocation
+of k's PEs over its columns, the swapped one included, overspends.
+The budget-capped bounds floor(limit / weight) would not do, because
+the swap can push k past its cap.  The swap target (k, r) is a column
+because only the surviving columns are ranked, so the swap stays inside
+the job-side prefix; each one takes a PE off a column that (c) cuts,
+and repeating it turns an optimum over the job-side prefix into one
+over both prefixes.  A batch whose demand fits in F closes no
+resource-side prefix, so (c) is tried only on a batch that overflows.
 
 ``solve_relaxed`` hands these arrays to HiGHS (via scipy) as a plain LP
 first.  Without budget rows the constraints are one demand equality per
@@ -114,18 +145,46 @@ def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
         axis=1, initial=0.0
     )
     # per job, the cheapest admissible real pairs (stable sort: ties by
-    # resource id) until the capacity before a pair covers the demand
+    # resource id) until the capacity before a pair covers the demand,
+    # less the pairs on resources without a free PE
     real = admissible & ~dummy
+    demand = table.pes.sum()
     order = np.argsort(np.where(real, table.coeff, np.inf), axis=1, kind="stable")
     cap = np.where(np.take_along_axis(real, order, axis=1), table.free[order], 0)
     before = np.cumsum(cap, axis=1) - cap
     prefix = np.zeros_like(real)
-    np.put_along_axis(prefix, order, before < table.pes.sum(), axis=1)
-    columns = (real & prefix) | dummy
+    np.put_along_axis(prefix, order, before < demand, axis=1)
+    columns = real & prefix & (table.free > 0)
+    # per resource, the jobs of highest parking gain until the PEs before
+    # a job cover the grid, when no job can overspend (module docstring)
+    grid = table.free[~dummy].sum()
+    weight = np.where(columns, table.weight, 0.0)
+    uncapped = np.where(columns, np.minimum(table.free, table.pes[:, None]), 0.0)
+    if demand > grid and (_spend_bound(weight, uncapped, table.pes) <= table.limit).all():
+        gain = objective[:, dummy] - objective
+        order = np.argsort(np.where(columns, -gain, np.inf), axis=0, kind="stable")
+        pes = np.where(np.take_along_axis(columns, order, axis=0), table.pes[order], 0)
+        before = np.cumsum(pes, axis=0) - pes
+        prefix = np.zeros_like(columns)
+        np.put_along_axis(prefix, order, before < grid, axis=0)
+        columns &= prefix
+    columns |= dummy
     dummy_id = next((r.resource_id for r in table.resources if r.is_dummy), None)
     return RelaxedModel(
         table.jobs, table.resources, dummy_id, table, objective, admissible, columns
     )
+
+
+def _spend_bound(weight, ub, pes) -> np.ndarray:
+    """Most each job can spend: its ``pes`` PEs filled into its columns
+    dearest ``weight`` first, each up to its bound ``ub`` (a fractional
+    knapsack).  ``weight`` and ``ub`` are job x resource arrays, zero off
+    the job's columns."""
+    order = np.argsort(-weight, axis=1)
+    weight = np.take_along_axis(weight, order, axis=1)
+    ub = np.take_along_axis(ub, order, axis=1)
+    before = np.cumsum(ub, axis=1) - ub
+    return (weight * np.clip(pes[:, None] - before, 0, ub)).sum(axis=1)
 
 
 def _model_arrays(model: RelaxedModel):
@@ -151,12 +210,12 @@ def _model_arrays(model: RelaxedModel):
     a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.jobs), n))
 
     # inequality rows: capacity per used resource, then each budget row
-    # that could bind given the bounds
+    # that can bind given the bounds
     used = np.unique(ri)
     cap_row = np.searchsorted(used, ri)
-    reach = np.bincount(ji[weighted], weights=(w * ub)[weighted], minlength=len(model.jobs))
-    binds = np.bincount(ji[weighted], minlength=len(model.jobs)) > 0
-    binds &= ~(reach <= limit)
+    weight, bound = np.zeros((2, len(model.jobs), len(used)))  # over the used resources
+    weight[ji, cap_row], bound[ji, cap_row] = w, ub
+    binds = _spend_bound(weight, bound, pes) > limit
     bud_row = len(used) + np.cumsum(binds) - 1
     terms = weighted & binds[ji]
     n_ub = len(used) + int(binds.sum())

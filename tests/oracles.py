@@ -54,6 +54,29 @@ def views(model: RelaxedModel) -> SimpleNamespace:
     )
 
 
+def job_side_columns(model: RelaxedModel) -> np.ndarray:
+    """The columns the job-side prefix keeps, less those on resources
+    without a free PE, plus every dummy pair (``relaxed`` module
+    docstring), walked one job at a time: the columns before the
+    resource-side prefix cuts any."""
+    table = model.table
+    demand = sum(job.pe_count for job in model.jobs)
+    columns = np.zeros_like(model.columns)
+    for j in range(len(model.jobs)):
+        ranked = sorted(
+            (table.coeff[j, r], r) for r in range(len(model.resources))
+            if model.admissible[j, r] and not table.dummy[r]
+        )
+        covered = 0
+        for _, r in ranked:
+            if covered >= demand:
+                break
+            columns[j, r] = table.free[r] > 0
+            covered += table.free[r]
+        columns[j] |= table.dummy
+    return columns
+
+
 def relaxed_objective(model: RelaxedModel, alloc: AllocationMatrix) -> float:
     """Canonical objective: coefficient-weighted PE counts summed in the
     model's fixed pair order (so equal allocations give identical floats).

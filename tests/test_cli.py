@@ -131,6 +131,7 @@ def test_bad_config_exits_one(tmp_path, capsys, ini_text, complaint):
     code = main(["run", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 1
     assert complaint in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_seed_flag_exits_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 from collections import Counter
 from unittest import mock
 
@@ -30,13 +31,14 @@ from metagrid.model import (
     validate,
 )
 import metagrid.relaxed as relaxed_module
-from metagrid.relaxed import _model_arrays, build_relaxed, solve_relaxed
+from metagrid.relaxed import _model_arrays, _spend_bound, build_relaxed, solve_relaxed
 from metagrid import simulator
 from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
     TooLargeError,
     brute_force_relaxed,
     brute_force_sgn,
+    job_side_columns,
     relaxed_objective,
     views,
 )
@@ -251,6 +253,14 @@ def test_columns_keep_the_dummy_pair(s1_resources):
     }
 
 
+def test_columns_skip_a_resource_without_a_free_pe():
+    jobs = [JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 2, 2)]
+    resources = [ResourceInfo("R1", 0, 1.0, 100.0), ResourceInfo("R2", 4, 2.0, 100.0)]
+    model = build_relaxed(jobs, resources)
+    assert ("R1", "A") in model.pair_order  # admissible, but its bound is 0
+    assert views(model).lp_columns == ((model.dummy_id, "A"), ("R2", "A"))
+
+
 def solve_both(model):
     """Objectives with the default columns and with every admissible pair."""
     return [relaxed_objective(m, solve_relaxed(m)) for m in (model, every_column(model))]
@@ -267,18 +277,30 @@ def test_column_pruning_keeps_the_optimum_on_tiny_instances():
     assert pruned > 50
 
 
-@pytest.mark.parametrize("resource_count", [25, 200])
+@pytest.mark.parametrize("resource_count, job_count", [
+    pytest.param(25, 50, id="25"), pytest.param(200, 50, id="200"), pytest.param(50, 200, id="50x200"),
+])
 @pytest.mark.parametrize("deadline_mode", ["tight", "medium"])
-def test_column_pruning_keeps_the_optimum_on_generated_scenarios(resource_count, deadline_mode):
+def test_column_pruning_keeps_the_optimum_on_generated_scenarios(
+    resource_count, job_count, deadline_mode
+):
+    """At 200 resources the job-side prefix cuts; at 50 x 200 the batch
+    asks for more PEs than the grid holds, no job-side prefix closes, and
+    the resource-side prefix cuts."""
     for seed in range(5):
-        grid, jobs = generate_scenario(
-            ScenarioConfig(resource_count=resource_count, deadline_mode=deadline_mode, rng_seed=seed)
-        )
+        grid, jobs = generate_scenario(ScenarioConfig(
+            resource_count=resource_count, job_count=job_count,
+            deadline_mode=deadline_mode, rng_seed=seed,
+        ))
         model = build_relaxed(jobs, grid)
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
         if resource_count == 200:
             assert model.columns.sum() < model.admissible.sum() / 3
+        if job_count == 200:
+            job_side = job_side_columns(model)
+            assert not (model.columns & ~job_side).any()
+            assert model.columns.sum() < job_side.sum() / 2, f"scenario seed {seed}"
 
 
 @st.composite
@@ -344,6 +366,105 @@ def test_parking_is_a_last_resort_on_wide_speed_spreads(instance):
             assert spent[jid] + view.budget_weight[(rid, jid)] > limit, (
                 f"{jid} parks a PE while {rid} has {free[rid]} free and affordable"
             )
+
+
+@st.composite
+def overflowing_instances(draw):
+    """In-guard instances whose jobs ask for more PEs than the grid has
+    free, on unequally priced machines, with budgets mostly ample (so the
+    resource-side prefix applies) and sometimes tight."""
+    resources = [
+        ResourceInfo(
+            f"R{i + 1}",
+            draw(st.integers(0, 4)),
+            draw(st.floats(0.5, 5.0)),
+            draw(st.floats(20.0, 2000.0)),
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    free = sum(r.free_pes for r in resources)
+    jobs = []
+    while sum(j.pe_count for j in jobs) <= free or len(jobs) < 2:
+        m = draw(st.integers(1, 4))
+        jobs.append(
+            JobRequest(
+                user_id=f"U{len(jobs) + 1}",
+                job_id=f"J{len(jobs) + 1}",
+                budget_gd=draw(st.just(1e6) | st.floats(5.0, 500.0)),
+                deadline_s=draw(st.floats(1.0, 60.0)),
+                task_sizes_mi=tuple(draw(st.floats(100.0, 4000.0)) for _ in range(m)),
+                pe_count=m,
+            )
+        )
+    return jobs, resources
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(overflowing_instances())
+def test_solver_matches_brute_force_on_overflowing_batches(instance):
+    jobs, resources = instance
+    model, alloc = build_and_solve(jobs, resources)
+    reference = brute_force_relaxed(model)
+    assert relaxed_objective(model, alloc) == pytest.approx(
+        relaxed_objective(model, reference), rel=1e-9, abs=1e-9
+    )
+
+
+def job_splits(model, j):
+    """Every split of job ``j``'s PEs over its columns that fits each
+    resource's free PEs and the job's budget: a superset of what the
+    job holds in any feasible allocation of the batch."""
+    cols = np.flatnonzero(model.columns[j])
+    table = model.table
+    ranges = [range(min(table.free[r], model.jobs[j].pe_count) + 1) for r in cols]
+    for x in itertools.product(*ranges):
+        spend = sum(table.weight[j, r] * pes for r, pes in zip(cols, x))
+        if sum(x) == model.jobs[j].pe_count and spend <= table.limit[j]:
+            yield spend
+
+
+def spend_bounds(model):
+    """Each job's spend bound over its columns: with the column bounds of
+    ``_model_arrays``, and with the uncapped min(free, pe_count)."""
+    table = model.table
+    ji, ri = np.nonzero(model.columns)
+    capped = np.zeros(model.columns.shape)
+    capped[ji, ri] = _model_arrays(model)[5]
+    uncapped = np.where(model.columns, np.minimum(table.free, table.pes[:, None]), 0.0)
+    weight = np.where(model.columns, table.weight, 0.0)
+    return _spend_bound(weight, capped, table.pes), _spend_bound(weight, uncapped, table.pes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spread_instances())
+def test_the_spend_bound_covers_every_feasible_split(instance):
+    """The bound ``_model_arrays`` keeps budget rows by is at least what
+    the job spends in any split that meets its demand and budget."""
+    jobs, resources = instance
+    model = build_relaxed(jobs, resources)
+    bound, _ = spend_bounds(model)
+    for j in range(len(model.jobs)):
+        for spend in job_splits(model, j):
+            assert spend <= bound[j] * (1 + 1e-12), model.jobs[j].job_id
+
+
+@pytest.mark.parametrize("seed", [66, 111, 113, 190, 198])
+def test_a_binding_pair_cap_keeps_the_resource_side_prefix_off(seed):
+    """On these overflowing batches every job passes the spend bound with
+    its budget-capped column bounds, but not with min(free, pe_count): a
+    swap into the resource-side prefix could push a job past its cap, so
+    the prefix must not cut, and the optimum stays the brute-force one."""
+    jobs, resources = tiny_instance(seed)
+    model, alloc = build_and_solve(jobs, resources)
+    table = model.table
+    assert table.pes.sum() > table.free[~table.dummy].sum()
+    capped, uncapped = spend_bounds(model)
+    assert (capped <= table.limit).all()
+    assert not (uncapped <= table.limit).all()
+    assert (model.columns == job_side_columns(model)).all()
+    assert relaxed_objective(model, alloc) == pytest.approx(
+        relaxed_objective(model, brute_force_relaxed(model)), abs=1e-9
+    )
 
 
 def test_a_slow_free_machine_beats_parking():
@@ -421,10 +542,10 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
 
 
 def binding_budget_models():
-    """The test corpus (``tiny_instance`` 0-599 and ``fuzz_instance``
+    """The test corpus (``tiny_instance`` 0-1199 and ``fuzz_instance``
     0-299) cut to the models that keep a budget row: the only rows that can
     make an LP vertex fractional."""
-    for instance, count in ((tiny_instance, 600), (fuzz_instance, 300)):
+    for instance, count in ((tiny_instance, 1200), (fuzz_instance, 300)):
         for seed in range(count):
             jobs, resources = instance(seed)
             model = build_relaxed(jobs, resources)
