@@ -355,32 +355,6 @@ def _index(records: Sequence, key: str) -> dict:
     return out
 
 
-def schedule_cost(
-    alloc: AllocationMatrix,
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-) -> float:
-    """Total money the allocation spends on real (non-dummy) resources.
-
-    Each entry contributes rate x PEs x execution time.  Raises
-    UnknownIdError if an entry references an unknown job or resource.
-    """
-    jobs_by_id = _index(jobs, "job_id")
-    res_by_id = _index(resources, "resource_id")
-    total = 0.0
-    for (rid, jid), pes in alloc.items():
-        if rid not in res_by_id:
-            raise UnknownIdError(f"allocation references unknown resource {rid}")
-        if jid not in jobs_by_id:
-            raise UnknownIdError(f"allocation references unknown job {jid}")
-        res = res_by_id[rid]
-        if res.is_dummy:
-            continue
-        job = jobs_by_id[jid]
-        total += res.cost_per_pe_second * pes * exec_time(job, res)
-    return total
-
-
 def validate(
     alloc: AllocationMatrix,
     jobs: Sequence[JobRequest],

@@ -246,22 +246,29 @@ def _check_integer_solution(model: RelaxedModel, ji, ri, x) -> bool:
 def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     """Optimal integer solution of the relaxation.
 
-    The arrays go to HiGHS (via scipy) first as a plain LP.  When no budget
-    row binds, its vertex is already an integer optimum (module docstring),
-    and it is taken if every entry lies within 1e-9 of an integer and the
-    rounded answer passes an exact feasibility re-check.  Otherwise the
-    same arrays go to the branch-and-cut engine as an integer program at
-    zero optimality gap, and its rounded answer must pass the same re-check.
-    A fractional vertex is never rounded and taken: feasible is not
-    optimal.  Deterministic for a fixed environment; ties between
-    equal-cost optima resolve by the engine's fixed pivoting and search
-    order.  The dummy makes every model feasible, so any other HiGHS status
-    than success raises ``RuntimeError``.
+    A model with no real column (each job's only column is its dummy pair)
+    has a single feasible allocation, every job parked whole: it is
+    returned after the exact feasibility re-check below, and HiGHS is not
+    called.  Otherwise the arrays go to HiGHS (via scipy) first as a plain
+    LP.  When no budget row binds, its vertex is already an integer
+    optimum (module docstring), and it is taken if every entry lies within
+    1e-9 of an integer and the rounded answer passes that re-check.
+    Otherwise the same arrays go to the branch-and-cut engine as an integer
+    program at zero optimality gap, and its rounded answer must pass the
+    same re-check.  A fractional vertex is never rounded and taken:
+    feasible is not optimal.  Deterministic for a fixed environment; ties
+    between equal-cost optima resolve by the engine's fixed pivoting and
+    search order.  The dummy makes every model feasible, so any other
+    HiGHS status than success raises ``RuntimeError``.
     """
     if not model.jobs:
         return AllocationMatrix.empty()
-    c, a_ub, b_ub, a_eq, b_eq, base_ub = _model_arrays(model)
     ji, ri = np.nonzero(model.columns)
+    if len(ji) == len(model.jobs):  # each job's one column is its dummy pair
+        x = model.table.pes.astype(int)
+        if _check_integer_solution(model, ji, ri, x):
+            return _allocation(model, ji, ri, x)
+    c, a_ub, b_ub, a_eq, b_eq, base_ub = _model_arrays(model)
     n = len(ji)
     bounds = np.column_stack([np.zeros(n), base_ub])
     for integrality in (None, np.ones(n)):  # the LP, then the integer program
@@ -283,8 +290,12 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
             continue  # never round a fractional vertex: solve the integer program
         x = x.astype(int)
         if _check_integer_solution(model, ji, ri, x):
-            return AllocationMatrix({
-                (model.resources[ri[k]].resource_id, model.jobs[ji[k]].job_id): int(x[k])
-                for k in np.flatnonzero(x)
-            })
+            return _allocation(model, ji, ri, x)
     raise RuntimeError("MILP optimum failed the exact feasibility recheck")
+
+
+def _allocation(model: RelaxedModel, ji, ri, x) -> AllocationMatrix:
+    return AllocationMatrix({
+        (model.resources[ri[k]].resource_id, model.jobs[ji[k]].job_id): int(x[k])
+        for k in np.flatnonzero(x)
+    })

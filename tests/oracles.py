@@ -1,4 +1,5 @@
-"""Test-only oracles: exhaustive searches for small instances, the
+"""Test-only oracles: exhaustive searches for small instances, the money
+an allocation spends, the penalised fitness of one chromosome, the
 relaxation's canonical objective, the per-pair dict views of a built
 relaxation that the oracles walk, and the GA's scalar breeding loop."""
 
@@ -6,7 +7,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from itertools import accumulate
 from math import inf
 from types import SimpleNamespace
@@ -17,9 +18,12 @@ from metagrid.model import (
     AllocationMatrix,
     JobRequest,
     ResourceInfo,
+    UnknownIdError,
+    exec_time,
     placement_cost,
     placement_feasible,
 )
+from metagrid.ga import Chromosome, FitnessTables
 from metagrid.relaxed import RelaxedModel
 
 
@@ -75,6 +79,48 @@ def job_side_columns(model: RelaxedModel) -> np.ndarray:
             covered += table.free[r]
         columns[j] |= table.dummy
     return columns
+
+
+def schedule_cost(
+    alloc: AllocationMatrix,
+    jobs: Sequence[JobRequest],
+    resources: Sequence[ResourceInfo],
+) -> float:
+    """Total money the allocation spends on real (non-dummy) resources.
+
+    Each entry contributes rate x PEs x execution time.  Raises
+    UnknownIdError if an entry references an unknown job or resource.
+    """
+    jobs_by_id = {j.job_id: j for j in jobs}
+    res_by_id = {r.resource_id: r for r in resources}
+    total = 0.0
+    for (rid, jid), pes in alloc.items():
+        if rid not in res_by_id:
+            raise UnknownIdError(f"allocation references unknown resource {rid}")
+        if jid not in jobs_by_id:
+            raise UnknownIdError(f"allocation references unknown job {jid}")
+        res = res_by_id[rid]
+        if res.is_dummy:
+            continue
+        job = jobs_by_id[jid]
+        total += res.cost_per_pe_second * pes * exec_time(job, res)
+    return total
+
+
+def fitness(
+    chromosome: Chromosome | Mapping[str, str],
+    jobs: Sequence[JobRequest],
+    resources: Sequence[ResourceInfo],
+    penalty_weight: float | None = None,
+) -> float:
+    """Penalised cost of one chromosome (lower is better); 0.0 for no jobs."""
+    if not jobs:
+        return 0.0
+    genes = (
+        chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
+    )
+    tables = FitnessTables(jobs, resources, penalty_weight)
+    return float(tables.score(np.array([tables.encode(genes)]))[0])
 
 
 def relaxed_objective(model: RelaxedModel, alloc: AllocationMatrix) -> float:

@@ -30,13 +30,12 @@ from metagrid.model import (
     JobRequest,
     ResourceInfo,
     ensure_dummy,
-    schedule_cost,
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import run_scenario
 from metagrid.workload import ScenarioConfig, generate_scenario
-from oracles import brute_force_relaxed, brute_force_sgn, relaxed_objective
+from oracles import brute_force_relaxed, brute_force_sgn, relaxed_objective, schedule_cost
 
 SWEEP_COUNTS = (25, 50, 100, 150, 200)
 SWEEP_SEEDS = tuple(range(10))

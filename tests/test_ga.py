@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections.abc import Mapping
 
@@ -18,7 +19,6 @@ from metagrid.ga import (
     crossover,
     decode_schedule,
     default_penalty_weight,
-    fitness,
     hga,
     lpga,
     mutate,
@@ -39,10 +39,9 @@ from metagrid.model import (
     pair_charge,
     placement_cost,
     placement_feasible,
-    schedule_cost,
     validate,
 )
-from oracles import brute_force_sgn, scalar_generation, scalar_mutate
+from oracles import brute_force_sgn, fitness, scalar_generation, scalar_mutate, schedule_cost
 
 
 class DictWalkFitness:
@@ -217,6 +216,19 @@ def test_batch_scores_equal_the_dict_walk_bit_for_bit(batch):
     oracle = DictWalkFitness(jobs, pool)
     got = tables.score(np.array(rows)).tolist()
     assert got == [oracle(tables.gene_map(row)) for row in rows]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(batch=scored_batches())
+def test_no_score_is_below_the_floor(batch):
+    """The floor is the penalty for each job's fewest breaches, a parked
+    job counting one, and every row scores at least that much."""
+    jobs, pool, rows = batch
+    tables = FitnessTables(jobs, pool)
+    real = [r for r in pool if not r.is_dummy]
+    fewest = sum(min([1] + [breach_count(j, r) for r in real]) for j in jobs)
+    assert tables.floor() == tables.weight * fewest
+    assert (tables.score(np.array(rows)) >= tables.floor()).all()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -579,6 +591,82 @@ def test_run_ga_is_deterministic(s1_jobs, s1_resources):
     a = run_ga([], s1_jobs, s1_resources, params)
     b = run_ga([], s1_jobs, s1_resources, params)
     assert a == b
+
+
+def hopeless_instance(seed: int) -> tuple[list[JobRequest], list[ResourceInfo]]:
+    """``tiny_instance`` with each deadline cut to half the job's fastest
+    execution time, so no job has a breach-free real pair."""
+    jobs, resources = tiny_instance(seed)
+    return [
+        dataclasses.replace(j, deadline_s=min(exec_time(j, r) for r in resources) / 2)
+        for j in jobs
+    ], resources
+
+
+def full_loop(monkeypatch, seeds, jobs, resources, params):
+    """``run_ga``'s answer with the floor check off, so the loop runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(FitnessTables, "floor", lambda self: -np.inf)
+        return run_ga(seeds, jobs, resources, params)
+
+
+def floor_of(jobs, resources):
+    return FitnessTables(jobs, ensure_dummy(jobs, resources)[0]).floor()
+
+
+def no_generation(*args):
+    raise AssertionError("a generation was bred")
+
+
+def parked(jobs, resources):
+    _, dummy_id = ensure_dummy(jobs, resources)
+    return Chromosome({j.job_id: dummy_id for j in jobs})
+
+
+@pytest.mark.parametrize("max_iterations", [1, 5, 25, 26, 300])
+@pytest.mark.parametrize("elitism", [0, 1])
+@pytest.mark.parametrize("seed_count", [1, 2])
+def test_a_seed_on_the_fitness_floor_returns_the_loops_answer_without_breeding(
+    monkeypatch, max_iterations, elitism, seed_count
+):
+    for seed in range(10):
+        jobs, resources = hopeless_instance(seed)
+        params = GaParams(
+            population_size=10, convergence_window=25, max_iterations=max_iterations,
+            elitism=elitism, rng_seed=seed,
+        )
+        # with two seeds, a breaching real placement comes before the floor
+        real = Chromosome({j.job_id: resources[0].resource_id for j in jobs})
+        seeds = [real, parked(jobs, resources)][-seed_count:]
+        expected = full_loop(monkeypatch, seeds, jobs, resources, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(ga_module, "_breed", no_generation)
+            result = run_ga(seeds, jobs, resources, params)
+        assert result.seed_fitness == floor_of(jobs, resources)
+        assert result.best == expected.best == parked(jobs, resources)
+        assert result.iterations_used == expected.iterations_used
+        assert result.best_fitness_trace == expected.best_fitness_trace
+        assert result.converged == expected.converged
+        assert result.seed_fitness == expected.seed_fitness
+        assert result == expected
+
+
+def test_a_hopeless_batch_with_a_seed_off_the_floor_runs_the_loop(monkeypatch):
+    jobs, resources = hopeless_instance(3)
+    real = Chromosome({j.job_id: resources[0].resource_id for j in jobs})
+    params = GaParams(population_size=10, convergence_window=25, max_iterations=300)
+    generations = []
+    original = ga_module._breed
+
+    def counted(*args):
+        generations.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ga_module, "_breed", counted)
+    result = run_ga([real], jobs, resources, params)
+    assert result.seed_fitness > floor_of(jobs, resources)
+    assert len(generations) == result.iterations_used - 1 > 0
+    assert result == full_loop(monkeypatch, [real], jobs, resources, params)
 
 
 # ------------------------------------------------------ seeded pipelines

@@ -9,10 +9,9 @@ from metagrid.model import (
     JobRequest,
     ResourceInfo,
     ensure_dummy,
-    schedule_cost,
     validate,
 )
-from oracles import brute_force_sgn
+from oracles import brute_force_sgn, schedule_cost
 
 
 def test_s1(s1_jobs, s1_resources):

@@ -21,7 +21,6 @@ from metagrid.model import (
     Schedule,
     build_schedule,
     ensure_dummy,
-    schedule_cost,
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed

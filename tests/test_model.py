@@ -21,11 +21,11 @@ from metagrid.model import (
     placement_cost,
     placement_feasible,
     qos_index,
-    schedule_cost,
     validate,
 )
 
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST
+from oracles import schedule_cost
 
 
 def test_exec_time_two_equal_tasks():

@@ -27,7 +27,6 @@ from metagrid.model import (
     pair_charge,
     placement_cost,
     placement_feasible,
-    schedule_cost,
     validate,
 )
 import metagrid.relaxed as relaxed_module
@@ -40,6 +39,7 @@ from oracles import (
     brute_force_sgn,
     job_side_columns,
     relaxed_objective,
+    schedule_cost,
     views,
 )
 
@@ -215,6 +215,38 @@ def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
         pes for (rid, _), pes in alloc.items() if rid == model.dummy_id
     )
     assert parked_pes == 15 - 8  # everything beyond the real grid
+
+
+def no_real_column_batches():
+    """Two batches whose model has no real column: every deadline shorter
+    than the fastest execution time, and every resource the jobs meet
+    their deadlines on without a free PE."""
+    grid = [ResourceInfo("R1", 4, 1.0, 100.0), ResourceInfo("R2", 4, 3.0, 200.0)]
+    late = [  # 2000 MI takes 10 s on R2, the faster machine
+        JobRequest("U", f"J{i}", 1e6, 9.0, (2000.0,) * (i + 1), i + 1) for i in range(3)
+    ]
+    full = [ResourceInfo("R1", 4, 1.0, 100.0), ResourceInfo("R2", 0, 3.0, 200.0)]
+    fits_r2 = [  # 20 s on R1, 10 s on R2: only R2 meets the deadline
+        JobRequest("U", f"J{i}", 1e6, 15.0, (2000.0,) * (i + 1), i + 1) for i in range(3)
+    ]
+    return [pytest.param(late, grid, id="deadline"), pytest.param(fits_r2, full, id="full")]
+
+
+@pytest.mark.parametrize("jobs, resources", no_real_column_batches())
+def test_a_model_without_a_real_column_parks_every_job_without_highs(
+    jobs, resources, monkeypatch
+):
+    model = build_relaxed(jobs, resources)
+    assert not (model.columns & ~model.table.dummy).any()
+
+    def no_highs(*args, **kwargs):
+        raise AssertionError("HiGHS called on a model without a real column")
+
+    monkeypatch.setattr(relaxed_module, "linprog", no_highs)
+    alloc = solve_relaxed(model)
+    assert dict(alloc.entries) == {(model.dummy_id, j.job_id): j.pe_count for j in jobs}
+    assert alloc == brute_force_relaxed(model)
+    assert validate(alloc, jobs, model.resources, JobKind.MGN) == []
 
 
 # --- solver columns ---------------------------------------------------------
