@@ -31,7 +31,7 @@ from math import ceil, inf
 import numpy as np
 
 from .greedy import greedy_schedule
-from .mmc import MmcStats, mappings_from_allocation, modified_min_cost
+from .mmc import mappings_from_allocation, modified_min_cost
 from .model import (
     AllocationMatrix,
     JobRequest,
@@ -536,7 +536,6 @@ def lpga(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     params: GaParams = GaParams(),
-    mmc_stats: MmcStats | None = None,
 ) -> tuple[Schedule, GaResult]:
     """Relaxation-seeded meta-scheduler.
 
@@ -551,9 +550,7 @@ def lpga(
     model = build_relaxed(jobs, resources)
     alloc = solve_relaxed(model)
     pool, _ = ensure_dummy(jobs, model.resources)
-    seed_schedule = modified_min_cost(
-        mappings_from_allocation(alloc), jobs, pool, stats=mmc_stats
-    )
+    seed_schedule = modified_min_cost(mappings_from_allocation(alloc), jobs, pool)
     seed = chromosome_from_schedule(seed_schedule, jobs, pool)
     result = run_ga([seed], jobs, pool, params)
     schedule = decode_schedule(result.best, jobs, pool)

@@ -141,7 +141,7 @@ def run_scenario(
     """Simulate one scenario under one scheduler and return its metrics.
 
     ``grid`` and ``jobs`` default to the generated workload for ``config``;
-    pass them explicitly to replay a serialized fixture instead.
+    pass them explicitly to replay records held in memory instead.
     """
     if scheduler not in SCHEDULERS:
         raise UnknownSchedulerError(

@@ -36,33 +36,23 @@ def test_unknown_scheduler_is_rejected():
         run_scenario(cfg, "annealing")
 
 
-# --------------------------------------------------------- pinned draws
+# ------------------------------------------------------------ pinned job
 
 
-def _pinned_config(**overrides) -> ScenarioConfig:
-    """One 12-PE machine and one 5-task job with every draw collapsed to
-    its mean: 400 s runtime, 4.5 G$/PE-s, so the job costs exactly 9000."""
-    base = dict(
-        resource_count=1,
-        job_count=1,
-        rng_seed=3,
-        pe_min=12,
-        pe_max=12,
-        rate_min_gd=4.5,
-        rate_max_gd=4.5,
-        mips_min=500.0,
-        mips_max=500.0,
-        task_variation_min=0.0,
-        task_variation_max=0.0,
-        runtime_spread=0.0,
+def _run_pinned(scheduler: str, **kwargs) -> ScenarioMetrics:
+    """One 12-PE machine at 4.5 G$/PE-s and 500 MIPS, and one 5-task job of
+    400 s on it, submitted at 10 s: the job costs exactly 4.5 x 5 x 400 = 9000."""
+    grid = [ResourceInfo("R0001", 12, 4.5, 500.0)]
+    jobs = [JobRequest("U0001", "J0001", 18000.0, 650.0, (400.0 * 500.0,) * 5, 5, 10.0)]
+    return run_scenario(
+        ScenarioConfig(resource_count=1, job_count=1), scheduler, grid=grid, jobs=jobs,
+        **kwargs,
     )
-    base.update(overrides)
-    return ScenarioConfig(**base)
 
 
 def test_pinned_job_completes_identically_under_every_scheduler():
     for scheduler in ALL_SCHEDULERS:
-        metrics = run_scenario(_pinned_config(), scheduler, ga_params=SMALL_GA)
+        metrics = _run_pinned(scheduler, ga_params=SMALL_GA)
         assert metrics.scheduler == scheduler
         assert metrics.jobs_submitted == 1
         assert metrics.jobs_completed == 1
@@ -221,7 +211,7 @@ def test_jsonl_sink_emits_one_parseable_object_per_event(s1_jobs, s1_resources):
 
 
 def test_metrics_shape():
-    m = run_scenario(_pinned_config(), "greedy")
+    m = _run_pinned("greedy")
     assert isinstance(m, ScenarioMetrics)
     assert m.tasks_submitted == 5
     assert m.ga_iterations == 0  # greedy never touches the GA
