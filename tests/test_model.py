@@ -272,33 +272,6 @@ def test_job_rejects_non_finite_numbers(field, bad):
         JobRequest("U", "J", pe_count=2, **values)
 
 
-_RESOURCE = {"resource_id": "R", "free_pes": 1, "cost_per_pe_second": 1.0,
-             "pe_speed_mips": 100.0}
-_JOB = {"user_id": "U", "job_id": "J", "budget_gd": 10.0, "deadline_s": 10.0,
-        "task_sizes_mi": (100.0,), "pe_count": 1}
-
-
-@pytest.mark.parametrize("record, field, value", [
-    pytest.param(ResourceInfo, "pe_speed_mips", "fast", id="speed-str"),
-    pytest.param(ResourceInfo, "cost_per_pe_second", None, id="rate-null"),
-    pytest.param(ResourceInfo, "cost_per_pe_second", True, id="rate-bool"),
-    pytest.param(ResourceInfo, "cost_per_pe_second", {"J": 1.0}, id="rate-map"),
-    pytest.param(ResourceInfo, "free_pes", True, id="free_pes-bool"),
-    pytest.param(ResourceInfo, "is_dummy", "no", id="is_dummy-str"),
-    pytest.param(ResourceInfo, "resource_id", 3, id="resource_id-number"),
-    pytest.param(JobRequest, "budget_gd", "10", id="budget-str"),
-    pytest.param(JobRequest, "pe_count", "1", id="pe_count-str"),
-    pytest.param(JobRequest, "pe_count", 1.0, id="pe_count-float"),
-    pytest.param(JobRequest, "task_sizes_mi", 5, id="task_sizes-number"),
-    pytest.param(JobRequest, "job_id", 8, id="job_id-number"),
-    pytest.param(JobRequest, "user_id", 7, id="user_id-number"),
-])
-def test_mistyped_fields_are_rejected_at_construction(record, field, value):
-    base = _RESOURCE if record is ResourceInfo else _JOB
-    with pytest.raises(ValueError, match=field):
-        record(**{**base, field: value})
-
-
 def test_validate_and_build_schedule_reject_duplicate_job_ids(s1_jobs, s1_resources):
     jobs = [*s1_jobs, s1_jobs[0]]
     alloc = AllocationMatrix(S1_OPTIMAL_ALLOC)

@@ -1,10 +1,12 @@
-"""Scenario generator: determinism, distribution clamps, config checks."""
+"""Scenario generator: determinism, distribution clamps, config checks;
+and the type rules a record read from outside data meets when it is built."""
 
 from __future__ import annotations
 
 from statistics import fmean
 
 import pytest
+from metagrid.model import JobRequest, ResourceInfo
 from metagrid.workload import (
     BadConfigError,
     DeadlineMode,
@@ -25,10 +27,11 @@ def test_rejects_negative_counts():
         ScenarioConfig(resource_count=5, job_count=-2)
 
 
-@pytest.mark.parametrize("interval", [0.0, -50.0])
-def test_rejects_non_positive_interval(interval):
+def test_rejects_bad_bounds():
     with pytest.raises(BadConfigError, match="interval_s"):
-        ScenarioConfig(resource_count=5, interval_s=interval)
+        ScenarioConfig(resource_count=5, interval_s=0.0)
+    with pytest.raises(BadConfigError, match="interval_s"):
+        ScenarioConfig(resource_count=5, interval_s=-50.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -136,3 +139,34 @@ def test_generate_scenario_bundles_both():
     grid, jobs = generate_scenario(cfg)
     assert grid == generate_grid(cfg)
     assert jobs == generate_jobs(cfg)
+
+
+# --------------------------------------------------------------- records
+
+
+_RESOURCE = {"resource_id": "R", "free_pes": 1, "cost_per_pe_second": 1.0,
+             "pe_speed_mips": 100.0}
+_JOB = {"user_id": "U", "job_id": "J", "budget_gd": 10.0, "deadline_s": 10.0,
+        "task_sizes_mi": (100.0,), "pe_count": 1}
+
+
+@pytest.mark.parametrize("record, field, value", [
+    pytest.param(ResourceInfo, "pe_speed_mips", "fast", id="speed-str"),
+    pytest.param(ResourceInfo, "cost_per_pe_second", None, id="rate-null"),
+    pytest.param(ResourceInfo, "cost_per_pe_second", True, id="rate-bool"),
+    pytest.param(ResourceInfo, "cost_per_pe_second", {"J": 1.0}, id="rate-map"),
+    pytest.param(ResourceInfo, "free_pes", True, id="free_pes-bool"),
+    pytest.param(ResourceInfo, "is_dummy", "no", id="is_dummy-str"),
+    pytest.param(ResourceInfo, "resource_id", 3, id="resource_id-number"),
+    pytest.param(JobRequest, "budget_gd", "10", id="budget-str"),
+    pytest.param(JobRequest, "pe_count", "1", id="pe_count-str"),
+    pytest.param(JobRequest, "pe_count", 1.0, id="pe_count-float"),
+    pytest.param(JobRequest, "task_sizes_mi", 5, id="task_sizes-number"),
+    pytest.param(JobRequest, "job_id", 8, id="job_id-number"),
+    pytest.param(JobRequest, "user_id", 7, id="user_id-number"),
+])
+def test_mistyped_records_are_rejected_at_load(record, field, value):
+    """A record read from outside data is refused when it is built."""
+    base = _RESOURCE if record is ResourceInfo else _JOB
+    with pytest.raises(ValueError, match=field):
+        record(**{**base, field: value})
