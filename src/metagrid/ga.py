@@ -31,7 +31,7 @@ from math import ceil, inf
 import numpy as np
 
 from .greedy import greedy_schedule
-from .mmc import mappings_from_allocation, modified_min_cost
+from .mmc import modified_min_cost
 from .model import (
     AllocationMatrix,
     JobRequest,
@@ -548,9 +548,8 @@ def lpga(
     if not jobs:
         return Schedule.empty(), _empty_result()
     model = build_relaxed(jobs, resources)
-    alloc = solve_relaxed(model)
-    pool, _ = ensure_dummy(jobs, model.resources)
-    seed_schedule = modified_min_cost(mappings_from_allocation(alloc), jobs, pool)
+    pool = model.resources
+    seed_schedule = modified_min_cost(model, solve_relaxed(model))
     seed = chromosome_from_schedule(seed_schedule, jobs, pool)
     result = run_ga([seed], jobs, pool, params)
     schedule = decode_schedule(result.best, jobs, pool)

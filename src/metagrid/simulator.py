@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .ga import GaParams, hga, lpga
 from .greedy import greedy_schedule
-from .mmc import mappings_from_allocation, modified_min_cost
+from .mmc import modified_min_cost
 from .model import JobRequest, ResourceInfo, Schedule, build_schedule, exec_time
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
@@ -84,8 +84,7 @@ def _run_greedy(jobs, resources, params, seed):
 
 def _run_mmc(jobs, resources, params, seed):
     model = build_relaxed(jobs, resources)
-    alloc = solve_relaxed(model)
-    return modified_min_cost(mappings_from_allocation(alloc), jobs, model.resources), 0
+    return modified_min_cost(model, solve_relaxed(model)), 0
 
 
 def _run_relaxed_mgn(jobs, resources, params, seed):

@@ -19,13 +19,9 @@ import pytest
 from conftest import fuzz_instance, tiny_instance
 from metagrid.ga import GaParams, hga, lpga
 from metagrid.greedy import greedy_schedule
-from metagrid.mmc import (
-    JobMapping,
-    MmcStats,
-    mappings_from_allocation,
-    modified_min_cost,
-)
+from metagrid.mmc import MmcStats, modified_min_cost
 from metagrid.model import (
+    AllocationMatrix,
     JobKind,
     JobRequest,
     ResourceInfo,
@@ -53,12 +49,6 @@ def _solve_batch(jobs, resources):
     return model, solve_relaxed(model)
 
 
-def _consolidate(jobs, model, alloc):
-    """MMC's schedule from an already solved relaxation of the batch."""
-    pool, _ = ensure_dummy(jobs, model.resources)
-    return modified_min_cost(mappings_from_allocation(alloc), jobs, pool)
-
-
 @pytest.fixture(scope="module")
 def sweep_corpus():
     """Direct-batch runs of all four schedulers on the full-size sweep:
@@ -70,7 +60,7 @@ def sweep_corpus():
             grid, jobs = generate_scenario(cfg)
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
             greedy_s = greedy_schedule(jobs, grid)
-            mmc_s = _consolidate(jobs, *_solve_batch(jobs, grid))
+            mmc_s = modified_min_cost(*_solve_batch(jobs, grid))
             lp_s, lp_r = lpga(jobs, grid, params)
             hg_s, hg_r = hga(jobs, grid, params)
             cells[(count, seed)] = {
@@ -118,7 +108,7 @@ def test_acceptance_1_oracle_equivalence():
         whole_opt = brute_force_sgn(jobs, resources)
         if whole_opt is None:
             continue
-        mmc_s = _consolidate(jobs, model, alloc)
+        mmc_s = modified_min_cost(model, alloc)
         greedy_s = greedy_schedule(jobs, resources)
         if mmc_s.dummy_jobs or greedy_s.dummy_jobs:
             continue
@@ -177,7 +167,7 @@ def test_acceptance_2_feasibility_fuzz():
         model, alloc = _solve_batch(jobs, resources)
         outputs = {
             "greedy": (greedy_schedule(jobs, resources).assignments, JobKind.SGN),
-            "mmc": (_consolidate(jobs, model, alloc).assignments, JobKind.SGN),
+            "mmc": (modified_min_cost(model, alloc).assignments, JobKind.SGN),
             "relaxed-mgn": (alloc, JobKind.MGN),
             "lpga": (lpga(jobs, resources, params)[0].assignments, JobKind.SGN),
             "hga": (hga(jobs, resources, params)[0].assignments, JobKind.SGN),
@@ -378,13 +368,11 @@ def test_acceptance_8_consolidation_work_bound():
                 ResourceInfo(f"R{i:02d}", n, 1.0 + 0.01 * i, 100.0)
                 for i in range(n)
             ]
-            mappings = [
-                JobMapping(f"J{k:02d}", tuple((f"R{i:02d}", 1) for i in range(n)))
-                for k in range(m)
-            ]
+            alloc = AllocationMatrix(
+                {(f"R{i:02d}", f"J{k:02d}"): 1 for k in range(m) for i in range(n)}
+            )
             stats = MmcStats()
-            pool, _ = ensure_dummy(jobs, resources)
-            modified_min_cost(mappings, jobs, pool, stats=stats)
+            modified_min_cost(build_relaxed(jobs, resources), alloc, stats=stats)
             assert stats.steps > 0
             steps[(m, n)] = stats.steps
 

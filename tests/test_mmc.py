@@ -3,15 +3,7 @@
 from __future__ import annotations
 
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_instance
-from metagrid.mmc import (
-    InterchangeContext,
-    JobMapping,
-    MmcStats,
-    interchange_capacity,
-    mappings_from_allocation,
-    modified_min_cost,
-    schedule_dummy_jobs,
-)
+from metagrid.mmc import MmcStats, modified_min_cost
 from metagrid.model import (
     DUMMY_ID,
     AllocationMatrix,
@@ -19,7 +11,6 @@ from metagrid.model import (
     JobRequest,
     ResourceInfo,
     Schedule,
-    build_schedule,
     ensure_dummy,
     validate,
 )
@@ -30,21 +21,12 @@ from oracles import brute_force_sgn, relaxed_objective
 def consolidate(jobs, resources, stats=None):
     """Full pipeline: relaxed solve then consolidation."""
     model = build_relaxed(jobs, resources)
-    alloc = solve_relaxed(model)
-    pool, _ = ensure_dummy(jobs, model.resources)
-    return modified_min_cost(
-        mappings_from_allocation(alloc), jobs, pool, stats=stats
-    )
+    return modified_min_cost(model, solve_relaxed(model), stats=stats)
 
 
-def test_mappings_group_and_sort():
-    alloc = AllocationMatrix({("R2", "B"): 1, ("R1", "B"): 2, ("R1", "A"): 2})
-    maps = mappings_from_allocation(alloc)
-    assert [m.job_id for m in maps] == ["A", "B"]
-    assert maps[0].provider_allocations == (("R1", 2),)
-    assert maps[0].provider_count == 1
-    assert maps[1].provider_allocations == (("R1", 2), ("R2", 1))
-    assert maps[1].providers() == ["R1", "R2"]
+def consolidate_split(jobs, resources, entries, stats=None):
+    """Consolidation of a hand-made relaxed split, (resource, job) -> PEs."""
+    return modified_min_cost(build_relaxed(jobs, resources), AllocationMatrix(entries), stats)
 
 
 def test_s1_single_provider_jobs_are_frozen(s1_jobs, s1_resources):
@@ -61,9 +43,7 @@ def test_multi_provider_job_with_no_room_is_parked():
         ResourceInfo("R1", 2, 1.0, 100.0),
         ResourceInfo("R2", 2, 2.0, 100.0),
     ]
-    pool, _ = ensure_dummy([job], resources)
-    relaxed = [JobMapping("C", (("R1", 2), ("R2", 1)))]
-    schedule = modified_min_cost(relaxed, [job], pool)
+    schedule = consolidate_split([job], resources, {("R1", "C"): 2, ("R2", "C"): 1})
     assert schedule.dummy_jobs == {"C"}
     assert schedule.total_cost_gd == 0.0
 
@@ -75,9 +55,7 @@ def test_multi_provider_job_consolidates_onto_biggest_cheapest():
         ResourceInfo("R1", 4, 1.0, 100.0),
         ResourceInfo("R2", 4, 2.0, 100.0),
     ]
-    pool, _ = ensure_dummy([job], resources)
-    relaxed = [JobMapping("D", (("R1", 2), ("R2", 1)))]
-    schedule = modified_min_cost(relaxed, [job], pool)
+    schedule = consolidate_split([job], resources, {("R1", "D"): 2, ("R2", "D"): 1})
     assert schedule.assignments.pes("R1", "D") == 3
     assert schedule.dummy_jobs == frozenset()
 
@@ -90,9 +68,7 @@ def test_candidate_tie_breaks_on_placement_cost_not_rate():
         ResourceInfo("R1", 4, 1.0, 100.0),
         ResourceInfo("R2", 4, 1.5, 400.0),
     ]
-    pool, _ = ensure_dummy([job], resources)
-    relaxed = [JobMapping("D", (("R1", 1), ("R2", 1)))]
-    schedule = modified_min_cost(relaxed, [job], pool)
+    schedule = consolidate_split([job], resources, {("R1", "D"): 1, ("R2", "D"): 1})
     assert schedule.assignments.pes("R2", "D") == 2
     assert schedule.total_cost_gd == 7.5
 
@@ -105,115 +81,159 @@ def test_consolidation_respects_budget_not_just_capacity():
         ResourceInfo("R1", 4, 2.0, 100.0),  # whole job: 60 > 25
         ResourceInfo("R2", 4, 0.5, 100.0),  # whole job: 15 <= 25
     ]
-    pool, _ = ensure_dummy([job], resources)
-    relaxed = [JobMapping("E", (("R1", 2), ("R2", 1)))]
-    schedule = modified_min_cost(relaxed, [job], pool)
+    schedule = consolidate_split([job], resources, {("R1", "E"): 2, ("R2", "E"): 1})
     assert schedule.assignments.pes("R2", "E") == 3
 
 
-def test_interchange_no_other_jobs_is_vacuous(s1_jobs, s1_resources):
-    ctx = InterchangeContext(
-        jobs_by_id={j.job_id: j for j in s1_jobs},
-        resources_by_id={r.resource_id: r for r in s1_resources},
-        available={"R1": 4, "R2": 4},
-        alternates=("R2",),
-    )
-    assert interchange_capacity("R1", [], ctx) == []
+# The interchange: a job that consumes a provider evicts the other jobs'
+# tentative holds on it.  Single-provider jobs freeze first and jobs are
+# consolidated fewest providers first (ties by id), so in each case below
+# the consumer A holds no more providers than its evictees and sorts first.
+
+
+def test_interchange_no_other_jobs_is_vacuous(s1_resources):
+    job = JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 3, 3)
+    stats = MmcStats()
+    schedule = consolidate_split([job], s1_resources, {("R1", "A"): 2, ("R2", "A"): 1}, stats)
+    assert schedule.assignments.entries == {("R1", "A"): 3}
+    # the job and its first candidate; nothing held R1 besides it
+    assert (stats.steps, stats.displacements, stats.parked) == (2, 0, 0)
 
 
 def test_interchange_moves_displaced_job_to_alternate():
-    jobs = {
-        "J1": JobRequest("U", "J1", 1e6, 100.0, (1000.0,) * 2, 2),
+    consumer = JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 4, 4)
+    evictee = JobRequest("U", "B", 1e6, 100.0, (1000.0,) * 3, 3)
+    resources = [
+        ResourceInfo("R1", 4, 1.0, 100.0),
+        ResourceInfo("R2", 4, 2.0, 100.0),
+        ResourceInfo("R3", 4, 3.0, 100.0),
+        ResourceInfo("R4", 4, 1.5, 100.0),  # B's own, not A's
+    ]
+    split = {
+        ("R1", "A"): 2, ("R2", "A"): 1, ("R3", "A"): 1,
+        ("R1", "B"): 1, ("R3", "B"): 1, ("R4", "B"): 1,
     }
-    resources = {
-        "R1": ResourceInfo("R1", 4, 1.0, 100.0),
-        "R2": ResourceInfo("R2", 4, 2.0, 100.0),
-        "R3": ResourceInfo("R3", 4, 3.0, 100.0),
-    }
-    ctx = InterchangeContext(
-        jobs_by_id=jobs,
-        resources_by_id=resources,
-        available={"R1": 0, "R2": 4, "R3": 4},
-        alternates=("R2", "R3"),  # the consumer's other relaxed providers
-    )
-    report = interchange_capacity("R1", [JobMapping("J1", (("R1", 2),))], ctx)
-    assert report == [("J1", "R2")]  # cheapest feasible alternate wins
-    assert ctx.available["R2"] == 2
+    stats = MmcStats()
+    schedule = consolidate_split([consumer, evictee], resources, split, stats)
+    # A takes R1; B goes to the cheapest feasible of A's other providers,
+    # not to its own cheaper R4
+    assert schedule.assignments.entries == {("R1", "A"): 4, ("R2", "B"): 3}
+    assert (stats.steps, stats.displacements, stats.parked) == (3, 1, 0)
 
 
 def test_interchange_rehomes_on_cheapest_placement_not_rate():
-    jobs = {"J1": JobRequest("U", "J1", 1e6, 100.0, (1000.0,) * 2, 2)}
-    resources = {
-        "R1": ResourceInfo("R1", 4, 1.0, 100.0),
-        "R2": ResourceInfo("R2", 4, 1.0, 100.0),  # whole job: 20
-        "R3": ResourceInfo("R3", 4, 2.0, 400.0),  # whole job: 10
+    consumer = JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 4, 4)
+    evictee = JobRequest("U", "B", 1e6, 100.0, (1000.0,) * 3, 3)
+    resources = [
+        ResourceInfo("R1", 4, 1.0, 100.0),
+        ResourceInfo("R2", 4, 1.0, 100.0),  # B whole: 30
+        ResourceInfo("R3", 4, 2.0, 400.0),  # B whole: 15
+    ]
+    split = {
+        ("R1", "A"): 2, ("R2", "A"): 1, ("R3", "A"): 1,
+        ("R1", "B"): 1, ("R2", "B"): 1, ("R3", "B"): 1,
     }
-    ctx = InterchangeContext(
-        jobs_by_id=jobs,
-        resources_by_id=resources,
-        available={"R1": 0, "R2": 4, "R3": 4},
-        alternates=("R2", "R3"),
-    )
-    report = interchange_capacity("R1", [JobMapping("J1", (("R1", 2),))], ctx)
-    assert report == [("J1", "R3")]
-    assert ctx.available == {"R1": 0, "R2": 4, "R3": 2}
+    schedule = consolidate_split([consumer, evictee], resources, split)
+    assert schedule.assignments.entries == {("R1", "A"): 4, ("R3", "B"): 3}
+    assert schedule.per_job_cost_gd["B"] == 15.0
 
 
 def test_interchange_parks_job_with_no_feasible_alternate():
-    jobs = {"J1": JobRequest("U", "J1", 1e6, 5.0, (1000.0,) * 2, 2)}
-    resources = {
-        "R1": ResourceInfo("R1", 4, 1.0, 1000.0),
-        "R2": ResourceInfo("R2", 4, 2.0, 100.0),  # 10 s > 5 s deadline
-    }
-    ctx = InterchangeContext(
-        jobs_by_id=jobs,
-        resources_by_id=resources,
-        available={"R1": 0, "R2": 4},
-        alternates=("R2",),
-    )
-    report = interchange_capacity("R1", [JobMapping("J1", (("R1", 2),))], ctx)
-    assert report == [("J1", None)]
+    consumer = JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 2, 2)
+    evictee = JobRequest("U", "B", 1e6, 5.0, (1000.0,) * 2, 2)
+    resources = [
+        ResourceInfo("R1", 2, 1.0, 1000.0),
+        ResourceInfo("R2", 4, 2.0, 100.0),  # B needs 10 s > its 5 s deadline
+    ]
+    split = {("R1", "A"): 1, ("R2", "A"): 1, ("R1", "B"): 1, ("R2", "B"): 1}
+    stats = MmcStats()
+    schedule = consolidate_split([consumer, evictee], resources, split, stats)
+    # A fills R1; B's one alternate misses its deadline, and the rescue
+    # finds no other home
+    assert schedule.assignments.pes("R1", "A") == 2
+    assert schedule.dummy_jobs == {"B"}
+    assert (stats.displacements, stats.parked) == (1, 1)
 
 
 def test_interchange_visits_smallest_jobs_first():
-    jobs = {
-        "Jbig": JobRequest("U", "Jbig", 1e6, 100.0, (1000.0,) * 3, 3),
-        "Jsmall": JobRequest("U", "Jsmall", 1e6, 100.0, (1000.0,) * 2, 2),
-    }
-    resources = {
-        "R1": ResourceInfo("R1", 4, 1.0, 100.0),
-        "R2": ResourceInfo("R2", 3, 2.0, 100.0),
+    consumer = JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 4, 4)
+    big = JobRequest("U", "Jbig", 1e6, 100.0, (1000.0,) * 3, 3)
+    small = JobRequest("U", "Jsmall", 1e6, 100.0, (1000.0,) * 2, 2)
+    resources = [
+        ResourceInfo("R1", 4, 1.0, 100.0),
+        ResourceInfo("R2", 3, 2.0, 100.0),
+    ]
+    split = {
+        ("R1", "A"): 3, ("R2", "A"): 1,
+        ("R1", "Jbig"): 2, ("R2", "Jbig"): 1,
+        ("R1", "Jsmall"): 1, ("R2", "Jsmall"): 1,
     }
     # only 3 PEs on the alternate: the small job (visited first) gets them,
     # the big one fits no longer and parks
-    ctx = InterchangeContext(
-        jobs_by_id=jobs,
-        resources_by_id=resources,
-        available={"R1": 0, "R2": 3},
-        alternates=("R2",),
-    )
-    displaced = [
-        JobMapping("Jbig", (("R1", 3),)),
-        JobMapping("Jsmall", (("R1", 2),)),
+    stats = MmcStats()
+    schedule = consolidate_split([consumer, big, small], resources, split, stats)
+    assert schedule.assignments.pes("R2", "Jsmall") == 2
+    assert schedule.dummy_jobs == {"Jbig"}
+    assert (stats.displacements, stats.parked) == (2, 1)
+
+
+# The dummy share: candidates are tried most relaxed PEs first, and
+# reaching the job's dummy share parks it; the rescue may place it after.
+
+
+def test_dummy_share_parks_before_a_provider_with_room():
+    job = JobRequest("U", "J", 1e6, 100.0, (1000.0,) * 3, 3)
+    resources = [ResourceInfo("R1", 4, 1.0, 100.0)]
+    stats = MmcStats()
+    schedule = consolidate_split([job], resources, {("R1", "J"): 1, (DUMMY_ID, "J"): 2}, stats)
+    # the dummy share ranks first, so R1 is not tried; the rescue puts the
+    # job there.  Steps: the job, its dummy visit, the rescue's one visit
+    assert schedule.assignments.entries == {("R1", "J"): 3}
+    assert schedule.dummy_jobs == frozenset()
+    assert (stats.steps, stats.displacements, stats.parked) == (3, 0, 1)
+
+
+def test_dummy_share_after_a_provider_without_room():
+    job = JobRequest("U", "J", 1e6, 100.0, (1000.0,) * 3, 3)
+    resources = [
+        ResourceInfo("R1", 2, 1.0, 100.0),  # the bigger share, but too small
+        ResourceInfo("R2", 4, 2.0, 100.0),  # not among the job's providers
     ]
-    report = interchange_capacity("R1", displaced, ctx)
-    assert report == [("Jsmall", "R2"), ("Jbig", None)]
+    stats = MmcStats()
+    schedule = consolidate_split([job], resources, {("R1", "J"): 2, (DUMMY_ID, "J"): 1}, stats)
+    # the job, R1 (no room), the dummy share; then the rescue visits R1
+    # (no room) and R2
+    assert schedule.assignments.entries == {("R2", "J"): 3}
+    assert (stats.steps, stats.displacements, stats.parked) == (5, 0, 1)
 
 
-def test_schedule_dummy_jobs_identity_without_parked(s1_jobs, s1_resources):
-    pool, _ = ensure_dummy(s1_jobs, s1_resources)
-    schedule = build_schedule(
-        AllocationMatrix(S1_OPTIMAL_ALLOC), s1_jobs, pool
-    )
-    assert schedule_dummy_jobs(schedule, s1_jobs, pool) is schedule
+def test_every_dummy_resource_parks_onto_the_model_dummy():
+    hopeless = JobRequest("U", "H", 1e6, 0.5, (1000.0,), 1)  # 10 s on R1
+    job = JobRequest("U", "J", 1e6, 100.0, (1000.0,), 1)
+    resources = [
+        ResourceInfo("R1", 4, 1.0, 100.0),
+        ResourceInfo("P1", 9, 1.0, 100.0, is_dummy=True),
+        ResourceInfo("P2", 9, 1.0, 100.0, is_dummy=True),
+    ]
+    model = build_relaxed([hopeless, job], resources)
+    assert model.dummy_id == "P1"
+    stats = MmcStats()
+    schedule = modified_min_cost(model, AllocationMatrix({("P2", "H"): 1, ("P2", "J"): 1}), stats)
+    # both park from P2, the rescue places J, and H stays on the model's dummy
+    assert schedule.assignments.entries == {("P1", "H"): 1, ("R1", "J"): 1}
+    assert stats.parked == 2
+
+
+# The rescue: parked jobs, richest first, go whole onto the cheapest real
+# resource with room that meets their deadline and budget.
 
 
 def test_schedule_dummy_jobs_rescues_when_room_exists(s1_jobs, s1_resources):
-    pool, dummy_id = ensure_dummy(s1_jobs, s1_resources)
-    alloc = AllocationMatrix({("R1", "A"): 2, (dummy_id, "B"): 3})
-    parked = build_schedule(alloc, s1_jobs, pool)
-    assert parked.dummy_jobs == {"B"}
-    rescued = schedule_dummy_jobs(parked, s1_jobs, pool)
+    stats = MmcStats()
+    rescued = consolidate_split(
+        s1_jobs, s1_resources, {("R1", "A"): 2, (DUMMY_ID, "B"): 3}, stats
+    )
+    assert stats.parked == 1  # B froze on the dummy
     assert rescued.dummy_jobs == frozenset()
     assert rescued.assignments.pes("R2", "B") == 3  # only deadline-valid host
     assert rescued.total_cost_gd == S1_OPTIMAL_COST
@@ -225,11 +245,7 @@ def test_schedule_dummy_jobs_rescues_onto_cheapest_placement_not_rate():
         ResourceInfo("R1", 4, 1.0, 100.0),  # whole job: 20
         ResourceInfo("R2", 4, 2.0, 400.0),  # whole job: 10
     ]
-    pool, dummy_id = ensure_dummy([job], resources)
-    parked = build_schedule(
-        AllocationMatrix({(dummy_id, "Z"): 2}), [job], pool
-    )
-    rescued = schedule_dummy_jobs(parked, [job], pool)
+    rescued = consolidate_split([job], resources, {(DUMMY_ID, "Z"): 2})
     assert rescued.dummy_jobs == frozenset()
     assert rescued.assignments.pes("R2", "Z") == 2
     assert rescued.total_cost_gd == 10.0
@@ -237,11 +253,7 @@ def test_schedule_dummy_jobs_rescues_onto_cheapest_placement_not_rate():
 
 def test_schedule_dummy_jobs_leaves_hopeless_jobs_parked(s1_resources):
     job = JobRequest("U", "Z", 1e6, 0.5, (1000.0,), 1)  # 0.5 s deadline
-    pool, dummy_id = ensure_dummy([job], s1_resources)
-    parked = build_schedule(
-        AllocationMatrix({(dummy_id, "Z"): 1}), [job], pool
-    )
-    rescued = schedule_dummy_jobs(parked, [job], pool)
+    rescued = consolidate_split([job], s1_resources, {(DUMMY_ID, "Z"): 1})
     assert rescued.dummy_jobs == {"Z"}
 
 
@@ -252,20 +264,17 @@ def test_schedule_dummy_jobs_skips_job_larger_than_every_free_block():
         ResourceInfo("R1", 4, 1.0, 100.0),  # S costs 30 here, 60 on R2
         ResourceInfo("R2", 3, 2.0, 100.0),
     ]
-    pool, dummy_id = ensure_dummy([small, large], resources)
-    parked = build_schedule(
-        AllocationMatrix({(dummy_id, "S"): 3, (dummy_id, "L"): 4}),
-        [small, large], pool,
-    )
     stats = MmcStats()
-    rescued = schedule_dummy_jobs(parked, [small, large], pool, stats=stats)
-    # S takes R1 at the first step; L (4 PEs) then exceeds every free block
-    # (1 and 3 PEs) and is charged one step per real resource, as a full
-    # scan would have been
+    rescued = consolidate_split(
+        [small, large], resources, {(DUMMY_ID, "S"): 3, (DUMMY_ID, "L"): 4}, stats
+    )
+    # both freeze on the dummy (one step each).  S takes R1 at the first
+    # step; L (4 PEs) then exceeds every free block (1 and 3 PEs) and is
+    # charged one step per real resource, as a full scan would have been
     assert rescued.assignments.pes("R1", "S") == 3
     assert rescued.dummy_jobs == {"L"}
-    assert rescued.assignments.pes(dummy_id, "L") == 4
-    assert stats.steps == 1 + 2
+    assert rescued.assignments.pes(DUMMY_ID, "L") == 4
+    assert stats.steps == 2 + 1 + 2
 
 
 def test_fuzzed_output_is_always_sgn_feasible():
@@ -287,10 +296,7 @@ def test_sandwich_between_relaxed_and_feasible():
         jobs, resources = tiny_instance(seed)
         model = build_relaxed(jobs, resources)
         alloc = solve_relaxed(model)
-        pool, _ = ensure_dummy(jobs, model.resources)
-        schedule = modified_min_cost(
-            mappings_from_allocation(alloc), jobs, pool
-        )
+        schedule = modified_min_cost(model, alloc)
         sgn = brute_force_sgn(jobs, resources)
         if not schedule.dummy_jobs:
             lower = relaxed_objective(model, alloc)
@@ -312,13 +318,12 @@ def test_freeze_correctness_single_provider_jobs_stay_put():
         jobs, resources = fuzz_instance(seed)
         model = build_relaxed(jobs, resources)
         alloc = solve_relaxed(model)
-        pool, _ = ensure_dummy(jobs, model.resources)
-        relaxed = mappings_from_allocation(alloc)
-        schedule = modified_min_cost(relaxed, jobs, pool)
-        for jm in relaxed:
-            rid = jm.provider_allocations[0][0]
-            if jm.provider_count == 1 and rid != model.dummy_id:
-                job_id = jm.job_id
+        schedule = modified_min_cost(model, alloc)
+        for job_id, providers in alloc.by_job().items():
+            if len(providers) != 1:
+                continue
+            (rid,) = providers
+            if rid != model.dummy_id:
                 assert (
                     schedule.assignments.pes(rid, job_id) > 0
                     and job_id not in schedule.dummy_jobs
@@ -333,14 +338,13 @@ def test_step_counter_is_instrumented(s1_jobs, s1_resources):
 
 
 def test_modified_min_cost_without_dummy_resource_still_reports_parked():
-    # no dummy in the pool: the one ensure_dummy adds holds the parked job
+    # no dummy in the pool: the one build_relaxed adds holds the parked job
     job = JobRequest("U", "C", 1e6, 100.0, (1000.0,) * 3, 3)
     resources = [
         ResourceInfo("R1", 2, 1.0, 100.0),
         ResourceInfo("R2", 2, 2.0, 100.0),
     ]
-    relaxed = [JobMapping("C", (("R1", 2), ("R2", 1)))]
-    schedule = modified_min_cost(relaxed, [job], resources)
+    schedule = consolidate_split([job], resources, {("R1", "C"): 2, ("R2", "C"): 1})
     assert isinstance(schedule, Schedule)
     assert schedule.dummy_jobs == {"C"}
     assert schedule.assignments.entries == {(DUMMY_ID, "C"): 3}

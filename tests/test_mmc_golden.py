@@ -42,9 +42,7 @@ GOLDEN_SHA256 = {
 
 
 def _mmc(model, alloc, stats):
-    return mmc.modified_min_cost(
-        mmc.mappings_from_allocation(alloc), model.jobs, model.resources, stats=stats
-    )
+    return mmc.modified_min_cost(model, alloc, stats)
 
 
 def _generated(shape):
