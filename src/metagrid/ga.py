@@ -14,9 +14,14 @@ them, so a generation costs no Python call per gene: its draws are
 decoded pair by pair, mutation resets are found by a scan of each block,
 and the rows are then built in one array step.
 
-``lpga`` seeds the population with the consolidated relaxation solution;
-``hga`` seeds it with the greedy baseline.  Everything downstream of the
-seed is identical, which is what makes the two directly comparable.
+The fitness tables, the loop, ``decode_schedule`` and
+``chromosome_from_schedule`` all read the batch's ``PairTable``, so a
+gene is judged by the same deadline and budget rule as every other
+scheduler applies.  ``lpga`` seeds the population with the consolidated
+relaxation solution and hands on the relaxation's table; ``hga`` seeds it
+with the greedy baseline, which reads the table ``hga`` builds for the
+GA.  Everything downstream of the seed is identical, which is what makes
+the two directly comparable.
 """
 
 from __future__ import annotations
@@ -35,12 +40,11 @@ from .mmc import modified_min_cost
 from .model import (
     AllocationMatrix,
     JobRequest,
+    PairTable,
     ResourceInfo,
     Schedule,
     build_schedule,
-    ensure_dummy,
     pair_table,
-    placement_feasible,
 )
 from .relaxed import build_relaxed, solve_relaxed
 
@@ -107,24 +111,18 @@ def default_penalty_weight(
 
 
 class FitnessTables:
-    """Per-run fitness tables over the batch's ``pair_table`` (jobs as
-    rows, resources as columns, both sorted by id): placement cost and
-    breach count of each pair, where a dummy column costs 0.0 and counts
-    one breach, plus each resource's PE capacity (inf on a dummy) and each
+    """Per-run fitness tables over the batch's ``PairTable`` (jobs as rows,
+    resources as columns, both sorted by id): placement cost and breach
+    count of each pair, where a dummy column costs 0.0 and counts one
+    breach, plus each resource's PE capacity (inf on a dummy) and each
     job's PE count."""
 
-    def __init__(
-        self,
-        jobs: Sequence[JobRequest],
-        resources: Sequence[ResourceInfo],
-        penalty_weight: float | None = None,
-    ) -> None:
+    def __init__(self, table: PairTable, penalty_weight: float | None = None) -> None:
         self.weight = (
             penalty_weight
             if penalty_weight is not None
-            else default_penalty_weight(jobs, resources)
+            else default_penalty_weight(table.jobs, table.resources)
         )
-        table = pair_table(jobs, resources)
         self.job_ids = [j.job_id for j in table.jobs]
         self.resource_ids = [r.resource_id for r in table.resources]
         self._column = {rid: k for k, rid in enumerate(self.resource_ids)}
@@ -330,65 +328,51 @@ def mutate(stream: _Stream, genes: range, n_choices: int) -> list[tuple[int, int
     return resets
 
 
-def decode_schedule(
-    chromosome: Chromosome | Mapping[str, str],
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-) -> Schedule:
+def decode_schedule(chromosome: Chromosome | Mapping[str, str], table: PairTable) -> Schedule:
     """Deterministic repair of a chromosome into a valid schedule.
 
-    Genes that point at a resource the job cannot use (deadline or budget)
-    are parked; then any overloaded resource sheds its largest jobs until
-    its PE capacity holds.
+    Genes that point at a resource the job cannot use (deadline or budget,
+    as ``table.feasible`` marks it) are parked, and so are genes on a
+    dummy, which ``build_schedule`` parks; then any overloaded resource
+    sheds its largest jobs until its PE capacity holds.
     """
     genes = (
         chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
     )
-    pool, dummy_id = ensure_dummy(jobs, resources)
-    res_by_id = {r.resource_id: r for r in pool}
-    dummy_ids = {r.resource_id for r in pool if r.is_dummy}
-    jobs_by_id = {j.job_id: j for j in jobs}
+    jobs, resources = table.jobs, table.resources
+    columns = {r.resource_id: k for k, r in enumerate(resources)}
+    wanted = np.array([columns[genes[job.job_id]] for job in jobs], dtype=np.intp)
+    usable = table.feasible[np.arange(len(jobs)), wanted]
+    pes = [job.pe_count for job in jobs]
+    parking = columns.get(table.dummy_id)
 
-    assign: dict[str, str] = {}
-    for jid in sorted(jobs_by_id):
-        rid = genes[jid]
-        if rid in dummy_ids or not placement_feasible(jobs_by_id[jid], res_by_id[rid]):
-            rid = dummy_id
-        assign[jid] = rid
-
-    holders: dict[str, list[str]] = {}
-    for jid, rid in assign.items():
-        if rid != dummy_id:
-            holders.setdefault(rid, []).append(jid)
-    for rid in sorted(holders):
-        cap = res_by_id[rid].free_pes
-        queue = holders[rid]
-        used = sum(jobs_by_id[j].pe_count for j in queue)
-        while used > cap:
-            shed = min(queue, key=lambda j: (-jobs_by_id[j].pe_count, j))
+    assign = dict(enumerate(np.where(usable, wanted, parking).tolist()))
+    holders: dict[int, list[int]] = {}
+    for j, k in assign.items():
+        if k != parking:
+            holders.setdefault(k, []).append(j)
+    free = table.free.tolist()
+    for k in sorted(holders):
+        queue = holders[k]
+        used = sum(pes[j] for j in queue)
+        while used > free[k]:
+            shed = min(queue, key=lambda j: (-pes[j], j))
             queue.remove(shed)
-            used -= jobs_by_id[shed].pe_count
-            assign[shed] = dummy_id
+            used -= pes[shed]
+            assign[shed] = parking
 
-    entries = {
-        (rid, jid): jobs_by_id[jid].pe_count for jid, rid in assign.items()
-    }
-    return build_schedule(AllocationMatrix(entries), jobs, pool)
+    entries = {(resources[k].resource_id, jobs[j].job_id): pes[j] for j, k in assign.items()}
+    return build_schedule(AllocationMatrix(entries), jobs, resources)
 
 
-def chromosome_from_schedule(
-    schedule: Schedule,
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-) -> Chromosome:
+def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> Chromosome:
     """Gene map for a whole-job schedule; deferred jobs map to the dummy."""
-    _, dummy_id = ensure_dummy(jobs, resources)
     by_job = schedule.assignments.by_job()
     genes: dict[str, str] = {}
-    for job in jobs:
+    for job in table.jobs:
         jid = job.job_id
         if jid in schedule.dummy_jobs or jid not in by_job:
-            genes[jid] = dummy_id
+            genes[jid] = table.dummy_id
             continue
         placements = by_job[jid]
         if len(placements) != 1:
@@ -443,8 +427,7 @@ def _breed(
 
 def run_ga(
     seed_chromosomes: Sequence[Chromosome],
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
+    table: PairTable,
     params: GaParams = GaParams(),
 ) -> GaResult:
     """Elitist generational GA.  One iteration = one population evaluation,
@@ -467,10 +450,9 @@ def run_ga(
     """
     if len(seed_chromosomes) > params.population_size:
         raise ValueError("more seed chromosomes than population slots")
-    if not jobs:
+    if not table.jobs:
         return _empty_result()
-    pool, _ = ensure_dummy(jobs, resources)
-    tables = FitnessTables(jobs, pool)
+    tables = FitnessTables(table)
     size, n_genes = params.population_size, len(tables.job_ids)
     n_choices = len(tables.resource_ids)
     seeds = np.array([tables.encode(c.genes) for c in seed_chromosomes], dtype=np.intp)
@@ -548,11 +530,10 @@ def lpga(
     if not jobs:
         return Schedule.empty(), _empty_result()
     model = build_relaxed(jobs, resources)
-    pool = model.resources
     seed_schedule = modified_min_cost(model, solve_relaxed(model))
-    seed = chromosome_from_schedule(seed_schedule, jobs, pool)
-    result = run_ga([seed], jobs, pool, params)
-    schedule = decode_schedule(result.best, jobs, pool)
+    seed = chromosome_from_schedule(seed_schedule, model.table)
+    result = run_ga([seed], model.table, params)
+    schedule = decode_schedule(result.best, model.table)
     logger.debug(
         "lpga: seed fitness %.6g -> best %.6g in %d iterations",
         result.seed_fitness, result.best_fitness, result.iterations_used,
@@ -569,11 +550,10 @@ def hga(
     """Greedy-seeded meta-scheduler: identical GA, cheaper seed."""
     if not jobs:
         return Schedule.empty(), _empty_result()
-    pool, _ = ensure_dummy(jobs, resources)
-    seed_schedule = greedy_schedule(jobs, pool)
-    seed = chromosome_from_schedule(seed_schedule, jobs, pool)
-    result = run_ga([seed], jobs, pool, params)
-    schedule = decode_schedule(result.best, jobs, pool)
+    table = pair_table(jobs, resources)
+    seed = chromosome_from_schedule(greedy_schedule(table), table)
+    result = run_ga([seed], table, params)
+    schedule = decode_schedule(result.best, table)
     logger.debug(
         "hga: seed fitness %.6g -> best %.6g in %d iterations",
         result.seed_fitness, result.best_fitness, result.iterations_used,

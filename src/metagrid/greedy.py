@@ -3,50 +3,38 @@
 Jobs are taken most-urgent-first (``qos_index`` descending — high budget
 per unit of deadline-time and PE demand goes first) and each is placed
 whole on the cheapest-rate real resource that has enough free PEs and
-meets the job's deadline and budget.  Jobs with no such resource are
-parked on the dummy.
+meets the job's deadline and budget, as the batch's ``PairTable`` marks
+them in ``feasible``.  Jobs with no such resource are parked on the dummy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import numpy as np
 
-from .model import (
-    AllocationMatrix,
-    JobRequest,
-    ResourceInfo,
-    Schedule,
-    build_schedule,
-    ensure_dummy,
-    placement_feasible,
-    qos_index,
-)
+from .model import AllocationMatrix, PairTable, Schedule, build_schedule, qos_index
 
 
-def greedy_schedule(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> Schedule:
+def greedy_schedule(table: PairTable) -> Schedule:
     """Lowest-rate feasible resource first, one whole job at a time."""
-    if not jobs:
+    if not table.jobs:
         return Schedule.empty()
-    pool, dummy_id = ensure_dummy(jobs, resources)
-    real = [r for r in pool if not r.is_dummy]
-    available = {r.resource_id: r.free_pes for r in real}
-    ranked = sorted(real, key=lambda r: (r.cost_per_pe_second, r.resource_id))
+    jobs, resources = table.jobs, table.resources
+    rate = np.array([r.cost_per_pe_second for r in resources])
+    real = np.flatnonzero(~table.dummy)
+    # columns run in id order, so a stable sort ranks by (rate, id)
+    ranked = real[np.argsort(rate[real], kind="stable")]
+    candidates = table.feasible[:, ranked]
+    available = table.free.tolist()
 
     entries: dict[tuple[str, str], int] = {}
-    order = sorted(jobs, key=lambda j: (-qos_index(j), j.job_id))
-    for job in order:
-        placed = None
-        for res in ranked:
-            if available[res.resource_id] < job.pe_count:
-                continue
-            if not placement_feasible(job, res):
-                continue
-            placed = res.resource_id
-            break
-        if placed is None:
-            entries[(dummy_id, job.job_id)] = job.pe_count
-        else:
-            available[placed] -= job.pe_count
-            entries[(placed, job.job_id)] = job.pe_count
+    for j in sorted(range(len(jobs)), key=lambda j: (-qos_index(jobs[j]), jobs[j].job_id)):
+        pes = jobs[j].pe_count
+        home = table.dummy_id
+        for k in ranked[candidates[j]].tolist():
+            if available[k] >= pes:
+                available[k] -= pes
+                home = resources[k].resource_id
+                break
+        entries[(home, jobs[j].job_id)] = pes
 
-    return build_schedule(AllocationMatrix(entries), jobs, pool)
+    return build_schedule(AllocationMatrix(entries), jobs, resources)

@@ -36,7 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .model import AllocationMatrix, Schedule, build_schedule, qos_index
+import numpy as np
+
+from .model import AllocationMatrix, PairTable, Schedule, build_schedule, qos_index
 from .relaxed import RelaxedModel
 
 
@@ -47,6 +49,13 @@ class MmcStats:
     steps: int = 0
     displacements: int = 0
     parked: int = 0
+
+
+def cost_order(table: PairTable) -> np.ndarray:
+    """Row j lists job j's real columns by (whole-job ``cost``, resource
+    id): a stable sort, as the columns run in id order."""
+    real = np.flatnonzero(~table.dummy)
+    return real[np.argsort(table.cost[:, real], axis=1, kind="stable")]
 
 
 def modified_min_cost(
@@ -69,6 +78,7 @@ def modified_min_cost(
     cols = {r.resource_id: k for k, r in enumerate(resources)}
     dummy = table.dummy.tolist()
     parking = cols.get(model.dummy_id)
+    order = cost_order(table)
     available = {k: r.free_pes for k, r in enumerate(resources) if not r.is_dummy}
 
     shares: dict[int, list[tuple[int, int]]] = {}  # job -> (column, relaxed PEs)
@@ -119,7 +129,7 @@ def modified_min_cost(
         for e in sorted(holders[target], key=lambda e: (jobs[e].pe_count, e)):
             stats.displacements += 1
             rehome = parking
-            for k in table.order[e].tolist():
+            for k in order[e].tolist():
                 if k in alternates:
                     stats.steps += 1
                     if available[k] >= jobs[e].pe_count and table.feasible[e, k]:
@@ -137,7 +147,7 @@ def modified_min_cost(
             stats.steps += len(available)
             continue
         feasible = table.feasible[j].tolist()
-        for k in table.order[j].tolist():
+        for k in order[j].tolist():
             stats.steps += 1
             if available[k] >= pes and feasible[k]:
                 home[j] = k

@@ -1,9 +1,11 @@
 """Core domain model for deadline- and budget-constrained grid meta-scheduling.
 
-Value types for resources, jobs, allocations and schedules, plus the cost,
-timing and feasibility primitives that every scheduler in this package
-shares.  A job asks for a fixed number of processing elements (PEs); a
-resource offers PEs at a money rate per PE-second and a speed in MIPS.
+Value types for resources, jobs, allocations and schedules; ``pair_table``,
+which evaluates the deadline and budget rule once per batch for every
+scheduler in this package to read; and ``validate``, which checks a
+finished allocation pair by pair on its own.  A job asks for a fixed
+number of processing elements (PEs); a resource offers PEs at a money
+rate per PE-second and a speed in MIPS.
 The execution time of a job on a resource is driven by its largest task,
 so cost
  = rate x allocated PEs x (largest task MI / resource MIPS).
@@ -227,15 +229,10 @@ def exec_time(job: JobRequest, resource: ResourceInfo) -> float:
     return max(job.task_sizes_mi) / resource.pe_speed_mips
 
 
-def placement_cost(job: JobRequest, resource: ResourceInfo) -> float:
-    """Money spent placing the whole job (all PEs) on one resource."""
-    return resource.cost_per_pe_second * job.pe_count * exec_time(job, resource)
-
-
 # --- the whole-job rule ------------------------------------------------------
-# Every deadline and budget check in the package goes through these three
-# helpers, one pair at a time, or through ``pair_table``, which evaluates
-# the same rule for a whole batch at once.
+# ``pair_table`` evaluates the deadline and budget rule for a whole batch,
+# and every scheduler reads it from there.  ``validate`` checks a finished
+# allocation independently, one pair at a time, with the helpers below.
 
 
 def meets_deadline(job: JobRequest, resource: ResourceInfo) -> bool:
@@ -247,13 +244,6 @@ def pair_charge(job: JobRequest, resource: ResourceInfo, pes: int) -> float:
     """What ``pes`` PEs of the job on one real resource count against its
     budget: what they cost, rate x PEs x runtime."""
     return resource.cost_per_pe_second * pes * exec_time(job, resource)
-
-
-def breach_count(job: JobRequest, resource: ResourceInfo) -> int:
-    """Deadline plus budget breaches (0-2) of the whole job on one real
-    resource.  Capacity is the caller's concern."""
-    late = not meets_deadline(job, resource)
-    return late + (pair_charge(job, resource, job.pe_count) > budget_limit(job.budget_gd))
 
 
 def budget_charge(
@@ -268,33 +258,27 @@ def budget_charge(
     return total
 
 
-def placement_feasible(job: JobRequest, resource: ResourceInfo) -> bool:
-    """Whole-job single-resource eligibility: deadline and budget only.
-
-    Dummy resources are always eligible (parking defers the job instead of
-    running it).  Capacity is the caller's concern.
-    """
-    return resource.is_dummy or breach_count(job, resource) == 0
-
-
 @dataclass(frozen=True, eq=False)
 class PairTable:
     """The whole-job rule for every job x resource pair of one batch.
 
-    Rows are the jobs, columns the resources, each sorted by id.  Every
-    entry is bit-identical to the scalar helper it stands for, a dummy
-    column included: ``exec_s`` is ``exec_time``, ``coeff`` the cost of one
-    PE (``pair_charge`` for one PE), ``cost`` ``placement_cost``,
-    ``on_time`` ``meets_deadline``, ``breaches`` ``breach_count`` and
-    ``feasible`` ``placement_feasible``.  ``weight`` is what one PE counts
-    against the budget: ``coeff``, and 0.0 on a dummy, which is
-    budget-exempt.  Row j of ``order`` lists the job's real columns by
-    (``placement_cost``, resource id).  ``pes`` holds each job's PE count,
-    ``limit`` its ``budget_limit`` and ``free`` each resource's free PEs.
+    Rows are the jobs, columns the resources, each sorted by id; a batch
+    with jobs always has a dummy column, ``dummy_id`` the first one's id
+    (None only for an empty batch).  ``exec_s`` is ``exec_time``,
+    ``coeff`` the cost of one PE (``pair_charge`` for one PE), ``cost``
+    that of all the job's PEs, ``on_time`` ``meets_deadline``, and
+    ``breaches`` counts the deadline and budget breaches (0-2) of the
+    whole job.  ``feasible`` marks the whole-job placements a scheduler may
+    make, capacity aside: every dummy pair and each real pair without a
+    breach.  ``weight`` is what one PE counts against the budget:
+    ``coeff``, and 0.0 on a dummy, which is budget-exempt.  ``pes`` holds
+    each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
+    resource's free PEs.  A dummy column follows the same formulas.
     """
 
     jobs: tuple[JobRequest, ...]
     resources: tuple[ResourceInfo, ...]
+    dummy_id: str | None
     pes: np.ndarray
     limit: np.ndarray
     free: np.ndarray
@@ -306,12 +290,14 @@ class PairTable:
     breaches: np.ndarray
     feasible: np.ndarray
     dummy: np.ndarray
-    order: np.ndarray
 
 
 def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> PairTable:
     """Evaluate the whole-job rule over the batch, with each scalar
-    operation in the order the helpers above perform it."""
+    operation in the order the helpers above perform it.  A batch with
+    jobs gets ``ensure_dummy``'s dummy when ``resources`` holds none."""
+    if jobs:
+        resources, _ = ensure_dummy(jobs, resources)
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     resources = tuple(sorted(resources, key=lambda r: r.resource_id))
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
@@ -322,6 +308,7 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
     rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
     dummy = np.array([r.is_dummy for r in resources], dtype=bool)
+    dummy_id = next((r.resource_id for r in resources if r.is_dummy), None)
 
     exec_s = longest[:, None] / speed
     coeff = rate * exec_s
@@ -329,11 +316,9 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     on_time = exec_s <= (deadline + EPSILON)[:, None]
     breaches = (~on_time).astype(int) + (cost > limit[:, None])
     weight = np.where(dummy, 0.0, coeff)
-    real = np.flatnonzero(~dummy)
-    order = real[np.argsort(cost[:, real], axis=1, kind="stable")]
     return PairTable(
-        jobs, resources, pes, limit, free, exec_s, coeff, cost, weight, on_time,
-        breaches, dummy | (breaches == 0), dummy, order,
+        jobs, resources, dummy_id, pes, limit, free, exec_s, coeff, cost, weight, on_time,
+        breaches, dummy | (breaches == 0), dummy,
     )
 
 

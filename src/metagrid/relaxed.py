@@ -86,7 +86,6 @@ from .model import (
     JobRequest,
     PairTable,
     ResourceInfo,
-    ensure_dummy,
     pair_table,
 )
 
@@ -129,12 +128,10 @@ def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
 
     Keeps a (resource, job) pair iff the job finishes within its deadline
     there and a single PE is affordable; dummy pairs are always kept.  A
-    batch with jobs gets a dummy from ``ensure_dummy``, so the model is
+    batch with jobs gets a dummy from ``pair_table``, so the model is
     feasible whatever the grid; its pairs carry the parking surcharge that
     makes parking a last resort (module docstring).
     """
-    if jobs:
-        resources, _ = ensure_dummy(jobs, resources)
     table = pair_table(jobs, resources)
     dummy = table.dummy
     admissible = dummy | (table.on_time & (table.weight <= table.limit[:, None]))
@@ -169,9 +166,8 @@ def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
         np.put_along_axis(prefix, order, before < grid, axis=0)
         columns &= prefix
     columns |= dummy
-    dummy_id = next((r.resource_id for r in table.resources if r.is_dummy), None)
     return RelaxedModel(
-        table.jobs, table.resources, dummy_id, table, objective, admissible, columns
+        table.jobs, table.resources, table.dummy_id, table, objective, admissible, columns
     )
 
 

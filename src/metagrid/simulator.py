@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 from .ga import GaParams, hga, lpga
 from .greedy import greedy_schedule
 from .mmc import modified_min_cost
-from .model import JobRequest, ResourceInfo, Schedule, build_schedule, exec_time
+from .model import JobRequest, ResourceInfo, Schedule, build_schedule, exec_time, pair_table
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
@@ -79,7 +79,7 @@ def jsonl_sink(stream) -> Callable[[SimEvent], None]:
 
 
 def _run_greedy(jobs, resources, params, seed):
-    return greedy_schedule(jobs, resources), 0
+    return greedy_schedule(pair_table(jobs, resources)), 0
 
 
 def _run_mmc(jobs, resources, params, seed):
@@ -165,6 +165,7 @@ def run_scenario(
     release_i = 0
     pending: list[JobRequest] = []
     free = {r.resource_id: r.free_pes for r in resources}
+    snapshot = resources  # the grid as last presented; copies only what changed
     running: list[tuple[int, int, str, str, int]] = []  # (end, seq, rid, jid, pes)
     seq = 0
     fragments_left: dict[str, int] = {}
@@ -209,7 +210,9 @@ def run_scenario(
         carried_count = 0
         if pending:
             snapshot = [
-                replace(r, free_pes=free[r.resource_id]) for r in resources
+                r if r.free_pes == free[r.resource_id]
+                else replace(r, free_pes=free[r.resource_id])
+                for r in snapshot
             ]
             presented = [
                 replace(

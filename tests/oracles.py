@@ -1,7 +1,9 @@
-"""Test-only oracles: exhaustive searches for small instances, the money
-an allocation spends, the penalised fitness of one chromosome, the
-relaxation's canonical objective, the per-pair dict views of a built
-relaxation that the oracles walk, and the GA's scalar breeding loop."""
+"""Test-only oracles: the whole-job rule one pair at a time, greedy and
+the GA's decode on that scalar rule, exhaustive searches for small
+instances, the money an allocation spends, the penalised fitness of one
+chromosome, the relaxation's canonical objective, the per-pair dict views
+of a built relaxation that the oracles walk, and the GA's scalar breeding
+loop."""
 
 from __future__ import annotations
 
@@ -18,13 +20,119 @@ from metagrid.model import (
     AllocationMatrix,
     JobRequest,
     ResourceInfo,
+    Schedule,
     UnknownIdError,
+    budget_limit,
+    build_schedule,
+    ensure_dummy,
     exec_time,
-    placement_cost,
-    placement_feasible,
+    meets_deadline,
+    pair_charge,
+    pair_table,
+    qos_index,
 )
 from metagrid.ga import Chromosome, FitnessTables
 from metagrid.relaxed import RelaxedModel
+
+
+# --- the whole-job rule, one pair at a time ----------------------------------
+# References for ``PairTable``: ``cost`` is ``placement_cost``, ``breaches``
+# ``breach_count`` and ``feasible`` ``placement_feasible``, bit for bit.
+
+
+def placement_cost(job: JobRequest, resource: ResourceInfo) -> float:
+    """Money spent placing the whole job (all PEs) on one resource."""
+    return resource.cost_per_pe_second * job.pe_count * exec_time(job, resource)
+
+
+def breach_count(job: JobRequest, resource: ResourceInfo) -> int:
+    """Deadline plus budget breaches (0-2) of the whole job on one real
+    resource.  Capacity is the caller's concern."""
+    late = not meets_deadline(job, resource)
+    return late + (pair_charge(job, resource, job.pe_count) > budget_limit(job.budget_gd))
+
+
+def placement_feasible(job: JobRequest, resource: ResourceInfo) -> bool:
+    """Whole-job single-resource eligibility: deadline and budget only.
+
+    Dummy resources are always eligible (parking defers the job instead of
+    running it).  Capacity is the caller's concern.
+    """
+    return resource.is_dummy or breach_count(job, resource) == 0
+
+
+def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> Schedule:
+    """Reference for ``greedy_schedule``: lowest-rate feasible resource
+    first, one whole job at a time, each pair checked by
+    ``placement_feasible``."""
+    if not jobs:
+        return Schedule.empty()
+    pool, dummy_id = ensure_dummy(jobs, resources)
+    real = [r for r in pool if not r.is_dummy]
+    available = {r.resource_id: r.free_pes for r in real}
+    ranked = sorted(real, key=lambda r: (r.cost_per_pe_second, r.resource_id))
+
+    entries: dict[tuple[str, str], int] = {}
+    order = sorted(jobs, key=lambda j: (-qos_index(j), j.job_id))
+    for job in order:
+        placed = None
+        for res in ranked:
+            if available[res.resource_id] < job.pe_count:
+                continue
+            if not placement_feasible(job, res):
+                continue
+            placed = res.resource_id
+            break
+        if placed is None:
+            entries[(dummy_id, job.job_id)] = job.pe_count
+        else:
+            available[placed] -= job.pe_count
+            entries[(placed, job.job_id)] = job.pe_count
+
+    return build_schedule(AllocationMatrix(entries), jobs, pool)
+
+
+def scalar_decode(
+    chromosome: Chromosome | Mapping[str, str],
+    jobs: Sequence[JobRequest],
+    resources: Sequence[ResourceInfo],
+) -> Schedule:
+    """Reference for ``decode_schedule``: park each gene on a dummy or on a
+    resource that ``placement_feasible`` rejects, then shed each
+    overloaded resource's largest jobs until its PE capacity holds."""
+    genes = (
+        chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
+    )
+    pool, dummy_id = ensure_dummy(jobs, resources)
+    res_by_id = {r.resource_id: r for r in pool}
+    dummy_ids = {r.resource_id for r in pool if r.is_dummy}
+    jobs_by_id = {j.job_id: j for j in jobs}
+
+    assign: dict[str, str] = {}
+    for jid in sorted(jobs_by_id):
+        rid = genes[jid]
+        if rid in dummy_ids or not placement_feasible(jobs_by_id[jid], res_by_id[rid]):
+            rid = dummy_id
+        assign[jid] = rid
+
+    holders: dict[str, list[str]] = {}
+    for jid, rid in assign.items():
+        if rid != dummy_id:
+            holders.setdefault(rid, []).append(jid)
+    for rid in sorted(holders):
+        cap = res_by_id[rid].free_pes
+        queue = holders[rid]
+        used = sum(jobs_by_id[j].pe_count for j in queue)
+        while used > cap:
+            shed = min(queue, key=lambda j: (-jobs_by_id[j].pe_count, j))
+            queue.remove(shed)
+            used -= jobs_by_id[shed].pe_count
+            assign[shed] = dummy_id
+
+    entries = {
+        (rid, jid): jobs_by_id[jid].pe_count for jid, rid in assign.items()
+    }
+    return build_schedule(AllocationMatrix(entries), jobs, pool)
 
 
 class TooLargeError(ValueError):
@@ -119,7 +227,7 @@ def fitness(
     genes = (
         chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
     )
-    tables = FitnessTables(jobs, resources, penalty_weight)
+    tables = FitnessTables(pair_table(jobs, resources), penalty_weight)
     return float(tables.score(np.array([tables.encode(genes)]))[0])
 
 

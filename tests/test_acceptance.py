@@ -26,6 +26,7 @@ from metagrid.model import (
     JobRequest,
     ResourceInfo,
     ensure_dummy,
+    pair_table,
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
@@ -59,7 +60,7 @@ def sweep_corpus():
             cfg = ScenarioConfig(resource_count=count, job_count=50, rng_seed=seed)
             grid, jobs = generate_scenario(cfg)
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
-            greedy_s = greedy_schedule(jobs, grid)
+            greedy_s = greedy_schedule(pair_table(jobs, grid))
             mmc_s = modified_min_cost(*_solve_batch(jobs, grid))
             lp_s, lp_r = lpga(jobs, grid, params)
             hg_s, hg_r = hga(jobs, grid, params)
@@ -109,7 +110,7 @@ def test_acceptance_1_oracle_equivalence():
         if whole_opt is None:
             continue
         mmc_s = modified_min_cost(model, alloc)
-        greedy_s = greedy_schedule(jobs, resources)
+        greedy_s = greedy_schedule(pair_table(jobs, resources))
         if mmc_s.dummy_jobs or greedy_s.dummy_jobs:
             continue
         if any(rid == model.dummy_id for rid, _ in alloc.entries):
@@ -166,7 +167,7 @@ def test_acceptance_2_feasibility_fuzz():
         params = replace(FUZZ_GA, rng_seed=seed)
         model, alloc = _solve_batch(jobs, resources)
         outputs = {
-            "greedy": (greedy_schedule(jobs, resources).assignments, JobKind.SGN),
+            "greedy": (greedy_schedule(pair_table(jobs, resources)).assignments, JobKind.SGN),
             "mmc": (modified_min_cost(model, alloc).assignments, JobKind.SGN),
             "relaxed-mgn": (alloc, JobKind.MGN),
             "lpga": (lpga(jobs, resources, params)[0].assignments, JobKind.SGN),

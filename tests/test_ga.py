@@ -11,6 +11,7 @@ import pytest
 from conftest import S1_OPTIMAL_COST, fuzz_instance, tiny_instance
 from hypothesis import given, settings, strategies as st
 import metagrid.ga as ga_module
+from metagrid.greedy import greedy_schedule
 from metagrid.ga import (
     Chromosome,
     FitnessTables,
@@ -32,16 +33,26 @@ from metagrid.model import (
     JobKind,
     JobRequest,
     ResourceInfo,
-    breach_count,
     build_schedule,
     ensure_dummy,
     exec_time,
     pair_charge,
-    placement_cost,
-    placement_feasible,
+    pair_table,
     validate,
 )
-from oracles import brute_force_sgn, fitness, scalar_generation, scalar_mutate, schedule_cost
+from metagrid.workload import ScenarioConfig, generate_scenario
+from oracles import (
+    breach_count,
+    brute_force_sgn,
+    fitness,
+    placement_cost,
+    placement_feasible,
+    scalar_decode,
+    scalar_generation,
+    scalar_greedy,
+    scalar_mutate,
+    schedule_cost,
+)
 
 
 class DictWalkFitness:
@@ -134,7 +145,7 @@ def test_fitness_and_decode_share_the_budget_tolerance():
     job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
     weight = default_penalty_weight([job], [res])
     assert fitness({"A": "R1"}, [job], [res]) == 2000.0 + weight
-    assert decode_schedule({"A": "R1"}, [job], [res]).dummy_jobs == {"A"}
+    assert decode_schedule({"A": "R1"}, pair_table([job], [res])).dummy_jobs == {"A"}
 
 
 @st.composite
@@ -172,7 +183,7 @@ def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(data):
         assert feasible is (breaches == 0)
         got = fitness(genes, [job], resources)
         assert got == placement_cost(job, res) + weight * breaches
-        parked = decode_schedule(genes, [job], resources).dummy_jobs
+        parked = decode_schedule(genes, pair_table([job], resources)).dummy_jobs
         assert (job.job_id in parked) is not feasible
     options = [placement_cost(job, r) for r in resources if placement_feasible(job, r)]
     whole = brute_force_sgn([job], resources)
@@ -212,7 +223,7 @@ def scored_batches(draw):
 @given(batch=scored_batches())
 def test_batch_scores_equal_the_dict_walk_bit_for_bit(batch):
     jobs, pool, rows = batch
-    tables = FitnessTables(jobs, pool)
+    tables = FitnessTables(pair_table(jobs, pool))
     oracle = DictWalkFitness(jobs, pool)
     got = tables.score(np.array(rows)).tolist()
     assert got == [oracle(tables.gene_map(row)) for row in rows]
@@ -224,7 +235,7 @@ def test_no_score_is_below_the_floor(batch):
     """The floor is the penalty for each job's fewest breaches, a parked
     job counting one, and every row scores at least that much."""
     jobs, pool, rows = batch
-    tables = FitnessTables(jobs, pool)
+    tables = FitnessTables(pair_table(jobs, pool))
     real = [r for r in pool if not r.is_dummy]
     fewest = sum(min([1] + [breach_count(j, r) for r in real]) for j in jobs)
     assert tables.floor() == tables.weight * fewest
@@ -428,7 +439,7 @@ def test_a_generation_equals_the_scalar_loop(rate, crossover_rate):
     for seed in range(12):
         jobs, resources = fuzz_instance(seed)
         pool, _ = ensure_dummy(jobs, resources)
-        tables = FitnessTables(jobs, pool)
+        tables = FitnessTables(pair_table(jobs, pool))
         n_choices = len(pool)
         size = 4 + seed % 5
         params = GaParams(population_size=size, crossover_rate=crossover_rate,
@@ -452,7 +463,7 @@ def test_a_generation_equals_the_scalar_loop(rate, crossover_rate):
 
 def test_decode_parks_infeasible_gene(s1_jobs, s1_resources):
     # B on R1 misses its deadline, so decoding defers it
-    schedule = decode_schedule({"A": "R1", "B": "R1"}, s1_jobs, s1_resources)
+    schedule = decode_schedule({"A": "R1", "B": "R1"}, pair_table(s1_jobs, s1_resources))
     assert schedule.dummy_jobs == {"B"}
     assert schedule.assignments.pes("R1", "A") == 2
     assert schedule.total_cost_gd == 20.0
@@ -464,7 +475,7 @@ def test_decode_sheds_largest_job_first_on_overflow():
         JobRequest("U", "J2", 1000.0, 50.0, (1000.0,) * 2, 2),
     ]
     res = [ResourceInfo("R", 4, 1.0, 100.0)]
-    schedule = decode_schedule({"J1": "R", "J2": "R"}, jobs, res)
+    schedule = decode_schedule({"J1": "R", "J2": "R"}, pair_table(jobs, res))
     assert schedule.dummy_jobs == {"J1"}
     assert schedule.assignments.pes("R", "J2") == 2
 
@@ -476,14 +487,56 @@ def test_decode_output_is_always_sgn_feasible():
         rng = random.Random(seed)
         rids = sorted(r.resource_id for r in pool)
         genes = {j.job_id: rng.choice(rids) for j in jobs}
-        schedule = decode_schedule(genes, jobs, resources)
+        schedule = decode_schedule(genes, pair_table(jobs, resources))
         violations = validate(schedule.assignments, jobs, pool, JobKind.SGN)
         assert violations == [], f"instance seed {seed}: {violations}"
 
 
+def reference_batches():
+    """``tiny_instance`` and ``fuzz_instance`` 0-249, then generated
+    batches of 200 resources x 50 jobs and 50 resources x 200 jobs."""
+    for seed in range(250):
+        yield f"tiny {seed}", tiny_instance(seed)
+        yield f"fuzz {seed}", fuzz_instance(seed)
+    for seed in range(3):
+        for resources, jobs in ((200, 50), (50, 200)):
+            grid, batch = generate_scenario(
+                ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
+            )
+            yield f"{resources}x{jobs} {seed}", (batch, grid)
+
+
+def same_schedule(got, want):
+    return (
+        got.assignments.entries == want.assignments.entries
+        and repr(got.total_cost_gd) == repr(want.total_cost_gd)
+        and got.dummy_jobs == want.dummy_jobs
+    )
+
+
+def test_greedy_and_decode_equal_their_scalar_references():
+    """``greedy_schedule`` and ``decode_schedule`` read the batch's pair
+    table; they give the schedules of the scalar loops of ``oracles``,
+    which check each pair with ``placement_feasible``.  Decode runs on
+    greedy's genes, on seeded random gene rows over the pool and on a row
+    that crowds every job onto one resource."""
+    for name, (jobs, resources) in reference_batches():
+        table = pair_table(jobs, resources)
+        greedy = greedy_schedule(table)
+        assert same_schedule(greedy, scalar_greedy(jobs, resources)), name
+        rng = random.Random(name)
+        rids = [r.resource_id for r in table.resources]
+        rows = [chromosome_from_schedule(greedy, table).genes]
+        rows += [{j.job_id: rng.choice(rids) for j in jobs} for _ in range(3)]
+        rows.append(dict.fromkeys((j.job_id for j in jobs), rng.choice(rids)))
+        for genes in rows:
+            assert same_schedule(decode_schedule(genes, table),
+                                 scalar_decode(genes, jobs, resources)), name
+
+
 def test_chromosome_from_schedule_roundtrip(s1_jobs, s1_resources):
-    schedule = decode_schedule({"A": "R1", "B": "R2"}, s1_jobs, s1_resources)
-    chrom = chromosome_from_schedule(schedule, s1_jobs, s1_resources)
+    schedule = decode_schedule({"A": "R1", "B": "R2"}, pair_table(s1_jobs, s1_resources))
+    chrom = chromosome_from_schedule(schedule, pair_table(s1_jobs, s1_resources))
     assert chrom.genes == {"A": "R1", "B": "R2"}
 
 
@@ -492,7 +545,7 @@ def test_chromosome_from_schedule_rejects_split_jobs(s1_jobs, s1_resources):
     alloc = AllocationMatrix({("R1", "A"): 1, ("R2", "A"): 1, ("R2", "B"): 3})
     schedule = build_schedule(alloc, s1_jobs, pool)
     with pytest.raises(ValueError, match="not placed whole"):
-        chromosome_from_schedule(schedule, s1_jobs, s1_resources)
+        chromosome_from_schedule(schedule, pair_table(s1_jobs, s1_resources))
 
 
 # ---------------------------------------------------------------- run_ga
@@ -501,7 +554,7 @@ def test_chromosome_from_schedule_rejects_split_jobs(s1_jobs, s1_resources):
 def test_run_ga_rejects_oversized_seed_list(s1_jobs, s1_resources):
     seeds = [Chromosome({"A": "R1", "B": "R2"}) for _ in range(3)]
     with pytest.raises(ValueError):
-        run_ga(seeds, s1_jobs, s1_resources, GaParams(population_size=2))
+        run_ga(seeds, pair_table(s1_jobs, s1_resources), GaParams(population_size=2))
 
 
 @pytest.mark.parametrize(
@@ -511,11 +564,11 @@ def test_run_ga_rejects_oversized_seed_list(s1_jobs, s1_resources):
 )
 def test_run_ga_rejects_a_seed_that_does_not_fit_the_batch(s1_jobs, s1_resources, genes, named):
     with pytest.raises(ValueError, match=named):
-        run_ga([Chromosome(genes)], s1_jobs, s1_resources, GaParams(population_size=4))
+        run_ga([Chromosome(genes)], pair_table(s1_jobs, s1_resources), GaParams(population_size=4))
 
 
 def test_run_ga_empty_jobs_short_circuits(s1_resources):
-    result = run_ga([], [], s1_resources)
+    result = run_ga([], pair_table([], s1_resources))
     assert result.iterations_used == 0
     assert result.best_fitness_trace == (0.0,)
     assert result.converged
@@ -523,7 +576,7 @@ def test_run_ga_empty_jobs_short_circuits(s1_resources):
 
 def test_run_ga_single_iteration_reports_initial_best(s1_jobs, s1_resources):
     params = GaParams(population_size=30, max_iterations=1, rng_seed=2)
-    result = run_ga([], s1_jobs, s1_resources, params)
+    result = run_ga([], pair_table(s1_jobs, s1_resources), params)
     assert result.iterations_used == 1
     assert len(result.best_fitness_trace) == 1
     assert not result.converged
@@ -534,7 +587,7 @@ def test_run_ga_seeded_with_optimum_stays_there(s1_jobs, s1_resources):
         population_size=20, convergence_window=10, max_iterations=500, rng_seed=5
     )
     seed = Chromosome({"A": "R1", "B": "R2"})
-    result = run_ga([seed], s1_jobs, s1_resources, params)
+    result = run_ga([seed], pair_table(s1_jobs, s1_resources), params)
     assert result.seed_fitness == S1_OPTIMAL_COST
     assert result.best_fitness == S1_OPTIMAL_COST
     assert set(result.best_fitness_trace) == {S1_OPTIMAL_COST}
@@ -546,7 +599,7 @@ def test_run_ga_finds_s1_optimum_from_random_start(s1_jobs, s1_resources):
     params = GaParams(
         population_size=40, convergence_window=15, max_iterations=300, rng_seed=11
     )
-    result = run_ga([], s1_jobs, s1_resources, params)
+    result = run_ga([], pair_table(s1_jobs, s1_resources), params)
     assert result.best_fitness == S1_OPTIMAL_COST
     assert result.best.genes == {"A": "R1", "B": "R2"}
 
@@ -560,7 +613,7 @@ def test_run_ga_trace_never_worsens():
             max_iterations=40,
             rng_seed=seed,
         )
-        result = run_ga([], jobs, resources, params)
+        result = run_ga([], pair_table(jobs, resources), params)
         trace = result.best_fitness_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert len(trace) == result.iterations_used
@@ -578,18 +631,18 @@ def test_run_ga_calls_mutate_through_the_module_global(monkeypatch, s1_jobs, s1_
 
     monkeypatch.setattr(ga_module, "mutate", counted)
     params = GaParams(population_size=7, convergence_window=50, max_iterations=6, rng_seed=1)
-    result = run_ga([], s1_jobs, s1_resources, params)
+    result = run_ga([], pair_table(s1_jobs, s1_resources), params)
     # one call per pair of children: 3 pairs in each of 5 generations
     assert len(calls) == 15
     assert result.iterations_used == 6
     monkeypatch.undo()
-    assert run_ga([], s1_jobs, s1_resources, params) == result
+    assert run_ga([], pair_table(s1_jobs, s1_resources), params) == result
 
 
 def test_run_ga_is_deterministic(s1_jobs, s1_resources):
     params = GaParams(population_size=16, max_iterations=30, rng_seed=77)
-    a = run_ga([], s1_jobs, s1_resources, params)
-    b = run_ga([], s1_jobs, s1_resources, params)
+    a = run_ga([], pair_table(s1_jobs, s1_resources), params)
+    b = run_ga([], pair_table(s1_jobs, s1_resources), params)
     assert a == b
 
 
@@ -607,11 +660,11 @@ def full_loop(monkeypatch, seeds, jobs, resources, params):
     """``run_ga``'s answer with the floor check off, so the loop runs."""
     with monkeypatch.context() as patch:
         patch.setattr(FitnessTables, "floor", lambda self: -np.inf)
-        return run_ga(seeds, jobs, resources, params)
+        return run_ga(seeds, pair_table(jobs, resources), params)
 
 
 def floor_of(jobs, resources):
-    return FitnessTables(jobs, ensure_dummy(jobs, resources)[0]).floor()
+    return FitnessTables(pair_table(jobs, resources)).floor()
 
 
 def no_generation(*args):
@@ -641,7 +694,7 @@ def test_a_seed_on_the_fitness_floor_returns_the_loops_answer_without_breeding(
         expected = full_loop(monkeypatch, seeds, jobs, resources, params)
         with monkeypatch.context() as patch:
             patch.setattr(ga_module, "_breed", no_generation)
-            result = run_ga(seeds, jobs, resources, params)
+            result = run_ga(seeds, pair_table(jobs, resources), params)
         assert result.seed_fitness == floor_of(jobs, resources)
         assert result.best == expected.best == parked(jobs, resources)
         assert result.iterations_used == expected.iterations_used
@@ -663,7 +716,7 @@ def test_a_hopeless_batch_with_a_seed_off_the_floor_runs_the_loop(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(ga_module, "_breed", counted)
-    result = run_ga([real], jobs, resources, params)
+    result = run_ga([real], pair_table(jobs, resources), params)
     assert result.seed_fitness > floor_of(jobs, resources)
     assert len(generations) == result.iterations_used - 1 > 0
     assert result == full_loop(monkeypatch, [real], jobs, resources, params)

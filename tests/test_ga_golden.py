@@ -18,6 +18,7 @@ import hashlib
 import pytest
 from conftest import fuzz_instance, tiny_instance
 from metagrid.ga import GaParams, hga, lpga, run_ga
+from metagrid.model import pair_table
 from metagrid.workload import ScenarioConfig, generate_scenario
 
 
@@ -29,7 +30,7 @@ def _batch(resources: int, jobs: int, seed: int):
 
 
 def _unseeded(jobs, resources, params):
-    return run_ga([], jobs, resources, params)
+    return run_ga([], pair_table(jobs, resources), params)
 
 
 def _pipeline(scheduler):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_instance
-from metagrid.mmc import MmcStats, modified_min_cost
+from hypothesis import given, settings, strategies as st
+from metagrid.mmc import MmcStats, cost_order, modified_min_cost
 from metagrid.model import (
     DUMMY_ID,
     AllocationMatrix,
@@ -12,10 +13,11 @@ from metagrid.model import (
     ResourceInfo,
     Schedule,
     ensure_dummy,
+    pair_table,
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
-from oracles import brute_force_sgn, relaxed_objective
+from oracles import brute_force_sgn, placement_cost, relaxed_objective
 
 
 def consolidate(jobs, resources, stats=None):
@@ -348,3 +350,36 @@ def test_modified_min_cost_without_dummy_resource_still_reports_parked():
     assert isinstance(schedule, Schedule)
     assert schedule.dummy_jobs == {"C"}
     assert schedule.assignments.entries == {(DUMMY_ID, "C"): 3}
+
+
+@st.composite
+def tied_batches(draw):
+    """Jobs on a grid whose rates and speeds come from two values each, so
+    equal placement costs are common; ids arrive shuffled, and the pool
+    may hold a dummy."""
+    ids = draw(st.permutations([f"R{i}" for i in range(draw(st.integers(0, 6)))]))
+    resources = [
+        ResourceInfo(rid, draw(st.integers(0, 8)), draw(st.sampled_from([1.0, 2.5])),
+                     draw(st.sampled_from([100.0, 300.0])))
+        for rid in ids
+    ]
+    jobs = [
+        JobRequest(f"U{j}", f"J{j}", draw(st.floats(1.0, 500.0)), draw(st.floats(1.0, 40.0)),
+                   (draw(st.sampled_from([300.0, 700.0])),) * pes, pes)
+        for j, pes in enumerate(draw(st.lists(st.integers(1, 4), max_size=5)))
+    ]
+    if jobs and draw(st.booleans()):
+        resources, _ = ensure_dummy(jobs, resources)
+    return jobs, resources
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(batch=tied_batches())
+def test_cost_order_ranks_each_job_by_placement_cost_then_id(batch):
+    jobs, resources = batch
+    table = pair_table(jobs, resources)
+    real = [r for r in resources if not r.is_dummy]
+    rids = [r.resource_id for r in table.resources]
+    for job, row in zip(table.jobs, cost_order(table).tolist()):
+        want = sorted(real, key=lambda r: (placement_cost(job, r), r.resource_id))
+        assert [rids[k] for k in row] == [r.resource_id for r in want]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from metagrid.model import (
     AllocationMatrix,
@@ -17,15 +17,12 @@ from metagrid.model import (
     ensure_dummy,
     exec_time,
     make_dummy_resource,
-    pair_table,
-    placement_cost,
-    placement_feasible,
     qos_index,
     validate,
 )
 
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST
-from oracles import schedule_cost
+from oracles import placement_cost, placement_feasible, schedule_cost
 
 
 def test_exec_time_two_equal_tasks():
@@ -295,36 +292,3 @@ def test_allocation_matrix_drops_zero_entries():
     assert ("R", "J") not in alloc.entries
     assert alloc.pes("R", "K") == 2
     assert alloc.job_ids() == {"K"}
-
-
-@st.composite
-def tied_batches(draw):
-    """Jobs on a grid whose rates and speeds come from two values each, so
-    equal placement costs are common; ids arrive shuffled, and the pool
-    may hold a dummy."""
-    ids = draw(st.permutations([f"R{i}" for i in range(draw(st.integers(0, 6)))]))
-    resources = [
-        ResourceInfo(rid, draw(st.integers(0, 8)), draw(st.sampled_from([1.0, 2.5])),
-                     draw(st.sampled_from([100.0, 300.0])))
-        for rid in ids
-    ]
-    jobs = [
-        JobRequest(f"U{j}", f"J{j}", draw(st.floats(1.0, 500.0)), draw(st.floats(1.0, 40.0)),
-                   (draw(st.sampled_from([300.0, 700.0])),) * pes, pes)
-        for j, pes in enumerate(draw(st.lists(st.integers(1, 4), max_size=5)))
-    ]
-    if jobs and draw(st.booleans()):
-        resources, _ = ensure_dummy(jobs, resources)
-    return jobs, resources
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(batch=tied_batches())
-def test_pair_table_orders_each_job_by_placement_cost_then_id(batch):
-    jobs, resources = batch
-    table = pair_table(jobs, resources)
-    real = [r for r in resources if not r.is_dummy]
-    rids = [r.resource_id for r in table.resources]
-    for job, row in zip(table.jobs, table.order.tolist()):
-        want = sorted(real, key=lambda r: (placement_cost(job, r), r.resource_id))
-        assert [rids[k] for k in row] == [r.resource_id for r in want]

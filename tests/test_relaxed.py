@@ -20,13 +20,10 @@ from metagrid.model import (
     JobKind,
     JobRequest,
     ResourceInfo,
-    breach_count,
     budget_limit,
     exec_time,
     meets_deadline,
     pair_charge,
-    placement_cost,
-    placement_feasible,
     validate,
 )
 import metagrid.relaxed as relaxed_module
@@ -36,8 +33,11 @@ from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
     TooLargeError,
     brute_force_relaxed,
+    breach_count,
     brute_force_sgn,
     job_side_columns,
+    placement_cost,
+    placement_feasible,
     relaxed_objective,
     schedule_cost,
     views,

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import replace
 
 import pytest
+from conftest import fuzz_instance
+from metagrid import model
 from metagrid.ga import GaParams
 from metagrid.greedy import greedy_schedule
-from metagrid.model import JobRequest, ResourceInfo
+from metagrid.model import JobRequest, ResourceInfo, pair_table
 from metagrid.simulator import (
+    SCHEDULERS,
     ScenarioMetrics,
     SimEvent,
     UnknownSchedulerError,
@@ -178,14 +182,35 @@ def test_rerun_is_deterministic_up_to_wall_time():
     assert replace(a, wall_time_s=0.0) == replace(b, wall_time_s=0.0)
 
 
+@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+def test_each_adapter_builds_one_pair_table_per_call(monkeypatch, scheduler):
+    """Every stage of a scheduler reads the one ``PairTable`` its adapter
+    builds for the batch."""
+    calls = []
+    original = model.pair_table
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("metagrid.") and getattr(module, "pair_table", None) is original:
+            monkeypatch.setattr(module, "pair_table", counted)
+    for seed in range(5):
+        jobs, resources = fuzz_instance(seed)
+        calls.clear()
+        SCHEDULERS[scheduler](jobs, resources, SMALL_GA, seed)
+        assert len(calls) == 1, f"seed {seed}"
+
+
 # -------------------------------------------------------------- helpers
 
 
 def test_rollover_unit(s1_jobs, s1_resources):
-    placed_all = greedy_schedule(s1_jobs, s1_resources)
+    placed_all = greedy_schedule(pair_table(s1_jobs, s1_resources))
     assert rollover(s1_jobs, placed_all) == []
 
-    only_a = greedy_schedule(s1_jobs[:1], s1_resources)
+    only_a = greedy_schedule(pair_table(s1_jobs[:1], s1_resources))
     carried = rollover(s1_jobs, only_a)
     assert [j.job_id for j in carried] == ["B"]
 
