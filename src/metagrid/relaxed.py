@@ -58,8 +58,8 @@ and repeating it turns an optimum over the job-side prefix into one
 over both prefixes.  A batch whose demand fits in F closes no
 resource-side prefix, so (c) is tried only on a batch that overflows.
 
-``solve_relaxed`` hands these arrays to HiGHS (via scipy) as a plain LP
-first.  Without budget rows the constraints are one demand equality per
+``solve_relaxed`` hands these arrays to HiGHS as a plain LP first.
+Without budget rows the constraints are one demand equality per
 job and one capacity inequality per resource over job x resource
 columns: a transportation matrix, which is totally unimodular.  Every
 right-hand side and every column bound is an integer (PE counts, free
@@ -70,6 +70,22 @@ only the budget rows that can bind.  When one makes the vertex
 fractional, the same arrays go to the branch-and-cut engine at zero
 optimality gap.  Either answer is re-checked exactly before it is
 trusted.
+
+HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) is called directly
+through scipy's binding ``scipy.optimize._highspy._core``, not through
+``scipy.optimize.linprog``, whose wrapper (input checks, a result
+re-check, per-column bound marginals nobody reads) costs more than many
+of these small solves.  ``linprog`` here fills a ``HighsLp`` with the
+rows in the order scipy's wrapper stacks them (inequality rows, then the
+demand rows as lower = upper = PE count), the matrix as CSC, and column
+bounds [0, ub], and sets exactly the options the wrapper sets: presolve
+on, dual simplex, debug and console output off, ``mip_rel_gap`` 0.  So
+HiGHS sees the same model and returns the same ``x``, bit for bit; with
+presolve off it would pick other tied optima.  The function keeps the
+name ``linprog`` and its one call site because the benchmark's tracer
+rebinds ``relaxed.linprog`` and reads ``.x`` and ``mip_node_count`` off
+its result.  ``_core`` is private to scipy: where it cannot be imported,
+``linprog`` calls ``scipy.optimize.linprog`` with the same options.
 """
 
 from __future__ import annotations
@@ -79,7 +95,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+# this form, not ``from scipy import optimize``, which made the benchmark's
+# set-up read about 0.2 s slower (CHANGES.md)
+from scipy.optimize import linprog as scipy_linprog
+
+try:  # private to scipy: an older release may not ship it, a newer may move it
+    from scipy.optimize._highspy import _core
+except ImportError:
+    _core = None
 
 from .model import (
     AllocationMatrix,
@@ -224,6 +247,71 @@ def _model_arrays(model: RelaxedModel):
     return c, a_ub, b_ub, a_eq, pes, ub
 
 
+@dataclass(frozen=True)
+class HighsResult:
+    """One HiGHS solve: ``x`` (None unless HiGHS reports an optimum), a
+    ``status`` in ``scipy.optimize.linprog``'s codes (0 iff optimal), HiGHS's
+    model status as ``message``, and the branch-and-cut node count (0 for
+    an LP)."""
+
+    x: np.ndarray | None
+    status: int
+    message: str
+    mip_node_count: int
+
+
+# scipy.optimize.linprog's codes for HiGHS's failures; any other is 4
+_LINPROG_STATUS = {
+    "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3,
+}
+
+
+def linprog(c, a_ub, b_ub, a_eq, b_eq, ub, integer: bool = False):
+    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x ==
+    b_eq`` and ``0 <= x <= ub`` (``_model_arrays``'s tuple), every column
+    integer when ``integer``, with HiGHS called directly (module docstring).
+    Without scipy's private HiGHS binding it is ``scipy.optimize.linprog``
+    with the same options, and returns that function's result."""
+    n = len(c)
+    if _core is None:
+        return scipy_linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=np.column_stack([np.zeros(n), ub]), method="highs",
+            integrality=np.ones(n) if integer else None, options={"mip_rel_gap": 0.0},
+        )
+    b_ub = np.empty(0) if a_ub is None else b_ub
+    a = sparse.csc_array(a_eq if a_ub is None else sparse.vstack([a_ub, a_eq]))
+    lp = _core.HighsLp()
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(n), ub
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_core.kHighsInf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    if integer:
+        lp.integrality_ = [_core.HighsVarType.kInteger] * n
+    options = _core.HighsOptions()  # the options linprog sets; the rest default
+    options.presolve = "on"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    options.mip_rel_gap = 0.0
+    highs = _core._Highs()
+    highs.passOptions(options)
+    status = _core.HighsModelStatus.kModelError
+    if highs.passModel(lp) != _core.HighsStatus.kError:
+        highs.run()
+        status = highs.getModelStatus()
+    optimal = status == _core.HighsModelStatus.kOptimal
+    return HighsResult(
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        status=0 if optimal else _LINPROG_STATUS.get(status.name, 4),
+        message=highs.modelStatusToString(status),
+        mip_node_count=highs.getInfo().mip_node_count if integer and optimal else 0,
+    )
+
+
 def _check_integer_solution(model: RelaxedModel, ji, ri, x) -> bool:
     """Exact feasibility re-check of a rounded candidate ``x`` over the
     columns (``ji``, ``ri``): no negative count, no resource above its free
@@ -245,8 +333,8 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     A model with no real column (each job's only column is its dummy pair)
     has a single feasible allocation, every job parked whole: it is
     returned after the exact feasibility re-check below, and HiGHS is not
-    called.  Otherwise the arrays go to HiGHS (via scipy) first as a plain
-    LP.  When no budget row binds, its vertex is already an integer
+    called.  Otherwise the arrays go to HiGHS (``linprog``, module
+    docstring) first as a plain LP.  When no budget row binds, its vertex is already an integer
     optimum (module docstring), and it is taken if every entry lies within
     1e-9 of an integer and the rounded answer passes that re-check.
     Otherwise the same arrays go to the branch-and-cut engine as an integer
@@ -264,25 +352,13 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
         x = model.table.pes.astype(int)
         if _check_integer_solution(model, ji, ri, x):
             return _allocation(model, ji, ri, x)
-    c, a_ub, b_ub, a_eq, b_eq, base_ub = _model_arrays(model)
-    n = len(ji)
-    bounds = np.column_stack([np.zeros(n), base_ub])
-    for integrality in (None, np.ones(n)):  # the LP, then the integer program
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-            integrality=integrality,
-            options={"mip_rel_gap": 0.0},
-        )
+    arrays = _model_arrays(model)
+    for integer in (False, True):  # the LP, then the integer program
+        res = linprog(*arrays, integer=integer)
         if res.status != 0:
             raise RuntimeError(f"HiGHS solve failed with status {res.status}: {res.message}")
         x = np.rint(res.x)
-        if integrality is None and np.abs(res.x - x).max() > 1e-9:
+        if not integer and np.abs(res.x - x).max() > 1e-9:
             continue  # never round a fractional vertex: solve the integer program
         x = x.astype(int)
         if _check_integer_solution(model, ji, ri, x):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
+import functools
 import itertools
 from collections import Counter
 from unittest import mock
@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_instance
@@ -141,10 +142,12 @@ def test_pair_table_matches_the_per_pair_rule():
                 assert model.objective[j, r] == coeff
 
 
-def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources):
+def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources, highs_calls):
     """The benchmark's tracer rebinds ``build_relaxed``, ``solve_relaxed``,
     ``_model_arrays`` and ``linprog`` in this module and reports
-    ``len(model.pair_order)`` and the row counts of the assembled arrays."""
+    ``len(model.pair_order)``, the row counts of the assembled arrays, and
+    per ``linprog`` call (one per HiGHS solve) the length of ``x`` and the
+    ``mip_node_count`` of its result."""
     model = build_relaxed(s1_jobs, s1_resources)
     assert len(model.pair_order) == model.admissible.sum() == 5
     arrays = _model_arrays(model)
@@ -153,9 +156,13 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources):
     assert len(c) == len(ub) == a_eq.shape[1] == model.columns.sum()
     assert a_eq.shape[0] == len(b_eq) == len(model.jobs)
     assert a_ub.shape[0] == len(b_ub)
-    assert relaxed_module.linprog is scipy_linprog
-    # the tracer counts HiGHS calls at this one call site
-    assert inspect.getsource(relaxed_module).count("linprog(") == 1
+    # solve_relaxed reaches HiGHS only through the module global, once per
+    # solve: s1 takes one LP
+    solve_relaxed(model)
+    [(integer, res)] = highs_calls
+    assert not integer
+    assert len(res.x) == model.columns.sum()
+    assert res.mip_node_count == 0
 
 
 # --- exact solve ------------------------------------------------------------
@@ -191,13 +198,14 @@ def test_solve_zero_jobs_is_empty():
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """The (integrality, result) of every HiGHS call ``solve_relaxed``
-    makes, in call order."""
+    """The (integer, result) of every HiGHS call ``solve_relaxed`` makes
+    through the module's ``linprog``, in call order."""
     calls = []
+    solve = relaxed_module.linprog
 
-    def recording(c, **kwargs):
-        res = scipy_linprog(c, **kwargs)
-        calls.append((kwargs.get("integrality"), res))
+    def recording(*args, integer=False):
+        res = solve(*args, integer=integer)
+        calls.append((integer, res))
         return res
 
     monkeypatch.setattr(relaxed_module, "linprog", recording)
@@ -573,10 +581,12 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
 # --- LP first, integer program on a fractional vertex ------------------------
 
 
+@functools.cache
 def binding_budget_models():
     """The test corpus (``tiny_instance`` 0-1199 and ``fuzz_instance``
     0-299) cut to the models that keep a budget row: the only rows that can
     make an LP vertex fractional."""
+    models = []
     for instance, count in ((tiny_instance, 1200), (fuzz_instance, 300)):
         for seed in range(count):
             jobs, resources = instance(seed)
@@ -584,18 +594,25 @@ def binding_budget_models():
             _, a_ub, *_ = _model_arrays(model)
             capacity_rows = len(np.unique(np.nonzero(model.columns)[1]))
             if a_ub.shape[0] > capacity_rows:
-                yield f"{instance.__name__}({seed})", model
+                models.append((f"{instance.__name__}({seed})", model))
+    return models
+
+
+def scipy_solve(arrays, integer=False):
+    """``scipy.optimize.linprog`` on ``_model_arrays``'s tuple, with the
+    options ``relaxed.linprog`` gives HiGHS."""
+    c, a_ub, b_ub, a_eq, b_eq, ub = arrays
+    return scipy_linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=np.column_stack([np.zeros(len(c)), ub]), method="highs",
+        integrality=np.ones(len(c)) if integer else None, options={"mip_rel_gap": 0.0},
+    )
 
 
 def forced_milp(model):
     """The zero-gap integer program's allocation over ``model``'s arrays,
-    with no LP pass before it."""
-    c, a_ub, b_ub, a_eq, b_eq, ub = _model_arrays(model)
-    res = scipy_linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=np.column_stack([np.zeros(len(c)), ub]), method="highs",
-        integrality=np.ones(len(c)), options={"mip_rel_gap": 0.0},
-    )
+    with no LP pass before it, from scipy's ``linprog``."""
+    res = scipy_solve(_model_arrays(model), integer=True)
     assert res.status == 0, res.message
     ji, ri = np.nonzero(model.columns)
     return AllocationMatrix({
@@ -659,8 +676,82 @@ def test_benchmark_batches_take_the_lp_vertex_unchanged(resource_count, job_coun
         model = build_relaxed(jobs, resources)
         highs_calls.clear()
         alloc = solve_relaxed(model)
-        assert [integrality for integrality, _ in highs_calls] == [None], f"scenario seed {seed}"
+        assert [integer for integer, _ in highs_calls] == [False], f"scenario seed {seed}"
         assert alloc == forced_milp(model), f"scenario seed {seed}"
+
+
+# --- the direct HiGHS call ----------------------------------------------------
+
+
+def direct_call_corpus():
+    """(where, model, integer): ``tiny_instance`` 0-199, ``fuzz_instance``
+    0-299 and the first batches of the benchmark's shapes as LPs, and the
+    binding-budget models both as LPs and as integer programs."""
+    for instance, count in ((tiny_instance, 200), (fuzz_instance, 300)):
+        for seed in range(count):
+            model = build_relaxed(*instance(seed))
+            if model.jobs:
+                yield f"{instance.__name__}({seed})", model, False
+    for resource_count, job_count in ((200, 50), (50, 200)):
+        for seed in range(3):
+            model = build_relaxed(*first_batch(ScenarioConfig(
+                resource_count=resource_count, job_count=job_count,
+                deadline_mode="medium", rng_seed=seed,
+            )))
+            yield f"{resource_count}x{job_count} seed {seed}", model, False
+    for where, model in binding_budget_models():
+        yield where, model, False
+        yield where, model, True
+
+
+@pytest.mark.skipif(relaxed_module._core is None, reason="scipy without its HiGHS binding")
+def test_the_direct_highs_call_returns_scipy_linprogs_x_bit_for_bit():
+    """Same model, same options: HiGHS returns the same ``x`` whichever way
+    it is called.  Fails loudly on a scipy whose binding or defaults move."""
+    fractional = 0
+    for where, model, integer in direct_call_corpus():
+        arrays = _model_arrays(model)
+        direct = relaxed_module.linprog(*arrays, integer=integer)
+        reference = scipy_solve(arrays, integer)
+        assert (direct.status, reference.status) == (0, 0), where
+        assert direct.x.tobytes() == reference.x.tobytes(), (where, integer)
+        fractional += not integer and np.abs(direct.x - np.rint(direct.x)).max() > 1e-9
+    assert fractional > 0  # the integer-program comparisons are not vacuous
+
+
+def test_without_the_highs_binding_solve_relaxed_calls_scipy_linprog(monkeypatch):
+    direct = [solve_relaxed(build_relaxed(*tiny_instance(seed))) for seed in range(50)]
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["integrality"])
+        return scipy_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(relaxed_module, "_core", None)
+    monkeypatch.setattr(relaxed_module, "scipy_linprog", recording)
+    assert [solve_relaxed(build_relaxed(*tiny_instance(seed))) for seed in range(50)] == direct
+    assert calls
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_an_infeasible_program_returns_a_failed_status_and_no_x(integer):
+    # one column bounded by 2 that must carry 5
+    res = relaxed_module.linprog(
+        np.array([1.0]), None, None, sparse.csr_matrix(np.ones((1, 1))), np.array([5]),
+        np.array([2.0]), integer=integer,
+    )
+    assert res.status != 0
+    assert res.message
+    assert res.x is None
+
+
+def test_a_failed_highs_solve_raises_naming_the_status(s1_jobs, s1_resources, monkeypatch):
+    monkeypatch.setattr(
+        relaxed_module, "linprog",
+        lambda *args, **kwargs: relaxed_module.HighsResult(None, 2, "Infeasible", 0),
+    )
+    with pytest.raises(RuntimeError, match="status 2: Infeasible"):
+        solve_relaxed(build_relaxed(s1_jobs, s1_resources))
 
 
 # --- oracles ----------------------------------------------------------------
