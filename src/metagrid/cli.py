@@ -294,9 +294,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out is not None else in_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    modes = sorted({r["deadline_mode"] for r in rows})
-    schedulers = sorted({r["scheduler"] for r in rows})
-    counts = sorted({int(r["resource_count"]) for r in rows})
+    # the rows of each (mode, scheduler, resource count) cell, in file order
+    groups: dict[tuple[str, str, int], list[dict]] = {}
+    for r in rows:
+        key = (r["deadline_mode"], r["scheduler"], int(r["resource_count"]))
+        groups.setdefault(key, []).append(r)
+    modes = sorted({mode for mode, _, _ in groups})
+    schedulers = sorted({scheduler for _, scheduler, _ in groups})
+    counts = sorted({count for _, _, count in groups})
 
     def mean_of(sub: list[dict], column: str) -> float:
         return statistics.fmean(float(r[column]) for r in sub)
@@ -317,12 +322,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             for count in counts:
                 row: list = [count]
                 for scheduler in schedulers:
-                    sub = [
-                        r for r in rows
-                        if r["deadline_mode"] == mode
-                        and r["scheduler"] == scheduler
-                        and int(r["resource_count"]) == count
-                    ]
+                    sub = groups.get((mode, scheduler, count))
                     if sub:
                         row += [
                             repr(mean_of(sub, "total_cost_gd")),
@@ -341,14 +341,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         for scheduler in schedulers:
             for count in counts:
-                sub = [
-                    r for r in rows
-                    if r["scheduler"] == scheduler
-                    and int(r["resource_count"]) == count
+                # median and fmean do not depend on the order of the values
+                values = [
+                    int(r["ga_iterations"])
+                    for mode in modes
+                    for r in groups.get((mode, scheduler, count), ())
                 ]
-                if not sub:
+                if not values:
                     continue
-                values = [int(r["ga_iterations"]) for r in sub]
                 writer.writerow(
                     [scheduler, count, statistics.median(values), statistics.fmean(values)]
                 )
@@ -366,12 +366,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         for mode in modes:
             for count in counts:
                 for scheduler in schedulers:
-                    sub = [
-                        r for r in rows
-                        if r["deadline_mode"] == mode
-                        and r["scheduler"] == scheduler
-                        and int(r["resource_count"]) == count
-                    ]
+                    sub = groups.get((mode, scheduler, count))
                     if not sub:
                         continue
                     writer.writerow(

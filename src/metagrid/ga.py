@@ -1,9 +1,10 @@
 """Genetic-algorithm refinement stage and the two seeded meta-schedulers.
 
 A chromosome gives every job the resource it runs on (possibly the dummy,
-meaning the job is deferred).  Inside the GA it is a row of ints, one
-gene per job in sorted job-id order, each an index into the sorted pool
-ids; gene maps (job id -> resource id) appear only at the boundary.
+meaning the job is deferred).  It is a gene row: one int per row of the
+batch's ``PairTable`` (jobs sorted by id), each a column index into
+``table.resources``.  Rows are the one representation from the seed to
+``GaResult.best`` to ``decode_schedule``.
 Fitness is the real scheduling cost plus a large penalty per constraint
 violation, so the search orders candidates feasibility-first,
 cost-second, and a feasible fully-placed chromosome's fitness is exactly
@@ -20,7 +21,7 @@ gene is judged by the same deadline and budget rule as every other
 scheduler applies.  ``lpga`` seeds the population with the consolidated
 relaxation solution and hands on the relaxation's table; ``hga`` seeds it
 with the greedy baseline, which reads the table ``hga`` builds for the
-GA.  Everything downstream of the seed is identical, which is what makes
+GA.  Both then run the one shared tail, ``_refine``, which is what makes
 the two directly comparable.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_left
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import ceil, inf
 
@@ -49,14 +50,6 @@ from .model import (
 from .relaxed import build_relaxed, solve_relaxed
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class Chromosome:
-    """A gene map at the GA boundary: each job id maps to the id of the
-    resource it runs on."""
-
-    genes: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class GaParams:
 
 @dataclass(frozen=True)
 class GaResult:
-    best: Chromosome
+    best: tuple[int, ...]  # the best gene row
     iterations_used: int
     best_fitness_trace: tuple[float, ...]
     converged: bool
@@ -95,37 +88,25 @@ class GaResult:
         return self.best_fitness_trace[-1]
 
 
-def default_penalty_weight(
-    jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]
-) -> float:
-    """Penalty unit that dominates any attainable real scheduling cost."""
-    real = [r for r in resources if not r.is_dummy]
-    max_rate = max((r.cost_per_pe_second for r in real), default=0.0)
-    # exec_time's largest value over every pair: the longest task on the
-    # slowest PE, as rounded division is monotone in both operands
-    max_exec = max((max(j.task_sizes_mi) for j in jobs), default=0.0) / min(
-        (r.pe_speed_mips for r in real), default=inf
-    )
-    max_pes = max((j.pe_count for j in jobs), default=0)
-    return 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
-
-
 class FitnessTables:
     """Per-run fitness tables over the batch's ``PairTable`` (jobs as rows,
     resources as columns, both sorted by id): placement cost and breach
     count of each pair, where a dummy column costs 0.0 and counts one
     breach, plus each resource's PE capacity (inf on a dummy) and each
-    job's PE count."""
+    job's PE count.  ``weight`` is the penalty unit, which dominates any
+    attainable real scheduling cost."""
 
-    def __init__(self, table: PairTable, penalty_weight: float | None = None) -> None:
-        self.weight = (
-            penalty_weight
-            if penalty_weight is not None
-            else default_penalty_weight(table.jobs, table.resources)
+    def __init__(self, table: PairTable) -> None:
+        real = [r for r in table.resources if not r.is_dummy]
+        max_rate = max((r.cost_per_pe_second for r in real), default=0.0)
+        # exec_time's largest value over every pair: the longest task on the
+        # slowest PE, as rounded division is monotone in both operands
+        max_exec = max(max(j.task_sizes_mi) for j in table.jobs) / min(
+            (r.pe_speed_mips for r in real), default=inf
         )
-        self.job_ids = [j.job_id for j in table.jobs]
-        self.resource_ids = [r.resource_id for r in table.resources]
-        self._column = {rid: k for k, rid in enumerate(self.resource_ids)}
+        max_pes = max(j.pe_count for j in table.jobs)
+        self.weight = 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
+        self._columns = len(table.resources)
         self.pes = table.pes
         self.capacity = np.where(table.dummy, inf, table.free)
         # flat views, indexed by job row offset plus gene
@@ -133,7 +114,7 @@ class FitnessTables:
         breaches = np.where(table.dummy, 1, table.breaches)
         self._breaches = breaches.ravel()
         self._least_breaches = int(breaches.min(axis=1).sum())
-        self._job_rows = len(self.resource_ids) * np.arange(len(table.jobs))
+        self._job_rows = self._columns * np.arange(len(table.jobs))
         self._layout_rows = -1
 
     def _layout(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,25 +122,13 @@ class FitnessTables:
         all its genes, for a population of ``rows`` chromosomes."""
         if rows != self._layout_rows:
             self._layout_rows = rows
-            self._slots = len(self.resource_ids) * np.arange(rows)[:, None]
+            self._slots = self._columns * np.arange(rows)[:, None]
             self._weights = np.tile(self.pes, rows)
         return self._slots, self._weights
 
-    def encode(self, genes: Mapping[str, str]) -> list[int]:
-        """Gene row of a gene map; ``ValueError`` names a job without a
-        gene or a gene outside the pool."""
-        for jid in self.job_ids:
-            if genes.get(jid) not in self._column:
-                what = "no gene" if jid not in genes else f"resource {genes[jid]!r} outside the pool"
-                raise ValueError(f"gene map gives job {jid} {what}")
-        return [self._column[genes[jid]] for jid in self.job_ids]
-
-    def gene_map(self, row: Sequence[int]) -> dict[str, str]:
-        return {jid: self.resource_ids[g] for jid, g in zip(self.job_ids, row)}
-
     def score(self, population: np.ndarray) -> np.ndarray:
         """Fitness of every row of a chromosomes x jobs gene array."""
-        rows, n = len(population), len(self.resource_ids)
+        rows, n = len(population), self._columns
         slots, weights = self._layout(rows)
         pairs = population + self._job_rows
         # cumsum adds the costs one job at a time, as a scalar loop would;
@@ -328,23 +297,19 @@ def mutate(stream: _Stream, genes: range, n_choices: int) -> list[tuple[int, int
     return resets
 
 
-def decode_schedule(chromosome: Chromosome | Mapping[str, str], table: PairTable) -> Schedule:
-    """Deterministic repair of a chromosome into a valid schedule.
+def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
+    """Deterministic repair of a gene row into a valid schedule.
 
     Genes that point at a resource the job cannot use (deadline or budget,
     as ``table.feasible`` marks it) are parked, and so are genes on a
     dummy, which ``build_schedule`` parks; then any overloaded resource
     sheds its largest jobs until its PE capacity holds.
     """
-    genes = (
-        chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
-    )
     jobs, resources = table.jobs, table.resources
-    columns = {r.resource_id: k for k, r in enumerate(resources)}
-    wanted = np.array([columns[genes[job.job_id]] for job in jobs], dtype=np.intp)
+    wanted = np.asarray(row, dtype=np.intp)
     usable = table.feasible[np.arange(len(jobs)), wanted]
     pes = [job.pe_count for job in jobs]
-    parking = columns.get(table.dummy_id)
+    parking = {r.resource_id: k for k, r in enumerate(resources)}.get(table.dummy_id)
 
     assign = dict(enumerate(np.where(usable, wanted, parking).tolist()))
     holders: dict[int, list[int]] = {}
@@ -365,25 +330,26 @@ def decode_schedule(chromosome: Chromosome | Mapping[str, str], table: PairTable
     return build_schedule(AllocationMatrix(entries), jobs, resources)
 
 
-def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> Chromosome:
-    """Gene map for a whole-job schedule; deferred jobs map to the dummy."""
+def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> tuple[int, ...]:
+    """Gene row of a whole-job schedule; deferred jobs get the dummy's
+    column."""
+    columns = {r.resource_id: k for k, r in enumerate(table.resources)}
     by_job = schedule.assignments.by_job()
-    genes: dict[str, str] = {}
+    row = []
     for job in table.jobs:
-        jid = job.job_id
-        if jid in schedule.dummy_jobs or jid not in by_job:
-            genes[jid] = table.dummy_id
-            continue
-        placements = by_job[jid]
-        if len(placements) != 1:
-            raise ValueError(f"job {jid} is not placed whole: {placements}")
-        genes[jid] = next(iter(placements))
-    return Chromosome(genes)
+        placements = by_job.get(job.job_id, {})
+        if job.job_id in schedule.dummy_jobs or not placements:
+            row.append(columns[table.dummy_id])
+        elif len(placements) != 1:
+            raise ValueError(f"job {job.job_id} is not placed whole: {placements}")
+        else:
+            row.append(columns[next(iter(placements))])
+    return tuple(row)
 
 
 def _empty_result() -> GaResult:
     return GaResult(
-        best=Chromosome({}),
+        best=(),
         iterations_used=0,
         best_fitness_trace=(0.0,),
         converged=True,
@@ -426,13 +392,16 @@ def _breed(
 
 
 def run_ga(
-    seed_chromosomes: Sequence[Chromosome],
+    seed_rows: Sequence[Sequence[int]],
     table: PairTable,
     params: GaParams = GaParams(),
 ) -> GaResult:
     """Elitist generational GA.  One iteration = one population evaluation,
     so ``max_iterations=1`` returns the best of the initial population with
     no evolution at all.
+
+    Each seed row holds one gene per job, each a column of
+    ``table.resources``; ``ValueError`` rejects any other.
 
     Stops when the best fitness has not improved for
     ``convergence_window`` consecutive evaluations or the iteration budget
@@ -448,21 +417,23 @@ def run_ga(
     iterations) without drawing a population: this happens on a batch
     where no job has a breach-free real pair and the seed parks them all.
     """
-    if len(seed_chromosomes) > params.population_size:
-        raise ValueError("more seed chromosomes than population slots")
+    if len(seed_rows) > params.population_size:
+        raise ValueError("more seed rows than population slots")
     if not table.jobs:
         return _empty_result()
+    size, n_genes, n_choices = params.population_size, len(table.jobs), len(table.resources)
+    if any(len(row) != n_genes for row in seed_rows):
+        raise ValueError(f"a seed row needs one gene for each of the {n_genes} jobs")
+    seeds = np.array(seed_rows, dtype=np.intp).reshape(-1, n_genes)
+    if ((seeds < 0) | (seeds >= n_choices)).any():
+        raise ValueError(f"a seed gene lies outside the {n_choices} resource columns")
     tables = FitnessTables(table)
-    size, n_genes = params.population_size, len(tables.job_ids)
-    n_choices = len(tables.resource_ids)
-    seeds = np.array([tables.encode(c.genes) for c in seed_chromosomes], dtype=np.intp)
-    seeds = seeds.reshape(-1, n_genes)
     fits = tables.score(seeds)
     seed_fitness = float(fits.min(initial=inf))
     if seed_fitness == tables.floor():  # the loop's answer, without the loop
         iterations = min(params.max_iterations, 1 + params.convergence_window)
         return GaResult(
-            best=Chromosome(tables.gene_map(seeds[fits.argmin()].tolist())),
+            best=tuple(seeds[fits.argmin()].tolist()),
             iterations_used=iterations,
             best_fitness_trace=(seed_fitness,) * iterations,
             converged=iterations - 1 >= params.convergence_window,
@@ -496,7 +467,7 @@ def run_ga(
         trace.append(best_fit)
 
     return GaResult(
-        best=Chromosome(tables.gene_map(best_row.tolist())),
+        best=tuple(best_row.tolist()),
         iterations_used=iterations,
         best_fitness_trace=tuple(trace),
         converged=stale >= params.convergence_window,
@@ -504,14 +475,24 @@ def run_ga(
     )
 
 
-def _log_placements(tag: str, schedule: Schedule) -> None:
-    if not logger.isEnabledFor(logging.DEBUG):
-        return
-    for jid, rids in sorted(schedule.assignments.by_job().items()):
-        if jid in schedule.dummy_jobs:
-            logger.debug("%s: job %s deferred to the next period", tag, jid)
-        else:
-            logger.debug("%s: job %s placed on %s", tag, jid, ",".join(sorted(rids)))
+def _refine(
+    tag: str, seed_schedule: Schedule, table: PairTable, params: GaParams
+) -> tuple[Schedule, GaResult]:
+    """The tail both pipelines share: seed the GA with ``seed_schedule``'s
+    row and decode the best row it finds."""
+    result = run_ga([chromosome_from_schedule(seed_schedule, table)], table, params)
+    schedule = decode_schedule(result.best, table)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "%s: seed fitness %.6g -> best %.6g in %d iterations",
+            tag, result.seed_fitness, result.best_fitness, result.iterations_used,
+        )
+        for jid, rids in sorted(schedule.assignments.by_job().items()):
+            if jid in schedule.dummy_jobs:
+                logger.debug("%s: job %s deferred to the next period", tag, jid)
+            else:
+                logger.debug("%s: job %s placed on %s", tag, jid, ",".join(sorted(rids)))
+    return schedule, result
 
 
 def lpga(
@@ -531,15 +512,7 @@ def lpga(
         return Schedule.empty(), _empty_result()
     model = build_relaxed(jobs, resources)
     seed_schedule = modified_min_cost(model, solve_relaxed(model))
-    seed = chromosome_from_schedule(seed_schedule, model.table)
-    result = run_ga([seed], model.table, params)
-    schedule = decode_schedule(result.best, model.table)
-    logger.debug(
-        "lpga: seed fitness %.6g -> best %.6g in %d iterations",
-        result.seed_fitness, result.best_fitness, result.iterations_used,
-    )
-    _log_placements("lpga", schedule)
-    return schedule, result
+    return _refine("lpga", seed_schedule, model.table, params)
 
 
 def hga(
@@ -551,12 +524,4 @@ def hga(
     if not jobs:
         return Schedule.empty(), _empty_result()
     table = pair_table(jobs, resources)
-    seed = chromosome_from_schedule(greedy_schedule(table), table)
-    result = run_ga([seed], table, params)
-    schedule = decode_schedule(result.best, table)
-    logger.debug(
-        "hga: seed fitness %.6g -> best %.6g in %d iterations",
-        result.seed_fitness, result.best_fitness, result.iterations_used,
-    )
-    _log_placements("hga", schedule)
-    return schedule, result
+    return _refine("hga", greedy_schedule(table), table, params)

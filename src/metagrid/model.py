@@ -179,9 +179,6 @@ class AllocationMatrix:
     def job_ids(self) -> set[str]:
         return {jid for (_, jid) in self.entries}
 
-    def resource_ids(self) -> set[str]:
-        return {rid for (rid, _) in self.entries}
-
 
 class ViolationKind(enum.Enum):
     CAPACITY = "capacity"                    # resource allocated beyond its free PEs
@@ -209,19 +206,15 @@ class Schedule:
 
     ``dummy_jobs`` lists jobs parked for rollover; they never appear among
     the real assignments and contribute nothing to ``total_cost_gd``.
-    ``per_job_time_s`` is the completion time (max over the job's
-    resources) for really-placed jobs only.
     """
 
     assignments: AllocationMatrix
-    per_job_cost_gd: Mapping[str, float]
-    per_job_time_s: Mapping[str, float]
     dummy_jobs: frozenset[str] = field(default_factory=frozenset)
     total_cost_gd: float = 0.0
 
     @classmethod
     def empty(cls) -> Schedule:
-        return cls(AllocationMatrix.empty(), {}, {}, frozenset(), 0.0)
+        return cls(AllocationMatrix.empty(), frozenset(), 0.0)
 
 
 def exec_time(job: JobRequest, resource: ResourceInfo) -> float:
@@ -494,7 +487,7 @@ def build_schedule(
     Any job touching a dummy resource is parked whole: its real fragments
     (possible in split-mode solutions when capacity ran short) are dropped
     because a partially-placed job cannot run, and its PEs are re-parked on
-    the dummy.  Costs and times cover really-placed jobs only.
+    the dummy.  The cost covers really-placed jobs only.
     """
     jobs_by_id = _index(jobs, "job_id")
     res_by_id = _index(resources, "resource_id")
@@ -508,29 +501,23 @@ def build_schedule(
 
     dummy_home = min(dummy_ids, default=None)
     entries: dict[tuple[str, str], int] = {}
-    per_cost: dict[str, float] = {}
-    per_time: dict[str, float] = {}
+    job_costs: list[float] = []  # per placed job, in job-id order
     for jid in sorted(by_job):
         job = jobs_by_id[jid]
         if jid in parked:
             entries[(dummy_home, jid)] = job.pe_count
             continue
         cost = 0.0
-        finish = 0.0
         for rid in sorted(by_job[jid]):
             pes = by_job[jid][rid]
             res = res_by_id[rid]
             entries[(rid, jid)] = pes
-            t = exec_time(job, res)
-            cost += res.cost_per_pe_second * pes * t
-            finish = max(finish, t)
-        per_cost[jid] = cost
-        per_time[jid] = finish
+            cost += res.cost_per_pe_second * pes * exec_time(job, res)
+        job_costs.append(cost)
 
     return Schedule(
         assignments=AllocationMatrix(entries),
-        per_job_cost_gd=per_cost,
-        per_job_time_s=per_time,
         dummy_jobs=frozenset(parked),
-        total_cost_gd=sum(per_cost[j] for j in sorted(per_cost)),
+        # not a running +=: Python >= 3.12 compensates sum()
+        total_cost_gd=sum(job_costs),
     )

@@ -1,7 +1,8 @@
 """Test-only oracles: the whole-job rule one pair at a time, greedy and
 the GA's decode on that scalar rule, exhaustive searches for small
-instances, the money an allocation spends, the penalised fitness of one
-chromosome, the relaxation's canonical objective, the per-pair dict views
+instances, the money an allocation spends, gene maps (job id -> resource
+id) and the GA's gene rows, the penalised fitness of one gene map, the
+relaxation's canonical objective, the per-pair dict views
 of a built relaxation that the oracles walk, and the GA's scalar breeding
 loop."""
 
@@ -19,6 +20,7 @@ import numpy as np
 from metagrid.model import (
     AllocationMatrix,
     JobRequest,
+    PairTable,
     ResourceInfo,
     Schedule,
     UnknownIdError,
@@ -31,7 +33,7 @@ from metagrid.model import (
     pair_table,
     qos_index,
 )
-from metagrid.ga import Chromosome, FitnessTables
+from metagrid.ga import FitnessTables
 from metagrid.relaxed import RelaxedModel
 
 
@@ -93,16 +95,13 @@ def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
 
 
 def scalar_decode(
-    chromosome: Chromosome | Mapping[str, str],
+    genes: Mapping[str, str],
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
 ) -> Schedule:
     """Reference for ``decode_schedule``: park each gene on a dummy or on a
     resource that ``placement_feasible`` rejects, then shed each
     overloaded resource's largest jobs until its PE capacity holds."""
-    genes = (
-        chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
-    )
     pool, dummy_id = ensure_dummy(jobs, resources)
     res_by_id = {r.resource_id: r for r in pool}
     dummy_ids = {r.resource_id for r in pool if r.is_dummy}
@@ -215,20 +214,32 @@ def schedule_cost(
     return total
 
 
+def gene_row(genes: Mapping[str, str], table: PairTable) -> tuple[int, ...]:
+    """The GA's gene row of a gene map: each job's resource as a column
+    index into ``table.resources``, in ``table.jobs`` order."""
+    columns = {r.resource_id: k for k, r in enumerate(table.resources)}
+    return tuple(columns[genes[job.job_id]] for job in table.jobs)
+
+
+def gene_map(row: Sequence[int], table: PairTable) -> dict[str, str]:
+    """The gene map of a gene row over ``table``."""
+    return {job.job_id: table.resources[k].resource_id for job, k in zip(table.jobs, row)}
+
+
 def fitness(
-    chromosome: Chromosome | Mapping[str, str],
+    genes: Mapping[str, str],
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
     penalty_weight: float | None = None,
 ) -> float:
-    """Penalised cost of one chromosome (lower is better); 0.0 for no jobs."""
+    """Penalised cost of one gene map (lower is better); 0.0 for no jobs."""
     if not jobs:
         return 0.0
-    genes = (
-        chromosome.genes if isinstance(chromosome, Chromosome) else chromosome
-    )
-    tables = FitnessTables(pair_table(jobs, resources), penalty_weight)
-    return float(tables.score(np.array([tables.encode(genes)]))[0])
+    table = pair_table(jobs, resources)
+    tables = FitnessTables(table)
+    if penalty_weight is not None:
+        tables.weight = penalty_weight
+    return float(tables.score(np.array([gene_row(genes, table)]))[0])
 
 
 def relaxed_objective(model: RelaxedModel, alloc: AllocationMatrix) -> float:

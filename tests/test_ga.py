@@ -13,13 +13,11 @@ from hypothesis import given, settings, strategies as st
 import metagrid.ga as ga_module
 from metagrid.greedy import greedy_schedule
 from metagrid.ga import (
-    Chromosome,
     FitnessTables,
     GaParams,
     chromosome_from_schedule,
     crossover,
     decode_schedule,
-    default_penalty_weight,
     hga,
     lpga,
     mutate,
@@ -45,6 +43,8 @@ from oracles import (
     breach_count,
     brute_force_sgn,
     fitness,
+    gene_map,
+    gene_row,
     placement_cost,
     placement_feasible,
     scalar_decode,
@@ -55,17 +55,24 @@ from oracles import (
 )
 
 
+def default_weight(jobs, resources) -> float:
+    """The penalty unit ``FitnessTables`` sets for the batch."""
+    return FitnessTables(pair_table(jobs, resources)).weight
+
+
+def decode(genes, jobs, resources):
+    """``decode_schedule`` of a gene map, as the GA's gene row."""
+    table = pair_table(jobs, resources)
+    return decode_schedule(gene_row(genes, table), table)
+
+
 class DictWalkFitness:
     """Scalar reference for ``FitnessTables.score``: walks one gene map job
     by job in sorted order, adding each placement's cost and breaches, then
     adds each real resource's PE overload."""
 
-    def __init__(self, jobs, resources, penalty_weight=None):
-        self.weight = (
-            penalty_weight
-            if penalty_weight is not None
-            else default_penalty_weight(jobs, resources)
-        )
+    def __init__(self, jobs, resources, weight):
+        self.weight = weight
         self.job_ids = tuple(sorted(j.job_id for j in jobs))
         self.pe_count = {j.job_id: j.pe_count for j in jobs}
         self.dummy_ids = frozenset(r.resource_id for r in resources if r.is_dummy)
@@ -104,7 +111,7 @@ class DictWalkFitness:
 
 def test_default_penalty_weight_s1(s1_jobs, s1_resources):
     # 10 * max rate 3 * max exec time 20 s * max PE request 3
-    assert default_penalty_weight(s1_jobs, s1_resources) == 1800.0
+    assert default_weight(s1_jobs, s1_resources) == 1800.0
 
 
 def test_fitness_of_feasible_genes_is_plain_cost(s1_jobs, s1_resources):
@@ -133,9 +140,8 @@ def test_fitness_of_an_empty_batch_is_zero(s1_resources):
     assert fitness({}, [], s1_resources) == 0.0
 
 
-def test_fitness_accepts_chromosome_and_custom_weight(s1_jobs, s1_resources):
-    chrom = Chromosome({"A": "R2", "B": "R2"})
-    assert fitness(chrom, s1_jobs, s1_resources, penalty_weight=7.0) == 127.0
+def test_fitness_takes_a_custom_weight(s1_jobs, s1_resources):
+    assert fitness({"A": "R2", "B": "R2"}, s1_jobs, s1_resources, penalty_weight=7.0) == 127.0
 
 
 def test_fitness_and_decode_share_the_budget_tolerance():
@@ -143,9 +149,9 @@ def test_fitness_and_decode_share_the_budget_tolerance():
     # tolerance: a budget breach for fitness as well as for decoding
     res = ResourceInfo("R1", 4, 1.0, 1.0)
     job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
-    weight = default_penalty_weight([job], [res])
+    weight = default_weight([job], [res])
     assert fitness({"A": "R1"}, [job], [res]) == 2000.0 + weight
-    assert decode_schedule({"A": "R1"}, pair_table([job], [res])).dummy_jobs == {"A"}
+    assert decode({"A": "R1"}, [job], [res]).dummy_jobs == {"A"}
 
 
 @st.composite
@@ -175,7 +181,7 @@ def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(data):
     infeasible, and the whole-job oracle chooses among the feasible
     resources only."""
     job, resources = data.draw(placements())
-    weight = default_penalty_weight([job], resources)
+    weight = default_weight([job], resources)
     for res in resources:
         genes = {job.job_id: res.resource_id}
         breaches = breach_count(job, res)
@@ -183,7 +189,7 @@ def test_fitness_decode_and_the_oracle_follow_the_whole_job_rule(data):
         assert feasible is (breaches == 0)
         got = fitness(genes, [job], resources)
         assert got == placement_cost(job, res) + weight * breaches
-        parked = decode_schedule(genes, pair_table([job], resources)).dummy_jobs
+        parked = decode(genes, [job], resources).dummy_jobs
         assert (job.job_id in parked) is not feasible
     options = [placement_cost(job, r) for r in resources if placement_feasible(job, r)]
     whole = brute_force_sgn([job], resources)
@@ -223,10 +229,11 @@ def scored_batches(draw):
 @given(batch=scored_batches())
 def test_batch_scores_equal_the_dict_walk_bit_for_bit(batch):
     jobs, pool, rows = batch
-    tables = FitnessTables(pair_table(jobs, pool))
-    oracle = DictWalkFitness(jobs, pool)
+    table = pair_table(jobs, pool)
+    tables = FitnessTables(table)
+    oracle = DictWalkFitness(jobs, pool, tables.weight)
     got = tables.score(np.array(rows)).tolist()
-    assert got == [oracle(tables.gene_map(row)) for row in rows]
+    assert got == [oracle(gene_map(row, table)) for row in rows]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -251,7 +258,7 @@ def test_default_penalty_weight_is_the_max_over_every_pair(batch):
     max_rate = max(r.cost_per_pe_second for r in real)
     max_pes = max(j.pe_count for j in jobs)
     expected = 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
-    assert default_penalty_weight(jobs, pool) == expected
+    assert default_weight(jobs, pool) == expected
 
 
 # ------------------------------------------------------------- selection
@@ -458,12 +465,12 @@ def test_a_generation_equals_the_scalar_loop(rate, crossover_rate):
             population, fits = bred, tables.score(bred)
 
 
-# ------------------------------------------------------ decode / encode
+# ------------------------------------------------- decode / seed rows
 
 
 def test_decode_parks_infeasible_gene(s1_jobs, s1_resources):
     # B on R1 misses its deadline, so decoding defers it
-    schedule = decode_schedule({"A": "R1", "B": "R1"}, pair_table(s1_jobs, s1_resources))
+    schedule = decode({"A": "R1", "B": "R1"}, s1_jobs, s1_resources)
     assert schedule.dummy_jobs == {"B"}
     assert schedule.assignments.pes("R1", "A") == 2
     assert schedule.total_cost_gd == 20.0
@@ -475,7 +482,7 @@ def test_decode_sheds_largest_job_first_on_overflow():
         JobRequest("U", "J2", 1000.0, 50.0, (1000.0,) * 2, 2),
     ]
     res = [ResourceInfo("R", 4, 1.0, 100.0)]
-    schedule = decode_schedule({"J1": "R", "J2": "R"}, pair_table(jobs, res))
+    schedule = decode({"J1": "R", "J2": "R"}, jobs, res)
     assert schedule.dummy_jobs == {"J1"}
     assert schedule.assignments.pes("R", "J2") == 2
 
@@ -487,7 +494,7 @@ def test_decode_output_is_always_sgn_feasible():
         rng = random.Random(seed)
         rids = sorted(r.resource_id for r in pool)
         genes = {j.job_id: rng.choice(rids) for j in jobs}
-        schedule = decode_schedule(genes, pair_table(jobs, resources))
+        schedule = decode(genes, jobs, resources)
         violations = validate(schedule.assignments, jobs, pool, JobKind.SGN)
         assert violations == [], f"instance seed {seed}: {violations}"
 
@@ -526,18 +533,18 @@ def test_greedy_and_decode_equal_their_scalar_references():
         assert same_schedule(greedy, scalar_greedy(jobs, resources)), name
         rng = random.Random(name)
         rids = [r.resource_id for r in table.resources]
-        rows = [chromosome_from_schedule(greedy, table).genes]
-        rows += [{j.job_id: rng.choice(rids) for j in jobs} for _ in range(3)]
-        rows.append(dict.fromkeys((j.job_id for j in jobs), rng.choice(rids)))
-        for genes in rows:
-            assert same_schedule(decode_schedule(genes, table),
+        maps = [gene_map(chromosome_from_schedule(greedy, table), table)]
+        maps += [{j.job_id: rng.choice(rids) for j in jobs} for _ in range(3)]
+        maps.append(dict.fromkeys((j.job_id for j in jobs), rng.choice(rids)))
+        for genes in maps:
+            assert same_schedule(decode_schedule(gene_row(genes, table), table),
                                  scalar_decode(genes, jobs, resources)), name
 
 
 def test_chromosome_from_schedule_roundtrip(s1_jobs, s1_resources):
-    schedule = decode_schedule({"A": "R1", "B": "R2"}, pair_table(s1_jobs, s1_resources))
-    chrom = chromosome_from_schedule(schedule, pair_table(s1_jobs, s1_resources))
-    assert chrom.genes == {"A": "R1", "B": "R2"}
+    table = pair_table(s1_jobs, s1_resources)
+    row = gene_row({"A": "R1", "B": "R2"}, table)
+    assert chromosome_from_schedule(decode_schedule(row, table), table) == row
 
 
 def test_chromosome_from_schedule_rejects_split_jobs(s1_jobs, s1_resources):
@@ -552,19 +559,24 @@ def test_chromosome_from_schedule_rejects_split_jobs(s1_jobs, s1_resources):
 
 
 def test_run_ga_rejects_oversized_seed_list(s1_jobs, s1_resources):
-    seeds = [Chromosome({"A": "R1", "B": "R2"}) for _ in range(3)]
+    table = pair_table(s1_jobs, s1_resources)
+    seeds = [gene_row({"A": "R1", "B": "R2"}, table)] * 3
     with pytest.raises(ValueError):
-        run_ga(seeds, pair_table(s1_jobs, s1_resources), GaParams(population_size=2))
+        run_ga(seeds, table, GaParams(population_size=2))
 
 
 @pytest.mark.parametrize(
-    "genes, named",
-    [({"A": "R1"}, "job B"), ({"A": "R1", "B": "R7"}, "'R7'")],
-    ids=["missing-job", "unknown-resource"],
+    "row, named",
+    [((0,), "one gene for each"), ((0, 3), "outside"), ((-1, 0), "outside")],
+    ids=["missing-job", "unknown-resource", "negative-gene"],
 )
-def test_run_ga_rejects_a_seed_that_does_not_fit_the_batch(s1_jobs, s1_resources, genes, named):
+def test_run_ga_rejects_a_seed_that_does_not_fit_the_batch(s1_jobs, s1_resources, row, named):
+    # two jobs over R1, R2 and the dummy: column 3 lies past the pool, and
+    # numpy would silently read column -1 as the last column
+    table = pair_table(s1_jobs, s1_resources)
+    assert len(table.resources) == 3
     with pytest.raises(ValueError, match=named):
-        run_ga([Chromosome(genes)], pair_table(s1_jobs, s1_resources), GaParams(population_size=4))
+        run_ga([row], table, GaParams(population_size=4))
 
 
 def test_run_ga_empty_jobs_short_circuits(s1_resources):
@@ -586,8 +598,8 @@ def test_run_ga_seeded_with_optimum_stays_there(s1_jobs, s1_resources):
     params = GaParams(
         population_size=20, convergence_window=10, max_iterations=500, rng_seed=5
     )
-    seed = Chromosome({"A": "R1", "B": "R2"})
-    result = run_ga([seed], pair_table(s1_jobs, s1_resources), params)
+    table = pair_table(s1_jobs, s1_resources)
+    result = run_ga([gene_row({"A": "R1", "B": "R2"}, table)], table, params)
     assert result.seed_fitness == S1_OPTIMAL_COST
     assert result.best_fitness == S1_OPTIMAL_COST
     assert set(result.best_fitness_trace) == {S1_OPTIMAL_COST}
@@ -599,9 +611,10 @@ def test_run_ga_finds_s1_optimum_from_random_start(s1_jobs, s1_resources):
     params = GaParams(
         population_size=40, convergence_window=15, max_iterations=300, rng_seed=11
     )
-    result = run_ga([], pair_table(s1_jobs, s1_resources), params)
+    table = pair_table(s1_jobs, s1_resources)
+    result = run_ga([], table, params)
     assert result.best_fitness == S1_OPTIMAL_COST
-    assert result.best.genes == {"A": "R1", "B": "R2"}
+    assert result.best == gene_row({"A": "R1", "B": "R2"}, table)
 
 
 def test_run_ga_trace_never_worsens():
@@ -672,8 +685,14 @@ def no_generation(*args):
 
 
 def parked(jobs, resources):
-    _, dummy_id = ensure_dummy(jobs, resources)
-    return Chromosome({j.job_id: dummy_id for j in jobs})
+    table = pair_table(jobs, resources)
+    return gene_row(dict.fromkeys((j.job_id for j in jobs), table.dummy_id), table)
+
+
+def on_first(jobs, resources):
+    """Every job on ``resources[0]``."""
+    table = pair_table(jobs, resources)
+    return gene_row(dict.fromkeys((j.job_id for j in jobs), resources[0].resource_id), table)
 
 
 @pytest.mark.parametrize("max_iterations", [1, 5, 25, 26, 300])
@@ -689,8 +708,7 @@ def test_a_seed_on_the_fitness_floor_returns_the_loops_answer_without_breeding(
             elitism=elitism, rng_seed=seed,
         )
         # with two seeds, a breaching real placement comes before the floor
-        real = Chromosome({j.job_id: resources[0].resource_id for j in jobs})
-        seeds = [real, parked(jobs, resources)][-seed_count:]
+        seeds = [on_first(jobs, resources), parked(jobs, resources)][-seed_count:]
         expected = full_loop(monkeypatch, seeds, jobs, resources, params)
         with monkeypatch.context() as patch:
             patch.setattr(ga_module, "_breed", no_generation)
@@ -706,7 +724,7 @@ def test_a_seed_on_the_fitness_floor_returns_the_loops_answer_without_breeding(
 
 def test_a_hopeless_batch_with_a_seed_off_the_floor_runs_the_loop(monkeypatch):
     jobs, resources = hopeless_instance(3)
-    real = Chromosome({j.job_id: resources[0].resource_id for j in jobs})
+    real = on_first(jobs, resources)
     params = GaParams(population_size=10, convergence_window=25, max_iterations=300)
     generations = []
     original = ga_module._breed

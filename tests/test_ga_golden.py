@@ -20,6 +20,7 @@ from conftest import fuzz_instance, tiny_instance
 from metagrid.ga import GaParams, hga, lpga, run_ga
 from metagrid.model import pair_table
 from metagrid.workload import ScenarioConfig, generate_scenario
+from oracles import gene_map
 
 
 def _batch(resources: int, jobs: int, seed: int):
@@ -101,7 +102,7 @@ def _summary(name: str) -> dict:
         "trace": [repr(f) for f in result.best_fitness_trace],
         "seed_fitness": repr(result.seed_fitness),
         "converged": result.converged,
-        "best": _genes_digest(result.best.genes),
+        "best": _genes_digest(gene_map(result.best, pair_table(jobs, resources))),
     }
 
 

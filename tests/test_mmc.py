@@ -137,7 +137,8 @@ def test_interchange_rehomes_on_cheapest_placement_not_rate():
     }
     schedule = consolidate_split([consumer, evictee], resources, split)
     assert schedule.assignments.entries == {("R1", "A"): 4, ("R3", "B"): 3}
-    assert schedule.per_job_cost_gd["B"] == 15.0
+    # A whole on R1 costs 40
+    assert schedule.total_cost_gd == 40.0 + 15.0
 
 
 def test_interchange_parks_job_with_no_feasible_alternate():

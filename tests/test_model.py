@@ -228,8 +228,7 @@ def test_build_schedule_parks_dummy_touched_jobs_whole(s1_jobs, s1_resources):
     assert schedule.assignments.pes("R2", "B") == 0
     assert schedule.assignments.pes(dummy_id, "B") == 3
     assert schedule.total_cost_gd == 20.0
-    assert schedule.per_job_cost_gd == {"A": 20.0}
-    assert schedule.per_job_time_s == {"A": 10.0}
+    assert schedule_cost(schedule.assignments, s1_jobs, pool) == 20.0
 
 
 def test_invalid_records_are_rejected():

@@ -513,7 +513,7 @@ def test_a_slow_free_machine_beats_parking():
     resources = [ResourceInfo("R1", 4, 1.0, 100.0), ResourceInfo("R2", 1, 1.0, 2000.0)]
     jobs = [JobRequest("U", jid, 1e6, 1e6, (10000.0,), 1) for jid in ("A", "B")]
     model, alloc = build_and_solve(jobs, resources)
-    assert model.dummy_id not in alloc.resource_ids()
+    assert model.dummy_id not in {rid for rid, _ in alloc.entries}
     assert relaxed_objective(model, alloc) == 105.0
 
 
