@@ -32,6 +32,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil, inf
 
 import numpy as np
@@ -386,7 +387,8 @@ def _breed(
     sources[params.elitism :] = crossover(parents, np.array(cuts), n_genes)[: size - params.elitism]
     bred = np.take(population, sources * n_genes + np.arange(n_genes))
     if resets:
-        genes, values = np.array(resets).T
+        flat = np.fromiter(chain.from_iterable(resets), np.intp, 2 * len(resets))
+        genes, values = flat.reshape(-1, 2).T
         bred.ravel()[genes] = values
     return bred
 

@@ -64,6 +64,23 @@ def _positive(value) -> bool:
     return _finite(value) and value > 0
 
 
+def _check_free_pes(free_pes) -> None:
+    if type(free_pes) is not int or free_pes < 0:
+        raise ValueError(f"free_pes must be a nonnegative int, got {free_pes!r}")
+
+
+def _check_deadline(job_id: str, deadline_s) -> None:
+    if not _positive(deadline_s):
+        raise ValueError(f"job {job_id}: deadline_s must be finite and positive")
+
+
+def _copy_with(record, **changes):
+    """``record`` with ``changes`` applied, without re-running ``__post_init__``."""
+    copy = object.__new__(type(record))
+    copy.__dict__.update(record.__dict__, **changes)
+    return copy
+
+
 @dataclass(frozen=True)
 class ResourceInfo:
     """One grid resource (provider site).
@@ -82,14 +99,18 @@ class ResourceInfo:
     def __post_init__(self) -> None:
         if type(self.resource_id) is not str or not self.resource_id:
             raise ValueError(f"resource_id must be a non-empty string, got {self.resource_id!r}")
-        if type(self.free_pes) is not int or self.free_pes < 0:
-            raise ValueError(f"free_pes must be a nonnegative int, got {self.free_pes!r}")
+        _check_free_pes(self.free_pes)
         if type(self.is_dummy) is not bool:
             raise ValueError(f"is_dummy must be a bool, got {self.is_dummy!r}")
         for name in ("cost_per_pe_second", "pe_speed_mips"):
             value = getattr(self, name)
             if not _positive(value):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+    def with_free_pes(self, free_pes: int) -> ResourceInfo:
+        """This resource with new ``free_pes``; only the new value is checked."""
+        _check_free_pes(free_pes)
+        return _copy_with(self, free_pes=free_pes)
 
 
 @dataclass(frozen=True)
@@ -131,10 +152,14 @@ class JobRequest:
             raise ValueError(f"job {self.job_id}: task_sizes_mi must be finite and positive")
         if not _positive(self.budget_gd):
             raise ValueError(f"job {self.job_id}: budget_gd must be finite and positive")
-        if not _positive(self.deadline_s):
-            raise ValueError(f"job {self.job_id}: deadline_s must be finite and positive")
+        _check_deadline(self.job_id, self.deadline_s)
         if not (_finite(self.submit_time_s) and self.submit_time_s >= 0):
             raise ValueError(f"job {self.job_id}: submit_time_s must be finite and >= 0")
+
+    def with_deadline(self, deadline_s: float) -> JobRequest:
+        """This job with a new ``deadline_s``; only the new value is checked."""
+        _check_deadline(self.job_id, deadline_s)
+        return _copy_with(self, deadline_s=deadline_s)
 
 
 @dataclass(frozen=True)

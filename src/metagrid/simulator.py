@@ -4,7 +4,9 @@ Jobs arrive over time; every ``interval_s`` the chosen scheduler is handed
 the queue of released-but-unplaced jobs and a snapshot of currently free
 PEs.  Each queued job is presented with its *remaining* deadline
 (submission time plus deadline minus now), so waiting erodes slack and a
-tight job can become unplaceable while it queues.  Placements run to
+tight job can become unplaceable while it queues.  Presented jobs and
+changed resources are copies that check only the new deadline or free-PE
+count (``with_deadline``, ``with_free_pes``).  Placements run to
 completion and release their PEs; jobs the scheduler parks stay queued;
 jobs whose remaining deadline hits zero are recorded as missed.
 
@@ -211,15 +213,11 @@ def run_scenario(
         if pending:
             snapshot = [
                 r if r.free_pes == free[r.resource_id]
-                else replace(r, free_pes=free[r.resource_id])
+                else r.with_free_pes(free[r.resource_id])
                 for r in snapshot
             ]
             presented = [
-                replace(
-                    j,
-                    deadline_s=(submit_ms[j.job_id] + deadline_ms[j.job_id] - now)
-                    / 1000.0,
-                )
+                j.with_deadline((submit_ms[j.job_id] + deadline_ms[j.job_id] - now) / 1000.0)
                 for j in pending
             ]
             seed = config.rng_seed * GA_PERIOD_SEED_STRIDE + period

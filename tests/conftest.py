@@ -1,8 +1,10 @@
-"""Shared fixtures: the hand-checked reference instance and random-instance
-generators sized for the exhaustive oracles."""
+"""Shared fixtures: the hand-checked reference instance, random-instance
+generators sized for the exhaustive oracles, and a field-by-field record
+comparison."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -30,6 +32,17 @@ def s1_jobs() -> list[JobRequest]:
         JobRequest("U1", "A", 100.0, 20.0, (1000.0, 1000.0), 2),
         JobRequest("U2", "B", 200.0, 15.0, (2000.0, 2000.0, 2000.0), 3),
     ]
+
+
+def assert_same_record(copy, expected) -> None:
+    """``copy`` equals ``expected`` in type, in every field's value and
+    type, in ``==`` and in ``hash``, and is still frozen."""
+    assert type(copy) is type(expected)
+    assert vars(copy) == vars(expected)
+    assert [type(v) for v in vars(copy).values()] == [type(v) for v in vars(expected).values()]
+    assert copy == expected and hash(copy) == hash(expected)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(copy, dataclasses.fields(copy)[0].name, None)
 
 
 S1_OPTIMAL_COST = 110.0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +24,13 @@ from metagrid.model import (
     validate,
 )
 
-from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST
+from conftest import (
+    S1_OPTIMAL_ALLOC,
+    S1_OPTIMAL_COST,
+    assert_same_record,
+    fuzz_instance,
+    tiny_instance,
+)
 from oracles import placement_cost, placement_feasible, schedule_cost
 
 
@@ -291,3 +300,53 @@ def test_allocation_matrix_drops_zero_entries():
     assert ("R", "J") not in alloc.entries
     assert alloc.pes("R", "K") == 2
     assert alloc.job_ids() == {"K"}
+
+
+# ------------------------------------------------- one-field checked copies
+
+
+instances = st.builds(
+    lambda fuzz, seed: (fuzz_instance if fuzz else tiny_instance)(seed),
+    st.booleans(),
+    st.integers(0, 299),
+)
+
+
+@given(
+    instance=instances,
+    deadline=st.floats(min_value=1e-3, max_value=1e6) | st.integers(1, 10**6),
+    free=st.integers(0, 10**6),
+)
+def test_checked_copies_equal_dataclasses_replace(instance, deadline, free):
+    jobs, resources = instance
+    for job in jobs:
+        before = vars(job).copy()
+        expected = dataclasses.replace(job, deadline_s=deadline)
+        assert_same_record(job.with_deadline(deadline), expected)
+        assert vars(job) == before
+    for res in resources:
+        before = vars(res).copy()
+        expected = dataclasses.replace(res, free_pes=free)
+        assert_same_record(res.with_free_pes(free), expected)
+        assert vars(res) == before
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, True, "1"])
+def test_checked_copies_reject_what_the_constructor_rejects(value):
+    job = JobRequest("U", "J", 10.0, 20.0, (100.0, 100.0), 2)
+    res = ResourceInfo("R", 4, 1.0, 100.0)
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(job, deadline_s=value)
+    with pytest.raises(ValueError) as copied:
+        job.with_deadline(value)
+    assert str(copied.value) == str(built.value) == "job J: deadline_s must be finite and positive"
+
+    if value == 0:  # zero free PEs is a valid resource
+        assert_same_record(res.with_free_pes(value), dataclasses.replace(res, free_pes=value))
+        return
+    with pytest.raises(ValueError) as built:
+        dataclasses.replace(res, free_pes=value)
+    with pytest.raises(ValueError) as copied:
+        res.with_free_pes(value)
+    message = f"free_pes must be a nonnegative int, got {value!r}"
+    assert str(copied.value) == str(built.value) == message

@@ -8,12 +8,13 @@ import sys
 from dataclasses import replace
 
 import pytest
-from conftest import fuzz_instance
+from conftest import assert_same_record, fuzz_instance
 from metagrid import model
 from metagrid.ga import GaParams
 from metagrid.greedy import greedy_schedule
 from metagrid.model import JobRequest, ResourceInfo, pair_table
 from metagrid.simulator import (
+    GA_PERIOD_SEED_STRIDE,
     SCHEDULERS,
     ScenarioMetrics,
     SimEvent,
@@ -23,7 +24,7 @@ from metagrid.simulator import (
     rollover,
     run_scenario,
 )
-from metagrid.workload import ScenarioConfig
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 
 SMALL_GA = GaParams(population_size=10, convergence_window=5, max_iterations=40)
 
@@ -201,6 +202,80 @@ def test_each_adapter_builds_one_pair_table_per_call(monkeypatch, scheduler):
         calls.clear()
         SCHEDULERS[scheduler](jobs, resources, SMALL_GA, seed)
         assert len(calls) == 1, f"seed {seed}"
+
+
+# ----------------------------------------------------- presented batches
+
+# 4 resources x 30 medium jobs: 15 periods and 290 rollovers under greedy.
+BACKLOG = ScenarioConfig(resource_count=4, job_count=30, rng_seed=1)
+
+
+@pytest.mark.parametrize("scheduler", ("greedy", "mmc"))
+def test_presented_batches_equal_the_dataclasses_replace_copies(monkeypatch, scheduler):
+    """Every period's queued jobs and free-PE snapshot are the records
+    ``dataclasses.replace`` builds, with the remaining deadline
+    ``(submit_ms + deadline_ms - now) / 1000``."""
+    grid, jobs = generate_grid(BACKLOG), generate_jobs(BACKLOG)
+    adapter = SCHEDULERS[scheduler]
+    batches = []
+
+    def capturing(batch, resources, params, seed):
+        batches.append((seed, batch, resources))
+        return adapter(batch, resources, params, seed)
+
+    def replay():
+        batches.clear()
+        metrics = run_scenario(BACKLOG, scheduler, grid=grid, jobs=jobs)
+        return metrics, list(batches)
+
+    monkeypatch.setitem(SCHEDULERS, scheduler, capturing)
+    metrics, presented = replay()
+    with monkeypatch.context() as m:
+        m.setattr(JobRequest, "with_deadline", lambda j, s: replace(j, deadline_s=s))
+        m.setattr(ResourceInfo, "with_free_pes", lambda r, n: replace(r, free_pes=n))
+        replaced_metrics, replaced = replay()
+
+    assert metrics == replace(replaced_metrics, wall_time_s=metrics.wall_time_s)
+    assert sum(metrics.rollovers_per_period) > 0
+    assert len(presented) == len(replaced) > 1
+    by_id = {j.job_id: j for j in jobs}
+    copied_resources = 0
+    for (seed, batch, snapshot), (replaced_seed, replaced_batch, replaced_snapshot) in zip(
+        presented, replaced
+    ):
+        assert seed == replaced_seed
+        now = (seed - BACKLOG.rng_seed * GA_PERIOD_SEED_STRIDE) * round(BACKLOG.interval_s * 1000)
+        assert len(batch) == len(replaced_batch) and len(snapshot) == len(replaced_snapshot)
+        for job, expected in zip(batch, replaced_batch):
+            assert_same_record(job, expected)
+            source = by_id[job.job_id]
+            remaining = round(source.submit_time_s * 1000) + round(source.deadline_s * 1000) - now
+            assert job.deadline_s == remaining / 1000.0
+        for res, expected in zip(snapshot, replaced_snapshot):
+            assert_same_record(res, expected)
+        copied_resources += sum(a != b for a, b in zip(snapshot, grid))
+    assert copied_resources > 0
+
+
+@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+def test_replayed_jobs_are_not_revalidated(monkeypatch, scheduler):
+    """With ``jobs=`` given, ``run_scenario`` builds no ``JobRequest``
+    through its constructor: a presented job checks only its new deadline."""
+    grid, jobs = generate_grid(BACKLOG), generate_jobs(BACKLOG)
+    checks = []
+    original = JobRequest.__post_init__
+
+    def counted(self):
+        checks.append(self.job_id)
+        original(self)
+
+    monkeypatch.setattr(JobRequest, "__post_init__", counted)
+    replace(jobs[0], deadline_s=1.0)
+    assert checks == [jobs[0].job_id]  # the counter sees a constructor run
+    checks.clear()
+    metrics = run_scenario(BACKLOG, scheduler, ga_params=SMALL_GA, grid=grid, jobs=jobs)
+    assert sum(metrics.rollovers_per_period) > 0
+    assert checks == []
 
 
 # -------------------------------------------------------------- helpers
