@@ -40,13 +40,13 @@ import numpy as np
 from .greedy import greedy_schedule
 from .mmc import modified_min_cost
 from .model import (
-    AllocationMatrix,
     JobRequest,
     PairTable,
     ResourceInfo,
     Schedule,
     build_schedule,
     pair_table,
+    whole_jobs,
 )
 from .relaxed import build_relaxed, solve_relaxed
 
@@ -98,15 +98,12 @@ class FitnessTables:
     attainable real scheduling cost."""
 
     def __init__(self, table: PairTable) -> None:
-        real = [r for r in table.resources if not r.is_dummy]
-        max_rate = max((r.cost_per_pe_second for r in real), default=0.0)
-        # exec_time's largest value over every pair: the longest task on the
-        # slowest PE, as rounded division is monotone in both operands
-        max_exec = max(max(j.task_sizes_mi) for j in table.jobs) / min(
-            (r.pe_speed_mips for r in real), default=inf
-        )
-        max_pes = max(j.pe_count for j in table.jobs)
-        self.weight = 10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * max(max_pes, 1)
+        # the largest rate and runtime (longest task / slowest speed, bit for
+        # bit) over the real columns, 0.0 with none, and the largest PE count
+        real = ~table.dummy
+        max_rate = table.rate[real].max(initial=0.0)
+        max_exec = table.exec_s[:, real].max(initial=0.0)
+        self.weight = float(10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * table.pes.max())
         self._columns = len(table.resources)
         self.pes = table.pes
         self.capacity = np.where(table.dummy, inf, table.free)
@@ -306,15 +303,14 @@ def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
     dummy, which ``build_schedule`` parks; then any overloaded resource
     sheds its largest jobs until its PE capacity holds.
     """
-    jobs, resources = table.jobs, table.resources
     wanted = np.asarray(row, dtype=np.intp)
-    usable = table.feasible[np.arange(len(jobs)), wanted]
-    pes = [job.pe_count for job in jobs]
-    parking = {r.resource_id: k for k, r in enumerate(resources)}.get(table.dummy_id)
+    usable = table.feasible[np.arange(len(table.jobs)), wanted]
+    pes = [job.pe_count for job in table.jobs]
+    parking = table.parking
 
-    assign = dict(enumerate(np.where(usable, wanted, parking).tolist()))
+    assign = np.where(usable, wanted, parking).tolist()
     holders: dict[int, list[int]] = {}
-    for j, k in assign.items():
+    for j, k in enumerate(assign):
         if k != parking:
             holders.setdefault(k, []).append(j)
     free = table.free.tolist()
@@ -327,8 +323,7 @@ def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
             used -= pes[shed]
             assign[shed] = parking
 
-    entries = {(resources[k].resource_id, jobs[j].job_id): pes[j] for j, k in assign.items()}
-    return build_schedule(AllocationMatrix(entries), jobs, resources)
+    return build_schedule(table, whole_jobs(table, assign))
 
 
 def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> tuple[int, ...]:
@@ -340,7 +335,7 @@ def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> tuple[int,
     for job in table.jobs:
         placements = by_job.get(job.job_id, {})
         if job.job_id in schedule.dummy_jobs or not placements:
-            row.append(columns[table.dummy_id])
+            row.append(table.parking)
         elif len(placements) != 1:
             raise ValueError(f"job {job.job_id} is not placed whole: {placements}")
         else:

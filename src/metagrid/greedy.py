@@ -11,30 +11,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AllocationMatrix, PairTable, Schedule, build_schedule, qos_index
+from .model import PairTable, Schedule, build_schedule, qos_index, whole_jobs
 
 
 def greedy_schedule(table: PairTable) -> Schedule:
     """Lowest-rate feasible resource first, one whole job at a time."""
     if not table.jobs:
         return Schedule.empty()
-    jobs, resources = table.jobs, table.resources
-    rate = np.array([r.cost_per_pe_second for r in resources])
+    jobs = table.jobs
     real = np.flatnonzero(~table.dummy)
     # columns run in id order, so a stable sort ranks by (rate, id)
-    ranked = real[np.argsort(rate[real], kind="stable")]
+    ranked = real[np.argsort(table.rate[real], kind="stable")]
     candidates = table.feasible[:, ranked]
     available = table.free.tolist()
 
-    entries: dict[tuple[str, str], int] = {}
+    homes = [table.parking] * len(jobs)
     for j in sorted(range(len(jobs)), key=lambda j: (-qos_index(jobs[j]), jobs[j].job_id)):
         pes = jobs[j].pe_count
-        home = table.dummy_id
         for k in ranked[candidates[j]].tolist():
             if available[k] >= pes:
                 available[k] -= pes
-                home = resources[k].resource_id
+                homes[j] = k
                 break
-        entries[(home, jobs[j].job_id)] = pes
 
-    return build_schedule(AllocationMatrix(entries), jobs, resources)
+    return build_schedule(table, whole_jobs(table, homes))

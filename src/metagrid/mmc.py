@@ -4,7 +4,8 @@ placements.
 The relaxation may scatter a job's PEs over several providers; SGN jobs
 need all PEs on one resource.  ``modified_min_cost`` fixes that in the
 minimum-cost-method spirit, in three phases over the relaxation's own
-``PairTable``:
+``PairTable``, starting from the relaxation's answer, ``solve_relaxed``'s
+array of PE counts over that table:
 
 * freeze: jobs already on a single provider stay there, consuming
   capacity (a job whose one provider is a dummy is parked);
@@ -38,7 +39,7 @@ from math import inf
 
 import numpy as np
 
-from .model import AllocationMatrix, PairTable, Schedule, build_schedule, qos_index
+from .model import PairTable, Schedule, build_schedule, qos_index, whole_jobs
 from .relaxed import RelaxedModel
 
 
@@ -60,11 +61,12 @@ def cost_order(table: PairTable) -> np.ndarray:
 
 def modified_min_cost(
     model: RelaxedModel,
-    alloc: AllocationMatrix,
+    alloc: np.ndarray,
     stats: MmcStats | None = None,
 ) -> Schedule:
-    """Turn the relaxation's allocation ``alloc``, solved over ``model``,
-    into a whole-job-per-resource schedule.
+    """Turn the relaxation's answer ``alloc``, ``solve_relaxed``'s jobs x
+    resources array of PE counts over ``model.table``, into a
+    whole-job-per-resource schedule.
 
     Never raises for unplaceable jobs: the dummy absorbs them and the
     caller sees them in ``Schedule.dummy_jobs``.  Capacity bookkeeping
@@ -74,19 +76,17 @@ def modified_min_cost(
     stats = stats if stats is not None else MmcStats()
     table = model.table
     jobs, resources = model.jobs, model.resources
-    rows = {j.job_id: i for i, j in enumerate(jobs)}
-    cols = {r.resource_id: k for k, r in enumerate(resources)}
     dummy = table.dummy.tolist()
-    parking = cols.get(model.dummy_id)
+    parking = table.parking
     order = cost_order(table)
     available = {k: r.free_pes for k, r in enumerate(resources) if not r.is_dummy}
 
     shares: dict[int, list[tuple[int, int]]] = {}  # job -> (column, relaxed PEs)
     holders: dict[int, set[int]] = {}  # column -> unsettled jobs holding PEs there
-    for (rid, jid), pes in alloc.items():
-        if pes > 0:
-            shares.setdefault(rows[jid], []).append((cols[rid], pes))
-            holders.setdefault(cols[rid], set()).add(rows[jid])
+    ji, ki = np.nonzero(alloc > 0)  # row-major: job-major, resource-minor
+    for j, k, pes in zip(ji.tolist(), ki.tolist(), alloc[ji, ki].tolist()):
+        shares.setdefault(j, []).append((k, pes))
+        holders.setdefault(k, set()).add(j)
 
     home: dict[int, int] = {}  # settled job -> its column (parked: the dummy's)
 
@@ -155,7 +155,4 @@ def modified_min_cost(
                 largest = max(available.values())
                 break
 
-    entries = {
-        (resources[k].resource_id, jobs[j].job_id): jobs[j].pe_count for j, k in home.items()
-    }
-    return build_schedule(AllocationMatrix(entries), jobs, resources)
+    return build_schedule(table, whole_jobs(table, [home[j] for j in range(len(jobs))]))

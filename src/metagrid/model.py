@@ -282,7 +282,8 @@ class PairTable:
 
     Rows are the jobs, columns the resources, each sorted by id; a batch
     with jobs always has a dummy column, ``dummy_id`` the first one's id
-    (None only for an empty batch).  ``exec_s`` is ``exec_time``,
+    and ``parking`` its column (both None only for an empty batch).  ``rate``
+    is each resource's ``cost_per_pe_second``, ``exec_s`` ``exec_time``,
     ``coeff`` the cost of one PE (``pair_charge`` for one PE), ``cost``
     that of all the job's PEs, ``on_time`` ``meets_deadline``, and
     ``breaches`` counts the deadline and budget breaches (0-2) of the
@@ -297,9 +298,11 @@ class PairTable:
     jobs: tuple[JobRequest, ...]
     resources: tuple[ResourceInfo, ...]
     dummy_id: str | None
+    parking: int | None
     pes: np.ndarray
     limit: np.ndarray
     free: np.ndarray
+    rate: np.ndarray
     exec_s: np.ndarray
     coeff: np.ndarray
     cost: np.ndarray
@@ -313,11 +316,14 @@ class PairTable:
 def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> PairTable:
     """Evaluate the whole-job rule over the batch, with each scalar
     operation in the order the helpers above perform it.  A batch with
-    jobs gets ``ensure_dummy``'s dummy when ``resources`` holds none."""
+    jobs gets ``ensure_dummy``'s dummy when ``resources`` holds none.  Two
+    jobs or two resources with one id are a ``ValueError``."""
     if jobs:
         resources, _ = ensure_dummy(jobs, resources)
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     resources = tuple(sorted(resources, key=lambda r: r.resource_id))
+    _index(jobs, "job_id")
+    _index(resources, "resource_id")
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
     pes = np.array([j.pe_count for j in jobs], dtype=float)
     deadline = np.array([j.deadline_s for j in jobs], dtype=float)
@@ -326,7 +332,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
     rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
     dummy = np.array([r.is_dummy for r in resources], dtype=bool)
-    dummy_id = next((r.resource_id for r in resources if r.is_dummy), None)
+    parking = int(dummy.argmax()) if dummy.any() else None
+    dummy_id = None if parking is None else resources[parking].resource_id
 
     exec_s = longest[:, None] / speed
     coeff = rate * exec_s
@@ -335,8 +342,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     breaches = (~on_time).astype(int) + (cost > limit[:, None])
     weight = np.where(dummy, 0.0, coeff)
     return PairTable(
-        jobs, resources, dummy_id, pes, limit, free, exec_s, coeff, cost, weight, on_time,
-        breaches, dummy | (breaches == 0), dummy,
+        jobs, resources, dummy_id, parking, pes, limit, free, rate, exec_s, coeff, cost,
+        weight, on_time, breaches, dummy | (breaches == 0), dummy,
     )
 
 
@@ -502,47 +509,36 @@ def ensure_dummy(
     return list(resources) + [dummy], dummy.resource_id
 
 
-def build_schedule(
-    alloc: AllocationMatrix,
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-) -> Schedule:
-    """Normalize an allocation into a Schedule.
+def whole_jobs(table: PairTable, homes: Sequence[int]) -> np.ndarray:
+    """The PE array over ``table`` placing each row j whole on ``homes[j]``."""
+    placed = np.zeros(table.cost.shape, dtype=int)
+    placed[np.arange(len(table.jobs)), homes] = table.pes
+    return placed
 
-    Any job touching a dummy resource is parked whole: its real fragments
+
+def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
+    """Turn ``placed``, a jobs x resources array of PE counts over
+    ``table``, into a Schedule.
+
+    Any job with PEs on a dummy column is parked whole: its real fragments
     (possible in split-mode solutions when capacity ran short) are dropped
     because a partially-placed job cannot run, and its PEs are re-parked on
-    the dummy.  The cost covers really-placed jobs only.
+    the table's dummy.  The cost covers really-placed jobs only: each
+    fragment costs rate x PEs x runtime, summed per job in column order.
     """
-    jobs_by_id = _index(jobs, "job_id")
-    res_by_id = _index(resources, "resource_id")
-    dummy_ids = {r.resource_id for r in resources if r.is_dummy}
-    by_job = alloc.by_job()
-
-    parked: set[str] = set()
-    for jid, allocs in by_job.items():
-        if any(rid in dummy_ids for rid in allocs):
-            parked.add(jid)
-
-    dummy_home = min(dummy_ids, default=None)
+    jobs, resources = table.jobs, table.resources
+    parked = placed[:, table.dummy].any(axis=1).tolist()
+    ji, ki = np.nonzero(placed)  # row-major: job-major, resource-minor
+    pes = placed[ji, ki]
+    fragments = table.rate[ki] * pes * table.exec_s[ji, ki]
     entries: dict[tuple[str, str], int] = {}
-    job_costs: list[float] = []  # per placed job, in job-id order
-    for jid in sorted(by_job):
-        job = jobs_by_id[jid]
-        if jid in parked:
-            entries[(dummy_home, jid)] = job.pe_count
-            continue
-        cost = 0.0
-        for rid in sorted(by_job[jid]):
-            pes = by_job[jid][rid]
-            res = res_by_id[rid]
-            entries[(rid, jid)] = pes
-            cost += res.cost_per_pe_second * pes * exec_time(job, res)
-        job_costs.append(cost)
-
-    return Schedule(
-        assignments=AllocationMatrix(entries),
-        dummy_jobs=frozenset(parked),
-        # not a running +=: Python >= 3.12 compensates sum()
-        total_cost_gd=sum(job_costs),
-    )
+    job_costs: dict[int, float] = {}  # per placed job, in row order
+    for j, k, n, cost in zip(ji.tolist(), ki.tolist(), pes.tolist(), fragments.tolist()):
+        if parked[j]:
+            entries[(table.dummy_id, jobs[j].job_id)] = jobs[j].pe_count
+        else:
+            entries[(resources[k].resource_id, jobs[j].job_id)] = n
+            job_costs[j] = job_costs.get(j, 0.0) + cost
+    dummy_jobs = frozenset(job.job_id for job, p in zip(jobs, parked) if p)
+    # not a running +=: Python >= 3.12 compensates sum()
+    return Schedule(AllocationMatrix(entries), dummy_jobs, sum(job_costs.values()))

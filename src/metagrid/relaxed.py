@@ -105,7 +105,6 @@ except ImportError:
     _core = None
 
 from .model import (
-    AllocationMatrix,
     JobRequest,
     PairTable,
     ResourceInfo,
@@ -327,16 +326,18 @@ def _check_integer_solution(model: RelaxedModel, ji, ri, x) -> bool:
     )
 
 
-def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
-    """Optimal integer solution of the relaxation.
+def solve_relaxed(model: RelaxedModel) -> np.ndarray:
+    """Optimal integer solution of the relaxation: the jobs x resources
+    int array of PE counts over ``model.table``, zero off the columns.
 
-    A model with no real column (each job's only column is its dummy pair)
-    has a single feasible allocation, every job parked whole: it is
-    returned after the exact feasibility re-check below, and HiGHS is not
-    called.  Otherwise the arrays go to HiGHS (``linprog``, module
-    docstring) first as a plain LP.  When no budget row binds, its vertex is already an integer
-    optimum (module docstring), and it is taken if every entry lies within
-    1e-9 of an integer and the rounded answer passes that re-check.
+    A model with no real column (each job's only column is its dummy pair,
+    or no job at all) has a single feasible allocation, every job parked
+    whole: it is returned after the exact feasibility re-check below, and
+    HiGHS is not called.  Otherwise the arrays go to HiGHS (``linprog``,
+    module docstring) first as a plain LP.  When no budget row binds, its
+    vertex is already an integer optimum (module docstring), and it is
+    taken if every entry lies within 1e-9 of an integer and the rounded
+    answer passes that re-check.
     Otherwise the same arrays go to the branch-and-cut engine as an integer
     program at zero optimality gap, and its rounded answer must pass the
     same re-check.  A fractional vertex is never rounded and taken:
@@ -345,13 +346,13 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
     search order.  The dummy makes every model feasible, so any other
     HiGHS status than success raises ``RuntimeError``.
     """
-    if not model.jobs:
-        return AllocationMatrix.empty()
+    placed = np.zeros(model.columns.shape, dtype=int)
     ji, ri = np.nonzero(model.columns)
     if len(ji) == len(model.jobs):  # each job's one column is its dummy pair
         x = model.table.pes.astype(int)
         if _check_integer_solution(model, ji, ri, x):
-            return _allocation(model, ji, ri, x)
+            placed[ji, ri] = x
+            return placed
     arrays = _model_arrays(model)
     for integer in (False, True):  # the LP, then the integer program
         res = linprog(*arrays, integer=integer)
@@ -362,12 +363,6 @@ def solve_relaxed(model: RelaxedModel) -> AllocationMatrix:
             continue  # never round a fractional vertex: solve the integer program
         x = x.astype(int)
         if _check_integer_solution(model, ji, ri, x):
-            return _allocation(model, ji, ri, x)
+            placed[ji, ri] = x
+            return placed
     raise RuntimeError("MILP optimum failed the exact feasibility recheck")
-
-
-def _allocation(model: RelaxedModel, ji, ri, x) -> AllocationMatrix:
-    return AllocationMatrix({
-        (model.resources[ri[k]].resource_id, model.jobs[ji[k]].job_id): int(x[k])
-        for k in np.flatnonzero(x)
-    })

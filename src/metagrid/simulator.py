@@ -91,7 +91,7 @@ def _run_mmc(jobs, resources, params, seed):
 
 def _run_relaxed_mgn(jobs, resources, params, seed):
     model = build_relaxed(jobs, resources)
-    return build_schedule(solve_relaxed(model), jobs, model.resources), 0
+    return build_schedule(model.table, solve_relaxed(model)), 0
 
 
 def _run_lpga(jobs, resources, params, seed):

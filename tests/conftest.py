@@ -1,6 +1,6 @@
 """Shared fixtures: the hand-checked reference instance, random-instance
-generators sized for the exhaustive oracles, and a field-by-field record
-comparison."""
+generators sized for the exhaustive oracles, a field-by-field record
+comparison and a schedule comparison."""
 
 from __future__ import annotations
 
@@ -43,6 +43,16 @@ def assert_same_record(copy, expected) -> None:
     assert copy == expected and hash(copy) == hash(expected)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(copy, dataclasses.fields(copy)[0].name, None)
+
+
+def same_schedule(got, want) -> bool:
+    """Two schedules with the same entries, parked jobs and total cost, to
+    the last bit."""
+    return (
+        got.assignments.entries == want.assignments.entries
+        and repr(got.total_cost_gd) == repr(want.total_cost_gd)
+        and got.dummy_jobs == want.dummy_jobs
+    )
 
 
 S1_OPTIMAL_COST = 110.0

@@ -1,10 +1,11 @@
-"""Test-only oracles: the whole-job rule one pair at a time, greedy and
-the GA's decode on that scalar rule, exhaustive searches for small
-instances, the money an allocation spends, gene maps (job id -> resource
-id) and the GA's gene rows, the penalised fitness of one gene map, the
-relaxation's canonical objective, the per-pair dict views
-of a built relaxation that the oracles walk, and the GA's scalar breeding
-loop."""
+"""Test-only oracles: the whole-job rule one pair at a time, the
+id-keyed schedule builder, greedy and the GA's decode on that scalar rule,
+exhaustive searches for small instances, the money an allocation spends,
+the converters between id-keyed allocations and PE arrays over a
+``PairTable``, gene maps (job id -> resource id) and the GA's gene rows,
+the penalised fitness of one gene map, the relaxation's canonical
+objective, the per-pair dict views of a built relaxation that the oracles
+walk, and the GA's scalar breeding loop."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from metagrid.model import (
     Schedule,
     UnknownIdError,
     budget_limit,
-    build_schedule,
     ensure_dummy,
     exec_time,
     meets_deadline,
@@ -63,6 +63,60 @@ def placement_feasible(job: JobRequest, resource: ResourceInfo) -> bool:
     return resource.is_dummy or breach_count(job, resource) == 0
 
 
+def schedule_by_id(
+    alloc: AllocationMatrix,
+    jobs: Sequence[JobRequest],
+    resources: Sequence[ResourceInfo],
+) -> Schedule:
+    """Reference for ``build_schedule``, keyed by ids: any job touching a
+    dummy resource is parked whole on the dummy of least id; every other
+    job keeps its fragments, each costing rate x PEs x ``exec_time``,
+    summed per job in resource-id order, and the total is ``sum()`` over
+    the placed jobs in job-id order."""
+    jobs_by_id = {j.job_id: j for j in jobs}
+    res_by_id = {r.resource_id: r for r in resources}
+    dummy_ids = {r.resource_id for r in resources if r.is_dummy}
+    by_job = alloc.by_job()
+    parked = {jid for jid, allocs in by_job.items() if any(rid in dummy_ids for rid in allocs)}
+
+    dummy_home = min(dummy_ids, default=None)
+    entries: dict[tuple[str, str], int] = {}
+    job_costs: list[float] = []
+    for jid in sorted(by_job):
+        job = jobs_by_id[jid]
+        if jid in parked:
+            entries[(dummy_home, jid)] = job.pe_count
+            continue
+        cost = 0.0
+        for rid in sorted(by_job[jid]):
+            pes = by_job[jid][rid]
+            res = res_by_id[rid]
+            entries[(rid, jid)] = pes
+            cost += res.cost_per_pe_second * pes * exec_time(job, res)
+        job_costs.append(cost)
+    return Schedule(AllocationMatrix(entries), frozenset(parked), sum(job_costs))
+
+
+def pe_array(alloc: AllocationMatrix, table: PairTable) -> np.ndarray:
+    """The jobs x resources int array of PE counts over ``table`` that
+    holds the id-keyed ``alloc``."""
+    rows = {j.job_id: i for i, j in enumerate(table.jobs)}
+    columns = {r.resource_id: k for k, r in enumerate(table.resources)}
+    placed = np.zeros(table.cost.shape, dtype=int)
+    for (rid, jid), pes in alloc.entries.items():
+        placed[rows[jid], columns[rid]] = pes
+    return placed
+
+
+def allocation(placed: np.ndarray, table: PairTable) -> AllocationMatrix:
+    """The id-keyed allocation of a PE array over ``table``."""
+    ji, ki = np.nonzero(placed)
+    return AllocationMatrix({
+        (table.resources[k].resource_id, table.jobs[j].job_id): pes
+        for j, k, pes in zip(ji.tolist(), ki.tolist(), placed[ji, ki].tolist())
+    })
+
+
 def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> Schedule:
     """Reference for ``greedy_schedule``: lowest-rate feasible resource
     first, one whole job at a time, each pair checked by
@@ -91,7 +145,7 @@ def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
             available[placed] -= job.pe_count
             entries[(placed, job.job_id)] = job.pe_count
 
-    return build_schedule(AllocationMatrix(entries), jobs, pool)
+    return schedule_by_id(AllocationMatrix(entries), jobs, pool)
 
 
 def scalar_decode(
@@ -131,7 +185,7 @@ def scalar_decode(
     entries = {
         (rid, jid): jobs_by_id[jid].pe_count for jid, rid in assign.items()
     }
-    return build_schedule(AllocationMatrix(entries), jobs, pool)
+    return schedule_by_id(AllocationMatrix(entries), jobs, pool)
 
 
 class TooLargeError(ValueError):

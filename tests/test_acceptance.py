@@ -32,7 +32,14 @@ from metagrid.model import (
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import run_scenario
 from metagrid.workload import ScenarioConfig, generate_scenario
-from oracles import brute_force_relaxed, brute_force_sgn, relaxed_objective, schedule_cost
+from oracles import (
+    allocation,
+    brute_force_relaxed,
+    brute_force_sgn,
+    pe_array,
+    relaxed_objective,
+    schedule_cost,
+)
 
 SWEEP_COUNTS = (25, 50, 100, 150, 200)
 SWEEP_SEEDS = tuple(range(10))
@@ -47,7 +54,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def _solve_batch(jobs, resources):
     model = build_relaxed(jobs, resources)
-    return model, solve_relaxed(model)
+    return model, allocation(solve_relaxed(model), model.table)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +68,8 @@ def sweep_corpus():
             grid, jobs = generate_scenario(cfg)
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
             greedy_s = greedy_schedule(pair_table(jobs, grid))
-            mmc_s = modified_min_cost(*_solve_batch(jobs, grid))
+            model = build_relaxed(jobs, grid)
+            mmc_s = modified_min_cost(model, solve_relaxed(model))
             lp_s, lp_r = lpga(jobs, grid, params)
             hg_s, hg_r = hga(jobs, grid, params)
             cells[(count, seed)] = {
@@ -109,7 +117,7 @@ def test_acceptance_1_oracle_equivalence():
         whole_opt = brute_force_sgn(jobs, resources)
         if whole_opt is None:
             continue
-        mmc_s = modified_min_cost(model, alloc)
+        mmc_s = modified_min_cost(model, pe_array(alloc, model.table))
         greedy_s = greedy_schedule(pair_table(jobs, resources))
         if mmc_s.dummy_jobs or greedy_s.dummy_jobs:
             continue
@@ -168,7 +176,8 @@ def test_acceptance_2_feasibility_fuzz():
         model, alloc = _solve_batch(jobs, resources)
         outputs = {
             "greedy": (greedy_schedule(pair_table(jobs, resources)).assignments, JobKind.SGN),
-            "mmc": (modified_min_cost(model, alloc).assignments, JobKind.SGN),
+            "mmc": (modified_min_cost(model, pe_array(alloc, model.table)).assignments,
+                    JobKind.SGN),
             "relaxed-mgn": (alloc, JobKind.MGN),
             "lpga": (lpga(jobs, resources, params)[0].assignments, JobKind.SGN),
             "hga": (hga(jobs, resources, params)[0].assignments, JobKind.SGN),
@@ -373,7 +382,8 @@ def test_acceptance_8_consolidation_work_bound():
                 {(f"R{i:02d}", f"J{k:02d}"): 1 for k in range(m) for i in range(n)}
             )
             stats = MmcStats()
-            modified_min_cost(build_relaxed(jobs, resources), alloc, stats=stats)
+            model = build_relaxed(jobs, resources)
+            modified_min_cost(model, pe_array(alloc, model.table), stats=stats)
             assert stats.steps > 0
             steps[(m, n)] = stats.steps
 

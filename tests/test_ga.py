@@ -8,7 +8,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from conftest import S1_OPTIMAL_COST, fuzz_instance, tiny_instance
+from conftest import S1_OPTIMAL_COST, fuzz_instance, same_schedule, tiny_instance
 from hypothesis import given, settings, strategies as st
 import metagrid.ga as ga_module
 from metagrid.greedy import greedy_schedule
@@ -45,6 +45,7 @@ from oracles import (
     fitness,
     gene_map,
     gene_row,
+    pe_array,
     placement_cost,
     placement_feasible,
     scalar_decode,
@@ -513,14 +514,6 @@ def reference_batches():
             yield f"{resources}x{jobs} {seed}", (batch, grid)
 
 
-def same_schedule(got, want):
-    return (
-        got.assignments.entries == want.assignments.entries
-        and repr(got.total_cost_gd) == repr(want.total_cost_gd)
-        and got.dummy_jobs == want.dummy_jobs
-    )
-
-
 def test_greedy_and_decode_equal_their_scalar_references():
     """``greedy_schedule`` and ``decode_schedule`` read the batch's pair
     table; they give the schedules of the scalar loops of ``oracles``,
@@ -548,11 +541,11 @@ def test_chromosome_from_schedule_roundtrip(s1_jobs, s1_resources):
 
 
 def test_chromosome_from_schedule_rejects_split_jobs(s1_jobs, s1_resources):
-    pool, _ = ensure_dummy(s1_jobs, s1_resources)
+    table = pair_table(s1_jobs, s1_resources)
     alloc = AllocationMatrix({("R1", "A"): 1, ("R2", "A"): 1, ("R2", "B"): 3})
-    schedule = build_schedule(alloc, s1_jobs, pool)
+    schedule = build_schedule(table, pe_array(alloc, table))
     with pytest.raises(ValueError, match="not placed whole"):
-        chromosome_from_schedule(schedule, pair_table(s1_jobs, s1_resources))
+        chromosome_from_schedule(schedule, table)
 
 
 # ---------------------------------------------------------------- run_ga

@@ -17,7 +17,7 @@ from metagrid.model import (
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
-from oracles import brute_force_sgn, placement_cost, relaxed_objective
+from oracles import allocation, brute_force_sgn, pe_array, placement_cost, relaxed_objective
 
 
 def consolidate(jobs, resources, stats=None):
@@ -28,7 +28,8 @@ def consolidate(jobs, resources, stats=None):
 
 def consolidate_split(jobs, resources, entries, stats=None):
     """Consolidation of a hand-made relaxed split, (resource, job) -> PEs."""
-    return modified_min_cost(build_relaxed(jobs, resources), AllocationMatrix(entries), stats)
+    model = build_relaxed(jobs, resources)
+    return modified_min_cost(model, pe_array(AllocationMatrix(entries), model.table), stats)
 
 
 def test_s1_single_provider_jobs_are_frozen(s1_jobs, s1_resources):
@@ -221,7 +222,8 @@ def test_every_dummy_resource_parks_onto_the_model_dummy():
     model = build_relaxed([hopeless, job], resources)
     assert model.dummy_id == "P1"
     stats = MmcStats()
-    schedule = modified_min_cost(model, AllocationMatrix({("P2", "H"): 1, ("P2", "J"): 1}), stats)
+    alloc = AllocationMatrix({("P2", "H"): 1, ("P2", "J"): 1})
+    schedule = modified_min_cost(model, pe_array(alloc, model.table), stats)
     # both park from P2, the rescue places J, and H stays on the model's dummy
     assert schedule.assignments.entries == {("P1", "H"): 1, ("R1", "J"): 1}
     assert stats.parked == 2
@@ -298,8 +300,9 @@ def test_sandwich_between_relaxed_and_feasible():
     for seed in range(120):
         jobs, resources = tiny_instance(seed)
         model = build_relaxed(jobs, resources)
-        alloc = solve_relaxed(model)
-        schedule = modified_min_cost(model, alloc)
+        placed = solve_relaxed(model)
+        alloc = allocation(placed, model.table)
+        schedule = modified_min_cost(model, placed)
         sgn = brute_force_sgn(jobs, resources)
         if not schedule.dummy_jobs:
             lower = relaxed_objective(model, alloc)
@@ -320,8 +323,9 @@ def test_freeze_correctness_single_provider_jobs_stay_put():
     for seed in range(80):
         jobs, resources = fuzz_instance(seed)
         model = build_relaxed(jobs, resources)
-        alloc = solve_relaxed(model)
-        schedule = modified_min_cost(model, alloc)
+        placed = solve_relaxed(model)
+        alloc = allocation(placed, model.table)
+        schedule = modified_min_cost(model, placed)
         for job_id, providers in alloc.by_job().items():
             if len(providers) != 1:
                 continue

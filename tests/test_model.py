@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import metagrid.ga as ga
+import metagrid.greedy as greedy
+import metagrid.mmc as mmc
+from metagrid.ga import GaParams
 from metagrid.model import (
     AllocationMatrix,
     JobKind,
@@ -20,18 +26,31 @@ from metagrid.model import (
     ensure_dummy,
     exec_time,
     make_dummy_resource,
+    pair_table,
     qos_index,
     validate,
+    whole_jobs,
 )
+from metagrid.relaxed import build_relaxed, solve_relaxed
+from metagrid.simulator import SCHEDULERS
+from metagrid.workload import ScenarioConfig, generate_scenario
 
 from conftest import (
     S1_OPTIMAL_ALLOC,
     S1_OPTIMAL_COST,
     assert_same_record,
     fuzz_instance,
+    same_schedule,
     tiny_instance,
 )
-from oracles import placement_cost, placement_feasible, schedule_cost
+from oracles import (
+    allocation,
+    pe_array,
+    placement_cost,
+    placement_feasible,
+    schedule_by_id,
+    schedule_cost,
+)
 
 
 def test_exec_time_two_equal_tasks():
@@ -232,12 +251,73 @@ def test_build_schedule_parks_dummy_touched_jobs_whole(s1_jobs, s1_resources):
     alloc = AllocationMatrix(
         {("R1", "A"): 2, ("R2", "B"): 1, (dummy_id, "B"): 2}
     )
-    schedule = build_schedule(alloc, s1_jobs, pool)
+    table = pair_table(s1_jobs, pool)
+    schedule = build_schedule(table, pe_array(alloc, table))
     assert schedule.dummy_jobs == {"B"}
     assert schedule.assignments.pes("R2", "B") == 0
     assert schedule.assignments.pes(dummy_id, "B") == 3
     assert schedule.total_cost_gd == 20.0
     assert schedule_cost(schedule.assignments, s1_jobs, pool) == 20.0
+
+
+def equivalence_batches():
+    """``tiny_instance`` 0-599, ``fuzz_instance`` 0-299 and generated
+    batches for seeds 0-3 at four shapes: 916 batches."""
+    yield from (tiny_instance(seed) for seed in range(600))
+    yield from (fuzz_instance(seed) for seed in range(300))
+    for resources, jobs, mode in ((25, 50, "tight"), (50, 50, "medium"), (200, 50, "medium"),
+                                  (50, 200, "medium")):
+        for seed in range(4):
+            grid, batch = generate_scenario(ScenarioConfig(
+                resource_count=resources, job_count=jobs, deadline_mode=mode, rng_seed=seed
+            ))
+            yield batch, grid
+
+
+def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
+    """On every batch, ``build_schedule`` over the batch's table gives the
+    schedule ``oracles.schedule_by_id`` builds by ids from the same
+    placement, in entries, parked jobs and ``repr(total_cost_gd)``: for the
+    relaxation's answer, split or not, and for every whole-job array that
+    greedy, MMC and decode hand it (decode on greedy's row and on a random
+    one).  On grids with two dummies, a job on the second is parked too."""
+    built = Counter()
+
+    def checked(name):
+        def build(table, placed):
+            schedule = build_schedule(table, placed)
+            want = schedule_by_id(allocation(placed, table), table.jobs, table.resources)
+            assert same_schedule(schedule, want), (name, allocation(placed, table))
+            built[name] += 1
+            return schedule
+        return build
+
+    for module in (greedy, mmc, ga):
+        monkeypatch.setattr(module, "build_schedule", checked(module.__name__))
+    rng = random.Random(0)
+    batches = split = 0
+    for jobs, resources in equivalence_batches():
+        batches += 1
+        model = build_relaxed(jobs, resources)
+        placed = solve_relaxed(model)
+        split += bool(((placed > 0).sum(axis=1) > 1).any())
+        checked("relaxed")(model.table, placed)
+        mmc.modified_min_cost(model, placed)
+        table = pair_table(jobs, resources)
+        row = ga.chromosome_from_schedule(greedy.greedy_schedule(table), table)
+        ga.decode_schedule(row, table)
+        ga.decode_schedule([rng.randrange(len(table.resources)) for _ in row], table)
+    assert (batches, split) == (916, 544)
+    dummies = [ResourceInfo(rid, 20, 50.0, 100.0, is_dummy=True) for rid in ("P1", "P2")]
+    for seed in range(50):
+        jobs, resources = tiny_instance(seed)
+        table = pair_table(jobs, resources + dummies)
+        assert table.resources[1].resource_id == "P2"
+        checked("second dummy")(table, whole_jobs(table, [1] * len(jobs)))
+        row = ga.chromosome_from_schedule(greedy.greedy_schedule(table), table)
+        ga.decode_schedule([rng.randrange(len(table.resources)) for _ in row], table)
+    assert built == {"relaxed": 916, "metagrid.mmc": 916, "metagrid.greedy": 966,
+                     "metagrid.ga": 2 * 916 + 50, "second dummy": 50}
 
 
 def test_invalid_records_are_rejected():
@@ -278,21 +358,28 @@ def test_job_rejects_non_finite_numbers(field, bad):
 
 
 def test_validate_and_build_schedule_reject_duplicate_job_ids(s1_jobs, s1_resources):
+    """``build_schedule`` reads a ``PairTable``, and ``pair_table`` rejects
+    the batch, so no adapter reaches it."""
     jobs = [*s1_jobs, s1_jobs[0]]
     alloc = AllocationMatrix(S1_OPTIMAL_ALLOC)
     with pytest.raises(ValueError, match="duplicate job_id A"):
         validate(alloc, jobs, s1_resources, JobKind.SGN)
     with pytest.raises(ValueError, match="duplicate job_id A"):
-        build_schedule(alloc, jobs, s1_resources)
+        pair_table(jobs, s1_resources)
+    with pytest.raises(ValueError, match="duplicate job_id A"):
+        SCHEDULERS["relaxed-mgn"](jobs, s1_resources, GaParams(), 0)
 
 
 def test_validate_and_build_schedule_reject_duplicate_resource_ids(s1_jobs, s1_resources):
+    """As for job ids: ``pair_table`` rejects the batch."""
     resources = [*s1_resources, ResourceInfo("R1", 8, 2.0, 300.0)]
     alloc = AllocationMatrix(S1_OPTIMAL_ALLOC)
     with pytest.raises(ValueError, match="duplicate resource_id R1"):
         validate(alloc, s1_jobs, resources, JobKind.SGN)
     with pytest.raises(ValueError, match="duplicate resource_id R1"):
-        build_schedule(alloc, s1_jobs, resources)
+        pair_table(s1_jobs, resources)
+    with pytest.raises(ValueError, match="duplicate resource_id R1"):
+        SCHEDULERS["relaxed-mgn"](s1_jobs, resources, GaParams(), 0)
 
 
 def test_allocation_matrix_drops_zero_entries():

@@ -33,6 +33,7 @@ from metagrid import simulator
 from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
     TooLargeError,
+    allocation,
     brute_force_relaxed,
     breach_count,
     brute_force_sgn,
@@ -47,7 +48,7 @@ from oracles import (
 
 def build_and_solve(jobs, resources):
     model = build_relaxed(jobs, resources)
-    return model, solve_relaxed(model)
+    return model, allocation(solve_relaxed(model), model.table)
 
 
 # --- model building ---------------------------------------------------------
@@ -170,7 +171,7 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources, high
 
 def test_solve_s1_unique_optimum(s1_jobs, s1_resources):
     model = build_relaxed(s1_jobs, s1_resources)
-    alloc = solve_relaxed(model)
+    alloc = allocation(solve_relaxed(model), model.table)
     assert dict(alloc.entries) == S1_OPTIMAL_ALLOC
     assert relaxed_objective(model, alloc) == S1_OPTIMAL_COST
     assert validate(alloc, s1_jobs, s1_resources, JobKind.MGN) == []
@@ -184,7 +185,7 @@ def test_solve_splits_when_cheaper():
         ResourceInfo("R2", 4, 0.7, 100.0),  # coeff 7 per PE
     ]
     model = build_relaxed(jobs, resources)
-    alloc = solve_relaxed(model)
+    alloc = allocation(solve_relaxed(model), model.table)
     assert alloc.pes("R1", "J") == 2
     assert alloc.pes("R2", "J") == 2
     assert relaxed_objective(model, alloc) == 24.0
@@ -193,7 +194,22 @@ def test_solve_splits_when_cheaper():
 def test_solve_zero_jobs_is_empty():
     for resources in ([ResourceInfo("R", 4, 1.0, 100.0)], []):
         model = build_relaxed([], resources)
-        assert solve_relaxed(model).entries == {}
+        assert allocation(solve_relaxed(model), model.table).entries == {}
+
+
+def test_solve_returns_a_nonnegative_int_array_over_the_table():
+    """PE counts as a jobs x resources int array over ``model.table``, zero
+    off the solver's columns and summing to each job's PE count; an empty
+    batch gets a (0, m) array."""
+    empty = [([], [ResourceInfo("R", 4, 1.0, 100.0)]), ([], [])]
+    for jobs, resources in [tiny_instance(seed) for seed in range(50)] + empty:
+        model = build_relaxed(jobs, resources)
+        placed = solve_relaxed(model)
+        assert placed.dtype.kind == "i"
+        assert placed.shape == model.table.cost.shape == (len(jobs), len(model.resources))
+        assert (placed >= 0).all() and not placed[~model.columns].any()
+        assert placed.sum(axis=1).tolist() == [j.pe_count for j in model.jobs]
+    assert [solve_relaxed(build_relaxed(*batch)).shape for batch in empty] == [(0, 1), (0, 0)]
 
 
 @pytest.fixture
@@ -217,7 +233,7 @@ def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]
     model = build_relaxed(jobs, s1_resources)
-    alloc = solve_relaxed(model)
+    alloc = allocation(solve_relaxed(model), model.table)
     assert validate(alloc, jobs, model.resources, JobKind.MGN) == []
     parked_pes = sum(
         pes for (rid, _), pes in alloc.items() if rid == model.dummy_id
@@ -251,7 +267,7 @@ def test_a_model_without_a_real_column_parks_every_job_without_highs(
         raise AssertionError("HiGHS called on a model without a real column")
 
     monkeypatch.setattr(relaxed_module, "linprog", no_highs)
-    alloc = solve_relaxed(model)
+    alloc = allocation(solve_relaxed(model), model.table)
     assert dict(alloc.entries) == {(model.dummy_id, j.job_id): j.pe_count for j in jobs}
     assert alloc == brute_force_relaxed(model)
     assert validate(alloc, jobs, model.resources, JobKind.MGN) == []
@@ -303,7 +319,10 @@ def test_columns_skip_a_resource_without_a_free_pe():
 
 def solve_both(model):
     """Objectives with the default columns and with every admissible pair."""
-    return [relaxed_objective(m, solve_relaxed(m)) for m in (model, every_column(model))]
+    return [
+        relaxed_objective(m, allocation(solve_relaxed(m), m.table))
+        for m in (model, every_column(model))
+    ]
 
 
 def test_column_pruning_keeps_the_optimum_on_tiny_instances():
@@ -572,7 +591,7 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
     res = ResourceInfo("R1", 4, 1.0, 1.0)
     job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
     model = build_relaxed([job], [res])
-    alloc = solve_relaxed(model)
+    alloc = allocation(solve_relaxed(model), model.table)
     assert validate(alloc, [job], model.resources, JobKind.MGN) == []
     assert dict(alloc.entries) == {("R1", "A"): 1, (model.dummy_id, "A"): 1}
     assert brute_force_relaxed(model) == alloc
@@ -630,7 +649,7 @@ def test_fractional_vertices_fall_back_to_the_integer_program(highs_calls):
     fallbacks = enumerated = 0
     for where, model in binding_budget_models():
         highs_calls.clear()
-        alloc = solve_relaxed(model)
+        alloc = allocation(solve_relaxed(model), model.table)
         lp = highs_calls[0][1]
         lp_fractional = np.abs(lp.x - np.rint(lp.x)).max() > 1e-9
         assert len(highs_calls) == 1 + lp_fractional, where
@@ -675,7 +694,7 @@ def test_benchmark_batches_take_the_lp_vertex_unchanged(resource_count, job_coun
         ))
         model = build_relaxed(jobs, resources)
         highs_calls.clear()
-        alloc = solve_relaxed(model)
+        alloc = allocation(solve_relaxed(model), model.table)
         assert [integer for integer, _ in highs_calls] == [False], f"scenario seed {seed}"
         assert alloc == forced_milp(model), f"scenario seed {seed}"
 
@@ -720,7 +739,7 @@ def test_the_direct_highs_call_returns_scipy_linprogs_x_bit_for_bit():
 
 
 def test_without_the_highs_binding_solve_relaxed_calls_scipy_linprog(monkeypatch):
-    direct = [solve_relaxed(build_relaxed(*tiny_instance(seed))) for seed in range(50)]
+    direct = [build_and_solve(*tiny_instance(seed))[1] for seed in range(50)]
     calls = []
 
     def recording(*args, **kwargs):
@@ -729,7 +748,7 @@ def test_without_the_highs_binding_solve_relaxed_calls_scipy_linprog(monkeypatch
 
     monkeypatch.setattr(relaxed_module, "_core", None)
     monkeypatch.setattr(relaxed_module, "scipy_linprog", recording)
-    assert [solve_relaxed(build_relaxed(*tiny_instance(seed))) for seed in range(50)] == direct
+    assert [build_and_solve(*tiny_instance(seed))[1] for seed in range(50)] == direct
     assert calls
 
 
