@@ -10,10 +10,11 @@ violation, so the search orders candidates feasibility-first,
 cost-second, and a feasible fully-placed chromosome's fitness is exactly
 its schedule cost.  One ``random.Random(rng_seed)`` stream, drawn in a
 fixed order, determines the whole run.  Its MT19937 words are drawn in
-blocks through numpy and decoded exactly as ``random.Random`` decodes
-them, so a generation costs no Python call per gene: its draws are
-decoded pair by pair, mutation resets are found by a scan of each block,
-and the rows are then built in one array step.
+64k-word blocks through numpy and decoded exactly as ``random.Random``
+decodes them, so a generation costs no Python call per gene: one walk
+(``mutate``) decodes every pair's draws, finding the mutation resets in
+the hit lists that each block's scan makes, and a few array calls then
+build the rows and score them.
 
 The fitness tables, the loop, ``decode_schedule`` and
 ``chromosome_from_schedule`` all read the batch's ``PairTable``, so a
@@ -32,7 +33,6 @@ import random
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from math import ceil, inf
 
 import numpy as np
@@ -115,28 +115,28 @@ class FitnessTables:
         self._job_rows = self._columns * np.arange(len(table.jobs))
         self._layout_rows = -1
 
-    def _layout(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's slot offset in the load count and the PE weights of
-        all its genes, for a population of ``rows`` chromosomes."""
+    def _layout(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's slot offset in the load count, the PE weights of all
+        its genes and the capacity of every slot, for a population of
+        ``rows`` chromosomes."""
         if rows != self._layout_rows:
             self._layout_rows = rows
             self._slots = self._columns * np.arange(rows)[:, None]
             self._weights = np.tile(self.pes, rows)
-        return self._slots, self._weights
+            self._capacities = np.tile(self.capacity, rows)
+        return self._slots, self._weights, self._capacities
 
     def score(self, population: np.ndarray) -> np.ndarray:
         """Fitness of every row of a chromosomes x jobs gene array."""
         rows, n = len(population), self._columns
-        slots, weights = self._layout(rows)
+        slots, weights, capacities = self._layout(rows)
         pairs = population + self._job_rows
         # cumsum adds the costs one job at a time, as a scalar loop would;
         # np.sum's pairwise summation would change the last bits
-        base = np.cumsum(self._cost[pairs], axis=1)[:, -1]
-        breaches = self._breaches[pairs].sum(axis=1)
-        load = np.bincount(
-            (population + slots).ravel(), weights=weights, minlength=rows * n
-        ).reshape(rows, n)
-        overload = np.maximum(load - self.capacity, 0.0).sum(axis=1)
+        base = self._cost.take(pairs).cumsum(axis=1)[:, -1]
+        breaches = self._breaches.take(pairs).sum(axis=1)
+        over = np.bincount((population + slots).ravel(), weights, rows * n) - capacities
+        overload = np.maximum(over, 0.0, out=over).reshape(rows, n).sum(axis=1)
         return base + self.weight * (breaches + overload)
 
     def floor(self) -> float:
@@ -166,27 +166,31 @@ def roulette_wheel(
     if floor is None:
         floor = 1e-6 * f_max if f_max > 0 else 1.0
     weights = (f_max - fits) + floor
-    prefix = np.cumsum(weights)[:-1]  # running totals, added left to right
+    prefix = weights.cumsum()[:-1]  # running totals, added left to right
     total = sum(weights.tolist())  # not a cumsum: Python >= 3.12 compensates sum()
 
     def pick(draws: np.ndarray) -> np.ndarray:
-        return np.searchsorted(prefix, draws * total)
+        return prefix.searchsorted(draws * total)
 
     return pick
+
+
+_UNIT = 1.0 / 9007199254740992.0  # 2**-53, the step of random()
 
 
 class _Stream:
     """The draws of ``random.Random(seed)``, decoded from the same MT19937
     words, which numpy draws in blocks of ``block`` words.
 
-    ``random()`` is CPython's ``random()``, made from two words.
-    ``below(n)`` is its ``_randbelow(n)``: the top ``n.bit_length()`` bits
-    of one word, drawn again while they are ``>= n``.  It is also
-    ``randint(0, n - 1)`` and ``choice(range(n))``.  ``next_hit`` skips to
-    the next ``random()`` below ``rate``: each block lists the positions
-    whose two words make one, so a mutation scan decodes no draw that
-    resets nothing.
-    """
+    CPython's ``random()`` is made from two words, ``(a >> 5) * 2**26 +
+    (b >> 6)`` over ``2**53``.  Its ``_randbelow(n)`` (also ``randint(0,
+    n - 1)`` and ``choice(range(n))``) is the top ``n.bit_length()`` bits
+    of one word, drawn again while they are ``>= n``; ``belows`` decodes
+    many at once.  Each block also lists, per parity, the positions whose
+    two words make a ``random()`` below ``rate``, so ``mutate`` finds a
+    generation's mutation resets by bisecting those lists, decoding no
+    draw that resets nothing.  A 64k-word block lasts a 30 x 50 population
+    about eleven generations."""
 
     def __init__(self, seed: int, rate: float = 0.0, block: int = 1 << 16) -> None:
         state = random.Random(seed).getstate()[1]
@@ -198,51 +202,33 @@ class _Stream:
         self._rate = rate
         self._bound = ceil(rate * 4294967296) + 32
         self._block = block
-        self._words, self._pos = np.empty(0, dtype=np.uint64), 0
-        self._refill(0)
+        self._words, self._pos = np.empty(0, dtype=np.uint32), 0
+        self._refill(0, 0)
 
-    def _refill(self, count: int) -> None:
-        """Start a block at the current position, with at least ``count``
-        words in it."""
+    def _refill(self, pos: int, count: int) -> tuple[memoryview, list[list[int]], int]:
+        """Start a block at word ``pos`` of this one, with at least
+        ``count`` words in it; returns its words, its hit lists and its
+        length, and the new block starts at position 0."""
         fresh = self._bits.random_raw(max(self._block, count))
-        words = np.concatenate([self._words[self._pos :], fresh])
+        words = np.concatenate([self._words[pos:], fresh], dtype=np.uint32, casting="unsafe")
         self._words, self._word, self._pos, self._end = words, memoryview(words), 0, len(words)
         # random() < rate needs its first word below rate * 2**32 + 32;
         # decode exact doubles only for the words that pass that test
-        first = np.flatnonzero(words[:-1] < self._bound)
-        ints = (words[first] >> 5) * 67108864 + (words[first + 1] >> 6)
-        hits = first[ints * (1.0 / 9007199254740992.0) < self._rate]
+        first = (words[:-1] < self._bound).nonzero()[0]
+        doubles = (words.take(first) >> 5) * 67108864.0 + (words.take(first + 1) >> 6)
+        hits = first[doubles * _UNIT < self._rate]
         # split by parity, each ending in a sentinel past the block
-        self._hits = [hits[hits % 2 == odd].tolist() + [len(words)] for odd in (0, 1)]
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos + 2 > self._end:
-            self._refill(2)
-            pos = 0
-        word = self._word
-        self._pos = pos + 2
-        return ((word[pos] >> 5) * 67108864.0 + (word[pos + 1] >> 6)) * (
-            1.0 / 9007199254740992.0
-        )
-
-    def below(self, n: int) -> int:
-        shift = 32 - n.bit_length()
-        while True:
-            if self._pos == self._end:
-                self._refill(1)
-            value = self._word[self._pos] >> shift
-            self._pos += 1
-            if value < n:
-                return value
+        odd = hits & 1
+        self._hits = [hits[odd == 0].tolist() + [self._end], hits[odd == 1].tolist() + [self._end]]
+        return self._word, self._hits, self._end
 
     def belows(self, n: int, count: int) -> np.ndarray:
-        """``count`` successive ``below(n)`` draws, as one array."""
+        """``count`` successive ``_randbelow(n)`` draws, as one array."""
         shift = 32 - n.bit_length()
         parts = [np.empty(0, dtype=np.intp)]
         while count:
             if self._pos + count > self._end:
-                self._refill(count)
+                self._refill(self._pos, count)
             # each word is kept with probability n / 2**bit_length > 1/2
             window = self._words[self._pos : self._pos + 2 * count + 64] >> shift
             kept = np.flatnonzero(window < n)[:count]
@@ -251,48 +237,91 @@ class _Stream:
             count -= len(kept)
         return np.concatenate(parts)
 
-    def next_hit(self, draws: int) -> int:
-        """How many of the next ``draws`` ``random()`` draws come before the
-        first one below ``rate``, consuming them and that one; ``draws``,
-        consuming them all, when none is below."""
-        start, end = self._pos, self._pos + 2 * draws
-        if end > self._end:
-            self._refill(2 * draws)
-            start, end = 0, 2 * draws
-        hits = self._hits[start & 1]
-        hit = hits[bisect_left(hits, start)]
-        if hit >= end:
-            self._pos = end
-            return draws
-        self._pos = hit + 2
-        return (hit - start) >> 1
 
+def crossover(population: np.ndarray, parents: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Single-point crossover of parent pairs.
 
-def crossover(parents: np.ndarray, cuts: np.ndarray, n_genes: int) -> np.ndarray:
-    """Single-point crossover of parent pairs, as gene sources.
-
-    ``parents`` is a pairs x 2 array of population rows (a, b), and each
-    pair has one cut.  The first child takes the genes before the cut
-    from a and the rest from b, the second child the reverse.  Returns a
-    (2 * pairs) x ``n_genes`` array: the row each child's gene comes from.
+    ``parents`` lists pairs of ``population`` rows end to end (a, b, a,
+    b, ...), and each pair has one cut.  The first child takes the genes
+    before the cut from a and the rest from b, the second child the
+    reverse.  Returns the children, two rows per pair.
     """
+    n_genes = population.shape[1]
+    pairs = population.take(parents.reshape(-1, 2), 0)
     before = np.arange(n_genes) < cuts[:, None, None]
-    return np.where(before, parents[:, :, None], parents[:, ::-1, None]).reshape(-1, n_genes)
+    return np.where(before, pairs, pairs[:, ::-1]).reshape(-1, n_genes)
 
 
-def mutate(stream: _Stream, genes: range, n_choices: int) -> list[tuple[int, int]]:
-    """Uniform per-gene reset mutation: each gene of ``genes`` whose
-    ``random()`` draw falls below the stream's rate is reset to a
-    ``below(n_choices)`` draw over all resources, dummy included.  Genes
-    are flat positions in a population array, so the two children of a
-    pair, which lie end to end, mutate in one call.  Returns the (gene,
-    resource index) resets in gene order."""
-    resets = []
-    gene = genes.start + stream.next_hit(len(genes))
-    while gene < genes.stop:
-        resets.append((gene, stream.below(n_choices)))
-        gene += 1 + stream.next_hit(genes.stop - gene - 1)
-    return resets
+def mutate(
+    stream: _Stream, params: GaParams, n_genes: int, n_choices: int
+) -> tuple[list[float], list[int], list[int], list[int]]:
+    """Decode one bred generation's draws, pair by pair in stream order.
+
+    Children fill rows ``elitism`` onward of a ``population_size`` x
+    ``n_genes`` array, two per pair (the last pair keeps only its first
+    when they do not fit).  Each pair draws two ``random()`` roulette
+    draws and a crossover draw, then a ``_randbelow(n_genes + 1)`` cut
+    when that draw is below ``crossover_rate`` (no crossover is the cut
+    ``n_genes``), then one ``random()`` per gene of its children: a gene
+    whose draw falls below the stream's rate is reset to a
+    ``_randbelow(n_choices)`` resource, dummy included.  Returns the
+    roulette draws, the cuts, and the flat array positions and values of
+    the resets in gene order.
+    """
+    size, rate = params.population_size, params.crossover_rate
+    cut_n, cut_shift = n_genes + 1, 32 - (n_genes + 1).bit_length()
+    reset_shift = 32 - n_choices.bit_length()
+    refill = stream._refill
+    word, hits, pos, end = stream._word, stream._hits, stream._pos, stream._end
+    draws, cuts, genes, values = [], [], [], []
+    for first in range(params.elitism, size, 2):
+        if pos + 6 > end:
+            word, hits, end = refill(pos, 6)
+            pos = 0
+        draws += (
+            ((word[pos] >> 5) * 67108864.0 + (word[pos + 1] >> 6)) * _UNIT,
+            ((word[pos + 2] >> 5) * 67108864.0 + (word[pos + 3] >> 6)) * _UNIT,
+        )
+        crossed = ((word[pos + 4] >> 5) * 67108864.0 + (word[pos + 5] >> 6)) * _UNIT < rate
+        pos += 6
+        cut = n_genes
+        while crossed:
+            if pos == end:
+                word, hits, end = refill(pos, 1)
+                pos = 0
+            cut = word[pos] >> cut_shift
+            pos += 1
+            crossed = cut >= cut_n
+        cuts.append(cut)
+        # the children's genes lie end to end, one two-word draw each:
+        # a hit is the first hit of pos's parity at or after pos, and
+        # it lies before last, the end of the draws still to come
+        stop = min(first + 2, size) * n_genes
+        last = pos + 2 * (stop - first * n_genes)
+        while True:
+            if last > end:
+                word, hits, end = refill(pos, last - pos)
+                last -= pos
+                pos = 0
+            side = hits[pos & 1]
+            hit = side[bisect_left(side, pos)]
+            if hit >= last:
+                break
+            genes.append(stop - ((last - hit) >> 1))
+            rest = last - hit - 2
+            pos = hit + 2
+            value = n_choices
+            while value >= n_choices:
+                if pos == end:
+                    word, hits, end = refill(pos, 1)
+                    pos = 0
+                value = word[pos] >> reset_shift
+                pos += 1
+            values.append(value)
+            last = pos + rest
+        pos = last
+    stream._pos = pos
+    return draws, cuts, genes, values
 
 
 def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
@@ -361,30 +390,17 @@ def _breed(
     n_choices: int,
 ) -> np.ndarray:
     """The next generation: the ``elitism`` fittest rows (ties in row
-    order), then children bred pair by pair.  Each pair draws two roulette
-    picks and a crossover draw, then a cut when that draw is below
-    ``crossover_rate`` (no crossover is the cut ``n_genes``), then the
-    mutation draws of its first child and of its second.  No draw depends
-    on a gene, so the draws are decoded first and the rows built after:
-    one gather of each gene's source row, then one scatter of the resets."""
+    order), then the children whose draws ``mutate`` decodes.  No draw
+    depends on a gene, so the draws are decoded first and the rows built
+    after: one crossover over the roulette picks, then one scatter of the
+    resets."""
     size, n_genes = population.shape
-    elites = np.argsort(fits, kind="stable")[: params.elitism]
-    draw, below = stream.random, stream.below
-    draws, cuts, resets = [], [], []
-    for first in range(params.elitism, size, 2):
-        draws += (draw(), draw())
-        cuts.append(below(n_genes + 1) if draw() < params.crossover_rate else n_genes)
-        children = range(first * n_genes, min(first + 2, size) * n_genes)
-        resets += mutate(stream, children, n_choices)
-    parents = roulette_wheel(fits)(np.array(draws)).reshape(-1, 2)
-    sources = np.empty((size, n_genes), dtype=np.intp)
-    sources[: params.elitism] = elites[:, None]
-    sources[params.elitism :] = crossover(parents, np.array(cuts), n_genes)[: size - params.elitism]
-    bred = np.take(population, sources * n_genes + np.arange(n_genes))
-    if resets:
-        flat = np.fromiter(chain.from_iterable(resets), np.intp, 2 * len(resets))
-        genes, values = flat.reshape(-1, 2).T
-        bred.ravel()[genes] = values
+    draws, cuts, genes, values = mutate(stream, params, n_genes, n_choices)
+    parents = roulette_wheel(fits)(np.array(draws))
+    children = crossover(population, parents, np.array(cuts))
+    elites = population.take(fits.argsort(kind="stable")[: params.elitism], 0)
+    bred = np.concatenate([elites, children[: size - params.elitism]])
+    bred.put(genes, values)
     return bred
 
 
@@ -437,11 +453,7 @@ def run_ga(
             seed_fitness=seed_fitness,
         )
 
-    # a block holds about two generations' words: one draw of two words
-    # per gene, plus a few per pair
-    stream = _Stream(
-        params.rng_seed, params.mutation_rate, min(1 << 16, 4 * size * n_genes)
-    )
+    stream = _Stream(params.rng_seed, params.mutation_rate)
     drawn = stream.belows(n_choices, (size - len(seeds)) * n_genes)
     population = np.concatenate([seeds, drawn.reshape(-1, n_genes)])
     fits = tables.score(population)

@@ -316,8 +316,9 @@ class PairTable:
 def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> PairTable:
     """Evaluate the whole-job rule over the batch, with each scalar
     operation in the order the helpers above perform it.  A batch with
-    jobs gets ``ensure_dummy``'s dummy when ``resources`` holds none.  Two
-    jobs or two resources with one id are a ``ValueError``."""
+    jobs gets ``ensure_dummy``'s dummy when ``resources`` holds none; one
+    dummy, whatever its id, is taken as is.  Two dummies, or two jobs or
+    two resources with one id, are a ``ValueError``."""
     if jobs:
         resources, _ = ensure_dummy(jobs, resources)
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
@@ -332,6 +333,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
     rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
     dummy = np.array([r.is_dummy for r in resources], dtype=bool)
+    if dummy.sum() > 1:
+        raise ValueError("a resource list holds at most one dummy resource")
     parking = int(dummy.argmax()) if dummy.any() else None
     dummy_id = None if parking is None else resources[parking].resource_id
 

@@ -5,7 +5,8 @@ the converters between id-keyed allocations and PE arrays over a
 ``PairTable``, gene maps (job id -> resource id) and the GA's gene rows,
 the penalised fitness of one gene map, the relaxation's canonical
 objective, the per-pair dict views of a built relaxation that the oracles
-walk, and the GA's scalar breeding loop."""
+walk, the GA's scalar breeding loop, and scalar decoders of single draws
+from the GA's block stream."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from metagrid.model import (
     pair_table,
     qos_index,
 )
-from metagrid.ga import FitnessTables
+from metagrid.ga import FitnessTables, _Stream
 from metagrid.relaxed import RelaxedModel
 
 
@@ -536,3 +537,27 @@ def scalar_generation(
         if len(next_rows) < params.population_size:
             next_rows.append(scalar_mutate(c2, rng, params.mutation_rate, n_choices))
     return next_rows
+
+
+def stream_random(stream: _Stream) -> float:
+    """The next ``random()`` of a ``_Stream``, decoded from its next two
+    words as CPython decodes them, refilling at the block end."""
+    if stream._pos + 2 > stream._end:
+        stream._refill(stream._pos, 2)
+    a, b = stream._word[stream._pos : stream._pos + 2]
+    stream._pos += 2
+    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def stream_below(stream: _Stream, n: int) -> int:
+    """The next ``_randbelow(n)`` of a ``_Stream``: the top
+    ``n.bit_length()`` bits of one word, drawn again while they are
+    ``>= n``."""
+    shift = 32 - n.bit_length()
+    while True:
+        if stream._pos == stream._end:
+            stream._refill(stream._pos, 1)
+        value = stream._word[stream._pos] >> shift
+        stream._pos += 1
+        if value < n:
+            return value

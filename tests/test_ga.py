@@ -53,6 +53,8 @@ from oracles import (
     scalar_greedy,
     scalar_mutate,
     schedule_cost,
+    stream_below,
+    stream_random,
 )
 
 
@@ -326,9 +328,7 @@ def test_roulette_picks_the_first_member_whose_running_total_reaches_the_draw(fi
 
 def _crossed(a: list[int], b: list[int], cut: int) -> tuple[list[int], list[int]]:
     """The two children of parents ``a`` and ``b`` at ``cut``."""
-    population = np.array([a, b])
-    sources = crossover(np.array([[0, 1]]), np.array([cut]), len(a))
-    c1, c2 = population[sources, np.arange(len(a))].tolist()
+    c1, c2 = crossover(np.array([a, b]), np.array([0, 1]), np.array([cut])).tolist()
     return c1, c2
 
 
@@ -354,29 +354,37 @@ def test_crossover_of_identical_parents_is_identity():
 
 def test_crossover_leaves_the_parents_untouched():
     population = np.array([[0, 0, 0], [1, 1, 1]])
-    parents = np.array([[0, 1], [1, 0]])
+    parents = np.array([0, 1, 1, 0])
     for cut in range(4):
-        sources = crossover(parents, np.array([cut, cut]), 3)
-        children = population[sources, np.arange(3)]
+        children = crossover(population, parents, np.array([cut, cut]))
+        a_first, b_first = [0] * cut + [1] * (3 - cut), [1] * cut + [0] * (3 - cut)
+        assert children.tolist() == [a_first, b_first, b_first, a_first]
         assert not np.shares_memory(children, population)
     assert population.tolist() == [[0, 0, 0], [1, 1, 1]]
-    assert parents.tolist() == [[0, 1], [1, 0]]
+    assert parents.tolist() == [0, 1, 1, 0]
 
 
 # -------------------------------------------------------------- mutation
 
 
 def test_mutate_rate_zero_is_identity():
-    assert mutate(_Stream(0, 0.0), range(2), 9) == []
+    params = GaParams(population_size=4, elitism=0, mutation_rate=0.0)
+    _, _, genes, values = mutate(_Stream(0, 0.0), params, 2, 9)
+    assert genes == values == []
 
 
 def test_mutate_rate_one_redraws_every_gene():
-    assert mutate(_Stream(0, 1.0), range(2), 1) == [(0, 0), (1, 0)]
+    # the elite row 0 keeps its genes; every child gene is reset
+    params = GaParams(population_size=3, elitism=1, mutation_rate=1.0)
+    _, _, genes, values = mutate(_Stream(0, 1.0), params, 2, 1)
+    assert genes == [2, 3, 4, 5]
+    assert values == [0, 0, 0, 0]
 
 
 def test_mutate_is_seed_deterministic():
-    a = mutate(_Stream(9, 0.5), range(12), 4)
-    b = mutate(_Stream(9, 0.5), range(12), 4)
+    params = GaParams(population_size=9, mutation_rate=0.5)
+    a = mutate(_Stream(9, 0.5), params, 12, 4)
+    b = mutate(_Stream(9, 0.5), params, 12, 4)
     assert a == b
 
 
@@ -390,18 +398,32 @@ def test_mutate_does_not_touch_the_input():
     assert population.tolist() == [[0, 0, 0]] * 4
 
 
+def scalar_draws(rng, params, n_genes, n_choices):
+    """``mutate``'s decode of one generation, drawn pair by pair from
+    ``random.Random``: the roulette draws, the cuts, and the resets as the
+    genes the scalar loop changes, at their flat positions."""
+    draws, cuts, resets = [], [], []
+    for first in range(params.elitism, params.population_size, 2):
+        draws += (rng.random(), rng.random())
+        crossed = rng.random() < params.crossover_rate
+        cuts.append(rng.randint(0, n_genes) if crossed else n_genes)
+        row = [-1] * ((min(first + 2, params.population_size) - first) * n_genes)
+        reset = scalar_mutate(row, rng, params.mutation_rate, n_choices)
+        resets += [(first * n_genes + g, v) for g, v in enumerate(reset) if v >= 0]
+    return draws, cuts, resets
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.02, 0.3, 1.0])
 def test_mutate_equals_the_scalar_draws(rate):
-    # the resets are the genes the scalar loop changes, and both leave the
-    # stream at the same next draw; a 7-word block forces refills mid-row
+    # the decode equals the scalar draws, and both leave the stream at the
+    # same next draw; a 7-word block forces refills mid-pair
     for seed in range(20):
         stream, rng = _Stream(seed, rate, block=7), random.Random(seed)
-        for start, n_genes in ((0, 0), (3, 1), (0, 5), (40, 40), (0, 100)):
-            row = [-1] * n_genes
-            expected = [(start + g, v) for g, v in enumerate(scalar_mutate(row, rng, rate, 9))
-                        if v >= 0]
-            assert mutate(stream, range(start, start + n_genes), 9) == expected
-            assert stream.random() == rng.random()
+        for size, elitism, n_genes in ((2, 0, 1), (3, 1, 5), (5, 2, 40), (4, 0, 100)):
+            params = GaParams(population_size=size, elitism=elitism, mutation_rate=rate)
+            draws, cuts, genes, values = mutate(stream, params, n_genes, 9)
+            assert (draws, cuts, list(zip(genes, values))) == scalar_draws(rng, params, n_genes, 9)
+            assert stream_random(stream) == rng.random()
 
 
 # ------------------------------------------------------------ the stream
@@ -427,15 +449,15 @@ def test_stream_draws_equal_random_random(seed, block, ops):
     stream, rng = _Stream(seed, block=block), random.Random(seed)
     for kind, n, count in ops:
         if kind == "random":
-            assert stream.random() == rng.random()
+            assert stream_random(stream) == rng.random()
         elif kind == "randint":
-            assert stream.below(n) == rng.randint(0, n - 1)
+            assert stream_below(stream, n) == rng.randint(0, n - 1)
         elif kind == "choice":
-            assert stream.below(n) == rng.choice(range(n))
+            assert stream_below(stream, n) == rng.choice(range(n))
         else:
             expected = [rng.randrange(n) for _ in range(count)]
             assert stream.belows(n, count).tolist() == expected
-    assert stream.random() == rng.random()
+    assert stream_random(stream) == rng.random()
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.02, 1.0])
@@ -462,8 +484,41 @@ def test_a_generation_equals_the_scalar_loop(rate, crossover_rate):
             bred = _breed(population, fits, stream, params, n_choices)
             rows = scalar_generation(rows, fits.tolist(), rng, params, n_choices)
             assert bred.tolist() == rows
-            assert stream.random() == rng.random()
+            assert stream_random(stream) == rng.random()
             population, fits = bred, tables.score(bred)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    block=st.integers(1, 9),
+    n_choices=st.sampled_from([1, 2, 9, 129, 257]),
+    n_genes=st.integers(1, 12),
+    size=st.integers(2, 9),
+    elitism=st.integers(0, 2),
+    rate=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+    crossover_rate=st.sampled_from([0.0, 0.8, 1.0]),
+    data=st.data(),
+)
+def test_a_generation_on_any_shape_equals_the_scalar_loop(
+    seed, block, n_choices, n_genes, size, elitism, rate, crossover_rate, data
+):
+    """``_breed`` equals the scalar loop on any population and block size:
+    with blocks of 1-9 words, refills land between pairs, inside the cut
+    draws and inside the reset draws, and with 129 or 257 choices about
+    half of the reset words are drawn again."""
+    params = GaParams(population_size=size, crossover_rate=crossover_rate,
+                      mutation_rate=rate, elitism=min(elitism, size))
+    genes = st.lists(st.integers(0, n_choices - 1), min_size=n_genes, max_size=n_genes)
+    rows = data.draw(st.lists(genes, min_size=size, max_size=size))
+    stream, rng = _Stream(seed, rate, block=block), random.Random(seed)
+    for _ in range(3):
+        fits = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 1e9),
+                                  min_size=size, max_size=size))
+        bred = _breed(np.array(rows), np.array(fits), stream, params, n_choices)
+        rows = scalar_generation(rows, fits, rng, params, n_choices)
+        assert bred.tolist() == rows
+        assert stream_random(stream) == rng.random()
 
 
 # ------------------------------------------------- decode / seed rows
@@ -626,8 +681,9 @@ def test_run_ga_trace_never_worsens():
 
 
 def test_run_ga_calls_mutate_through_the_module_global(monkeypatch, s1_jobs, s1_resources):
-    """The benchmark's tracer times mutation by rebinding ``mutate`` in
-    this module, so ``run_ga`` must look it up there, once per pair."""
+    """The benchmark's tracer times each generation's draw decode by
+    rebinding ``mutate`` in this module, so ``run_ga`` must look it up
+    there, once per bred generation."""
     calls = []
     original = ga_module.mutate
 
@@ -638,8 +694,8 @@ def test_run_ga_calls_mutate_through_the_module_global(monkeypatch, s1_jobs, s1_
     monkeypatch.setattr(ga_module, "mutate", counted)
     params = GaParams(population_size=7, convergence_window=50, max_iterations=6, rng_seed=1)
     result = run_ga([], pair_table(s1_jobs, s1_resources), params)
-    # one call per pair of children: 3 pairs in each of 5 generations
-    assert len(calls) == 15
+    # one call per bred generation: 5 after the initial population
+    assert len(calls) == 5
     assert result.iterations_used == 6
     monkeypatch.undo()
     assert run_ga([], pair_table(s1_jobs, s1_resources), params) == result

@@ -1,9 +1,12 @@
 """Every name a ``src/metagrid`` module imports is used in that module, so
-a deletion cannot leave a stale import behind."""
+a deletion cannot leave a stale import behind; and every name the
+benchmark's tracer rebinds exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,17 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_benchmark_entry_point_resolves(monkeypatch):
+    """The benchmark's tracer rebinds each ``(module, attr)`` of its
+    ``ENTRY_POINTS`` in ``metagrid``; a rename fails here, not there."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.ENTRY_POINTS
+    for module, attr, span in tracing.ENTRY_POINTS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, span)

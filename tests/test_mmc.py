@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from conftest import S1_OPTIMAL_ALLOC, S1_OPTIMAL_COST, fuzz_instance, tiny_instance
 from hypothesis import given, settings, strategies as st
 from metagrid.mmc import MmcStats, cost_order, modified_min_cost
@@ -211,7 +212,7 @@ def test_dummy_share_after_a_provider_without_room():
     assert (stats.steps, stats.displacements, stats.parked) == (5, 0, 1)
 
 
-def test_every_dummy_resource_parks_onto_the_model_dummy():
+def test_a_second_dummy_is_rejected_before_the_relaxation():
     hopeless = JobRequest("U", "H", 1e6, 0.5, (1000.0,), 1)  # 10 s on R1
     job = JobRequest("U", "J", 1e6, 100.0, (1000.0,), 1)
     resources = [
@@ -219,12 +220,15 @@ def test_every_dummy_resource_parks_onto_the_model_dummy():
         ResourceInfo("P1", 9, 1.0, 100.0, is_dummy=True),
         ResourceInfo("P2", 9, 1.0, 100.0, is_dummy=True),
     ]
-    model = build_relaxed([hopeless, job], resources)
+    with pytest.raises(ValueError, match="at most one dummy"):
+        build_relaxed([hopeless, job], resources)
+    # one dummy, whatever its id, is the model's dummy
+    model = build_relaxed([hopeless, job], resources[:2])
     assert model.dummy_id == "P1"
     stats = MmcStats()
-    alloc = AllocationMatrix({("P2", "H"): 1, ("P2", "J"): 1})
+    alloc = AllocationMatrix({("P1", "H"): 1, ("P1", "J"): 1})
     schedule = modified_min_cost(model, pe_array(alloc, model.table), stats)
-    # both park from P2, the rescue places J, and H stays on the model's dummy
+    # both park, the rescue places J, and H stays on the dummy
     assert schedule.assignments.entries == {("P1", "H"): 1, ("R1", "J"): 1}
     assert stats.parked == 2
 

@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 import metagrid.ga as ga
 import metagrid.greedy as greedy
 import metagrid.mmc as mmc
+import metagrid.relaxed as relaxed
+import metagrid.simulator as simulator
 from metagrid.ga import GaParams
 from metagrid.model import (
     AllocationMatrix,
@@ -29,7 +31,6 @@ from metagrid.model import (
     pair_table,
     qos_index,
     validate,
-    whole_jobs,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import SCHEDULERS
@@ -280,7 +281,7 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
     placement, in entries, parked jobs and ``repr(total_cost_gd)``: for the
     relaxation's answer, split or not, and for every whole-job array that
     greedy, MMC and decode hand it (decode on greedy's row and on a random
-    one).  On grids with two dummies, a job on the second is parked too."""
+    one)."""
     built = Counter()
 
     def checked(name):
@@ -308,16 +309,37 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
         ga.decode_schedule(row, table)
         ga.decode_schedule([rng.randrange(len(table.resources)) for _ in row], table)
     assert (batches, split) == (916, 544)
+    assert built == {"relaxed": 916, "metagrid.mmc": 916, "metagrid.greedy": 916,
+                     "metagrid.ga": 2 * 916}
+
+
+def test_pair_table_and_every_adapter_reject_a_second_dummy(monkeypatch):
+    """A resource list with two dummies is a ``ValueError`` from
+    ``pair_table``, and every adapter raises it before any solve: on
+    ``tiny_instance`` 0-49 with dummies P1 and P2 appended (the
+    relaxation's resource-side prefix assumes one dummy column).  One
+    dummy, whatever its id, is taken as is, and every adapter runs."""
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
     dummies = [ResourceInfo(rid, 20, 50.0, 100.0, is_dummy=True) for rid in ("P1", "P2")]
+    params = GaParams(population_size=6, convergence_window=2, max_iterations=4)
     for seed in range(50):
         jobs, resources = tiny_instance(seed)
-        table = pair_table(jobs, resources + dummies)
-        assert table.resources[1].resource_id == "P2"
-        checked("second dummy")(table, whole_jobs(table, [1] * len(jobs)))
-        row = ga.chromosome_from_schedule(greedy.greedy_schedule(table), table)
-        ga.decode_schedule([rng.randrange(len(table.resources)) for _ in row], table)
-    assert built == {"relaxed": 916, "metagrid.mmc": 916, "metagrid.greedy": 966,
-                     "metagrid.ga": 2 * 916 + 50, "second dummy": 50}
+        with monkeypatch.context() as patch:
+            for module, name in ((relaxed, "linprog"), (relaxed, "solve_relaxed"),
+                                 (simulator, "solve_relaxed"), (simulator, "greedy_schedule"),
+                                 (ga, "solve_relaxed"), (ga, "greedy_schedule"), (ga, "run_ga")):
+                patch.setattr(module, name, solved)
+            with pytest.raises(ValueError, match="at most one dummy"):
+                pair_table(jobs, resources + dummies)
+            for name, adapter in SCHEDULERS.items():
+                with pytest.raises(ValueError, match="at most one dummy"):
+                    adapter(jobs, resources + dummies, params, seed)
+        for dummy in dummies:
+            assert pair_table(jobs, resources + [dummy]).dummy_id == dummy.resource_id
+            for adapter in SCHEDULERS.values():
+                adapter(jobs, resources + [dummy], params, seed)
 
 
 def test_invalid_records_are_rejected():
