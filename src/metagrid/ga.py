@@ -328,8 +328,8 @@ def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
     """Deterministic repair of a gene row into a valid schedule.
 
     Genes that point at a resource the job cannot use (deadline or budget,
-    as ``table.feasible`` marks it) are parked, and so are genes on a
-    dummy, which ``build_schedule`` parks; then any overloaded resource
+    as ``table.feasible`` marks it) are parked, and so are genes on the
+    dummy column, ``table.parking``; then any overloaded resource
     sheds its largest jobs until its PE capacity holds.
     """
     wanted = np.asarray(row, dtype=np.intp)

@@ -8,7 +8,7 @@ minimum-cost-method spirit, in three phases over the relaxation's own
 array of PE counts over that table:
 
 * freeze: jobs already on a single provider stay there, consuming
-  capacity (a job whose one provider is a dummy is parked);
+  capacity (a job whose one provider is the dummy is parked);
 * consolidate with interchange: each multi-provider job, fewest providers
   first, is re-placed whole on one of *its own* relaxed providers, tried
   in order of how many PEs the relaxation put there (most first; ties
@@ -76,10 +76,9 @@ def modified_min_cost(
     stats = stats if stats is not None else MmcStats()
     table = model.table
     jobs, resources = model.jobs, model.resources
-    dummy = table.dummy.tolist()
     parking = table.parking
     order = cost_order(table)
-    available = {k: r.free_pes for k, r in enumerate(resources) if not r.is_dummy}
+    available = {k: r.free_pes for k, r in enumerate(resources) if k != parking}
 
     shares: dict[int, list[tuple[int, int]]] = {}  # job -> (column, relaxed PEs)
     holders: dict[int, set[int]] = {}  # column -> unsettled jobs holding PEs there
@@ -91,8 +90,7 @@ def modified_min_cost(
     home: dict[int, int] = {}  # settled job -> its column (parked: the dummy's)
 
     def settle(j: int, k: int) -> None:
-        if dummy[k]:
-            k = parking
+        if k == parking:
             stats.parked += 1
         else:
             available[k] -= jobs[j].pe_count
@@ -114,16 +112,18 @@ def modified_min_cost(
         stats.steps += 1
         cost, feasible = table.cost[j], table.feasible[j]
         target = parking
-        ranked = sorted(shares[j], key=lambda s: (-s[1], inf if dummy[s[0]] else cost[s[0]], s[0]))
+        ranked = sorted(
+            shares[j], key=lambda s: (-s[1], inf if s[0] == parking else cost[s[0]], s[0])
+        )
         for k, _ in ranked:
             stats.steps += 1
-            if dummy[k]:
+            if k == parking:
                 break  # reaching the relaxation's dummy share parks the job
             if available[k] >= jobs[j].pe_count and feasible[k]:
                 target = k
                 break
         settle(j, target)
-        if dummy[target]:
+        if target == parking:
             continue
         alternates = {k for k, _ in shares[j] if k != target}
         for e in sorted(holders[target], key=lambda e: (jobs[e].pe_count, e)):

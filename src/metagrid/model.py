@@ -281,8 +281,8 @@ class PairTable:
     """The whole-job rule for every job x resource pair of one batch.
 
     Rows are the jobs, columns the resources, each sorted by id; a batch
-    with jobs always has a dummy column, ``dummy_id`` the first one's id
-    and ``parking`` its column (both None only for an empty batch).  ``rate``
+    with jobs always has one dummy column, ``parking``, and ``dummy_id`` is
+    its resource's id (both None only for an empty batch).  ``rate``
     is each resource's ``cost_per_pe_second``, ``exec_s`` ``exec_time``,
     ``coeff`` the cost of one PE (``pair_charge`` for one PE), ``cost``
     that of all the job's PEs, ``on_time`` ``meets_deadline``, and
@@ -523,14 +523,14 @@ def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
     """Turn ``placed``, a jobs x resources array of PE counts over
     ``table``, into a Schedule.
 
-    Any job with PEs on a dummy column is parked whole: its real fragments
+    Any job with PEs on the dummy column is parked whole: its real fragments
     (possible in split-mode solutions when capacity ran short) are dropped
     because a partially-placed job cannot run, and its PEs are re-parked on
     the table's dummy.  The cost covers really-placed jobs only: each
     fragment costs rate x PEs x runtime, summed per job in column order.
     """
     jobs, resources = table.jobs, table.resources
-    parked = placed[:, table.dummy].any(axis=1).tolist()
+    parked = (placed[:, table.parking] > 0).tolist()
     ji, ki = np.nonzero(placed)  # row-major: job-major, resource-minor
     pes = placed[ji, ki]
     fragments = table.rate[ki] * pes * table.exec_s[ji, ki]

@@ -77,32 +77,38 @@ through scipy's binding ``scipy.optimize._highspy._core``, not through
 re-check, per-column bound marginals nobody reads) costs more than many
 of these small solves.  ``linprog`` here fills a ``HighsLp`` with the
 rows in the order scipy's wrapper stacks them (inequality rows, then the
-demand rows as lower = upper = PE count), the matrix as CSC, and column
-bounds [0, ub], and sets exactly the options the wrapper sets: presolve
-on, dual simplex, debug and console output off, ``mip_rel_gap`` 0.  So
-HiGHS sees the same model and returns the same ``x``, bit for bit; with
-presolve off it would pick other tied optima.  The function keeps the
-name ``linprog`` and its one call site because the benchmark's tracer
-rebinds ``relaxed.linprog`` and reads ``.x`` and ``mip_node_count`` off
-its result.  ``_core`` is private to scipy: where it cannot be imported,
-``linprog`` calls ``scipy.optimize.linprog`` with the same options.
+demand rows as lower = upper = PE count), the matrix as the CSC arrays
+scipy's stacking produces (built in numpy by ``_model_arrays`` and
+``_stack``), and column bounds [0, ub], and sets exactly the options the
+wrapper sets: presolve on, dual simplex, debug and console output off,
+``mip_rel_gap`` 0.  So HiGHS sees the same model and returns the same
+``x``, bit for bit; with presolve off it would pick other tied optima.
+The function keeps the name ``linprog`` and its one call site because
+the benchmark's tracer rebinds ``relaxed.linprog`` and reads ``.x`` and
+``mip_node_count`` off its result.
+
+The binding is loaded from its file (``_load_highs``), because importing
+it the regular way imports all of ``scipy.optimize`` first, which with
+``scipy.sparse`` took about 0.6 s of a 0.8 s start-up against 0.01 s for
+the binding alone.  It is registered under its own name before it runs,
+so a later ``import scipy.optimize`` reuses it (pybind11 refuses to
+register its types twice), and a module scipy has already loaded is
+taken as is.  ``_core`` is private to scipy: where the file load fails,
+the regular import is tried, and where that fails too, ``linprog`` calls
+``scipy.optimize.linprog`` with the same options.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-# this form, not ``from scipy import optimize``, which made the benchmark's
-# set-up read about 0.2 s slower (CHANGES.md)
-from scipy.optimize import linprog as scipy_linprog
-
-try:  # private to scipy: an older release may not ship it, a newer may move it
-    from scipy.optimize._highspy import _core
-except ImportError:
-    _core = None
 
 from .model import (
     JobRequest,
@@ -205,9 +211,23 @@ def _spend_bound(weight, ub, pes) -> np.ndarray:
     return (weight * np.clip(pes[:, None] - before, 0, ub)).sum(axis=1)
 
 
+class Csc(NamedTuple):
+    """A sparse matrix in compressed sparse column form, as HiGHS and
+    scipy take it: column k holds ``data[indptr[k]:indptr[k + 1]]`` in
+    the rows ``indices[indptr[k]:indptr[k + 1]]``, ascending, with int32
+    indices as scipy's."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
 def _model_arrays(model: RelaxedModel):
     """LP ingredients over ``model.columns``: objective, capacity rows
-    then the budget rows that can bind, demand rows, per-column bounds."""
+    then the budget rows that can bind, demand rows, per-column bounds.
+    A column has one capacity entry, then a budget entry when its job's
+    row is kept and the pair is weighted, and one demand entry."""
     ji, ri = np.nonzero(model.columns)  # row-major: job-major, resource-minor
     n = len(ji)
     c = model.objective[ji, ri]
@@ -215,7 +235,7 @@ def _model_arrays(model: RelaxedModel):
     free = model.table.free.astype(float)
     pes, limit = model.table.pes, model.table.limit
     budget = np.array([j.budget_gd for j in model.jobs], dtype=float)
-    k = np.arange(n)
+    ones = np.ones(n)
 
     # largest PE count a single pair could ever carry: no feasible solution
     # puts more than budget/weight PEs on a weighted pair
@@ -225,10 +245,10 @@ def _model_arrays(model: RelaxedModel):
     ub = np.maximum(ub, 0.0)
 
     # demand rows: one per job, sum of its pairs == pe_count
-    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.jobs), n))
+    a_eq = Csc(np.arange(n + 1, dtype=np.int32), ji.astype(np.int32), ones, (len(model.jobs), n))
 
-    # inequality rows: capacity per used resource, then each budget row
-    # that can bind given the bounds
+    # inequality rows: capacity per used resource (every job's dummy column
+    # uses one), then each budget row that can bind given the bounds
     used = np.unique(ri)
     cap_row = np.searchsorted(used, ri)
     weight, bound = np.zeros((2, len(model.jobs), len(used)))  # over the used resources
@@ -236,14 +256,57 @@ def _model_arrays(model: RelaxedModel):
     binds = _spend_bound(weight, bound, pes) > limit
     bud_row = len(used) + np.cumsum(binds) - 1
     terms = weighted & binds[ji]
-    n_ub = len(used) + int(binds.sum())
-    a_ub = sparse.csr_matrix(
-        (np.concatenate([np.ones(n), w[terms]]),
-         (np.concatenate([cap_row, bud_row[ji[terms]]]), np.concatenate([k, k[terms]]))),
-        shape=(n_ub, n),
-    ) if n_ub else None
-    b_ub = np.concatenate([free[used], budget[binds]]) if n_ub else None
+    entries = np.column_stack([np.ones(n, dtype=bool), terms])
+    a_ub = Csc(
+        np.concatenate([[0], np.cumsum(1 + terms)]).astype(np.int32),
+        np.column_stack([cap_row, bud_row[ji]])[entries].astype(np.int32),
+        np.column_stack([ones, w])[entries],
+        (len(used) + int(binds.sum()), n),
+    )
+    b_ub = np.concatenate([free[used], budget[binds]])
     return c, a_ub, b_ub, a_eq, pes, ub
+
+
+def _stack(a_ub: Csc, a_eq: Csc) -> Csc:
+    """``a_eq``'s rows under ``a_ub``'s, as scipy stacks them; ``a_eq``
+    holds one entry per column, which goes after that column's ``a_ub``
+    entries."""
+    end = a_ub.indptr[1:]
+    return Csc(
+        a_ub.indptr + a_eq.indptr,
+        np.insert(a_ub.indices, end, a_ub.shape[0] + a_eq.indices),
+        np.insert(a_ub.data, end, a_eq.data),
+        (a_ub.shape[0] + a_eq.shape[0], a_ub.shape[1]),
+    )
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded from its file without importing
+    ``scipy.optimize`` (module docstring): scipy's own module when it is
+    already loaded, the regular import when the file load fails, and None
+    when that fails too."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        folders = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(folder, "optimize", "_highspy") for folder in folders]
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # before it runs, so scipy.optimize reuses it
+        spec.loader.exec_module(module)
+        return module
+    except (AttributeError, ImportError):  # no scipy or no file (a None spec), or a failed load
+        sys.modules.pop(name, None)
+    try:  # private to scipy: an older release may not ship it, a newer may move it
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+_core = _load_highs()
 
 
 @dataclass(frozen=True)
@@ -267,19 +330,25 @@ _LINPROG_STATUS = {
 
 def linprog(c, a_ub, b_ub, a_eq, b_eq, ub, integer: bool = False):
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x ==
-    b_eq`` and ``0 <= x <= ub`` (``_model_arrays``'s tuple), every column
-    integer when ``integer``, with HiGHS called directly (module docstring).
+    b_eq`` and ``0 <= x <= ub`` (``_model_arrays``'s tuple, its matrices
+    ``Csc`` records), every column integer when ``integer``, with HiGHS
+    called directly (module docstring).
     Without scipy's private HiGHS binding it is ``scipy.optimize.linprog``
     with the same options, and returns that function's result."""
     n = len(c)
     if _core is None:
+        from scipy import sparse
+        from scipy.optimize import linprog as scipy_linprog
+
+        a_ub, a_eq = (
+            sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape) for a in (a_ub, a_eq)
+        )
         return scipy_linprog(
             c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
             bounds=np.column_stack([np.zeros(n), ub]), method="highs",
             integrality=np.ones(n) if integer else None, options={"mip_rel_gap": 0.0},
         )
-    b_ub = np.empty(0) if a_ub is None else b_ub
-    a = sparse.csc_array(a_eq if a_ub is None else sparse.vstack([a_ub, a_eq]))
+    a = _stack(a_ub, a_eq)
     lp = _core.HighsLp()
     lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
     lp.num_col_ = lp.a_matrix_.num_col_ = n

@@ -1,12 +1,16 @@
 """Every name a ``src/metagrid`` module imports is used in that module, so
-a deletion cannot leave a stale import behind; and every name the
-benchmark's tracer rebinds exists."""
+a deletion cannot leave a stale import behind; every name the benchmark's
+tracer rebinds exists; and importing the package loads scipy's HiGHS
+binding without ``scipy.optimize`` or ``scipy.sparse``."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,65 @@ def test_every_benchmark_entry_point_resolves(monkeypatch):
     assert tracing.ENTRY_POINTS
     for module, attr, span in tracing.ENTRY_POINTS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, span)
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports ``metagrid`` from
+    this tree; its asserts must hold."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", ["metagrid.cli", "metagrid.simulator"])
+def test_importing_metagrid_loads_the_highs_binding_alone(module):
+    """The binding is loaded from its file under its own name, and a later
+    import of it, or of ``scipy.optimize``, reuses that module."""
+    run_fresh(f"""
+        import sys
+        import {module}
+        from metagrid import relaxed
+        name = "scipy.optimize._highspy._core"
+        assert relaxed._core is sys.modules[name]
+        for loaded in ("scipy.optimize", "scipy.sparse"):
+            assert loaded not in sys.modules, loaded
+        from scipy.optimize._highspy import _core
+        assert _core is relaxed._core
+        import scipy.optimize
+        res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[3.0], method="highs")
+        assert res.status == 0 and res.x.tolist() == [3.0, 0.0], res
+    """)
+
+
+def test_a_binding_scipy_already_loaded_is_reused():
+    """No file is looked for: ``find_spec`` would fail the import."""
+    run_fresh("""
+        import importlib.util
+        from scipy.optimize._highspy import _core
+
+        def fail(name, *args, **kwargs):
+            raise AssertionError(f"looked for {name}")
+
+        importlib.util.find_spec = fail
+        from metagrid import relaxed
+        assert relaxed._core is _core
+    """)
+
+
+def test_a_failed_file_load_falls_back_to_the_regular_import():
+    run_fresh("""
+        import importlib.util
+        import sys
+
+        def fail(name, *args, **kwargs):
+            raise ImportError(name)
+
+        importlib.util.find_spec = fail
+        from metagrid import relaxed
+        assert "scipy.optimize" in sys.modules
+        assert relaxed._core is sys.modules["scipy.optimize._highspy._core"]
+        assert relaxed._core.HighsLp
+    """)

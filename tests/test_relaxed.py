@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.optimize
 from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
@@ -28,7 +29,7 @@ from metagrid.model import (
     validate,
 )
 import metagrid.relaxed as relaxed_module
-from metagrid.relaxed import _model_arrays, _spend_bound, build_relaxed, solve_relaxed
+from metagrid.relaxed import Csc, _model_arrays, _spend_bound, _stack, build_relaxed, solve_relaxed
 from metagrid import simulator
 from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
@@ -617,12 +618,17 @@ def binding_budget_models():
     return models
 
 
+def scipy_matrix(a):
+    """A ``Csc`` record as scipy's sparse array."""
+    return sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def scipy_solve(arrays, integer=False):
     """``scipy.optimize.linprog`` on ``_model_arrays``'s tuple, with the
     options ``relaxed.linprog`` gives HiGHS."""
     c, a_ub, b_ub, a_eq, b_eq, ub = arrays
     return scipy_linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        c, A_ub=scipy_matrix(a_ub), b_ub=b_ub, A_eq=scipy_matrix(a_eq), b_eq=b_eq,
         bounds=np.column_stack([np.zeros(len(c)), ub]), method="highs",
         integrality=np.ones(len(c)) if integer else None, options={"mip_rel_gap": 0.0},
     )
@@ -738,7 +744,72 @@ def test_the_direct_highs_call_returns_scipy_linprogs_x_bit_for_bit():
     assert fractional > 0  # the integer-program comparisons are not vacuous
 
 
+def scipy_stacked(model):
+    """The constraint matrix as scipy stacks it: the capacity and binding
+    budget rows and the demand rows of ``model.columns``, each a
+    ``csr_matrix`` from (row, column) triplets, under ``vstack`` as CSC."""
+    table = model.table
+    ji, ri = np.nonzero(model.columns)
+    n = len(ji)
+    k = np.arange(n)
+    w = table.weight[ji, ri]
+    used = np.unique(ri)
+    cap_row = np.searchsorted(used, ri)
+    weight, bound = np.zeros((2, len(model.jobs), len(used)))
+    weight[ji, cap_row], bound[ji, cap_row] = w, _model_arrays(model)[5]
+    binds = _spend_bound(weight, bound, table.pes) > table.limit
+    bud_row = len(used) + np.cumsum(binds) - 1
+    terms = (w > 0.0) & binds[ji]
+    a_ub = sparse.csr_matrix(
+        (np.concatenate([np.ones(n), w[terms]]),
+         (np.concatenate([cap_row, bud_row[ji[terms]]]), np.concatenate([k, k[terms]]))),
+        shape=(len(used) + binds.sum(), n),
+    )
+    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.jobs), n))
+    return sparse.csc_array(sparse.vstack([a_ub, a_eq]))
+
+
+def matrix_corpus():
+    """(where, model): ``tiny_instance`` 0-599, ``fuzz_instance`` 0-299,
+    the binding-budget models, and seeds 0-3 of the first batches of 25x50
+    tight and 50x50, 200x50 and 50x200 medium."""
+    for instance, count in ((tiny_instance, 600), (fuzz_instance, 300)):
+        for seed in range(count):
+            model = build_relaxed(*instance(seed))
+            if model.jobs:
+                yield f"{instance.__name__}({seed})", model
+    yield from binding_budget_models()
+    shapes = ((25, 50, "tight"), (50, 50, "medium"), (200, 50, "medium"), (50, 200, "medium"))
+    for resource_count, job_count, mode in shapes:
+        for seed in range(4):
+            model = build_relaxed(*first_batch(ScenarioConfig(
+                resource_count=resource_count, job_count=job_count,
+                deadline_mode=mode, rng_seed=seed,
+            )))
+            yield f"{resource_count}x{job_count} {mode} seed {seed}", model
+
+
+def test_the_numpy_matrix_equals_scipys_stacking():
+    """``_stack(a_ub, a_eq)``, the arrays HiGHS receives, equals scipy's
+    CSC of the same rows element for element and in dtype; and every
+    model with a job has a capacity row, its dummy column's."""
+    budget_rows = 0
+    for where, model in matrix_corpus():
+        _, a_ub, b_ub, a_eq, b_eq, _ = _model_arrays(model)
+        assert a_ub.shape[0] == len(b_ub) >= 1, where
+        assert a_eq.shape[0] == len(b_eq) == len(model.jobs), where
+        a, reference = _stack(a_ub, a_eq), scipy_stacked(model)
+        assert a.shape == reference.shape, where
+        for mine, theirs in zip(a[:3], (reference.indptr, reference.indices, reference.data)):
+            assert mine.dtype == theirs.dtype, where
+            assert mine.tobytes() == theirs.tobytes(), where
+        budget_rows += a_ub.shape[0] > len(np.unique(np.nonzero(model.columns)[1]))
+    assert budget_rows > 100  # the budget entries are covered
+
+
 def test_without_the_highs_binding_solve_relaxed_calls_scipy_linprog(monkeypatch):
+    """``linprog`` imports scipy's function where it calls it, so the patch
+    on ``scipy.optimize`` is the function it reaches."""
     direct = [build_and_solve(*tiny_instance(seed))[1] for seed in range(50)]
     calls = []
 
@@ -747,17 +818,18 @@ def test_without_the_highs_binding_solve_relaxed_calls_scipy_linprog(monkeypatch
         return scipy_linprog(*args, **kwargs)
 
     monkeypatch.setattr(relaxed_module, "_core", None)
-    monkeypatch.setattr(relaxed_module, "scipy_linprog", recording)
+    monkeypatch.setattr(scipy.optimize, "linprog", recording)
     assert [build_and_solve(*tiny_instance(seed))[1] for seed in range(50)] == direct
     assert calls
 
 
 @pytest.mark.parametrize("integer", [False, True])
 def test_an_infeasible_program_returns_a_failed_status_and_no_x(integer):
-    # one column bounded by 2 that must carry 5
+    # one column bounded by 2 that must carry 5, with room for 10
+    one = Csc(np.array([0, 1], dtype=np.int32), np.zeros(1, dtype=np.int32), np.ones(1), (1, 1))
     res = relaxed_module.linprog(
-        np.array([1.0]), None, None, sparse.csr_matrix(np.ones((1, 1))), np.array([5]),
-        np.array([2.0]), integer=integer,
+        np.array([1.0]), one, np.array([10.0]), one, np.array([5]), np.array([2.0]),
+        integer=integer,
     )
     assert res.status != 0
     assert res.message
