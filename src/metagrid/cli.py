@@ -96,62 +96,51 @@ class Sweep:
         self.ga = GaParams()
 
 
+def _read_section(parser: configparser.ConfigParser, name: str, casts: dict) -> dict:
+    """The ``[name]`` section's values, each through its key's cast; {} when
+    the section is absent."""
+    if not parser.has_section(name):
+        return {}
+    values = {}
+    for key, value in parser[name].items():
+        if key not in casts:
+            raise BadConfigError(f"unknown [{name}] key: {key}")
+        try:
+            values[key] = casts[key](value)
+        except ValueError as exc:
+            raise BadConfigError(f"bad [{name}] value for {key}: {value!r}") from exc
+    return values
+
+
 def _load_ini(path: Path, sweep: Sweep) -> None:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise BadConfigError(f"cannot read config file {path}")
-    known_sections = {"sweep", "ga"}
-    unknown = set(parser.sections()) - known_sections
+    unknown = set(parser.sections()) - {"sweep", "ga"}
     if unknown:
         raise BadConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
 
-    if parser.has_section("sweep"):
-        section = parser["sweep"]
-        handlers = {
-            "resource_counts": lambda v: setattr(
-                sweep, "resource_counts", _parse_int_list(v, "resource_counts")
-            ),
-            "deadline_modes": lambda v: setattr(
-                sweep, "deadline_modes", _parse_name_list(v)
-            ),
-            "schedulers": lambda v: setattr(
-                sweep, "schedulers", _parse_name_list(v)
-            ),
-            "seeds": lambda v: setattr(sweep, "seeds", _parse_int_list(v, "seeds")),
-            "job_count": lambda v: setattr(sweep, "job_count", int(v)),
-            "interval_s": lambda v: setattr(sweep, "interval_s", float(v)),
-        }
-        for key, value in section.items():
-            if key not in handlers:
-                raise BadConfigError(f"unknown [sweep] key: {key}")
-            try:
-                handlers[key](value)
-            except ValueError as exc:
-                raise BadConfigError(f"bad [sweep] value for {key}: {value!r}") from exc
-
-    if parser.has_section("ga"):
-        section = parser["ga"]
-        kwargs = {}
-        casts = {
-            "population_size": int,
-            "crossover_rate": float,
-            "mutation_rate": float,
-            "convergence_window": int,
-            "max_iterations": int,
-            "elitism": int,
-        }
-        for key, value in section.items():
-            if key not in casts:
-                raise BadConfigError(f"unknown [ga] key: {key}")
-            try:
-                kwargs[key] = casts[key](value)
-            except ValueError as exc:
-                raise BadConfigError(f"bad [ga] value for {key}: {value!r}") from exc
-        try:
-            sweep.ga = GaParams(**kwargs)
-        except ValueError as exc:
-            raise BadConfigError(str(exc)) from exc
+    for key, value in _read_section(parser, "sweep", {
+        "resource_counts": lambda v: _parse_int_list(v, "resource_counts"),
+        "deadline_modes": _parse_name_list,
+        "schedulers": _parse_name_list,
+        "seeds": lambda v: _parse_int_list(v, "seeds"),
+        "job_count": int,
+        "interval_s": float,
+    }).items():
+        setattr(sweep, key, value)
+    ga = _read_section(parser, "ga", {
+        "population_size": int,
+        "crossover_rate": float,
+        "mutation_rate": float,
+        "convergence_window": int,
+        "max_iterations": int,
+        "elitism": int,
+    })
+    try:
+        sweep.ga = GaParams(**ga)  # no [ga] section: the defaults
+    except ValueError as exc:
+        raise BadConfigError(str(exc)) from exc
 
 
 def _resolve_seeds(sweep: Sweep, cli_seeds: str | None) -> list[int]:

@@ -94,8 +94,8 @@ the binding alone.  It is registered under its own name before it runs,
 so a later ``import scipy.optimize`` reuses it (pybind11 refuses to
 register its types twice), and a module scipy has already loaded is
 taken as is.  ``_core`` is private to scipy: where the file load fails,
-the regular import is tried, and where that fails too, ``linprog`` calls
-``scipy.optimize.linprog`` with the same options.
+the regular import is tried, and where that fails too, importing this
+module raises ``ImportError`` naming the scipy release it needs.
 """
 
 from __future__ import annotations
@@ -283,26 +283,29 @@ def _stack(a_ub: Csc, a_eq: Csc) -> Csc:
 def _load_highs():
     """scipy's HiGHS binding, loaded from its file without importing
     ``scipy.optimize`` (module docstring): scipy's own module when it is
-    already loaded, the regular import when the file load fails, and None
-    when that fails too."""
+    already loaded, and the regular import when the file load fails."""
     name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
+    if name not in sys.modules:
+        try:
+            folders = importlib.util.find_spec("scipy").submodule_search_locations
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(folder, "optimize", "_highspy") for folder in folders]
+            )
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module  # before it runs, so scipy.optimize reuses it
+            spec.loader.exec_module(module)
+            return module
+        except (AttributeError, ImportError):  # no scipy or file (a None spec), or a failed load
+            sys.modules.pop(name, None)
+    elif sys.modules[name] is not None:  # None blocks the import: the regular one raises
         return sys.modules[name]
-    try:
-        folders = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(folder, "optimize", "_highspy") for folder in folders]
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # before it runs, so scipy.optimize reuses it
-        spec.loader.exec_module(module)
-        return module
-    except (AttributeError, ImportError):  # no scipy or no file (a None spec), or a failed load
-        sys.modules.pop(name, None)
-    try:  # private to scipy: an older release may not ship it, a newer may move it
+    try:  # private to scipy: an older release does not ship it, a newer may move it
         from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
+    except ImportError as exc:
+        raise ImportError(
+            "metagrid needs scipy>=1.15, whose HiGHS binding "
+            "scipy.optimize._highspy._core it calls"
+        ) from exc
     return _core
 
 
@@ -311,43 +314,21 @@ _core = _load_highs()
 
 @dataclass(frozen=True)
 class HighsResult:
-    """One HiGHS solve: ``x`` (None unless HiGHS reports an optimum), a
-    ``status`` in ``scipy.optimize.linprog``'s codes (0 iff optimal), HiGHS's
-    model status as ``message``, and the branch-and-cut node count (0 for
-    an LP)."""
+    """One HiGHS solve: ``x`` (None unless HiGHS reports an optimum),
+    HiGHS's model status as ``message``, and the branch-and-cut node count
+    (0 for an LP)."""
 
     x: np.ndarray | None
-    status: int
     message: str
     mip_node_count: int
-
-
-# scipy.optimize.linprog's codes for HiGHS's failures; any other is 4
-_LINPROG_STATUS = {
-    "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3,
-}
 
 
 def linprog(c, a_ub, b_ub, a_eq, b_eq, ub, integer: bool = False):
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x ==
     b_eq`` and ``0 <= x <= ub`` (``_model_arrays``'s tuple, its matrices
     ``Csc`` records), every column integer when ``integer``, with HiGHS
-    called directly (module docstring).
-    Without scipy's private HiGHS binding it is ``scipy.optimize.linprog``
-    with the same options, and returns that function's result."""
+    called directly (module docstring)."""
     n = len(c)
-    if _core is None:
-        from scipy import sparse
-        from scipy.optimize import linprog as scipy_linprog
-
-        a_ub, a_eq = (
-            sparse.csc_array((a.data, a.indices, a.indptr), shape=a.shape) for a in (a_ub, a_eq)
-        )
-        return scipy_linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=np.column_stack([np.zeros(n), ub]), method="highs",
-            integrality=np.ones(n) if integer else None, options={"mip_rel_gap": 0.0},
-        )
     a = _stack(a_ub, a_eq)
     lp = _core.HighsLp()
     lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
@@ -374,7 +355,6 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq, ub, integer: bool = False):
     optimal = status == _core.HighsModelStatus.kOptimal
     return HighsResult(
         x=np.array(highs.getSolution().col_value) if optimal else None,
-        status=0 if optimal else _LINPROG_STATUS.get(status.name, 4),
         message=highs.modelStatusToString(status),
         mip_node_count=highs.getInfo().mip_node_count if integer and optimal else 0,
     )
@@ -412,8 +392,8 @@ def solve_relaxed(model: RelaxedModel) -> np.ndarray:
     same re-check.  A fractional vertex is never rounded and taken:
     feasible is not optimal.  Deterministic for a fixed environment; ties
     between equal-cost optima resolve by the engine's fixed pivoting and
-    search order.  The dummy makes every model feasible, so any other
-    HiGHS status than success raises ``RuntimeError``.
+    search order.  The dummy makes every model feasible, so any HiGHS
+    model status other than optimal raises ``RuntimeError``.
     """
     placed = np.zeros(model.columns.shape, dtype=int)
     ji, ri = np.nonzero(model.columns)
@@ -425,8 +405,8 @@ def solve_relaxed(model: RelaxedModel) -> np.ndarray:
     arrays = _model_arrays(model)
     for integer in (False, True):  # the LP, then the integer program
         res = linprog(*arrays, integer=integer)
-        if res.status != 0:
-            raise RuntimeError(f"HiGHS solve failed with status {res.status}: {res.message}")
+        if res.x is None:
+            raise RuntimeError(f"HiGHS solve failed with model status {res.message}")
         x = np.rint(res.x)
         if not integer and np.abs(res.x - x).max() > 1e-9:
             continue  # never round a fractional vertex: solve the integer program

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 from .ga import GaParams, hga, lpga
 from .greedy import greedy_schedule
 from .mmc import modified_min_cost
-from .model import JobRequest, ResourceInfo, Schedule, build_schedule, exec_time, pair_table
+from .model import JobRequest, ResourceInfo, build_schedule, exec_time, pair_table
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
@@ -117,20 +117,6 @@ def list_schedulers() -> list[str]:
     return sorted(SCHEDULERS)
 
 
-def rollover(
-    queue: Sequence[JobRequest], schedule: Schedule, now_s: float = 0.0
-) -> list[JobRequest]:
-    """Jobs from ``queue`` that must carry over to the next period: those
-    the schedule parked on the dummy, or did not mention at all."""
-    placed_ids = set(schedule.assignments.job_ids()) - set(schedule.dummy_jobs)
-    carried = [j for j in queue if j.job_id not in placed_ids]
-    if carried:
-        logger.debug(
-            "t=%.3fs: %d job(s) carried to the next period", now_s, len(carried)
-        )
-    return carried
-
-
 def run_scenario(
     config: ScenarioConfig,
     scheduler: str,
@@ -209,7 +195,6 @@ def run_scenario(
                 still.append(job)
         pending = still
 
-        carried_count = 0
         if pending:
             snapshot = [
                 r if r.free_pes == free[r.resource_id]
@@ -226,15 +211,17 @@ def run_scenario(
             sched_time += _time.perf_counter() - t0
             ga_iterations += iters
 
-            carried = rollover(pending, schedule, now / 1000.0)
-            carried_ids = {j.job_id for j in carried}
-            placed = [j for j in pending if j.job_id not in carried_ids]
-            pending = carried
-            carried_count = len(carried)
-
+            # pending is in id order: place what the schedule placed, carry
+            # what it parked or left out
             by_job = schedule.assignments.by_job()
-            for job in sorted(placed, key=lambda j: j.job_id):
+            unknown = by_job.keys() - {j.job_id for j in pending}
+            assert not unknown, f"schedule mentions unknown jobs: {unknown}"
+            carried: list[JobRequest] = []
+            for job in pending:
                 jid = job.job_id
+                if jid not in by_job or jid in schedule.dummy_jobs:
+                    carried.append(job)
+                    continue
                 fragments = sorted(by_job[jid].items())
                 fragments_left[jid] = len(fragments)
                 for rid, pes in fragments:
@@ -250,11 +237,12 @@ def run_scenario(
                     heapq.heappush(running, (end, seq, rid, jid, pes))
                     total_cost += res.cost_per_pe_second * pes * exec_s
                     emit(SimEvent(now, "schedule", jid, rid, detail=f"pes={pes}"))
-            leftover = (
-                set(by_job) - {j.job_id for j in placed} - set(schedule.dummy_jobs)
-            )
-            assert not leftover, f"schedule mentions unknown jobs: {leftover}"
-        rollovers.append(carried_count)
+            if carried:
+                logger.debug(
+                    "t=%.3fs: %d job(s) carried to the next period", now / 1000.0, len(carried)
+                )
+            pending = carried
+        rollovers.append(len(pending))
         period += 1
 
     sweep_completions(None)

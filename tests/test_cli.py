@@ -118,6 +118,8 @@ def test_verbose_run_streams_events(tmp_path):
         ("[sweep]\nresource_counts = abc\n", "bad"),
         ("[sweep]\ndeadline_modes = loose\n", "loose"),
         ("[ga]\npopulation_size = 1\n", "population_size"),
+        ("[ga]\ncolour = red\n", "unknown"),
+        ("[ga]\npopulation_size = abc\n", "bad"),
         ("[sweep]\ninterval_s = nan\n", "interval_s"),
         ("[sweep]\nschedulers =\n", "empty schedulers list"),
         ("[sweep]\nseeds = ,\n", "empty seeds list"),

@@ -124,3 +124,27 @@ def test_a_failed_file_load_falls_back_to_the_regular_import():
         assert relaxed._core is sys.modules["scipy.optimize._highspy._core"]
         assert relaxed._core.HighsLp
     """)
+
+
+@pytest.mark.parametrize("block", [
+    # neither the file nor the regular import finds the binding
+    "importlib.util.find_spec = fail; sys.modules['scipy.optimize'] = None",
+    # the binding's own import is blocked
+    "sys.modules['scipy.optimize._highspy._core'] = None",
+], ids=["no-file-no-import", "blocked"])
+def test_without_the_binding_importing_relaxed_names_the_scipy_floor(block):
+    run_fresh(f"""
+        import importlib.util
+        import sys
+
+        def fail(name, *args, **kwargs):
+            raise ImportError(name)
+
+        {block}
+        try:
+            import metagrid.relaxed
+        except ImportError as exc:
+            assert "scipy>=1.15" in str(exc), exc
+        else:
+            raise AssertionError("imported without the HiGHS binding")
+    """)

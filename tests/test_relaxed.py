@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-import scipy.optimize
 from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
@@ -729,7 +728,6 @@ def direct_call_corpus():
         yield where, model, True
 
 
-@pytest.mark.skipif(relaxed_module._core is None, reason="scipy without its HiGHS binding")
 def test_the_direct_highs_call_returns_scipy_linprogs_x_bit_for_bit():
     """Same model, same options: HiGHS returns the same ``x`` whichever way
     it is called.  Fails loudly on a scipy whose binding or defaults move."""
@@ -738,7 +736,7 @@ def test_the_direct_highs_call_returns_scipy_linprogs_x_bit_for_bit():
         arrays = _model_arrays(model)
         direct = relaxed_module.linprog(*arrays, integer=integer)
         reference = scipy_solve(arrays, integer)
-        assert (direct.status, reference.status) == (0, 0), where
+        assert direct.x is not None and reference.status == 0, where
         assert direct.x.tobytes() == reference.x.tobytes(), (where, integer)
         fractional += not integer and np.abs(direct.x - np.rint(direct.x)).max() > 1e-9
     assert fractional > 0  # the integer-program comparisons are not vacuous
@@ -807,22 +805,6 @@ def test_the_numpy_matrix_equals_scipys_stacking():
     assert budget_rows > 100  # the budget entries are covered
 
 
-def test_without_the_highs_binding_solve_relaxed_calls_scipy_linprog(monkeypatch):
-    """``linprog`` imports scipy's function where it calls it, so the patch
-    on ``scipy.optimize`` is the function it reaches."""
-    direct = [build_and_solve(*tiny_instance(seed))[1] for seed in range(50)]
-    calls = []
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs["integrality"])
-        return scipy_linprog(*args, **kwargs)
-
-    monkeypatch.setattr(relaxed_module, "_core", None)
-    monkeypatch.setattr(scipy.optimize, "linprog", recording)
-    assert [build_and_solve(*tiny_instance(seed))[1] for seed in range(50)] == direct
-    assert calls
-
-
 @pytest.mark.parametrize("integer", [False, True])
 def test_an_infeasible_program_returns_a_failed_status_and_no_x(integer):
     # one column bounded by 2 that must carry 5, with room for 10
@@ -831,17 +813,16 @@ def test_an_infeasible_program_returns_a_failed_status_and_no_x(integer):
         np.array([1.0]), one, np.array([10.0]), one, np.array([5]), np.array([2.0]),
         integer=integer,
     )
-    assert res.status != 0
-    assert res.message
     assert res.x is None
+    assert res.message == "Infeasible"
 
 
 def test_a_failed_highs_solve_raises_naming_the_status(s1_jobs, s1_resources, monkeypatch):
     monkeypatch.setattr(
         relaxed_module, "linprog",
-        lambda *args, **kwargs: relaxed_module.HighsResult(None, 2, "Infeasible", 0),
+        lambda *args, **kwargs: relaxed_module.HighsResult(None, "Infeasible", 0),
     )
-    with pytest.raises(RuntimeError, match="status 2: Infeasible"):
+    with pytest.raises(RuntimeError, match="model status Infeasible"):
         solve_relaxed(build_relaxed(s1_jobs, s1_resources))
 
 

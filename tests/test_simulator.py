@@ -12,7 +12,9 @@ from conftest import assert_same_record, fuzz_instance
 from metagrid import model
 from metagrid.ga import GaParams
 from metagrid.greedy import greedy_schedule
-from metagrid.model import JobRequest, ResourceInfo, pair_table
+from metagrid.model import (
+    DUMMY_ID, AllocationMatrix, JobRequest, ResourceInfo, Schedule, pair_table,
+)
 from metagrid.simulator import (
     GA_PERIOD_SEED_STRIDE,
     SCHEDULERS,
@@ -21,7 +23,6 @@ from metagrid.simulator import (
     UnknownSchedulerError,
     jsonl_sink,
     list_schedulers,
-    rollover,
     run_scenario,
 )
 from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
@@ -281,13 +282,45 @@ def test_replayed_jobs_are_not_revalidated(monkeypatch, scheduler):
 # -------------------------------------------------------------- helpers
 
 
-def test_rollover_unit(s1_jobs, s1_resources):
-    placed_all = greedy_schedule(pair_table(s1_jobs, s1_resources))
-    assert rollover(s1_jobs, placed_all) == []
+def test_a_job_the_schedule_leaves_out_rolls_over(s1_jobs, s1_resources, monkeypatch):
+    """A queued job the schedule does not mention is carried, counted as a
+    rollover, and presented again in the next period, where it runs."""
+    queues = []
 
-    only_a = greedy_schedule(pair_table(s1_jobs[:1], s1_resources))
-    carried = rollover(s1_jobs, only_a)
-    assert [j.job_id for j in carried] == ["B"]
+    def first_job_only(jobs, resources, params, seed):
+        queues.append([j.job_id for j in jobs])
+        return greedy_schedule(pair_table(jobs[:1], resources)), 0
+
+    monkeypatch.setitem(SCHEDULERS, "greedy", first_job_only)
+    events: list[SimEvent] = []
+    metrics = run_scenario(
+        ScenarioConfig(resource_count=1, interval_s=5.0), "greedy",
+        event_sink=events.append, grid=s1_resources, jobs=s1_jobs,
+    )
+    assert queues == [["A", "B"], ["B"]]
+    assert metrics.rollovers_per_period == (1, 0)
+    assert [(e.time_ms, e.job_id) for e in events if e.kind == "schedule"] == [
+        (0, "A"), (5_000, "B"),
+    ]
+    assert metrics.jobs_completed == 2
+
+
+@pytest.mark.parametrize(
+    "entry, parked",
+    [(("R1", "Z"), frozenset()), ((DUMMY_ID, "Z"), frozenset({"Z"}))],
+    ids=["placed", "parked"],
+)
+def test_a_schedule_naming_a_job_outside_the_queue_fails(
+    s1_jobs, s1_resources, monkeypatch, entry, parked
+):
+    def names_z(jobs, resources, params, seed):
+        return Schedule(AllocationMatrix({entry: 1}), parked), 0
+
+    monkeypatch.setitem(SCHEDULERS, "greedy", names_z)
+    with pytest.raises(AssertionError, match="schedule mentions unknown jobs"):
+        run_scenario(
+            ScenarioConfig(resource_count=1), "greedy", grid=s1_resources, jobs=s1_jobs
+        )
 
 
 def test_jsonl_sink_emits_one_parseable_object_per_event(s1_jobs, s1_resources):
