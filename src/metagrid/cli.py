@@ -117,6 +117,8 @@ def _load_ini(path: Path, sweep: Sweep) -> None:
     if not parser.read(path):
         raise BadConfigError(f"cannot read config file {path}")
     unknown = set(parser.sections()) - {"sweep", "ga"}
+    if parser.defaults():  # configparser would copy its keys into every section
+        unknown.add(parser.default_section)
     if unknown:
         raise BadConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
 

@@ -372,16 +372,6 @@ def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> tuple[int,
     return tuple(row)
 
 
-def _empty_result() -> GaResult:
-    return GaResult(
-        best=(),
-        iterations_used=0,
-        best_fitness_trace=(0.0,),
-        converged=True,
-        seed_fitness=0.0,
-    )
-
-
 def _breed(
     population: np.ndarray,
     fits: np.ndarray,
@@ -432,8 +422,10 @@ def run_ga(
     """
     if len(seed_rows) > params.population_size:
         raise ValueError("more seed rows than population slots")
-    if not table.jobs:
-        return _empty_result()
+    if not table.jobs:  # FitnessTables cannot score zero genes
+        return GaResult(
+            best=(), iterations_used=0, best_fitness_trace=(0.0,), converged=True, seed_fitness=0.0
+        )
     size, n_genes, n_choices = params.population_size, len(table.jobs), len(table.resources)
     if any(len(row) != n_genes for row in seed_rows):
         raise ValueError(f"a seed row needs one gene for each of the {n_genes} jobs")
@@ -517,10 +509,8 @@ def lpga(
     the order of ``jobs`` or ``resources``: each works over id-sorted
     tables and ranks by cost or priority itself.
     """
-    if not jobs:
-        return Schedule.empty(), _empty_result()
     model = build_relaxed(jobs, resources)
-    seed_schedule = modified_min_cost(model, solve_relaxed(model))
+    seed_schedule = modified_min_cost(model.table, solve_relaxed(model))
     return _refine("lpga", seed_schedule, model.table, params)
 
 
@@ -530,7 +520,5 @@ def hga(
     params: GaParams = GaParams(),
 ) -> tuple[Schedule, GaResult]:
     """Greedy-seeded meta-scheduler: identical GA, cheaper seed."""
-    if not jobs:
-        return Schedule.empty(), _empty_result()
     table = pair_table(jobs, resources)
     return _refine("hga", greedy_schedule(table), table, params)

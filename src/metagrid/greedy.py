@@ -16,8 +16,6 @@ from .model import PairTable, Schedule, build_schedule, qos_index, whole_jobs
 
 def greedy_schedule(table: PairTable) -> Schedule:
     """Lowest-rate feasible resource first, one whole job at a time."""
-    if not table.jobs:
-        return Schedule.empty()
     jobs = table.jobs
     real = np.flatnonzero(~table.dummy)
     # columns run in id order, so a stable sort ranks by (rate, id)

@@ -2,10 +2,11 @@
 placements.
 
 The relaxation may scatter a job's PEs over several providers; SGN jobs
-need all PEs on one resource.  ``modified_min_cost`` fixes that in the
-minimum-cost-method spirit, in three phases over the relaxation's own
-``PairTable``, starting from the relaxation's answer, ``solve_relaxed``'s
-array of PE counts over that table:
+need all PEs on one resource.  ``modified_min_cost(table, alloc)`` fixes
+that in the minimum-cost-method spirit, in three phases over the
+relaxation's own ``PairTable`` (``RelaxedModel.table``, all it reads of
+the relaxation), starting from the relaxation's answer ``alloc``,
+``solve_relaxed``'s array of PE counts over that table:
 
 * freeze: jobs already on a single provider stay there, consuming
   capacity (a job whose one provider is the dummy is parked);
@@ -20,7 +21,7 @@ array of PE counts over that table:
   deadline and budget, or else parked;
 * rescue: parked jobs, in priority order (``qos_index`` descending), go
   whole onto the cheapest real resource with room that meets their
-  deadline and budget; the rest stay parked on the model's dummy.
+  deadline and budget; the rest stay parked on the table's dummy.
 
 "Cheaper" always means the money the whole placement costs (the table's
 ``cost``: rate x PEs x execution time), not the bare rate: a faster
@@ -40,7 +41,6 @@ from math import inf
 import numpy as np
 
 from .model import PairTable, Schedule, build_schedule, qos_index, whole_jobs
-from .relaxed import RelaxedModel
 
 
 @dataclass
@@ -60,12 +60,12 @@ def cost_order(table: PairTable) -> np.ndarray:
 
 
 def modified_min_cost(
-    model: RelaxedModel,
+    table: PairTable,
     alloc: np.ndarray,
     stats: MmcStats | None = None,
 ) -> Schedule:
     """Turn the relaxation's answer ``alloc``, ``solve_relaxed``'s jobs x
-    resources array of PE counts over ``model.table``, into a
+    resources array of PE counts over the relaxation's ``table``, into a
     whole-job-per-resource schedule.
 
     Never raises for unplaceable jobs: the dummy absorbs them and the
@@ -74,8 +74,7 @@ def modified_min_cost(
     just hints that guide provider choice and eviction.
     """
     stats = stats if stats is not None else MmcStats()
-    table = model.table
-    jobs, resources = model.jobs, model.resources
+    jobs, resources = table.jobs, table.resources
     parking = table.parking
     order = cost_order(table)
     available = {k: r.free_pes for k, r in enumerate(resources) if k != parking}

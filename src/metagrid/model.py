@@ -178,10 +178,6 @@ class AllocationMatrix:
         cleaned = {k: int(v) for k, v in self.entries.items() if int(v) != 0}
         object.__setattr__(self, "entries", cleaned)
 
-    @classmethod
-    def empty(cls) -> AllocationMatrix:
-        return cls({})
-
     def pes(self, resource_id: str, job_id: str) -> int:
         return self.entries.get((resource_id, job_id), 0)
 
@@ -237,10 +233,6 @@ class Schedule:
     dummy_jobs: frozenset[str] = field(default_factory=frozenset)
     total_cost_gd: float = 0.0
 
-    @classmethod
-    def empty(cls) -> Schedule:
-        return cls(AllocationMatrix.empty(), frozenset(), 0.0)
-
 
 def exec_time(job: JobRequest, resource: ResourceInfo) -> float:
     """Seconds the job occupies the resource: largest task MI / PE speed."""
@@ -280,9 +272,9 @@ def budget_charge(
 class PairTable:
     """The whole-job rule for every job x resource pair of one batch.
 
-    Rows are the jobs, columns the resources, each sorted by id; a batch
-    with jobs always has one dummy column, ``parking``, and ``dummy_id`` is
-    its resource's id (both None only for an empty batch).  ``rate``
+    Rows are the jobs, columns the resources, each sorted by id; every
+    batch, an empty one too, has one dummy column, ``parking``, and
+    ``dummy_id`` is its resource's id.  ``rate``
     is each resource's ``cost_per_pe_second``, ``exec_s`` ``exec_time``,
     ``coeff`` the cost of one PE (``pair_charge`` for one PE), ``cost``
     that of all the job's PEs, ``on_time`` ``meets_deadline``, and
@@ -297,8 +289,8 @@ class PairTable:
 
     jobs: tuple[JobRequest, ...]
     resources: tuple[ResourceInfo, ...]
-    dummy_id: str | None
-    parking: int | None
+    dummy_id: str
+    parking: int
     pes: np.ndarray
     limit: np.ndarray
     free: np.ndarray
@@ -315,12 +307,11 @@ class PairTable:
 
 def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> PairTable:
     """Evaluate the whole-job rule over the batch, with each scalar
-    operation in the order the helpers above perform it.  A batch with
-    jobs gets ``ensure_dummy``'s dummy when ``resources`` holds none; one
-    dummy, whatever its id, is taken as is.  Two dummies, or two jobs or
-    two resources with one id, are a ``ValueError``."""
-    if jobs:
-        resources, _ = ensure_dummy(jobs, resources)
+    operation in the order the helpers above perform it.  Every batch, an
+    empty one too, gets ``ensure_dummy``'s dummy when ``resources`` holds
+    none; one dummy, whatever its id, is taken as is.  Two dummies, or two
+    jobs or two resources with one id, are a ``ValueError``."""
+    resources, _ = ensure_dummy(jobs, resources)
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     resources = tuple(sorted(resources, key=lambda r: r.resource_id))
     _index(jobs, "job_id")
@@ -335,8 +326,7 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     dummy = np.array([r.is_dummy for r in resources], dtype=bool)
     if dummy.sum() > 1:
         raise ValueError("a resource list holds at most one dummy resource")
-    parking = int(dummy.argmax()) if dummy.any() else None
-    dummy_id = None if parking is None else resources[parking].resource_id
+    parking = int(dummy.argmax())
 
     exec_s = longest[:, None] / speed
     coeff = rate * exec_s
@@ -345,8 +335,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     breaches = (~on_time).astype(int) + (cost > limit[:, None])
     weight = np.where(dummy, 0.0, coeff)
     return PairTable(
-        jobs, resources, dummy_id, parking, pes, limit, free, rate, exec_s, coeff, cost,
-        weight, on_time, breaches, dummy | (breaches == 0), dummy,
+        jobs, resources, resources[parking].resource_id, parking, pes, limit, free, rate,
+        exec_s, coeff, cost, weight, on_time, breaches, dummy | (breaches == 0), dummy,
     )
 
 

@@ -120,9 +120,8 @@ from .model import (
 
 @dataclass(frozen=True, eq=False)
 class RelaxedModel:
-    """The built relaxation: job x resource arrays over ``table``, whose
-    jobs and resources it repeats, with the id of its dummy (None only for
-    an empty batch).
+    """The built relaxation: job x resource arrays over the batch's
+    ``table``, which holds its jobs, resources and dummy.
 
     ``admissible`` marks the pairs the model keeps and ``columns`` the
     subset the solver sees (module docstring); both are walked row-major,
@@ -133,9 +132,6 @@ class RelaxedModel:
     ``table.limit``.
     """
 
-    jobs: tuple[JobRequest, ...]
-    resources: tuple[ResourceInfo, ...]
-    dummy_id: str | None
     table: PairTable
     objective: np.ndarray
     admissible: np.ndarray
@@ -146,8 +142,8 @@ class RelaxedModel:
         """Every admissible (resource id, job id) pair, job-major; built on
         each call."""
         ji, ri = np.nonzero(self.admissible)
-        rids = [r.resource_id for r in self.resources]
-        jids = [j.job_id for j in self.jobs]
+        rids = [r.resource_id for r in self.table.resources]
+        jids = [j.job_id for j in self.table.jobs]
         return tuple(zip(map(rids.__getitem__, ri.tolist()), map(jids.__getitem__, ji.tolist())))
 
 
@@ -155,9 +151,9 @@ def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
     """Assemble the relaxation for one batch.
 
     Keeps a (resource, job) pair iff the job finishes within its deadline
-    there and a single PE is affordable; dummy pairs are always kept.  A
-    batch with jobs gets a dummy from ``pair_table``, so the model is
-    feasible whatever the grid; its pairs carry the parking surcharge that
+    there and a single PE is affordable; dummy pairs are always kept.  The
+    batch gets a dummy from ``pair_table``, so the model is feasible
+    whatever the grid; its pairs carry the parking surcharge that
     makes parking a last resort (module docstring).
     """
     table = pair_table(jobs, resources)
@@ -194,9 +190,7 @@ def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
         np.put_along_axis(prefix, order, before < grid, axis=0)
         columns &= prefix
     columns |= dummy
-    return RelaxedModel(
-        table.jobs, table.resources, table.dummy_id, table, objective, admissible, columns
-    )
+    return RelaxedModel(table, objective, admissible, columns)
 
 
 def _spend_bound(weight, ub, pes) -> np.ndarray:
@@ -234,7 +228,7 @@ def _model_arrays(model: RelaxedModel):
     w = model.table.weight[ji, ri]
     free = model.table.free.astype(float)
     pes, limit = model.table.pes, model.table.limit
-    budget = np.array([j.budget_gd for j in model.jobs], dtype=float)
+    budget = np.array([j.budget_gd for j in model.table.jobs], dtype=float)
     ones = np.ones(n)
 
     # largest PE count a single pair could ever carry: no feasible solution
@@ -245,13 +239,13 @@ def _model_arrays(model: RelaxedModel):
     ub = np.maximum(ub, 0.0)
 
     # demand rows: one per job, sum of its pairs == pe_count
-    a_eq = Csc(np.arange(n + 1, dtype=np.int32), ji.astype(np.int32), ones, (len(model.jobs), n))
+    a_eq = Csc(np.arange(n + 1, dtype=np.int32), ji.astype(np.int32), ones, (len(pes), n))
 
     # inequality rows: capacity per used resource (every job's dummy column
     # uses one), then each budget row that can bind given the bounds
     used = np.unique(ri)
     cap_row = np.searchsorted(used, ri)
-    weight, bound = np.zeros((2, len(model.jobs), len(used)))  # over the used resources
+    weight, bound = np.zeros((2, len(pes), len(used)))  # over the used resources
     weight[ji, cap_row], bound[ji, cap_row] = w, ub
     binds = _spend_bound(weight, bound, pes) > limit
     bud_row = len(used) + np.cumsum(binds) - 1
@@ -397,7 +391,7 @@ def solve_relaxed(model: RelaxedModel) -> np.ndarray:
     """
     placed = np.zeros(model.columns.shape, dtype=int)
     ji, ri = np.nonzero(model.columns)
-    if len(ji) == len(model.jobs):  # each job's one column is its dummy pair
+    if len(ji) == len(model.table.jobs):  # each job's one column is its dummy pair
         x = model.table.pes.astype(int)
         if _check_integer_solution(model, ji, ri, x):
             placed[ji, ri] = x

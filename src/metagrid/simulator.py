@@ -86,7 +86,7 @@ def _run_greedy(jobs, resources, params, seed):
 
 def _run_mmc(jobs, resources, params, seed):
     model = build_relaxed(jobs, resources)
-    return modified_min_cost(model, solve_relaxed(model)), 0
+    return modified_min_cost(model.table, solve_relaxed(model)), 0
 
 
 def _run_relaxed_mgn(jobs, resources, params, seed):

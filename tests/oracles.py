@@ -123,7 +123,7 @@ def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo])
     first, one whole job at a time, each pair checked by
     ``placement_feasible``."""
     if not jobs:
-        return Schedule.empty()
+        return Schedule(AllocationMatrix({}))
     pool, dummy_id = ensure_dummy(jobs, resources)
     real = [r for r in pool if not r.is_dummy]
     available = {r.resource_id: r.free_pes for r in real}
@@ -226,11 +226,11 @@ def job_side_columns(model: RelaxedModel) -> np.ndarray:
     docstring), walked one job at a time: the columns before the
     resource-side prefix cuts any."""
     table = model.table
-    demand = sum(job.pe_count for job in model.jobs)
+    demand = sum(job.pe_count for job in model.table.jobs)
     columns = np.zeros_like(model.columns)
-    for j in range(len(model.jobs)):
+    for j in range(len(model.table.jobs)):
         ranked = sorted(
-            (table.coeff[j, r], r) for r in range(len(model.resources))
+            (table.coeff[j, r], r) for r in range(len(model.table.resources))
             if model.admissible[j, r] and not table.dummy[r]
         )
         covered = 0
@@ -326,14 +326,14 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
     these holds for every feasible completion, so the cuts never change
     the answer; the bounds carry a 1e-9 relative slack against rounding.
     """
-    total_pes = sum(j.pe_count for j in model.jobs)
-    if total_pes > 20 or len(model.resources) > 4:
+    total_pes = sum(j.pe_count for j in model.table.jobs)
+    if total_pes > 20 or len(model.table.resources) > 4:
         raise TooLargeError(
             f"brute force limited to 20 total PEs / 4 resources, "
-            f"got {total_pes} PEs / {len(model.resources)} resources"
+            f"got {total_pes} PEs / {len(model.table.resources)} resources"
         )
     view = views(model)
-    jobs = model.jobs  # sorted by id
+    jobs = model.table.jobs  # sorted by id
     limit = dict(zip((j.job_id for j in jobs), model.table.limit.tolist()))
 
     # admissible resources, cheapest per-PE coefficient, and the least
@@ -379,7 +379,7 @@ def brute_force_relaxed(model: RelaxedModel) -> AllocationMatrix:
 
     best_obj = float("inf")
     best: dict[tuple[str, str], int] | None = None
-    capacity = {r.resource_id: r.free_pes for r in model.resources}
+    capacity = {r.resource_id: r.free_pes for r in model.table.resources}
     current: dict[tuple[str, str], int] = {}
 
     def fill_cost(demand: int, order: list[tuple[float, str]]) -> float:

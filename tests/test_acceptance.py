@@ -69,7 +69,7 @@ def sweep_corpus():
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
             greedy_s = greedy_schedule(pair_table(jobs, grid))
             model = build_relaxed(jobs, grid)
-            mmc_s = modified_min_cost(model, solve_relaxed(model))
+            mmc_s = modified_min_cost(model.table, solve_relaxed(model))
             lp_s, lp_r = lpga(jobs, grid, params)
             hg_s, hg_r = hga(jobs, grid, params)
             cells[(count, seed)] = {
@@ -117,11 +117,11 @@ def test_acceptance_1_oracle_equivalence():
         whole_opt = brute_force_sgn(jobs, resources)
         if whole_opt is None:
             continue
-        mmc_s = modified_min_cost(model, pe_array(alloc, model.table))
+        mmc_s = modified_min_cost(model.table, pe_array(alloc, model.table))
         greedy_s = greedy_schedule(pair_table(jobs, resources))
         if mmc_s.dummy_jobs or greedy_s.dummy_jobs:
             continue
-        if any(rid == model.dummy_id for rid, _ in alloc.entries):
+        if any(rid == model.table.dummy_id for rid, _ in alloc.entries):
             continue
         lower = relaxed_objective(model, alloc)
         opt_cost = schedule_cost(whole_opt, jobs, resources)
@@ -176,7 +176,7 @@ def test_acceptance_2_feasibility_fuzz():
         model, alloc = _solve_batch(jobs, resources)
         outputs = {
             "greedy": (greedy_schedule(pair_table(jobs, resources)).assignments, JobKind.SGN),
-            "mmc": (modified_min_cost(model, pe_array(alloc, model.table)).assignments,
+            "mmc": (modified_min_cost(model.table, pe_array(alloc, model.table)).assignments,
                     JobKind.SGN),
             "relaxed-mgn": (alloc, JobKind.MGN),
             "lpga": (lpga(jobs, resources, params)[0].assignments, JobKind.SGN),
@@ -383,7 +383,7 @@ def test_acceptance_8_consolidation_work_bound():
             )
             stats = MmcStats()
             model = build_relaxed(jobs, resources)
-            modified_min_cost(model, pe_array(alloc, model.table), stats=stats)
+            modified_min_cost(model.table, pe_array(alloc, model.table), stats=stats)
             assert stats.steps > 0
             steps[(m, n)] = stats.steps
 

@@ -114,6 +114,8 @@ def test_verbose_run_streams_events(tmp_path):
     "ini_text, complaint",
     [
         ("[extra]\nx = 1\n", "unknown config sections"),
+        ("[DEFAULT]\nseeds = 7\n[ga]\npopulation_size = 4\n", "unknown config sections: DEFAULT"),
+        ("[DEFAULT]\nseeds = 7\n", "unknown config sections: DEFAULT"),
         ("[sweep]\ncolour = red\n", "unknown"),
         ("[sweep]\nresource_counts = abc\n", "bad"),
         ("[sweep]\ndeadline_modes = loose\n", "loose"),

@@ -1,7 +1,8 @@
-"""Every name a ``src/metagrid`` module imports is used in that module, so
-a deletion cannot leave a stale import behind; every name the benchmark's
-tracer rebinds exists; and importing the package loads scipy's HiGHS
-binding without ``scipy.optimize`` or ``scipy.sparse``."""
+"""Every name a ``src/metagrid`` module or a test module imports is used
+in that module, so a deletion cannot leave a stale import behind; every
+name the benchmark's tracer rebinds exists; and importing the package
+loads scipy's HiGHS binding without ``scipy.optimize`` or
+``scipy.sparse``."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "metagrid"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "metagrid"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,7 +47,9 @@ def test_the_checker_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: Mapping"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

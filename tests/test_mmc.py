@@ -24,13 +24,13 @@ from oracles import allocation, brute_force_sgn, pe_array, placement_cost, relax
 def consolidate(jobs, resources, stats=None):
     """Full pipeline: relaxed solve then consolidation."""
     model = build_relaxed(jobs, resources)
-    return modified_min_cost(model, solve_relaxed(model), stats=stats)
+    return modified_min_cost(model.table, solve_relaxed(model), stats=stats)
 
 
 def consolidate_split(jobs, resources, entries, stats=None):
     """Consolidation of a hand-made relaxed split, (resource, job) -> PEs."""
     model = build_relaxed(jobs, resources)
-    return modified_min_cost(model, pe_array(AllocationMatrix(entries), model.table), stats)
+    return modified_min_cost(model.table, pe_array(AllocationMatrix(entries), model.table), stats)
 
 
 def test_s1_single_provider_jobs_are_frozen(s1_jobs, s1_resources):
@@ -224,10 +224,10 @@ def test_a_second_dummy_is_rejected_before_the_relaxation():
         build_relaxed([hopeless, job], resources)
     # one dummy, whatever its id, is the model's dummy
     model = build_relaxed([hopeless, job], resources[:2])
-    assert model.dummy_id == "P1"
+    assert model.table.dummy_id == "P1"
     stats = MmcStats()
     alloc = AllocationMatrix({("P1", "H"): 1, ("P1", "J"): 1})
-    schedule = modified_min_cost(model, pe_array(alloc, model.table), stats)
+    schedule = modified_min_cost(model.table, pe_array(alloc, model.table), stats)
     # both park, the rescue places J, and H stays on the dummy
     assert schedule.assignments.entries == {("P1", "H"): 1, ("R1", "J"): 1}
     assert stats.parked == 2
@@ -306,13 +306,13 @@ def test_sandwich_between_relaxed_and_feasible():
         model = build_relaxed(jobs, resources)
         placed = solve_relaxed(model)
         alloc = allocation(placed, model.table)
-        schedule = modified_min_cost(model, placed)
+        schedule = modified_min_cost(model.table, placed)
         sgn = brute_force_sgn(jobs, resources)
         if not schedule.dummy_jobs:
             lower = relaxed_objective(model, alloc)
             # the relaxed objective includes dummy deterrent terms; compare
             # only when the relaxation also used real resources throughout
-            if all(rid != model.dummy_id for (rid, _), _p in alloc.items()):
+            if all(rid != model.table.dummy_id for (rid, _), _p in alloc.items()):
                 assert lower <= schedule.total_cost_gd + 1e-9, f"seed {seed}"
                 compared += 1
         elif sgn is not None:
@@ -329,12 +329,12 @@ def test_freeze_correctness_single_provider_jobs_stay_put():
         model = build_relaxed(jobs, resources)
         placed = solve_relaxed(model)
         alloc = allocation(placed, model.table)
-        schedule = modified_min_cost(model, placed)
+        schedule = modified_min_cost(model.table, placed)
         for job_id, providers in alloc.by_job().items():
             if len(providers) != 1:
                 continue
             (rid,) = providers
-            if rid != model.dummy_id:
+            if rid != model.table.dummy_id:
                 assert (
                     schedule.assignments.pes(rid, job_id) > 0
                     and job_id not in schedule.dummy_jobs

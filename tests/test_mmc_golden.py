@@ -42,7 +42,7 @@ GOLDEN_SHA256 = {
 
 
 def _mmc(model, alloc, stats):
-    return mmc.modified_min_cost(model, alloc, stats)
+    return mmc.modified_min_cost(model.table, alloc, stats)
 
 
 def _generated(shape):

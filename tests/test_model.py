@@ -73,7 +73,7 @@ def test_exec_time_max_task_dominates():
 
 
 def test_schedule_cost_empty_allocation_is_zero(s1_jobs, s1_resources):
-    assert schedule_cost(AllocationMatrix.empty(), s1_jobs, s1_resources) == 0.0
+    assert schedule_cost(AllocationMatrix({}), s1_jobs, s1_resources) == 0.0
 
 
 def test_schedule_cost_single_entry():
@@ -303,7 +303,7 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
         placed = solve_relaxed(model)
         split += bool(((placed > 0).sum(axis=1) > 1).any())
         checked("relaxed")(model.table, placed)
-        mmc.modified_min_cost(model, placed)
+        mmc.modified_min_cost(model.table, placed)
         table = pair_table(jobs, resources)
         row = ga.chromosome_from_schedule(greedy.greedy_schedule(table), table)
         ga.decode_schedule(row, table)

@@ -58,8 +58,9 @@ def test_build_s1_feasible_pairs(s1_jobs, s1_resources):
     model = build_relaxed(s1_jobs, s1_resources)
     view = views(model)
     # the dummy is always there, one pair per job
+    dummy = model.table.dummy_id
     assert view.feasible_pairs == {
-        ("R1", "A"), ("R2", "A"), ("R2", "B"), (model.dummy_id, "A"), (model.dummy_id, "B"),
+        ("R1", "A"), ("R2", "A"), ("R2", "B"), (dummy, "A"), (dummy, "B"),
     }
     assert view.cost_coeff[("R1", "A")] == 10.0
     assert view.cost_coeff[("R2", "A")] == 15.0
@@ -76,16 +77,16 @@ def test_build_adds_dummy_when_demand_overflows(s1_resources):
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]  # 15 PEs demanded, 8 real
     model = build_relaxed(greedy_jobs, s1_resources)
-    assert model.dummy_id is not None
-    dummy_pairs = {p for p in model.pair_order if p[0] == model.dummy_id}
+    assert model.table.dummy_id is not None
+    dummy_pairs = {p for p in model.pair_order if p[0] == model.table.dummy_id}
     assert len(dummy_pairs) == 3  # always admissible
 
 
 def test_build_adds_dummy_for_unplaceable_job(s1_resources):
     impossible = JobRequest("U", "X", 1e6, 1.0, (9000.0,), 1)  # no machine fast enough
     model = build_relaxed([impossible], s1_resources)
-    assert model.dummy_id is not None
-    assert all(p[0] == model.dummy_id for p in model.pair_order)
+    assert model.table.dummy_id is not None
+    assert all(p[0] == model.table.dummy_id for p in model.pair_order)
 
 
 def test_build_rejects_a_real_resource_using_the_dummy_id():
@@ -155,7 +156,7 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources, high
     assert len(arrays) == 6
     c, a_ub, b_ub, a_eq, b_eq, ub = arrays
     assert len(c) == len(ub) == a_eq.shape[1] == model.columns.sum()
-    assert a_eq.shape[0] == len(b_eq) == len(model.jobs)
+    assert a_eq.shape[0] == len(b_eq) == len(model.table.jobs)
     assert a_ub.shape[0] == len(b_ub)
     # solve_relaxed reaches HiGHS only through the module global, once per
     # solve: s1 takes one LP
@@ -200,16 +201,16 @@ def test_solve_zero_jobs_is_empty():
 def test_solve_returns_a_nonnegative_int_array_over_the_table():
     """PE counts as a jobs x resources int array over ``model.table``, zero
     off the solver's columns and summing to each job's PE count; an empty
-    batch gets a (0, m) array."""
+    batch gets a (0, m + 1) array, its dummy's column included."""
     empty = [([], [ResourceInfo("R", 4, 1.0, 100.0)]), ([], [])]
     for jobs, resources in [tiny_instance(seed) for seed in range(50)] + empty:
         model = build_relaxed(jobs, resources)
         placed = solve_relaxed(model)
         assert placed.dtype.kind == "i"
-        assert placed.shape == model.table.cost.shape == (len(jobs), len(model.resources))
+        assert placed.shape == model.table.cost.shape == (len(jobs), len(model.table.resources))
         assert (placed >= 0).all() and not placed[~model.columns].any()
-        assert placed.sum(axis=1).tolist() == [j.pe_count for j in model.jobs]
-    assert [solve_relaxed(build_relaxed(*batch)).shape for batch in empty] == [(0, 1), (0, 0)]
+        assert placed.sum(axis=1).tolist() == [j.pe_count for j in model.table.jobs]
+    assert [solve_relaxed(build_relaxed(*batch)).shape for batch in empty] == [(0, 2), (0, 1)]
 
 
 @pytest.fixture
@@ -234,9 +235,9 @@ def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
     ]
     model = build_relaxed(jobs, s1_resources)
     alloc = allocation(solve_relaxed(model), model.table)
-    assert validate(alloc, jobs, model.resources, JobKind.MGN) == []
+    assert validate(alloc, jobs, model.table.resources, JobKind.MGN) == []
     parked_pes = sum(
-        pes for (rid, _), pes in alloc.items() if rid == model.dummy_id
+        pes for (rid, _), pes in alloc.items() if rid == model.table.dummy_id
     )
     assert parked_pes == 15 - 8  # everything beyond the real grid
 
@@ -268,9 +269,9 @@ def test_a_model_without_a_real_column_parks_every_job_without_highs(
 
     monkeypatch.setattr(relaxed_module, "linprog", no_highs)
     alloc = allocation(solve_relaxed(model), model.table)
-    assert dict(alloc.entries) == {(model.dummy_id, j.job_id): j.pe_count for j in jobs}
+    assert dict(alloc.entries) == {(model.table.dummy_id, j.job_id): j.pe_count for j in jobs}
     assert alloc == brute_force_relaxed(model)
-    assert validate(alloc, jobs, model.resources, JobKind.MGN) == []
+    assert validate(alloc, jobs, model.table.resources, JobKind.MGN) == []
 
 
 # --- solver columns ---------------------------------------------------------
@@ -292,7 +293,7 @@ def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
         ResourceInfo("R4", 9, 1.0, 50.0),  # coeff 20, after R3 on the id
     ]
     model = build_relaxed(jobs, resources)
-    dummy = model.dummy_id
+    dummy = model.table.dummy_id
     assert len(model.pair_order) == 10  # 8 real pairs, one dummy pair per job
     assert views(model).lp_columns == (
         (dummy, "A"), ("R2", "A"), ("R3", "A"), (dummy, "B"), ("R2", "B"), ("R3", "B"),
@@ -304,8 +305,8 @@ def test_columns_keep_the_dummy_pair(s1_resources):
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]
     model = build_relaxed(jobs, s1_resources)
-    assert {p for p in views(model).lp_columns if p[0] == model.dummy_id} == {
-        (model.dummy_id, j.job_id) for j in jobs
+    assert {p for p in views(model).lp_columns if p[0] == model.table.dummy_id} == {
+        (model.table.dummy_id, j.job_id) for j in jobs
     }
 
 
@@ -314,7 +315,7 @@ def test_columns_skip_a_resource_without_a_free_pe():
     resources = [ResourceInfo("R1", 0, 1.0, 100.0), ResourceInfo("R2", 4, 2.0, 100.0)]
     model = build_relaxed(jobs, resources)
     assert ("R1", "A") in model.pair_order  # admissible, but its bound is 0
-    assert views(model).lp_columns == ((model.dummy_id, "A"), ("R2", "A"))
+    assert views(model).lp_columns == ((model.table.dummy_id, "A"), ("R2", "A"))
 
 
 def solve_both(model):
@@ -414,13 +415,13 @@ def test_parking_is_a_last_resort_on_wide_speed_spreads(instance):
     for (rid, jid), pes in alloc.items():
         load[rid] += pes
         spent[jid] += view.budget_weight.get((rid, jid), 0.0) * pes
-    free = {r.resource_id: r.free_pes - load[r.resource_id] for r in model.resources}
-    for job in model.jobs:
-        if not alloc.pes(model.dummy_id, job.job_id):
+    free = {r.resource_id: r.free_pes - load[r.resource_id] for r in model.table.resources}
+    for job in model.table.jobs:
+        if not alloc.pes(model.table.dummy_id, job.job_id):
             continue
         limit = budget_limit(job.budget_gd)
         for rid, jid in view.feasible_pairs:
-            if jid != job.job_id or rid == model.dummy_id or free[rid] <= 0:
+            if jid != job.job_id or rid == model.table.dummy_id or free[rid] <= 0:
                 continue
             assert spent[jid] + view.budget_weight[(rid, jid)] > limit, (
                 f"{jid} parks a PE while {rid} has {free[rid]} free and affordable"
@@ -475,10 +476,10 @@ def job_splits(model, j):
     job holds in any feasible allocation of the batch."""
     cols = np.flatnonzero(model.columns[j])
     table = model.table
-    ranges = [range(min(table.free[r], model.jobs[j].pe_count) + 1) for r in cols]
+    ranges = [range(min(table.free[r], model.table.jobs[j].pe_count) + 1) for r in cols]
     for x in itertools.product(*ranges):
         spend = sum(table.weight[j, r] * pes for r, pes in zip(cols, x))
-        if sum(x) == model.jobs[j].pe_count and spend <= table.limit[j]:
+        if sum(x) == model.table.jobs[j].pe_count and spend <= table.limit[j]:
             yield spend
 
 
@@ -502,9 +503,9 @@ def test_the_spend_bound_covers_every_feasible_split(instance):
     jobs, resources = instance
     model = build_relaxed(jobs, resources)
     bound, _ = spend_bounds(model)
-    for j in range(len(model.jobs)):
+    for j in range(len(model.table.jobs)):
         for spend in job_splits(model, j):
-            assert spend <= bound[j] * (1 + 1e-12), model.jobs[j].job_id
+            assert spend <= bound[j] * (1 + 1e-12), model.table.jobs[j].job_id
 
 
 @pytest.mark.parametrize("seed", [66, 111, 113, 190, 198])
@@ -532,7 +533,7 @@ def test_a_slow_free_machine_beats_parking():
     resources = [ResourceInfo("R1", 4, 1.0, 100.0), ResourceInfo("R2", 1, 1.0, 2000.0)]
     jobs = [JobRequest("U", jid, 1e6, 1e6, (10000.0,), 1) for jid in ("A", "B")]
     model, alloc = build_and_solve(jobs, resources)
-    assert model.dummy_id not in {rid for rid, _ in alloc.entries}
+    assert model.table.dummy_id not in {rid for rid, _ in alloc.entries}
     assert relaxed_objective(model, alloc) == 105.0
 
 
@@ -550,7 +551,7 @@ def test_no_job_parks_to_save_money_for_another():
 
 
 def parked_count(model, alloc):
-    return sum(pes for (rid, _), pes in alloc.items() if rid == model.dummy_id)
+    return sum(pes for (rid, _), pes in alloc.items() if rid == model.table.dummy_id)
 
 
 @st.composite
@@ -592,8 +593,8 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
     job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
     model = build_relaxed([job], [res])
     alloc = allocation(solve_relaxed(model), model.table)
-    assert validate(alloc, [job], model.resources, JobKind.MGN) == []
-    assert dict(alloc.entries) == {("R1", "A"): 1, (model.dummy_id, "A"): 1}
+    assert validate(alloc, [job], model.table.resources, JobKind.MGN) == []
+    assert dict(alloc.entries) == {("R1", "A"): 1, (model.table.dummy_id, "A"): 1}
     assert brute_force_relaxed(model) == alloc
 
 
@@ -640,7 +641,7 @@ def forced_milp(model):
     assert res.status == 0, res.message
     ji, ri = np.nonzero(model.columns)
     return AllocationMatrix({
-        (model.resources[r].resource_id, model.jobs[j].job_id): int(x)
+        (model.table.resources[r].resource_id, model.table.jobs[j].job_id): int(x)
         for j, r, x in zip(ji, ri, np.rint(res.x))
     })
 
@@ -714,7 +715,7 @@ def direct_call_corpus():
     for instance, count in ((tiny_instance, 200), (fuzz_instance, 300)):
         for seed in range(count):
             model = build_relaxed(*instance(seed))
-            if model.jobs:
+            if model.table.jobs:
                 yield f"{instance.__name__}({seed})", model, False
     for resource_count, job_count in ((200, 50), (50, 200)):
         for seed in range(3):
@@ -753,7 +754,7 @@ def scipy_stacked(model):
     w = table.weight[ji, ri]
     used = np.unique(ri)
     cap_row = np.searchsorted(used, ri)
-    weight, bound = np.zeros((2, len(model.jobs), len(used)))
+    weight, bound = np.zeros((2, len(model.table.jobs), len(used)))
     weight[ji, cap_row], bound[ji, cap_row] = w, _model_arrays(model)[5]
     binds = _spend_bound(weight, bound, table.pes) > table.limit
     bud_row = len(used) + np.cumsum(binds) - 1
@@ -763,7 +764,7 @@ def scipy_stacked(model):
          (np.concatenate([cap_row, bud_row[ji[terms]]]), np.concatenate([k, k[terms]]))),
         shape=(len(used) + binds.sum(), n),
     )
-    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.jobs), n))
+    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.table.jobs), n))
     return sparse.csc_array(sparse.vstack([a_ub, a_eq]))
 
 
@@ -774,7 +775,7 @@ def matrix_corpus():
     for instance, count in ((tiny_instance, 600), (fuzz_instance, 300)):
         for seed in range(count):
             model = build_relaxed(*instance(seed))
-            if model.jobs:
+            if model.table.jobs:
                 yield f"{instance.__name__}({seed})", model
     yield from binding_budget_models()
     shapes = ((25, 50, "tight"), (50, 50, "medium"), (200, 50, "medium"), (50, 200, "medium"))
@@ -795,7 +796,7 @@ def test_the_numpy_matrix_equals_scipys_stacking():
     for where, model in matrix_corpus():
         _, a_ub, b_ub, a_eq, b_eq, _ = _model_arrays(model)
         assert a_ub.shape[0] == len(b_ub) >= 1, where
-        assert a_eq.shape[0] == len(b_eq) == len(model.jobs), where
+        assert a_eq.shape[0] == len(b_eq) == len(model.table.jobs), where
         a, reference = _stack(a_ub, a_eq), scipy_stacked(model)
         assert a.shape == reference.shape, where
         for mine, theirs in zip(a[:3], (reference.indptr, reference.indices, reference.data)):
@@ -855,7 +856,7 @@ def test_oracle_equivalence_over_random_instances():
         assert relaxed_objective(model, alloc) == pytest.approx(
             relaxed_objective(model, reference), abs=1e-9
         ), f"instance seed {seed}"
-        assert validate(alloc, jobs, model.resources, JobKind.MGN) == []
+        assert validate(alloc, jobs, model.table.resources, JobKind.MGN) == []
         checked += 1
     assert checked == 120
 
@@ -868,7 +869,7 @@ def test_relaxed_is_lower_bound_for_whole_job_schedules():
         if sgn is None:
             continue
         # compare on instances the relaxation also served fully for real
-        if any(rid == model.dummy_id for (rid, _), _pes in alloc.items()):
+        if any(rid == model.table.dummy_id for (rid, _), _pes in alloc.items()):
             continue
         relaxed_cost = relaxed_objective(model, alloc)
         sgn_cost = schedule_cost(sgn, jobs, resources)
@@ -886,7 +887,7 @@ def test_adding_a_resource_never_hurts():
         bigger_model, bigger = build_and_solve(jobs, resources + [extra])
 
         def parked(m, a):
-            return any(rid == m.dummy_id for rid, _ in a.entries)
+            return any(rid == m.table.dummy_id for rid, _ in a.entries)
 
         if parked(model, alloc) or parked(bigger_model, bigger):
             continue

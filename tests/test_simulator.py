@@ -205,6 +205,21 @@ def test_each_adapter_builds_one_pair_table_per_call(monkeypatch, scheduler):
         assert len(calls) == 1, f"seed {seed}"
 
 
+def test_every_adapter_answers_an_empty_batch_alike():
+    """An empty batch's table has its dummy column, and every adapter
+    answers the batch with no entry, no parked job, zero cost and no GA
+    iteration: one schedule, whatever the scheduler."""
+    grid = generate_grid(ScenarioConfig(resource_count=5))
+    table = pair_table([], grid)
+    assert table.resources[table.parking].is_dummy and table.dummy_id == DUMMY_ID
+    answers = {name: adapter([], grid, GaParams(), 0) for name, adapter in SCHEDULERS.items()}
+    for name, (schedule, iterations) in answers.items():
+        assert isinstance(schedule, Schedule), name
+        assert schedule.assignments.entries == {} and schedule.dummy_jobs == frozenset(), name
+        assert schedule.total_cost_gd == 0 and iterations == 0, name
+    assert len({repr(schedule) for schedule, _ in answers.values()}) == 1, answers
+
+
 # ----------------------------------------------------- presented batches
 
 # 4 resources x 30 medium jobs: 15 periods and 290 rollovers under greedy.
