@@ -226,11 +226,11 @@ def job_side_columns(model: RelaxedModel) -> np.ndarray:
     docstring), walked one job at a time: the columns before the
     resource-side prefix cuts any."""
     table = model.table
-    demand = sum(job.pe_count for job in model.table.jobs)
+    demand = sum(job.pe_count for job in table.jobs)
     columns = np.zeros_like(model.columns)
-    for j in range(len(model.table.jobs)):
+    for j in range(len(table.jobs)):
         ranked = sorted(
-            (table.coeff[j, r], r) for r in range(len(model.table.resources))
+            (table.coeff[j, r], r) for r in range(len(table.resources))
             if model.admissible[j, r] and not table.dummy[r]
         )
         covered = 0

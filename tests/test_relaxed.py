@@ -476,10 +476,10 @@ def job_splits(model, j):
     job holds in any feasible allocation of the batch."""
     cols = np.flatnonzero(model.columns[j])
     table = model.table
-    ranges = [range(min(table.free[r], model.table.jobs[j].pe_count) + 1) for r in cols]
+    ranges = [range(min(table.free[r], table.jobs[j].pe_count) + 1) for r in cols]
     for x in itertools.product(*ranges):
         spend = sum(table.weight[j, r] * pes for r, pes in zip(cols, x))
-        if sum(x) == model.table.jobs[j].pe_count and spend <= table.limit[j]:
+        if sum(x) == table.jobs[j].pe_count and spend <= table.limit[j]:
             yield spend
 
 
@@ -754,7 +754,7 @@ def scipy_stacked(model):
     w = table.weight[ji, ri]
     used = np.unique(ri)
     cap_row = np.searchsorted(used, ri)
-    weight, bound = np.zeros((2, len(model.table.jobs), len(used)))
+    weight, bound = np.zeros((2, len(table.jobs), len(used)))
     weight[ji, cap_row], bound[ji, cap_row] = w, _model_arrays(model)[5]
     binds = _spend_bound(weight, bound, table.pes) > table.limit
     bud_row = len(used) + np.cumsum(binds) - 1
@@ -764,7 +764,7 @@ def scipy_stacked(model):
          (np.concatenate([cap_row, bud_row[ji[terms]]]), np.concatenate([k, k[terms]]))),
         shape=(len(used) + binds.sum(), n),
     )
-    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(model.table.jobs), n))
+    a_eq = sparse.csr_matrix((np.ones(n), (ji, k)), shape=(len(table.jobs), n))
     return sparse.csc_array(sparse.vstack([a_ub, a_eq]))
 
 
