@@ -109,9 +109,8 @@ class FitnessTables:
         self.capacity = np.where(table.dummy, inf, table.free)
         # flat views, indexed by job row offset plus gene
         self._cost = np.where(table.dummy, 0.0, table.cost).ravel()
-        breaches = np.where(table.dummy, 1, table.breaches)
-        self._breaches = breaches.ravel()
-        self._least_breaches = int(breaches.min(axis=1).sum())
+        self._breaches = np.where(table.dummy, 1, table.breaches).ravel()
+        self._unfit = int((~table.fits[:, real].any(axis=1)).sum())
         self._job_rows = self._columns * np.arange(len(table.jobs))
         self._layout_rows = -1
 
@@ -140,9 +139,12 @@ class FitnessTables:
         return base + self.weight * (breaches + overload)
 
     def floor(self) -> float:
-        """Lowest fitness ``score`` can return: the penalty for each job's
-        fewest breaches over its pairs, as ``score`` computes it."""
-        return self.weight * float(self._least_breaches)
+        """A fitness no row scores below: one penalty unit for each job
+        that fits whole on no real resource (``PairTable.fits``).  Such a
+        job scores a breach on the dummy or on a pair with a breach; m of
+        them on one resource where they breach nothing each need more PEs
+        than it has free, so they overload it by at least m PEs."""
+        return self.weight * float(self._unfit)
 
 
 def roulette_wheel(
@@ -410,15 +412,16 @@ def run_ga(
     ``convergence_window`` consecutive evaluations or the iteration budget
     is spent.  Fully deterministic given (inputs, params).
 
-    Every fitness is ``base + W * (breaches + overload)`` with ``base`` and
-    ``overload`` at least 0, so none is below ``W`` times each job's fewest
-    breaches over its pairs (``FitnessTables.floor``).  Rounding is
-    monotone, so no computed fitness is below that product either.  When
-    the best seed scores exactly the floor, no generation beats it by the
-    loop's 1e-12, and the run returns what the loop would (that seed, a
-    flat trace, ``min(max_iterations, 1 + convergence_window)``
-    iterations) without drawing a population: this happens on a batch
-    where no job has a breach-free real pair and the seed parks them all.
+    Every fitness is ``base + W * (breaches + overload)`` with ``base`` at
+    least 0 and ``breaches + overload`` at least the number of jobs that
+    fit whole on no real resource, so none is below ``W`` times that
+    number (``FitnessTables.floor``).  Rounding is monotone, so no
+    computed fitness is below that product either.  When the best seed
+    scores exactly the floor, no generation beats it by the loop's 1e-12,
+    and the run returns what the loop would (that seed, a flat trace,
+    ``min(max_iterations, 1 + convergence_window)`` iterations) without
+    drawing a population: this happens on a batch where no job fits whole
+    on a real resource and the seed parks them all.
     """
     if len(seed_rows) > params.population_size:
         raise ValueError("more seed rows than population slots")
@@ -496,6 +499,25 @@ def _refine(
     return schedule, result
 
 
+def relax_and_consolidate(
+    jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]
+) -> tuple[PairTable, Schedule]:
+    """The batch's relaxation consolidated by ``modified_min_cost``: its
+    table and schedule, the mmc scheduler and ``lpga``'s seed.  MMC leaves
+    no job where it does not fit whole (``PairTable.fits``): freeze keeps
+    feasible providers the relaxation found room on, and the other phases
+    look for room.  So where no job fits on a real resource, the
+    relaxation is not solved, and MMC gets the all-parked allocation,
+    which it consolidates as it would the relaxation's answer."""
+    model = build_relaxed(jobs, resources)
+    table = model.table
+    if table.fits[:, ~table.dummy].any():
+        placed = solve_relaxed(model)
+    else:
+        placed = whole_jobs(table, [table.parking] * len(table.jobs))
+    return table, modified_min_cost(table, placed)
+
+
 def lpga(
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
@@ -509,9 +531,8 @@ def lpga(
     the order of ``jobs`` or ``resources``: each works over id-sorted
     tables and ranks by cost or priority itself.
     """
-    model = build_relaxed(jobs, resources)
-    seed_schedule = modified_min_cost(model.table, solve_relaxed(model))
-    return _refine("lpga", seed_schedule, model.table, params)
+    table, seed_schedule = relax_and_consolidate(jobs, resources)
+    return _refine("lpga", seed_schedule, table, params)
 
 
 def hga(

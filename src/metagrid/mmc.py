@@ -8,8 +8,11 @@ relaxation's own ``PairTable`` (``RelaxedModel.table``, all it reads of
 the relaxation), starting from the relaxation's answer ``alloc``,
 ``solve_relaxed``'s array of PE counts over that table:
 
-* freeze: jobs already on a single provider stay there, consuming
-  capacity (a job whose one provider is the dummy is parked);
+* freeze: jobs already on a single provider the table marks
+  ``feasible`` stay there, consuming capacity (a job whose one provider
+  is the dummy is parked); the relaxation's budget re-check, (rate x
+  runtime) x PEs, can pass a whole job that the table's (rate x PEs) x
+  runtime rejects by one ulp, and such a job is consolidated like the rest;
 * consolidate with interchange: each multi-provider job, fewest providers
   first, is re-placed whole on one of *its own* relaxed providers, tried
   in order of how many PEs the relaxation put there (most first; ties
@@ -100,7 +103,7 @@ def modified_min_cost(
 
     # freeze
     for j, share in shares.items():
-        if len(share) == 1:
+        if len(share) == 1 and table.feasible[j, share[0][0]]:
             stats.steps += 1
             settle(j, share[0][0])
 

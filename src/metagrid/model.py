@@ -281,7 +281,9 @@ class PairTable:
     ``breaches`` counts the deadline and budget breaches (0-2) of the
     whole job.  ``feasible`` marks the whole-job placements a scheduler may
     make, capacity aside: every dummy pair and each real pair without a
-    breach.  ``weight`` is what one PE counts against the budget:
+    breach.  ``fits`` marks the feasible pairs with room for the whole job
+    now, as many free PEs as it has PEs; a dummy pair always fits.
+    ``weight`` is what one PE counts against the budget:
     ``coeff``, and 0.0 on a dummy, which is budget-exempt.  ``pes`` holds
     each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
     resource's free PEs.  A dummy column follows the same formulas.
@@ -302,6 +304,7 @@ class PairTable:
     on_time: np.ndarray
     breaches: np.ndarray
     feasible: np.ndarray
+    fits: np.ndarray
     dummy: np.ndarray
 
 
@@ -334,9 +337,11 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     on_time = exec_s <= (deadline + EPSILON)[:, None]
     breaches = (~on_time).astype(int) + (cost > limit[:, None])
     weight = np.where(dummy, 0.0, coeff)
+    feasible = dummy | (breaches == 0)
+    fits = dummy | (feasible & (pes[:, None] <= free))
     return PairTable(
         jobs, resources, resources[parking].resource_id, parking, pes, limit, free, rate,
-        exec_s, coeff, cost, weight, on_time, breaches, dummy | (breaches == 0), dummy,
+        exec_s, coeff, cost, weight, on_time, breaches, feasible, fits, dummy,
     )
 
 

@@ -26,9 +26,8 @@ import time as _time
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 
-from .ga import GaParams, hga, lpga
+from .ga import GaParams, hga, lpga, relax_and_consolidate
 from .greedy import greedy_schedule
-from .mmc import modified_min_cost
 from .model import JobRequest, ResourceInfo, build_schedule, exec_time, pair_table
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
@@ -85,8 +84,7 @@ def _run_greedy(jobs, resources, params, seed):
 
 
 def _run_mmc(jobs, resources, params, seed):
-    model = build_relaxed(jobs, resources)
-    return modified_min_cost(model.table, solve_relaxed(model)), 0
+    return relax_and_consolidate(jobs, resources)[1], 0
 
 
 def _run_relaxed_mgn(jobs, resources, params, seed):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections.abc import Mapping
 
@@ -208,9 +209,10 @@ def scored_batches(draw):
     """A batch, a pool with its dummy, and gene rows over the pool.  Every
     batch gets an all-parked row and, for each real resource, a row that
     puts every job there, so dummy genes and overloads always occur; the
-    remaining rows are drawn freely."""
+    remaining rows are drawn freely.  A resource has 0-8 free PEs and a
+    job 1-6 PEs, so many jobs have no room on some resource."""
     resources = [
-        ResourceInfo(f"R{i + 1}", draw(st.integers(1, 8)), draw(st.floats(0.5, 9.0)),
+        ResourceInfo(f"R{i + 1}", draw(st.integers(0, 8)), draw(st.floats(0.5, 9.0)),
                      draw(st.floats(100.0, 900.0)))
         for i in range(draw(st.integers(1, 4)))
     ]
@@ -242,13 +244,16 @@ def test_batch_scores_equal_the_dict_walk_bit_for_bit(batch):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(batch=scored_batches())
 def test_no_score_is_below_the_floor(batch):
-    """The floor is the penalty for each job's fewest breaches, a parked
-    job counting one, and every row scores at least that much."""
+    """The floor is the penalty for each job that has no real resource
+    without a breach and with a free PE for each of its PEs, and every row
+    scores at least that much."""
     jobs, pool, rows = batch
     tables = FitnessTables(pair_table(jobs, pool))
     real = [r for r in pool if not r.is_dummy]
-    fewest = sum(min([1] + [breach_count(j, r) for r in real]) for j in jobs)
-    assert tables.floor() == tables.weight * fewest
+    unfit = sum(
+        min([1] + [breach_count(j, r) + (j.pe_count > r.free_pes) for r in real]) for j in jobs
+    )
+    assert tables.floor() == tables.weight * unfit
     assert (tables.score(np.array(rows)) >= tables.floor()).all()
 
 
@@ -718,6 +723,18 @@ def hopeless_instance(seed: int) -> tuple[list[JobRequest], list[ResourceInfo]]:
     ], resources
 
 
+def cramped_instance(seed: int) -> tuple[list[JobRequest], list[ResourceInfo]]:
+    """``tiny_instance`` with every deadline and budget ample, so no pair
+    breaches, and each resource's free PEs cut below every job's PE count,
+    so no job fits whole on a real resource."""
+    jobs, resources = tiny_instance(seed)
+    rng = random.Random(seed)
+    room = min(j.pe_count for j in jobs) - 1
+    return [
+        dataclasses.replace(j, deadline_s=1e9, budget_gd=1e12) for j in jobs
+    ], [r.with_free_pes(rng.randint(0, room)) for r in resources]
+
+
 def full_loop(monkeypatch, seeds, jobs, resources, params):
     """``run_ga``'s answer with the floor check off, so the loop runs."""
     with monkeypatch.context() as patch:
@@ -750,13 +767,18 @@ def on_first(jobs, resources):
 def test_a_seed_on_the_fitness_floor_returns_the_loops_answer_without_breeding(
     monkeypatch, max_iterations, elitism, seed_count
 ):
-    for seed in range(10):
-        jobs, resources = hopeless_instance(seed)
+    """On batches where no job fits whole on a real resource, by deadline
+    (``hopeless_instance``) or by free PEs (``cramped_instance``), a seed
+    that parks every job scores the floor, and ``run_ga`` returns the
+    loop's answer without breeding a generation."""
+    for instance, seed in itertools.product((hopeless_instance, cramped_instance), range(10)):
+        jobs, resources = instance(seed)
         params = GaParams(
             population_size=10, convergence_window=25, max_iterations=max_iterations,
             elitism=elitism, rng_seed=seed,
         )
-        # with two seeds, a breaching real placement comes before the floor
+        # with two seeds, a real placement that breaches or overloads comes
+        # before the floor
         seeds = [on_first(jobs, resources), parked(jobs, resources)][-seed_count:]
         expected = full_loop(monkeypatch, seeds, jobs, resources, params)
         with monkeypatch.context() as patch:

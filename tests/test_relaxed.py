@@ -102,10 +102,12 @@ def test_pair_table_matches_the_per_pair_rule():
     """Reference loop: every field of the batch's pair table, and each
     pair's admissibility and objective coefficient in the relaxation,
     computed one pair at a time by the scalar helpers of ``model``; the
-    floats must be identical.  A dummy column follows the same formulas,
-    except that its budget weight is 0.0 and it is always feasible and
-    admissible.  Its coefficient also carries the parking surcharge: every
-    job's PEs at its dearest admissible coefficient."""
+    floats must be identical.  A pair fits when it is feasible and the
+    resource has a free PE for each of the job's PEs.  A dummy column
+    follows the same formulas, except that its budget weight is 0.0 and it
+    always is feasible, fits and is admissible.  Its coefficient also
+    carries the parking surcharge: every job's PEs at its dearest
+    admissible coefficient."""
     for seed in range(100):
         jobs, resources = fuzz_instance(seed)
         model = build_relaxed(jobs, resources)
@@ -126,6 +128,10 @@ def test_pair_table_matches_the_per_pair_rule():
                 assert table.on_time[j, r] == meets_deadline(job, res), where
                 assert table.breaches[j, r] == breach_count(job, res), where
                 assert table.feasible[j, r] == placement_feasible(job, res), where
+                fits = res.is_dummy or (
+                    placement_feasible(job, res) and job.pe_count <= res.free_pes
+                )
+                assert table.fits[j, r] == fits, where
                 assert table.dummy[r] == res.is_dummy, where
                 admissible = res.is_dummy or (
                     meets_deadline(job, res) and weight <= budget_limit(job.budget_gd)

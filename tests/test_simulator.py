@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import assert_same_record, fuzz_instance
-from metagrid import model
+from conftest import assert_same_record, fuzz_instance, same_schedule, tiny_instance
+from metagrid import ga, model, relaxed
 from metagrid.ga import GaParams
 from metagrid.greedy import greedy_schedule
+from metagrid.mmc import modified_min_cost
 from metagrid.model import (
-    DUMMY_ID, AllocationMatrix, JobRequest, ResourceInfo, Schedule, pair_table,
+    DUMMY_ID, AllocationMatrix, JobKind, JobRequest, ResourceInfo, Schedule, ensure_dummy,
+    pair_table, validate,
 )
+from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import (
     GA_PERIOD_SEED_STRIDE,
     SCHEDULERS,
@@ -363,3 +368,114 @@ def test_metrics_shape():
     assert isinstance(m, ScenarioMetrics)
     assert m.tasks_submitted == 5
     assert m.ga_iterations == 0  # greedy never touches the GA
+
+
+# ------------------------------------------- batches in which no job fits
+
+
+def test_a_whole_job_one_ulp_over_budget_is_parked():
+    """J1's 6 PEs on R1 cost 415.8767347995672 against a limit of
+    415.87673479956715, as the table and ``validate`` compute it, (rate x
+    PEs) x runtime; the relaxation's re-check, (rate x runtime) x PEs,
+    finds it one ulp cheaper and places J1 on R1.  MMC's freeze reads the
+    table, so every whole-job scheduler parks J1."""
+    job = JobRequest("U1", "J1", 415.87673479856716, 1e9, (7806.581888501443,) * 6, 6)
+    grid = [ResourceInfo("R1", 6, 4.950654670401068, 557.5838394249836)]
+    relaxation = build_relaxed([job], grid)
+    assert relaxation.table.dummy.tolist() == [True, False]  # columns DUMMY, R1
+    assert relaxation.table.feasible.tolist() == [[True, False]]
+    assert solve_relaxed(relaxation).tolist() == [[0, 6]]
+    assert modified_min_cost(relaxation.table, solve_relaxed(relaxation)).dummy_jobs == {"J1"}
+    pool, _ = ensure_dummy([job], grid)
+    for scheduler in ("greedy", "mmc", "lpga", "hga"):
+        schedule, _ = SCHEDULERS[scheduler]([job], grid, SMALL_GA, 0)
+        assert schedule.assignments.entries == {(DUMMY_ID, "J1"): 6}, scheduler
+        assert schedule.dummy_jobs == {"J1"}, scheduler
+        assert validate(schedule.assignments, [job], pool, JobKind.SGN) == [], scheduler
+
+
+def cut_instance(seed: int) -> tuple[list[JobRequest], list[ResourceInfo]]:
+    """``tiny_instance`` with each resource's free PEs cut to a random
+    count from 0 to its own."""
+    jobs, resources = tiny_instance(seed)
+    rng = random.Random(seed)
+    return jobs, [r.with_free_pes(rng.randint(0, r.free_pes)) for r in resources]
+
+
+def fitting_jobs(jobs, resources) -> int:
+    """How many jobs of the batch fit whole on some real resource."""
+    table = pair_table(jobs, resources)
+    return int(table.fits[:, ~table.dummy].any(axis=1).sum())
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every ``solve_relaxed`` and HiGHS call from here on, by name."""
+    calls = []
+    for module, name in ((ga, "solve_relaxed"), (relaxed, "linprog")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_batch_in_which_no_job_fits_is_answered_without_a_solve(solves):
+    """On ``tiny_instance`` 0-599 with random free-PE cuts, the mmc and
+    lpga adapters answer each batch in which no job fits whole on a real
+    resource without ``solve_relaxed`` or HiGHS, and both answer it with
+    the schedule MMC makes of the relaxation's answer, every job parked.
+    Every other batch, one in which a single job fits too, is solved once
+    by each, and mmc still answers it with that schedule."""
+    fitting = Counter()
+    for seed in range(600):
+        jobs, resources = cut_instance(seed)
+        relaxation = build_relaxed(jobs, resources)
+        want = modified_min_cost(relaxation.table, solve_relaxed(relaxation))
+        solves.clear()
+        mmc_schedule, _ = SCHEDULERS["mmc"](jobs, resources, SMALL_GA, seed)
+        lpga_schedule, _ = SCHEDULERS["lpga"](jobs, resources, SMALL_GA, seed)
+        assert same_schedule(mmc_schedule, want), seed
+        fits = fitting_jobs(jobs, resources)
+        fitting[min(fits, 2)] += 1
+        if fits:
+            assert solves.count("solve_relaxed") == 2 and "linprog" in solves, seed
+        else:
+            assert solves == [], seed
+            assert same_schedule(lpga_schedule, want), seed
+            assert want.dummy_jobs == {j.job_id for j in jobs}, seed
+    assert fitting == {0: 257, 1: 135, 2: 208}  # batches by fitting jobs, 2 for 2 or more
+
+
+@pytest.mark.parametrize("scheduler", ("lpga", "hga"))
+def test_no_period_without_a_fitting_job_breeds_or_solves(monkeypatch, solves, scheduler):
+    """On one generated 50 x 200 medium scenario, at the benchmark's GA
+    settings, no period whose batch has no job that fits whole on a real
+    resource breeds a GA generation or calls HiGHS; the other periods
+    breed and (lpga) solve."""
+    config = ScenarioConfig(resource_count=50, job_count=200, rng_seed=0)
+    params = GaParams(population_size=30, convergence_window=25, max_iterations=300)
+    adapter = SCHEDULERS[scheduler]
+    generations = []
+    original_breed = ga._breed
+    monkeypatch.setattr(ga, "_breed", lambda *args: generations.append(1) or original_breed(*args))
+    periods = {True: [], False: []}  # no job fits -> (generations, HiGHS calls) per period
+
+    def counting(batch, resources, params, seed):
+        hopeless = not fitting_jobs(batch, resources)
+        generations.clear()
+        solves.clear()
+        answer = adapter(batch, resources, params, seed)
+        periods[hopeless].append((len(generations), solves.count("linprog")))
+        return answer
+
+    monkeypatch.setitem(SCHEDULERS, scheduler, counting)
+    run_scenario(config, scheduler, ga_params=params)
+    assert len(periods[True]) > len(periods[False]) > 0
+    assert set(periods[True]) == {(0, 0)}
+    assert sum(bred for bred, _ in periods[False]) > 0
+    if scheduler == "lpga":
+        assert sum(highs for _, highs in periods[False]) > 0
