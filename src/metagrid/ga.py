@@ -8,13 +8,11 @@ batch's ``PairTable`` (jobs sorted by id), each a column index into
 Fitness is the real scheduling cost plus a large penalty per constraint
 violation, so the search orders candidates feasibility-first,
 cost-second, and a feasible fully-placed chromosome's fitness is exactly
-its schedule cost.  One ``random.Random(rng_seed)`` stream, drawn in a
-fixed order, determines the whole run.  Its MT19937 words are drawn in
-64k-word blocks through numpy and decoded exactly as ``random.Random``
-decodes them, so a generation costs no Python call per gene: one walk
-(``mutate``) decodes every pair's draws, finding the mutation resets in
-the hit lists that each block's scan makes, and a few array calls then
-build the rows and score them.
+its schedule cost.  The raw 64-bit words of ``numpy.random.PCG64(rng_seed)``,
+a stream NEP 19 keeps stable across numpy releases, determine the run: a
+word ``w`` is a uniform ``(w >> 11) * 2**-53`` or an int below ``n`` by
+multiply-shift, ``((w >> 32) * n) >> 32``.  The initial genes come first,
+then each generation's words in ``mutate``'s order, a few array calls.
 
 The fitness tables, the loop, ``decode_schedule`` and
 ``chromosome_from_schedule`` all read the batch's ``PairTable``, so a
@@ -29,11 +27,9 @@ the two directly comparable.
 from __future__ import annotations
 
 import logging
-import random
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from math import ceil, inf
+from math import inf
 
 import numpy as np
 
@@ -74,6 +70,8 @@ class GaParams:
             raise ValueError("window and iteration budget must be >= 1")
         if not 0 <= self.elitism <= self.population_size:
             raise ValueError("elitism must fit inside the population")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must not be negative")
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,8 @@ def roulette_wheel(
     fits: Sequence[float], floor: float | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Fitness-proportionate picker of population indexes for a
-    minimisation problem: the returned function maps an array of
-    ``random()`` draws to one pick each.
+    minimisation problem: the returned function maps an array of uniform
+    draws in [0, 1) to one pick each.
 
     Selection weight is the gap to the worst member plus a small positive
     floor (by default one millionth of the worst fitness, or 1 when that is
@@ -177,67 +175,15 @@ def roulette_wheel(
     return pick
 
 
-_UNIT = 1.0 / 9007199254740992.0  # 2**-53, the step of random()
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1): each raw word's top 53 bits over 2**53."""
+    return (words >> 11) * 2.0**-53
 
 
-class _Stream:
-    """The draws of ``random.Random(seed)``, decoded from the same MT19937
-    words, which numpy draws in blocks of ``block`` words.
-
-    CPython's ``random()`` is made from two words, ``(a >> 5) * 2**26 +
-    (b >> 6)`` over ``2**53``.  Its ``_randbelow(n)`` (also ``randint(0,
-    n - 1)`` and ``choice(range(n))``) is the top ``n.bit_length()`` bits
-    of one word, drawn again while they are ``>= n``; ``belows`` decodes
-    many at once.  Each block also lists, per parity, the positions whose
-    two words make a ``random()`` below ``rate``, so ``mutate`` finds a
-    generation's mutation resets by bisecting those lists, decoding no
-    draw that resets nothing.  A 64k-word block lasts a 30 x 50 population
-    about eleven generations."""
-
-    def __init__(self, seed: int, rate: float = 0.0, block: int = 1 << 16) -> None:
-        state = random.Random(seed).getstate()[1]
-        self._bits = np.random.MT19937()
-        self._bits.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
-        }
-        self._rate = rate
-        self._bound = ceil(rate * 4294967296) + 32
-        self._block = block
-        self._words, self._pos = np.empty(0, dtype=np.uint32), 0
-        self._refill(0, 0)
-
-    def _refill(self, pos: int, count: int) -> tuple[memoryview, list[list[int]], int]:
-        """Start a block at word ``pos`` of this one, with at least
-        ``count`` words in it; returns its words, its hit lists and its
-        length, and the new block starts at position 0."""
-        fresh = self._bits.random_raw(max(self._block, count))
-        words = np.concatenate([self._words[pos:], fresh], dtype=np.uint32, casting="unsafe")
-        self._words, self._word, self._pos, self._end = words, memoryview(words), 0, len(words)
-        # random() < rate needs its first word below rate * 2**32 + 32;
-        # decode exact doubles only for the words that pass that test
-        first = (words[:-1] < self._bound).nonzero()[0]
-        doubles = (words.take(first) >> 5) * 67108864.0 + (words.take(first + 1) >> 6)
-        hits = first[doubles * _UNIT < self._rate]
-        # split by parity, each ending in a sentinel past the block
-        odd = hits & 1
-        self._hits = [hits[odd == 0].tolist() + [self._end], hits[odd == 1].tolist() + [self._end]]
-        return self._word, self._hits, self._end
-
-    def belows(self, n: int, count: int) -> np.ndarray:
-        """``count`` successive ``_randbelow(n)`` draws, as one array."""
-        shift = 32 - n.bit_length()
-        parts = [np.empty(0, dtype=np.intp)]
-        while count:
-            if self._pos + count > self._end:
-                self._refill(self._pos, count)
-            # each word is kept with probability n / 2**bit_length > 1/2
-            window = self._words[self._pos : self._pos + 2 * count + 64] >> shift
-            kept = np.flatnonzero(window < n)[:count]
-            self._pos += int(kept[-1]) + 1 if len(kept) == count else len(window)
-            parts.append(window[kept].astype(np.intp))
-            count -= len(kept)
-        return np.concatenate(parts)
+def belows(words: np.ndarray, n: int) -> np.ndarray:
+    """Ints in [0, n), 0 < n < 2**32, by multiply-shift of each raw word's
+    top 32 bits, with no rejection: bias at most n / 2**32."""
+    return (((words >> 32) * n) >> 32).astype(np.intp)
 
 
 def crossover(population: np.ndarray, parents: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -255,75 +201,27 @@ def crossover(population: np.ndarray, parents: np.ndarray, cuts: np.ndarray) -> 
 
 
 def mutate(
-    stream: _Stream, params: GaParams, n_genes: int, n_choices: int
-) -> tuple[list[float], list[int], list[int], list[int]]:
-    """Decode one bred generation's draws, pair by pair in stream order.
-
-    Children fill rows ``elitism`` onward of a ``population_size`` x
-    ``n_genes`` array, two per pair (the last pair keeps only its first
-    when they do not fit).  Each pair draws two ``random()`` roulette
-    draws and a crossover draw, then a ``_randbelow(n_genes + 1)`` cut
-    when that draw is below ``crossover_rate`` (no crossover is the cut
-    ``n_genes``), then one ``random()`` per gene of its children: a gene
-    whose draw falls below the stream's rate is reset to a
-    ``_randbelow(n_choices)`` resource, dummy included.  Returns the
-    roulette draws, the cuts, and the flat array positions and values of
-    the resets in gene order.
-    """
-    size, rate = params.population_size, params.crossover_rate
-    cut_n, cut_shift = n_genes + 1, 32 - (n_genes + 1).bit_length()
-    reset_shift = 32 - n_choices.bit_length()
-    refill = stream._refill
-    word, hits, pos, end = stream._word, stream._hits, stream._pos, stream._end
-    draws, cuts, genes, values = [], [], [], []
-    for first in range(params.elitism, size, 2):
-        if pos + 6 > end:
-            word, hits, end = refill(pos, 6)
-            pos = 0
-        draws += (
-            ((word[pos] >> 5) * 67108864.0 + (word[pos + 1] >> 6)) * _UNIT,
-            ((word[pos + 2] >> 5) * 67108864.0 + (word[pos + 3] >> 6)) * _UNIT,
-        )
-        crossed = ((word[pos + 4] >> 5) * 67108864.0 + (word[pos + 5] >> 6)) * _UNIT < rate
-        pos += 6
-        cut = n_genes
-        while crossed:
-            if pos == end:
-                word, hits, end = refill(pos, 1)
-                pos = 0
-            cut = word[pos] >> cut_shift
-            pos += 1
-            crossed = cut >= cut_n
-        cuts.append(cut)
-        # the children's genes lie end to end, one two-word draw each:
-        # a hit is the first hit of pos's parity at or after pos, and
-        # it lies before last, the end of the draws still to come
-        stop = min(first + 2, size) * n_genes
-        last = pos + 2 * (stop - first * n_genes)
-        while True:
-            if last > end:
-                word, hits, end = refill(pos, last - pos)
-                last -= pos
-                pos = 0
-            side = hits[pos & 1]
-            hit = side[bisect_left(side, pos)]
-            if hit >= last:
-                break
-            genes.append(stop - ((last - hit) >> 1))
-            rest = last - hit - 2
-            pos = hit + 2
-            value = n_choices
-            while value >= n_choices:
-                if pos == end:
-                    word, hits, end = refill(pos, 1)
-                    pos = 0
-                value = word[pos] >> reset_shift
-                pos += 1
-            values.append(value)
-            last = pos + rest
-        pos = last
-    stream._pos = pos
-    return draws, cuts, genes, values
+    bits: np.random.PCG64, params: GaParams, n_genes: int, n_choices: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One bred generation's draws from ``bits``.  Children fill rows
+    ``elitism`` onward of a ``population_size`` x ``n_genes`` array, two
+    per pair (the last pair keeps only its first when they do not fit).
+    The words come in this order: two roulette uniforms per pair, one
+    crossover uniform per pair, one cut below ``n_genes + 1`` per pair
+    (kept when its crossover uniform is below ``crossover_rate``, else the
+    cut is ``n_genes``), one mutation uniform per child gene, then one
+    value below ``n_choices`` (dummy included) for each gene whose uniform
+    is below ``mutation_rate``.  Returns the roulette draws, the cuts, and
+    the flat positions and values of the resets in gene order."""
+    size, elitism = params.population_size, params.elitism
+    pairs = (size - elitism + 1) // 2
+    words = bits.random_raw(4 * pairs + (size - elitism) * n_genes)
+    draws = uniforms(words[: 2 * pairs])
+    crossed = uniforms(words[2 * pairs : 3 * pairs]) < params.crossover_rate
+    cuts = np.where(crossed, belows(words[3 * pairs : 4 * pairs], n_genes + 1), n_genes)
+    resets = uniforms(words[4 * pairs :]) < params.mutation_rate
+    genes = elitism * n_genes + np.flatnonzero(resets)
+    return draws, cuts, genes, belows(bits.random_raw(len(genes)), n_choices)
 
 
 def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
@@ -377,19 +275,19 @@ def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> tuple[int,
 def _breed(
     population: np.ndarray,
     fits: np.ndarray,
-    stream: _Stream,
+    bits: np.random.PCG64,
     params: GaParams,
     n_choices: int,
 ) -> np.ndarray:
     """The next generation: the ``elitism`` fittest rows (ties in row
-    order), then the children whose draws ``mutate`` decodes.  No draw
-    depends on a gene, so the draws are decoded first and the rows built
+    order), then the children whose draws ``mutate`` takes.  No draw
+    depends on a gene, so the draws are taken first and the rows built
     after: one crossover over the roulette picks, then one scatter of the
     resets."""
     size, n_genes = population.shape
-    draws, cuts, genes, values = mutate(stream, params, n_genes, n_choices)
-    parents = roulette_wheel(fits)(np.array(draws))
-    children = crossover(population, parents, np.array(cuts))
+    draws, cuts, genes, values = mutate(bits, params, n_genes, n_choices)
+    parents = roulette_wheel(fits)(draws)
+    children = crossover(population, parents, cuts)
     elites = population.take(fits.argsort(kind="stable")[: params.elitism], 0)
     bred = np.concatenate([elites, children[: size - params.elitism]])
     bred.put(genes, values)
@@ -448,8 +346,8 @@ def run_ga(
             seed_fitness=seed_fitness,
         )
 
-    stream = _Stream(params.rng_seed, params.mutation_rate)
-    drawn = stream.belows(n_choices, (size - len(seeds)) * n_genes)
+    bits = np.random.PCG64(params.rng_seed)
+    drawn = belows(bits.random_raw((size - len(seeds)) * n_genes), n_choices)
     population = np.concatenate([seeds, drawn.reshape(-1, n_genes)])
     fits = tables.score(population)
     iterations = 1
@@ -459,7 +357,7 @@ def run_ga(
     stale = 0
 
     while iterations < params.max_iterations and stale < params.convergence_window:
-        population = _breed(population, fits, stream, params, n_choices)
+        population = _breed(population, fits, bits, params, n_choices)
         fits = tables.score(population)
         iterations += 1
         best = int(fits.argmin())

@@ -539,4 +539,4 @@ def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
             job_costs[j] = job_costs.get(j, 0.0) + cost
     dummy_jobs = frozenset(job.job_id for job, p in zip(jobs, parked) if p)
     # not a running +=: Python >= 3.12 compensates sum()
-    return Schedule(AllocationMatrix(entries), dummy_jobs, sum(job_costs.values()))
+    return Schedule(AllocationMatrix(entries), dummy_jobs, sum(job_costs.values(), 0.0))

@@ -90,6 +90,8 @@ class ScenarioConfig:
             raise BadConfigError("resource_count must not be negative")
         if self.job_count < 0:
             raise BadConfigError("job_count must not be negative")
+        if self.rng_seed < 0:
+            raise BadConfigError("rng_seed must not be negative")
         object.__setattr__(
             self, "deadline_mode", DeadlineMode(self.deadline_mode)
         )

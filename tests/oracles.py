@@ -5,12 +5,10 @@ the converters between id-keyed allocations and PE arrays over a
 ``PairTable``, gene maps (job id -> resource id) and the GA's gene rows,
 the penalised fitness of one gene map, the relaxation's canonical
 objective, the per-pair dict views of a built relaxation that the oracles
-walk, the GA's scalar breeding loop, and scalar decoders of single draws
-from the GA's block stream."""
+walk, and the GA's scalar breeding loop."""
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from itertools import accumulate
@@ -34,7 +32,7 @@ from metagrid.model import (
     pair_table,
     qos_index,
 )
-from metagrid.ga import FitnessTables, _Stream
+from metagrid.ga import FitnessTables
 from metagrid.relaxed import RelaxedModel
 
 
@@ -95,7 +93,7 @@ def schedule_by_id(
             entries[(rid, jid)] = pes
             cost += res.cost_per_pe_second * pes * exec_time(job, res)
         job_costs.append(cost)
-    return Schedule(AllocationMatrix(entries), frozenset(parked), sum(job_costs))
+    return Schedule(AllocationMatrix(entries), frozenset(parked), sum(job_costs, 0.0))
 
 
 def pe_array(alloc: AllocationMatrix, table: PairTable) -> np.ndarray:
@@ -501,63 +499,27 @@ def brute_force_sgn(
     return AllocationMatrix(best)
 
 
-def scalar_mutate(
-    genes: list[int], rng: random.Random, mutation_rate: float, n_choices: int
-) -> list[int]:
-    """Per-gene reset mutation, one ``random()`` per gene and one
-    ``choice`` per reset gene.  Returns a new row."""
-    choices = range(n_choices)
-    return [rng.choice(choices) if rng.random() < mutation_rate else g for g in genes]
-
-
 def scalar_generation(
-    rows: list[list[int]], fits: list[float], rng: random.Random, params, n_choices: int
+    rows: list[list[int]], fits: list[float], params, draws, cuts, genes, values
 ) -> list[list[int]]:
-    """One GA generation bred pair by pair from ``random.Random``: the
-    ``elitism`` fittest rows (ties in row order), then for each pair two
-    roulette picks, the crossover draw, a ``randint`` cut when that draw is
-    below ``crossover_rate``, and each child's mutation."""
+    """Reference for ``_breed`` on ``mutate``'s four arrays, pair by pair in
+    Python lists: the ``elitism`` fittest rows (ties in row order), then
+    each pair's two roulette picks (the first member whose running weight
+    total reaches the draw) crossed at its cut, then each reset at its flat
+    position."""
+    n_genes = len(rows[0])
     ranked = sorted(range(len(rows)), key=fits.__getitem__)
-    next_rows = [rows[i] for i in ranked[: params.elitism]]
+    next_rows = [list(rows[i]) for i in ranked[: params.elitism]]
     f_max = max(fits)
     floor = 1e-6 * f_max if f_max > 0 else 1.0
     weights = [(f_max - f) + floor for f in fits]
     prefix = list(accumulate(weights))
     total = sum(weights)
-
-    def spin() -> int:
-        return min(bisect_left(prefix, rng.random() * total), len(rows) - 1)
-
-    while len(next_rows) < params.population_size:
-        c1, c2 = rows[spin()], rows[spin()]
-        if rng.random() < params.crossover_rate:
-            cut = rng.randint(0, len(c1))
-            c1, c2 = c1[:cut] + c2[cut:], c2[:cut] + c1[cut:]
-        next_rows.append(scalar_mutate(c1, rng, params.mutation_rate, n_choices))
-        if len(next_rows) < params.population_size:
-            next_rows.append(scalar_mutate(c2, rng, params.mutation_rate, n_choices))
+    picks = [min(bisect_left(prefix, u * total), len(rows) - 1) for u in draws.tolist()]
+    for pair, cut in enumerate(cuts.tolist()):
+        a, b = rows[picks[2 * pair]], rows[picks[2 * pair + 1]]
+        next_rows += [a[:cut] + b[cut:], b[:cut] + a[cut:]]
+    del next_rows[params.population_size :]
+    for gene, value in zip(genes.tolist(), values.tolist()):
+        next_rows[gene // n_genes][gene % n_genes] = value
     return next_rows
-
-
-def stream_random(stream: _Stream) -> float:
-    """The next ``random()`` of a ``_Stream``, decoded from its next two
-    words as CPython decodes them, refilling at the block end."""
-    if stream._pos + 2 > stream._end:
-        stream._refill(stream._pos, 2)
-    a, b = stream._word[stream._pos : stream._pos + 2]
-    stream._pos += 2
-    return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
-
-
-def stream_below(stream: _Stream, n: int) -> int:
-    """The next ``_randbelow(n)`` of a ``_Stream``: the top
-    ``n.bit_length()`` bits of one word, drawn again while they are
-    ``>= n``."""
-    shift = 32 - n.bit_length()
-    while True:
-        if stream._pos == stream._end:
-            stream._refill(stream._pos, 1)
-        value = stream._word[stream._pos] >> shift
-        stream._pos += 1
-        if value < n:
-            return value

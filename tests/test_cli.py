@@ -145,6 +145,13 @@ def test_empty_seed_flag_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_flag_exits_one_before_any_run(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--quick", "--seeds=-3", "--out", str(out)]) == 1
+    assert "rng_seed must not be negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_one(tmp_path):
     code = main(
         ["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]

@@ -31,8 +31,8 @@ SHAPES = {
 GENERATED_SEEDS = (0, 1, 2, 3)
 
 GOLDEN_SHA256 = {
-    "tiny": "c42535d620d0f945ce8d0f0c690cf11243dc7726fc0585b1f5f5eac8fe06062e",
-    "fuzz": "493427fe341a5f3aacfaae6bc57df5374eca8cd30f9e8faac7561ffe3fd5fd94",
+    "tiny": "73fff667788fd9d411a22f55acc5b46ed3da5814ba47b67dc74a4909183cc622",
+    "fuzz": "d94517b2d472b4de339557a55edf4d2e3693e7d49996fb64c713ad45d88b9a73",
     "25x50-tight": "874f58e05bc416e46a8e40f40637af2a461a2bef1b9eac0e1054999785555b3e",
     "50x50-medium": "03d7fd1673f46756064bbc8d691fac2b0d27d55511e561ea983d6e374af2d77b",
     "200x50-medium": "c9616466a3150a20c73479b0327f619d2fa5bce2d9fbd49b073e76532785cc50",

@@ -28,7 +28,7 @@ GOLDEN = {
         "150837.6943735207", 19, 92, 234, 11, (0, 11, 11, 11, 11, 11, 11, 11, 11, 5, 0),
     ),
     ("tight", 0, "lpga"): (
-        "147769.0612157371", 19, 91, 245, 11, (0, 11, 11, 11, 11, 11, 11, 11, 11, 4, 0),
+        "139160.38595481566", 18, 86, 243, 11, (0, 12, 12, 12, 12, 12, 12, 12, 12, 4, 0),
     ),
     ("tight", 0, "mmc"): (
         "140422.18264117473", 18, 86, 0, 11, (0, 12, 12, 12, 12, 12, 12, 12, 12, 4, 0),
@@ -58,7 +58,7 @@ GOLDEN = {
         "255894.8057134715", 29, 142, 312, 14, (0, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0),
     ),
     ("medium", 0, "lpga"): (
-        "252228.7399171449", 29, 142, 349, 14, (0, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 0),
+        "252100.52859320553", 29, 142, 340, 14, (0, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 0),
     ),
     ("medium", 0, "mmc"): (
         "243510.7521899885", 28, 137, 0, 14, (0, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 0),
@@ -70,10 +70,10 @@ GOLDEN = {
         "302040.9795882827", 30, 153, 0, 2, (0, 0),
     ),
     ("medium", 1, "hga"): (
-        "300980.43416613236", 30, 153, 42, 2, (0, 0),
+        "299281.1892350533", 30, 153, 39, 2, (0, 0),
     ),
     ("medium", 1, "lpga"): (
-        "290808.92307819286", 30, 153, 49, 2, (0, 0),
+        "290846.60259947553", 30, 153, 26, 2, (0, 0),
     ),
     ("medium", 1, "mmc"): (
         "290846.60259947553", 30, 153, 0, 2, (0, 0),

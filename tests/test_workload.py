@@ -27,6 +27,13 @@ def test_rejects_negative_counts():
         ScenarioConfig(resource_count=5, job_count=-2)
 
 
+@pytest.mark.parametrize("seed", [-1, -12345])
+def test_rejects_a_negative_seed(seed):
+    # the GA's bit generator takes no negative seed; -n is not read as n
+    with pytest.raises(BadConfigError, match="rng_seed"):
+        ScenarioConfig(resource_count=5, rng_seed=seed)
+
+
 def test_rejects_bad_bounds():
     with pytest.raises(BadConfigError, match="interval_s"):
         ScenarioConfig(resource_count=5, interval_s=0.0)
