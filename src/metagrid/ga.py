@@ -14,14 +14,14 @@ word ``w`` is a uniform ``(w >> 11) * 2**-53`` or an int below ``n`` by
 multiply-shift, ``((w >> 32) * n) >> 32``.  The initial genes come first,
 then each generation's words in ``mutate``'s order, a few array calls.
 
-The fitness tables, the loop, ``decode_schedule`` and
-``chromosome_from_schedule`` all read the batch's ``PairTable``, so a
-gene is judged by the same deadline and budget rule as every other
-scheduler applies.  ``lpga`` seeds the population with the consolidated
-relaxation solution and hands on the relaxation's table; ``hga`` seeds it
-with the greedy baseline, which reads the table ``hga`` builds for the
-GA.  Both then run the one shared tail, ``_refine``, which is what makes
-the two directly comparable.
+Every stage here takes the batch's ``PairTable``, which the caller
+builds: the fitness tables, the loop, ``decode_schedule``,
+``chromosome_from_schedule``, ``relax_and_consolidate`` and both
+pipelines.  So a gene is judged by the same deadline and budget rule as
+every other scheduler applies.  ``lpga`` seeds the population with the
+consolidated relaxation solution and ``hga`` with the greedy baseline,
+both over that one table.  Both then run the one shared tail,
+``_refine``, which is what makes the two directly comparable.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ import numpy as np
 
 from .greedy import greedy_schedule
 from .mmc import modified_min_cost
-from .model import (
-    JobRequest,
-    PairTable,
-    ResourceInfo,
-    Schedule,
-    build_schedule,
-    pair_table,
-    whole_jobs,
-)
+from .model import PairTable, Schedule, build_schedule, whole_jobs
 from .relaxed import build_relaxed, solve_relaxed
 
 logger = logging.getLogger(__name__)
@@ -145,17 +137,15 @@ class FitnessTables:
         return self.weight * float(self._unfit)
 
 
-def roulette_wheel(
-    fits: Sequence[float], floor: float | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def roulette_wheel(fits: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
     """Fitness-proportionate picker of population indexes for a
     minimisation problem: the returned function maps an array of uniform
     draws in [0, 1) to one pick each.
 
     Selection weight is the gap to the worst member plus a small positive
-    floor (by default one millionth of the worst fitness, or 1 when that is
-    zero), so the worst member keeps a nonzero chance and a uniform
-    population degrades to a uniform pick.  A pick lands on the first
+    floor (one millionth of the worst fitness, or 1 when that is zero), so
+    the worst member keeps a nonzero chance and a uniform population
+    degrades to a uniform pick.  A pick lands on the first
     member whose running weight total reaches it, and on the last member
     when none does.
     """
@@ -163,9 +153,7 @@ def roulette_wheel(
         raise ValueError("population must be non-empty")
     fits = np.asarray(fits, dtype=float)
     f_max = fits.max()
-    if floor is None:
-        floor = 1e-6 * f_max if f_max > 0 else 1.0
-    weights = (f_max - fits) + floor
+    weights = (f_max - fits) + (1e-6 * f_max if f_max > 0 else 1.0)
     prefix = weights.cumsum()[:-1]  # running totals, added left to right
     total = sum(weights.tolist())  # not a cumsum: Python >= 3.12 compensates sum()
 
@@ -397,47 +385,33 @@ def _refine(
     return schedule, result
 
 
-def relax_and_consolidate(
-    jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]
-) -> tuple[PairTable, Schedule]:
-    """The batch's relaxation consolidated by ``modified_min_cost``: its
-    table and schedule, the mmc scheduler and ``lpga``'s seed.  MMC leaves
-    no job where it does not fit whole (``PairTable.fits``): freeze keeps
-    feasible providers the relaxation found room on, and the other phases
-    look for room.  So where no job fits on a real resource, the
-    relaxation is not solved, and MMC gets the all-parked allocation,
-    which it consolidates as it would the relaxation's answer."""
-    model = build_relaxed(jobs, resources)
-    table = model.table
+def relax_and_consolidate(table: PairTable) -> Schedule:
+    """The batch's relaxation consolidated by ``modified_min_cost``: the
+    mmc scheduler and ``lpga``'s seed.  MMC leaves no job where it does not
+    fit whole (``PairTable.fits``): freeze keeps feasible providers the
+    relaxation found room on, and the other phases look for room.  So
+    where no job fits on a real resource, the relaxation is neither built
+    nor solved, and MMC gets the all-parked allocation, which it
+    consolidates as it would the relaxation's answer."""
     if table.fits[:, ~table.dummy].any():
-        placed = solve_relaxed(model)
+        placed = solve_relaxed(build_relaxed(table))
     else:
         placed = whole_jobs(table, [table.parking] * len(table.jobs))
-    return table, modified_min_cost(table, placed)
+    return modified_min_cost(table, placed)
 
 
-def lpga(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    params: GaParams = GaParams(),
-) -> tuple[Schedule, GaResult]:
-    """Relaxation-seeded meta-scheduler.
+def lpga(table: PairTable, params: GaParams = GaParams()) -> tuple[Schedule, GaResult]:
+    """Relaxation-seeded meta-scheduler over the batch's ``table``.
 
     Pipeline: solve the split-allowed relaxation exactly (parking on the
     dummy as a last resort), consolidate whole-job placements, then refine
-    with the GA seeded by that consolidated schedule.  No stage depends on
-    the order of ``jobs`` or ``resources``: each works over id-sorted
-    tables and ranks by cost or priority itself.
+    with the GA seeded by that consolidated schedule.  Every stage works
+    over the table's id-sorted rows and columns and ranks by cost or
+    priority itself, so none depends on the order the batch came in.
     """
-    table, seed_schedule = relax_and_consolidate(jobs, resources)
-    return _refine("lpga", seed_schedule, table, params)
+    return _refine("lpga", relax_and_consolidate(table), table, params)
 
 
-def hga(
-    jobs: Sequence[JobRequest],
-    resources: Sequence[ResourceInfo],
-    params: GaParams = GaParams(),
-) -> tuple[Schedule, GaResult]:
+def hga(table: PairTable, params: GaParams = GaParams()) -> tuple[Schedule, GaResult]:
     """Greedy-seeded meta-scheduler: identical GA, cheaper seed."""
-    table = pair_table(jobs, resources)
     return _refine("hga", greedy_schedule(table), table, params)

@@ -197,9 +197,6 @@ class AllocationMatrix:
             out.setdefault(rid, {})[jid] = pes
         return out
 
-    def job_ids(self) -> set[str]:
-        return {jid for (_, jid) in self.entries}
-
 
 class ViolationKind(enum.Enum):
     CAPACITY = "capacity"                    # resource allocated beyond its free PEs
@@ -273,8 +270,7 @@ class PairTable:
     """The whole-job rule for every job x resource pair of one batch.
 
     Rows are the jobs, columns the resources, each sorted by id; every
-    batch, an empty one too, has one dummy column, ``parking``, and
-    ``dummy_id`` is its resource's id.  ``rate``
+    batch, an empty one too, has one dummy column, ``parking``.  ``rate``
     is each resource's ``cost_per_pe_second``, ``exec_s`` ``exec_time``,
     ``coeff`` the cost of one PE (``pair_charge`` for one PE), ``cost``
     that of all the job's PEs, ``on_time`` ``meets_deadline``, and
@@ -291,7 +287,6 @@ class PairTable:
 
     jobs: tuple[JobRequest, ...]
     resources: tuple[ResourceInfo, ...]
-    dummy_id: str
     parking: int
     pes: np.ndarray
     limit: np.ndarray
@@ -340,8 +335,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     feasible = dummy | (breaches == 0)
     fits = dummy | (feasible & (pes[:, None] <= free))
     return PairTable(
-        jobs, resources, resources[parking].resource_id, parking, pes, limit, free, rate,
-        exec_s, coeff, cost, weight, on_time, breaches, feasible, fits, dummy,
+        jobs, resources, parking, pes, limit, free, rate, exec_s, coeff, cost, weight,
+        on_time, breaches, feasible, fits, dummy,
     )
 
 
@@ -525,6 +520,7 @@ def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
     fragment costs rate x PEs x runtime, summed per job in column order.
     """
     jobs, resources = table.jobs, table.resources
+    dummy_id = resources[table.parking].resource_id
     parked = (placed[:, table.parking] > 0).tolist()
     ji, ki = np.nonzero(placed)  # row-major: job-major, resource-minor
     pes = placed[ji, ki]
@@ -533,7 +529,7 @@ def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
     job_costs: dict[int, float] = {}  # per placed job, in row order
     for j, k, n, cost in zip(ji.tolist(), ki.tolist(), pes.tolist(), fragments.tolist()):
         if parked[j]:
-            entries[(table.dummy_id, jobs[j].job_id)] = jobs[j].pe_count
+            entries[(dummy_id, jobs[j].job_id)] = jobs[j].pe_count
         else:
             entries[(resources[k].resource_id, jobs[j].job_id)] = n
             job_costs[j] = job_costs.get(j, 0.0) + cost

@@ -15,10 +15,10 @@ allow: no PE parks while its job can afford a free real PE, and no job
 parks to free a cheaper machine for another.
 
 The model is a set of job x resource arrays over the batch's
-``model.pair_table``.  It keeps every admissible pair, but the program
-handed to the solver gets only the columns that can matter
-(``RelaxedModel.columns``): every job's dummy pair and the real pairs
-that survive the rules below, none of which loses the optimum.
+``PairTable``, which the caller builds.  It keeps every admissible pair,
+but the program handed to the solver gets only the columns that can
+matter (``RelaxedModel.columns``): every job's dummy pair and the real
+pairs that survive the rules below, none of which loses the optimum.
 
 Job-side prefix: per job, its admissible real pairs in ascending (cost
 coefficient, resource id) order, stopping once their summed free PEs
@@ -104,18 +104,12 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    JobRequest,
-    PairTable,
-    ResourceInfo,
-    pair_table,
-)
+from .model import PairTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,16 +141,15 @@ class RelaxedModel:
         return tuple(zip(map(rids.__getitem__, ri.tolist()), map(jids.__getitem__, ji.tolist())))
 
 
-def build_relaxed(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> RelaxedModel:
-    """Assemble the relaxation for one batch.
+def build_relaxed(table: PairTable) -> RelaxedModel:
+    """Assemble the relaxation over the batch's ``table``.
 
     Keeps a (resource, job) pair iff the job finishes within its deadline
-    there and a single PE is affordable; dummy pairs are always kept.  The
-    batch gets a dummy from ``pair_table``, so the model is feasible
-    whatever the grid; its pairs carry the parking surcharge that
-    makes parking a last resort (module docstring).
+    there and a single PE is affordable; dummy pairs are always kept.
+    Every table has its dummy column, so the model is feasible whatever
+    the grid; its pairs carry the parking surcharge that makes parking a
+    last resort (module docstring).
     """
-    table = pair_table(jobs, resources)
     dummy = table.dummy
     admissible = dummy | (table.on_time & (table.weight <= table.limit[:, None]))
     # lexicographic parking: a parked PE also pays a bound on the batch's

@@ -75,8 +75,10 @@ def jsonl_sink(stream) -> Callable[[SimEvent], None]:
     return sink
 
 
-# Every adapter takes (jobs, resources, ga_params, rng_seed) and returns
-# (schedule, GA iterations); the GA adapters run with the period's seed.
+# Every adapter takes (jobs, resources, ga_params, rng_seed), builds the
+# batch's one PairTable, which every stage of its scheduler reads, and
+# returns (schedule, GA iterations); the GA adapters run with the period's
+# seed.
 
 
 def _run_greedy(jobs, resources, params, seed):
@@ -84,21 +86,21 @@ def _run_greedy(jobs, resources, params, seed):
 
 
 def _run_mmc(jobs, resources, params, seed):
-    return relax_and_consolidate(jobs, resources)[1], 0
+    return relax_and_consolidate(pair_table(jobs, resources)), 0
 
 
 def _run_relaxed_mgn(jobs, resources, params, seed):
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     return build_schedule(model.table, solve_relaxed(model)), 0
 
 
 def _run_lpga(jobs, resources, params, seed):
-    schedule, result = lpga(jobs, resources, replace(params, rng_seed=seed))
+    schedule, result = lpga(pair_table(jobs, resources), replace(params, rng_seed=seed))
     return schedule, result.iterations_used
 
 
 def _run_hga(jobs, resources, params, seed):
-    schedule, result = hga(jobs, resources, replace(params, rng_seed=seed))
+    schedule, result = hga(pair_table(jobs, resources), replace(params, rng_seed=seed))
     return schedule, result.iterations_used
 
 

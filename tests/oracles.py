@@ -2,10 +2,10 @@
 id-keyed schedule builder, greedy and the GA's decode on that scalar rule,
 exhaustive searches for small instances, the money an allocation spends,
 the converters between id-keyed allocations and PE arrays over a
-``PairTable``, gene maps (job id -> resource id) and the GA's gene rows,
-the penalised fitness of one gene map, the relaxation's canonical
-objective, the per-pair dict views of a built relaxation that the oracles
-walk, and the GA's scalar breeding loop."""
+``PairTable`` and its dummy's id, gene maps (job id -> resource id) and
+the GA's gene rows, the penalised fitness of one gene map, the
+relaxation's canonical objective, the per-pair dict views of a built
+relaxation that the oracles walk, and the GA's scalar breeding loop."""
 
 from __future__ import annotations
 
@@ -94,6 +94,11 @@ def schedule_by_id(
             cost += res.cost_per_pe_second * pes * exec_time(job, res)
         job_costs.append(cost)
     return Schedule(AllocationMatrix(entries), frozenset(parked), sum(job_costs, 0.0))
+
+
+def parking_id(table: PairTable) -> str:
+    """The resource id of ``table``'s dummy column, ``parking``."""
+    return table.resources[table.parking].resource_id
 
 
 def pe_array(alloc: AllocationMatrix, table: PairTable) -> np.ndarray:

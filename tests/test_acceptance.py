@@ -36,6 +36,7 @@ from oracles import (
     allocation,
     brute_force_relaxed,
     brute_force_sgn,
+    parking_id,
     pe_array,
     relaxed_objective,
     schedule_cost,
@@ -53,7 +54,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _solve_batch(jobs, resources):
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     return model, allocation(solve_relaxed(model), model.table)
 
 
@@ -67,11 +68,11 @@ def sweep_corpus():
             cfg = ScenarioConfig(resource_count=count, job_count=50, rng_seed=seed)
             grid, jobs = generate_scenario(cfg)
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
-            greedy_s = greedy_schedule(pair_table(jobs, grid))
-            model = build_relaxed(jobs, grid)
-            mmc_s = modified_min_cost(model.table, solve_relaxed(model))
-            lp_s, lp_r = lpga(jobs, grid, params)
-            hg_s, hg_r = hga(jobs, grid, params)
+            table = pair_table(jobs, grid)
+            greedy_s = greedy_schedule(table)
+            mmc_s = modified_min_cost(table, solve_relaxed(build_relaxed(table)))
+            lp_s, lp_r = lpga(table, params)
+            hg_s, hg_r = hga(table, params)
             cells[(count, seed)] = {
                 "greedy_cost": greedy_s.total_cost_gd,
                 "mmc_cost": mmc_s.total_cost_gd,
@@ -121,7 +122,7 @@ def test_acceptance_1_oracle_equivalence():
         greedy_s = greedy_schedule(pair_table(jobs, resources))
         if mmc_s.dummy_jobs or greedy_s.dummy_jobs:
             continue
-        if any(rid == model.table.dummy_id for rid, _ in alloc.entries):
+        if any(rid == parking_id(model.table) for rid, _ in alloc.entries):
             continue
         lower = relaxed_objective(model, alloc)
         opt_cost = schedule_cost(whole_opt, jobs, resources)
@@ -179,8 +180,8 @@ def test_acceptance_2_feasibility_fuzz():
             "mmc": (modified_min_cost(model.table, pe_array(alloc, model.table)).assignments,
                     JobKind.SGN),
             "relaxed-mgn": (alloc, JobKind.MGN),
-            "lpga": (lpga(jobs, resources, params)[0].assignments, JobKind.SGN),
-            "hga": (hga(jobs, resources, params)[0].assignments, JobKind.SGN),
+            "lpga": (lpga(model.table, params)[0].assignments, JobKind.SGN),
+            "hga": (hga(model.table, params)[0].assignments, JobKind.SGN),
         }
         for name, (assignments, mode) in outputs.items():
             violations = validate(assignments, jobs, pool, mode)
@@ -382,7 +383,7 @@ def test_acceptance_8_consolidation_work_bound():
                 {(f"R{i:02d}", f"J{k:02d}"): 1 for k in range(m) for i in range(n)}
             )
             stats = MmcStats()
-            model = build_relaxed(jobs, resources)
+            model = build_relaxed(pair_table(jobs, resources))
             modified_min_cost(model.table, pe_array(alloc, model.table), stats=stats)
             assert stats.steps > 0
             steps[(m, n)] = stats.steps

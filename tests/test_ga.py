@@ -47,6 +47,7 @@ from oracles import (
     fitness,
     gene_map,
     gene_row,
+    parking_id,
     pe_array,
     placement_cost,
     placement_feasible,
@@ -292,15 +293,17 @@ def test_roulette_equal_fitness_degrades_to_uniform():
 
 
 def test_roulette_weights_follow_fitness_gap():
-    # weights (30-10)+1 : (30-30)+1, so the better one wins 21/22 of picks
-    picks = roulette_wheel([10.0, 30.0], floor=1.0)(_draws(7, 200_000))
+    # the floor is 1e-6 x 1e6 = 1, so the weights are (1e6 - 999,980) + 1 :
+    # (1e6 - 1e6) + 1 and the better one wins 21/22 of picks
+    picks = roulette_wheel([999_980.0, 1e6])(_draws(7, 200_000))
     assert abs((picks == 0).mean() - 21 / 22) < 0.01
 
 
 def test_roulette_pick_on_a_running_total_takes_that_member():
-    # weights 4 : 2 : 2 of total 8; draws landing exactly on the running
-    # totals 4 and 6 pick the member whose total they reach
-    pick = roulette_wheel([0.0, 2.0, 2.0], floor=2.0)
+    # the floor is 1e-6 x 2e6 = 2, so the weights are 4 : 2 : 2 of total
+    # 8; draws landing exactly on the running totals 4 and 6 pick the
+    # member whose total they reach
+    pick = roulette_wheel([1_999_998.0, 2e6, 2e6])
     assert pick(np.array([0.0, 0.5, 0.75, 0.99])).tolist() == [0, 0, 1, 2]
 
 
@@ -757,7 +760,7 @@ def no_generation(*args):
 
 def parked(jobs, resources):
     table = pair_table(jobs, resources)
-    return gene_row(dict.fromkeys((j.job_id for j in jobs), table.dummy_id), table)
+    return gene_row(dict.fromkeys((j.job_id for j in jobs), parking_id(table)), table)
 
 
 def on_first(jobs, resources):
@@ -823,7 +826,7 @@ def test_lpga_s1(s1_jobs, s1_resources):
     params = GaParams(
         population_size=16, convergence_window=5, max_iterations=100, rng_seed=3
     )
-    schedule, result = lpga(s1_jobs, s1_resources, params)
+    schedule, result = lpga(pair_table(s1_jobs, s1_resources), params)
     assert schedule.total_cost_gd == S1_OPTIMAL_COST
     assert schedule.dummy_jobs == frozenset()
     assert result.seed_fitness == S1_OPTIMAL_COST
@@ -836,21 +839,21 @@ def test_hga_s1(s1_jobs, s1_resources):
     params = GaParams(
         population_size=16, convergence_window=5, max_iterations=100, rng_seed=3
     )
-    schedule, result = hga(s1_jobs, s1_resources, params)
+    schedule, result = hga(pair_table(s1_jobs, s1_resources), params)
     assert schedule.total_cost_gd == S1_OPTIMAL_COST
     assert result.seed_fitness == S1_OPTIMAL_COST
 
 
 def test_lpga_empty_jobs(s1_resources):
-    schedule, result = lpga([], s1_resources)
+    schedule, result = lpga(pair_table([], s1_resources))
     assert schedule.assignments.entries == {}
     assert result.iterations_used == 0
 
 
 def test_hga_repeat_runs_match_exactly(s1_jobs, s1_resources):
     params = GaParams(population_size=12, max_iterations=25, rng_seed=9)
-    s_a, r_a = hga(s1_jobs, s1_resources, params)
-    s_b, r_b = hga(s1_jobs, s1_resources, params)
+    s_a, r_a = hga(pair_table(s1_jobs, s1_resources), params)
+    s_b, r_b = hga(pair_table(s1_jobs, s1_resources), params)
     assert r_a == r_b
     assert s_a.assignments.entries == s_b.assignments.entries
 
@@ -862,5 +865,5 @@ def test_refinement_never_loses_to_its_seed():
     for seed in range(15):
         jobs, resources = fuzz_instance(seed)
         for pipeline in (lpga, hga):
-            _, result = pipeline(jobs, resources, params)
+            _, result = pipeline(pair_table(jobs, resources), params)
             assert result.best_fitness <= result.seed_fitness + 1e-9

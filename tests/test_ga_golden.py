@@ -41,7 +41,7 @@ def _unseeded(jobs, resources, params):
 
 def _pipeline(scheduler):
     def run(jobs, resources, params):
-        return scheduler(jobs, resources, params)[1]
+        return scheduler(pair_table(jobs, resources), params)[1]
 
     return run
 

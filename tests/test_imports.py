@@ -1,8 +1,8 @@
 """Every name a ``src/metagrid`` module or a test module imports is used
 in that module, so a deletion cannot leave a stale import behind; every
-name the benchmark's tracer rebinds exists; and importing the package
+name the benchmark's tracer rebinds exists; importing the package
 loads scipy's HiGHS binding without ``scipy.optimize`` or
-``scipy.sparse``."""
+``scipy.sparse``; and README's library example runs."""
 
 from __future__ import annotations
 
@@ -77,6 +77,14 @@ def run_fresh(code: str) -> None:
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_readme_library_example_runs():
+    """The python block under README's ``## Library`` heading runs as
+    written in a new interpreter."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    run_fresh(section.split("```python\n", 1)[1].split("```", 1)[0])
 
 
 @pytest.mark.parametrize("module", ["metagrid.cli", "metagrid.simulator"])

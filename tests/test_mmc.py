@@ -18,18 +18,20 @@ from metagrid.model import (
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
-from oracles import allocation, brute_force_sgn, pe_array, placement_cost, relaxed_objective
+from oracles import (
+    allocation, brute_force_sgn, parking_id, pe_array, placement_cost, relaxed_objective,
+)
 
 
 def consolidate(jobs, resources, stats=None):
     """Full pipeline: relaxed solve then consolidation."""
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     return modified_min_cost(model.table, solve_relaxed(model), stats=stats)
 
 
 def consolidate_split(jobs, resources, entries, stats=None):
     """Consolidation of a hand-made relaxed split, (resource, job) -> PEs."""
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     return modified_min_cost(model.table, pe_array(AllocationMatrix(entries), model.table), stats)
 
 
@@ -221,10 +223,10 @@ def test_a_second_dummy_is_rejected_before_the_relaxation():
         ResourceInfo("P2", 9, 1.0, 100.0, is_dummy=True),
     ]
     with pytest.raises(ValueError, match="at most one dummy"):
-        build_relaxed([hopeless, job], resources)
+        build_relaxed(pair_table([hopeless, job], resources))
     # one dummy, whatever its id, is the model's dummy
-    model = build_relaxed([hopeless, job], resources[:2])
-    assert model.table.dummy_id == "P1"
+    model = build_relaxed(pair_table([hopeless, job], resources[:2]))
+    assert parking_id(model.table) == "P1"
     stats = MmcStats()
     alloc = AllocationMatrix({("P1", "H"): 1, ("P1", "J"): 1})
     schedule = modified_min_cost(model.table, pe_array(alloc, model.table), stats)
@@ -303,7 +305,7 @@ def test_sandwich_between_relaxed_and_feasible():
     compared = parked_but_solvable = 0
     for seed in range(120):
         jobs, resources = tiny_instance(seed)
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         placed = solve_relaxed(model)
         alloc = allocation(placed, model.table)
         schedule = modified_min_cost(model.table, placed)
@@ -312,7 +314,7 @@ def test_sandwich_between_relaxed_and_feasible():
             lower = relaxed_objective(model, alloc)
             # the relaxed objective includes dummy deterrent terms; compare
             # only when the relaxation also used real resources throughout
-            if all(rid != model.table.dummy_id for (rid, _), _p in alloc.items()):
+            if all(rid != parking_id(model.table) for (rid, _), _p in alloc.items()):
                 assert lower <= schedule.total_cost_gd + 1e-9, f"seed {seed}"
                 compared += 1
         elif sgn is not None:
@@ -326,7 +328,7 @@ def test_sandwich_between_relaxed_and_feasible():
 def test_freeze_correctness_single_provider_jobs_stay_put():
     for seed in range(80):
         jobs, resources = fuzz_instance(seed)
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         placed = solve_relaxed(model)
         alloc = allocation(placed, model.table)
         schedule = modified_min_cost(model.table, placed)
@@ -334,7 +336,7 @@ def test_freeze_correctness_single_provider_jobs_stay_put():
             if len(providers) != 1:
                 continue
             (rid,) = providers
-            if rid != model.table.dummy_id:
+            if rid != parking_id(model.table):
                 assert (
                     schedule.assignments.pes(rid, job_id) > 0
                     and job_id not in schedule.dummy_jobs

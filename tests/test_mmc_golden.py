@@ -18,6 +18,7 @@ import hashlib
 import metagrid.mmc as mmc
 import pytest
 from conftest import fuzz_instance, tiny_instance
+from metagrid.model import pair_table
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.workload import ScenarioConfig, generate_scenario
 
@@ -62,7 +63,7 @@ CORPORA = {
 
 
 def _record(jobs, resources):
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     stats = mmc.MmcStats()
     schedule = _mmc(model, solve_relaxed(model), stats)
     return (

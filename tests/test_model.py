@@ -46,6 +46,7 @@ from conftest import (
 )
 from oracles import (
     allocation,
+    parking_id,
     pe_array,
     placement_cost,
     placement_feasible,
@@ -299,7 +300,7 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
     batches = split = 0
     for jobs, resources in equivalence_batches():
         batches += 1
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         placed = solve_relaxed(model)
         split += bool(((placed > 0).sum(axis=1) > 1).any())
         checked("relaxed")(model.table, placed)
@@ -337,7 +338,7 @@ def test_pair_table_and_every_adapter_reject_a_second_dummy(monkeypatch):
                 with pytest.raises(ValueError, match="at most one dummy"):
                     adapter(jobs, resources + dummies, params, seed)
         for dummy in dummies:
-            assert pair_table(jobs, resources + [dummy]).dummy_id == dummy.resource_id
+            assert parking_id(pair_table(jobs, resources + [dummy])) == dummy.resource_id
             for adapter in SCHEDULERS.values():
                 adapter(jobs, resources + [dummy], params, seed)
 
@@ -408,7 +409,7 @@ def test_allocation_matrix_drops_zero_entries():
     alloc = AllocationMatrix({("R", "J"): 0, ("R", "K"): 2})
     assert ("R", "J") not in alloc.entries
     assert alloc.pes("R", "K") == 2
-    assert alloc.job_ids() == {"K"}
+    assert alloc.by_job() == {"K": {"R": 2}}
 
 
 # ------------------------------------------------- one-field checked copies

@@ -25,6 +25,7 @@ from metagrid.model import (
     exec_time,
     meets_deadline,
     pair_charge,
+    pair_table,
     validate,
 )
 import metagrid.relaxed as relaxed_module
@@ -38,6 +39,7 @@ from oracles import (
     breach_count,
     brute_force_sgn,
     job_side_columns,
+    parking_id,
     placement_cost,
     placement_feasible,
     relaxed_objective,
@@ -47,7 +49,7 @@ from oracles import (
 
 
 def build_and_solve(jobs, resources):
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     return model, allocation(solve_relaxed(model), model.table)
 
 
@@ -55,10 +57,10 @@ def build_and_solve(jobs, resources):
 
 
 def test_build_s1_feasible_pairs(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(pair_table(s1_jobs, s1_resources))
     view = views(model)
     # the dummy is always there, one pair per job
-    dummy = model.table.dummy_id
+    dummy = parking_id(model.table)
     assert view.feasible_pairs == {
         ("R1", "A"), ("R2", "A"), ("R2", "B"), (dummy, "A"), (dummy, "B"),
     }
@@ -68,7 +70,7 @@ def test_build_s1_feasible_pairs(s1_jobs, s1_resources):
 
 
 def test_build_excludes_deadline_violating_pairs(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(pair_table(s1_jobs, s1_resources))
     assert ("R1", "B") not in model.pair_order  # 20 s > 15 s deadline
 
 
@@ -76,17 +78,17 @@ def test_build_adds_dummy_when_demand_overflows(s1_resources):
     greedy_jobs = [
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]  # 15 PEs demanded, 8 real
-    model = build_relaxed(greedy_jobs, s1_resources)
-    assert model.table.dummy_id is not None
-    dummy_pairs = {p for p in model.pair_order if p[0] == model.table.dummy_id}
+    model = build_relaxed(pair_table(greedy_jobs, s1_resources))
+    assert parking_id(model.table) is not None
+    dummy_pairs = {p for p in model.pair_order if p[0] == parking_id(model.table)}
     assert len(dummy_pairs) == 3  # always admissible
 
 
 def test_build_adds_dummy_for_unplaceable_job(s1_resources):
     impossible = JobRequest("U", "X", 1e6, 1.0, (9000.0,), 1)  # no machine fast enough
-    model = build_relaxed([impossible], s1_resources)
-    assert model.table.dummy_id is not None
-    assert all(p[0] == model.table.dummy_id for p in model.pair_order)
+    model = build_relaxed(pair_table([impossible], s1_resources))
+    assert parking_id(model.table) is not None
+    assert all(p[0] == parking_id(model.table) for p in model.pair_order)
 
 
 def test_build_rejects_a_real_resource_using_the_dummy_id():
@@ -95,7 +97,7 @@ def test_build_rejects_a_real_resource_using_the_dummy_id():
     resources = [ResourceInfo("DUMMY", 1, 1.0, 100.0), ResourceInfo("R1", 1, 1.0, 100.0)]
     jobs = [JobRequest("U", jid, 1e6, 1e6, (1000.0,), 1) for jid in "ABC"]
     with pytest.raises(ValueError, match="reserved id DUMMY"):
-        build_relaxed(jobs, resources)
+        build_relaxed(pair_table(jobs, resources))
 
 
 def test_pair_table_matches_the_per_pair_rule():
@@ -110,7 +112,7 @@ def test_pair_table_matches_the_per_pair_rule():
     admissible coefficient."""
     for seed in range(100):
         jobs, resources = fuzz_instance(seed)
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         table = model.table
         assert table.jobs == tuple(sorted(jobs, key=lambda j: j.job_id))
         assert [r.resource_id for r in table.resources] == sorted(
@@ -156,7 +158,7 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources, high
     ``len(model.pair_order)``, the row counts of the assembled arrays, and
     per ``linprog`` call (one per HiGHS solve) the length of ``x`` and the
     ``mip_node_count`` of its result."""
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(pair_table(s1_jobs, s1_resources))
     assert len(model.pair_order) == model.admissible.sum() == 5
     arrays = _model_arrays(model)
     assert len(arrays) == 6
@@ -177,7 +179,7 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources, high
 
 
 def test_solve_s1_unique_optimum(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(pair_table(s1_jobs, s1_resources))
     alloc = allocation(solve_relaxed(model), model.table)
     assert dict(alloc.entries) == S1_OPTIMAL_ALLOC
     assert relaxed_objective(model, alloc) == S1_OPTIMAL_COST
@@ -191,7 +193,7 @@ def test_solve_splits_when_cheaper():
         ResourceInfo("R1", 2, 0.5, 100.0),  # coeff 5 per PE
         ResourceInfo("R2", 4, 0.7, 100.0),  # coeff 7 per PE
     ]
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     alloc = allocation(solve_relaxed(model), model.table)
     assert alloc.pes("R1", "J") == 2
     assert alloc.pes("R2", "J") == 2
@@ -200,7 +202,7 @@ def test_solve_splits_when_cheaper():
 
 def test_solve_zero_jobs_is_empty():
     for resources in ([ResourceInfo("R", 4, 1.0, 100.0)], []):
-        model = build_relaxed([], resources)
+        model = build_relaxed(pair_table([], resources))
         assert allocation(solve_relaxed(model), model.table).entries == {}
 
 
@@ -210,13 +212,14 @@ def test_solve_returns_a_nonnegative_int_array_over_the_table():
     batch gets a (0, m + 1) array, its dummy's column included."""
     empty = [([], [ResourceInfo("R", 4, 1.0, 100.0)]), ([], [])]
     for jobs, resources in [tiny_instance(seed) for seed in range(50)] + empty:
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         placed = solve_relaxed(model)
         assert placed.dtype.kind == "i"
         assert placed.shape == model.table.cost.shape == (len(jobs), len(model.table.resources))
         assert (placed >= 0).all() and not placed[~model.columns].any()
         assert placed.sum(axis=1).tolist() == [j.pe_count for j in model.table.jobs]
-    assert [solve_relaxed(build_relaxed(*batch)).shape for batch in empty] == [(0, 2), (0, 1)]
+    shapes = [solve_relaxed(build_relaxed(pair_table(*batch))).shape for batch in empty]
+    assert shapes == [(0, 2), (0, 1)]
 
 
 @pytest.fixture
@@ -239,11 +242,11 @@ def test_solve_parks_on_dummy_when_real_capacity_short(s1_resources):
     jobs = [
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]
-    model = build_relaxed(jobs, s1_resources)
+    model = build_relaxed(pair_table(jobs, s1_resources))
     alloc = allocation(solve_relaxed(model), model.table)
     assert validate(alloc, jobs, model.table.resources, JobKind.MGN) == []
     parked_pes = sum(
-        pes for (rid, _), pes in alloc.items() if rid == model.table.dummy_id
+        pes for (rid, _), pes in alloc.items() if rid == parking_id(model.table)
     )
     assert parked_pes == 15 - 8  # everything beyond the real grid
 
@@ -267,7 +270,7 @@ def no_real_column_batches():
 def test_a_model_without_a_real_column_parks_every_job_without_highs(
     jobs, resources, monkeypatch
 ):
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     assert not (model.columns & ~model.table.dummy).any()
 
     def no_highs(*args, **kwargs):
@@ -275,7 +278,7 @@ def test_a_model_without_a_real_column_parks_every_job_without_highs(
 
     monkeypatch.setattr(relaxed_module, "linprog", no_highs)
     alloc = allocation(solve_relaxed(model), model.table)
-    assert dict(alloc.entries) == {(model.table.dummy_id, j.job_id): j.pe_count for j in jobs}
+    assert dict(alloc.entries) == {(parking_id(model.table), j.job_id): j.pe_count for j in jobs}
     assert alloc == brute_force_relaxed(model)
     assert validate(alloc, jobs, model.table.resources, JobKind.MGN) == []
 
@@ -298,8 +301,8 @@ def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
         ResourceInfo("R3", 9, 2.0, 100.0),  # coeff 20: 4 + 9 >= 5
         ResourceInfo("R4", 9, 1.0, 50.0),  # coeff 20, after R3 on the id
     ]
-    model = build_relaxed(jobs, resources)
-    dummy = model.table.dummy_id
+    model = build_relaxed(pair_table(jobs, resources))
+    dummy = parking_id(model.table)
     assert len(model.pair_order) == 10  # 8 real pairs, one dummy pair per job
     assert views(model).lp_columns == (
         (dummy, "A"), ("R2", "A"), ("R3", "A"), (dummy, "B"), ("R2", "B"), ("R3", "B"),
@@ -310,18 +313,18 @@ def test_columns_keep_the_dummy_pair(s1_resources):
     jobs = [
         JobRequest("U", f"J{i}", 1e6, 100.0, (1000.0,) * 5, 5) for i in range(3)
     ]
-    model = build_relaxed(jobs, s1_resources)
-    assert {p for p in views(model).lp_columns if p[0] == model.table.dummy_id} == {
-        (model.table.dummy_id, j.job_id) for j in jobs
+    model = build_relaxed(pair_table(jobs, s1_resources))
+    assert {p for p in views(model).lp_columns if p[0] == parking_id(model.table)} == {
+        (parking_id(model.table), j.job_id) for j in jobs
     }
 
 
 def test_columns_skip_a_resource_without_a_free_pe():
     jobs = [JobRequest("U", "A", 1e6, 100.0, (1000.0,) * 2, 2)]
     resources = [ResourceInfo("R1", 0, 1.0, 100.0), ResourceInfo("R2", 4, 2.0, 100.0)]
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     assert ("R1", "A") in model.pair_order  # admissible, but its bound is 0
-    assert views(model).lp_columns == ((model.table.dummy_id, "A"), ("R2", "A"))
+    assert views(model).lp_columns == ((parking_id(model.table), "A"), ("R2", "A"))
 
 
 def solve_both(model):
@@ -336,7 +339,7 @@ def test_column_pruning_keeps_the_optimum_on_tiny_instances():
     pruned = 0
     for seed in range(600):
         jobs, resources = tiny_instance(seed)
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"instance seed {seed}"
         pruned += model.columns.sum() < model.admissible.sum()
@@ -358,7 +361,7 @@ def test_column_pruning_keeps_the_optimum_on_generated_scenarios(
             resource_count=resource_count, job_count=job_count,
             deadline_mode=deadline_mode, rng_seed=seed,
         ))
-        model = build_relaxed(jobs, grid)
+        model = build_relaxed(pair_table(jobs, grid))
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
         if resource_count == 200:
@@ -423,11 +426,11 @@ def test_parking_is_a_last_resort_on_wide_speed_spreads(instance):
         spent[jid] += view.budget_weight.get((rid, jid), 0.0) * pes
     free = {r.resource_id: r.free_pes - load[r.resource_id] for r in model.table.resources}
     for job in model.table.jobs:
-        if not alloc.pes(model.table.dummy_id, job.job_id):
+        if not alloc.pes(parking_id(model.table), job.job_id):
             continue
         limit = budget_limit(job.budget_gd)
         for rid, jid in view.feasible_pairs:
-            if jid != job.job_id or rid == model.table.dummy_id or free[rid] <= 0:
+            if jid != job.job_id or rid == parking_id(model.table) or free[rid] <= 0:
                 continue
             assert spent[jid] + view.budget_weight[(rid, jid)] > limit, (
                 f"{jid} parks a PE while {rid} has {free[rid]} free and affordable"
@@ -507,7 +510,7 @@ def test_the_spend_bound_covers_every_feasible_split(instance):
     """The bound ``_model_arrays`` keeps budget rows by is at least what
     the job spends in any split that meets its demand and budget."""
     jobs, resources = instance
-    model = build_relaxed(jobs, resources)
+    model = build_relaxed(pair_table(jobs, resources))
     bound, _ = spend_bounds(model)
     for j in range(len(model.table.jobs)):
         for spend in job_splits(model, j):
@@ -539,7 +542,7 @@ def test_a_slow_free_machine_beats_parking():
     resources = [ResourceInfo("R1", 4, 1.0, 100.0), ResourceInfo("R2", 1, 1.0, 2000.0)]
     jobs = [JobRequest("U", jid, 1e6, 1e6, (10000.0,), 1) for jid in ("A", "B")]
     model, alloc = build_and_solve(jobs, resources)
-    assert model.table.dummy_id not in {rid for rid, _ in alloc.entries}
+    assert parking_id(model.table) not in {rid for rid, _ in alloc.entries}
     assert relaxed_objective(model, alloc) == 105.0
 
 
@@ -557,7 +560,7 @@ def test_no_job_parks_to_save_money_for_another():
 
 
 def parked_count(model, alloc):
-    return sum(pes for (rid, _), pes in alloc.items() if rid == model.table.dummy_id)
+    return sum(pes for (rid, _), pes in alloc.items() if rid == parking_id(model.table))
 
 
 @st.composite
@@ -597,10 +600,10 @@ def test_one_budget_tolerance_in_the_solver_and_the_oracle():
     tolerance, so only one PE runs and the other parks."""
     res = ResourceInfo("R1", 4, 1.0, 1.0)
     job = JobRequest("U", "A", 2000.0 - 5e-8, 1e6, (1000.0, 1000.0), 2)
-    model = build_relaxed([job], [res])
+    model = build_relaxed(pair_table([job], [res]))
     alloc = allocation(solve_relaxed(model), model.table)
     assert validate(alloc, [job], model.table.resources, JobKind.MGN) == []
-    assert dict(alloc.entries) == {("R1", "A"): 1, (model.table.dummy_id, "A"): 1}
+    assert dict(alloc.entries) == {("R1", "A"): 1, (parking_id(model.table), "A"): 1}
     assert brute_force_relaxed(model) == alloc
 
 
@@ -616,7 +619,7 @@ def binding_budget_models():
     for instance, count in ((tiny_instance, 1200), (fuzz_instance, 300)):
         for seed in range(count):
             jobs, resources = instance(seed)
-            model = build_relaxed(jobs, resources)
+            model = build_relaxed(pair_table(jobs, resources))
             _, a_ub, *_ = _model_arrays(model)
             capacity_rows = len(np.unique(np.nonzero(model.columns)[1]))
             if a_ub.shape[0] > capacity_rows:
@@ -704,7 +707,7 @@ def test_benchmark_batches_take_the_lp_vertex_unchanged(resource_count, job_coun
             resource_count=resource_count, job_count=job_count,
             deadline_mode="medium", rng_seed=seed,
         ))
-        model = build_relaxed(jobs, resources)
+        model = build_relaxed(pair_table(jobs, resources))
         highs_calls.clear()
         alloc = allocation(solve_relaxed(model), model.table)
         assert [integer for integer, _ in highs_calls] == [False], f"scenario seed {seed}"
@@ -720,15 +723,15 @@ def direct_call_corpus():
     binding-budget models both as LPs and as integer programs."""
     for instance, count in ((tiny_instance, 200), (fuzz_instance, 300)):
         for seed in range(count):
-            model = build_relaxed(*instance(seed))
+            model = build_relaxed(pair_table(*instance(seed)))
             if model.table.jobs:
                 yield f"{instance.__name__}({seed})", model, False
     for resource_count, job_count in ((200, 50), (50, 200)):
         for seed in range(3):
-            model = build_relaxed(*first_batch(ScenarioConfig(
+            model = build_relaxed(pair_table(*first_batch(ScenarioConfig(
                 resource_count=resource_count, job_count=job_count,
                 deadline_mode="medium", rng_seed=seed,
-            )))
+            ))))
             yield f"{resource_count}x{job_count} seed {seed}", model, False
     for where, model in binding_budget_models():
         yield where, model, False
@@ -780,17 +783,17 @@ def matrix_corpus():
     tight and 50x50, 200x50 and 50x200 medium."""
     for instance, count in ((tiny_instance, 600), (fuzz_instance, 300)):
         for seed in range(count):
-            model = build_relaxed(*instance(seed))
+            model = build_relaxed(pair_table(*instance(seed)))
             if model.table.jobs:
                 yield f"{instance.__name__}({seed})", model
     yield from binding_budget_models()
     shapes = ((25, 50, "tight"), (50, 50, "medium"), (200, 50, "medium"), (50, 200, "medium"))
     for resource_count, job_count, mode in shapes:
         for seed in range(4):
-            model = build_relaxed(*first_batch(ScenarioConfig(
+            model = build_relaxed(pair_table(*first_batch(ScenarioConfig(
                 resource_count=resource_count, job_count=job_count,
                 deadline_mode=mode, rng_seed=seed,
-            )))
+            ))))
             yield f"{resource_count}x{job_count} {mode} seed {seed}", model
 
 
@@ -830,14 +833,14 @@ def test_a_failed_highs_solve_raises_naming_the_status(s1_jobs, s1_resources, mo
         lambda *args, **kwargs: relaxed_module.HighsResult(None, "Infeasible", 0),
     )
     with pytest.raises(RuntimeError, match="model status Infeasible"):
-        solve_relaxed(build_relaxed(s1_jobs, s1_resources))
+        solve_relaxed(build_relaxed(pair_table(s1_jobs, s1_resources)))
 
 
 # --- oracles ----------------------------------------------------------------
 
 
 def test_brute_force_matches_on_s1(s1_jobs, s1_resources):
-    model = build_relaxed(s1_jobs, s1_resources)
+    model = build_relaxed(pair_table(s1_jobs, s1_resources))
     alloc = brute_force_relaxed(model)
     assert dict(alloc.entries) == S1_OPTIMAL_ALLOC
     assert relaxed_objective(model, alloc) == S1_OPTIMAL_COST
@@ -846,7 +849,7 @@ def test_brute_force_matches_on_s1(s1_jobs, s1_resources):
 def test_brute_force_guard():
     jobs = [JobRequest("U", f"J{i}", 1e6, 1e6, (100.0,) * 6, 6) for i in range(4)]
     res = [ResourceInfo(f"R{i}", 30, 1.0, 100.0) for i in range(2)]
-    model = build_relaxed(jobs, res)
+    model = build_relaxed(pair_table(jobs, res))
     with pytest.raises(TooLargeError):
         brute_force_relaxed(model)  # 24 PEs > 20
 
@@ -875,7 +878,7 @@ def test_relaxed_is_lower_bound_for_whole_job_schedules():
         if sgn is None:
             continue
         # compare on instances the relaxation also served fully for real
-        if any(rid == model.table.dummy_id for (rid, _), _pes in alloc.items()):
+        if any(rid == parking_id(model.table) for (rid, _), _pes in alloc.items()):
             continue
         relaxed_cost = relaxed_objective(model, alloc)
         sgn_cost = schedule_cost(sgn, jobs, resources)
@@ -893,7 +896,7 @@ def test_adding_a_resource_never_hurts():
         bigger_model, bigger = build_and_solve(jobs, resources + [extra])
 
         def parked(m, a):
-            return any(rid == m.table.dummy_id for rid, _ in a.entries)
+            return any(rid == parking_id(m.table) for rid, _ in a.entries)
 
         if parked(model, alloc) or parked(bigger_model, bigger):
             continue

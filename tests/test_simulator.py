@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 from conftest import assert_same_record, fuzz_instance, same_schedule, tiny_instance
-from metagrid import ga, model, relaxed
+from metagrid import ga, model, relaxed, simulator
 from metagrid.ga import GaParams
 from metagrid.greedy import greedy_schedule
 from metagrid.mmc import modified_min_cost
@@ -191,23 +191,27 @@ def test_rerun_is_deterministic_up_to_wall_time():
 
 @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
 def test_each_adapter_builds_one_pair_table_per_call(monkeypatch, scheduler):
-    """Every stage of a scheduler reads the one ``PairTable`` its adapter
-    builds for the batch."""
+    """The adapter builds the batch's one ``PairTable`` and every stage of
+    its scheduler reads it: outside ``model`` only the simulator holds
+    ``pair_table``, and each adapter call makes exactly one."""
+    holders = {
+        name for name, module in sys.modules.items()
+        if name.startswith("metagrid.") and getattr(module, "pair_table", None) is model.pair_table
+    }
+    assert holders == {"metagrid.model", "metagrid.simulator"}
+    assert not hasattr(ga, "pair_table") and not hasattr(relaxed, "pair_table")
     calls = []
-    original = model.pair_table
 
     def counted(*args):
         calls.append(args)
-        return original(*args)
+        return model.pair_table(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("metagrid.") and getattr(module, "pair_table", None) is original:
-            monkeypatch.setattr(module, "pair_table", counted)
+    monkeypatch.setattr(simulator, "pair_table", counted)
     for seed in range(5):
-        jobs, resources = fuzz_instance(seed)
-        calls.clear()
-        SCHEDULERS[scheduler](jobs, resources, SMALL_GA, seed)
-        assert len(calls) == 1, f"seed {seed}"
+        for jobs, resources in (tiny_instance(seed), fuzz_instance(seed)):
+            calls.clear()
+            SCHEDULERS[scheduler](jobs, resources, SMALL_GA, seed)
+            assert len(calls) == 1, f"seed {seed}"
 
 
 def test_every_adapter_answers_an_empty_batch_alike():
@@ -216,7 +220,8 @@ def test_every_adapter_answers_an_empty_batch_alike():
     iteration: one schedule, whatever the scheduler."""
     grid = generate_grid(ScenarioConfig(resource_count=5))
     table = pair_table([], grid)
-    assert table.resources[table.parking].is_dummy and table.dummy_id == DUMMY_ID
+    assert table.resources[table.parking].is_dummy
+    assert table.resources[table.parking].resource_id == DUMMY_ID
     answers = {name: adapter([], grid, GaParams(), 0) for name, adapter in SCHEDULERS.items()}
     for name, (schedule, iterations) in answers.items():
         assert isinstance(schedule, Schedule), name
@@ -381,7 +386,7 @@ def test_a_whole_job_one_ulp_over_budget_is_parked():
     table, so every whole-job scheduler parks J1."""
     job = JobRequest("U1", "J1", 415.87673479856716, 1e9, (7806.581888501443,) * 6, 6)
     grid = [ResourceInfo("R1", 6, 4.950654670401068, 557.5838394249836)]
-    relaxation = build_relaxed([job], grid)
+    relaxation = build_relaxed(pair_table([job], grid))
     assert relaxation.table.dummy.tolist() == [True, False]  # columns DUMMY, R1
     assert relaxation.table.feasible.tolist() == [[True, False]]
     assert solve_relaxed(relaxation).tolist() == [[0, 6]]
@@ -410,9 +415,10 @@ def fitting_jobs(jobs, resources) -> int:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every ``solve_relaxed`` and HiGHS call from here on, by name."""
+    """Every relaxation build, ``solve_relaxed`` and HiGHS call from here
+    on, by name."""
     calls = []
-    for module, name in ((ga, "solve_relaxed"), (relaxed, "linprog")):
+    for module, name in ((ga, "build_relaxed"), (ga, "solve_relaxed"), (relaxed, "linprog")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -426,14 +432,15 @@ def solves(monkeypatch):
 def test_a_batch_in_which_no_job_fits_is_answered_without_a_solve(solves):
     """On ``tiny_instance`` 0-599 with random free-PE cuts, the mmc and
     lpga adapters answer each batch in which no job fits whole on a real
-    resource without ``solve_relaxed`` or HiGHS, and both answer it with
-    the schedule MMC makes of the relaxation's answer, every job parked.
-    Every other batch, one in which a single job fits too, is solved once
-    by each, and mmc still answers it with that schedule."""
+    resource without building the relaxation, ``solve_relaxed`` or HiGHS,
+    and both answer it with the schedule MMC makes of the relaxation's
+    answer, every job parked.  Every other batch, one in which a single job
+    fits too, is built and solved once by each, and mmc still answers it
+    with that schedule."""
     fitting = Counter()
     for seed in range(600):
         jobs, resources = cut_instance(seed)
-        relaxation = build_relaxed(jobs, resources)
+        relaxation = build_relaxed(pair_table(jobs, resources))
         want = modified_min_cost(relaxation.table, solve_relaxed(relaxation))
         solves.clear()
         mmc_schedule, _ = SCHEDULERS["mmc"](jobs, resources, SMALL_GA, seed)
@@ -442,7 +449,8 @@ def test_a_batch_in_which_no_job_fits_is_answered_without_a_solve(solves):
         fits = fitting_jobs(jobs, resources)
         fitting[min(fits, 2)] += 1
         if fits:
-            assert solves.count("solve_relaxed") == 2 and "linprog" in solves, seed
+            assert solves.count("build_relaxed") == solves.count("solve_relaxed") == 2, seed
+            assert "linprog" in solves, seed
         else:
             assert solves == [], seed
             assert same_schedule(lpga_schedule, want), seed
