@@ -100,7 +100,6 @@ class FitnessTables:
         # flat views, indexed by job row offset plus gene
         self._cost = np.where(table.dummy, 0.0, table.cost).ravel()
         self._breaches = np.where(table.dummy, 1, table.breaches).ravel()
-        self._unfit = int((~table.fits[:, real].any(axis=1)).sum())
         self._job_rows = self._columns * np.arange(len(table.jobs))
         self._layout_rows = -1
 
@@ -127,14 +126,6 @@ class FitnessTables:
         over = np.bincount((population + slots).ravel(), weights, rows * n) - capacities
         overload = np.maximum(over, 0.0, out=over).reshape(rows, n).sum(axis=1)
         return base + self.weight * (breaches + overload)
-
-    def floor(self) -> float:
-        """A fitness no row scores below: one penalty unit for each job
-        that fits whole on no real resource (``PairTable.fits``).  Such a
-        job scores a breach on the dummy or on a pair with a breach; m of
-        them on one resource where they breach nothing each need more PEs
-        than it has free, so they overload it by at least m PEs."""
-        return self.weight * float(self._unfit)
 
 
 def roulette_wheel(fits: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -300,14 +291,17 @@ def run_ga(
 
     Every fitness is ``base + W * (breaches + overload)`` with ``base`` at
     least 0 and ``breaches + overload`` at least the number of jobs that
-    fit whole on no real resource, so none is below ``W`` times that
-    number (``FitnessTables.floor``).  Rounding is monotone, so no
-    computed fitness is below that product either.  When the best seed
-    scores exactly the floor, no generation beats it by the loop's 1e-12,
-    and the run returns what the loop would (that seed, a flat trace,
-    ``min(max_iterations, 1 + convergence_window)`` iterations) without
-    drawing a population: this happens on a batch where no job fits whole
-    on a real resource and the seed parks them all.
+    fit whole on no real resource (``PairTable.fits``): such a job scores a
+    breach on the dummy or on a pair with a breach, and m of them on one
+    resource where they breach nothing each need more PEs than it has
+    free, so they overload it by at least m PEs.  So no fitness is below
+    ``W`` times that number, and as rounding is monotone, no computed
+    fitness is either.  On a batch where no job fits whole on a real
+    resource, a seed that parks every job scores exactly ``W`` times the
+    job count, no generation beats it by the loop's 1e-12, and the run
+    returns what the loop would (the first seed of that score, a flat
+    trace, ``min(max_iterations, 1 + convergence_window)`` iterations)
+    without drawing a population.
     """
     if len(seed_rows) > params.population_size:
         raise ValueError("more seed rows than population slots")
@@ -324,7 +318,8 @@ def run_ga(
     tables = FitnessTables(table)
     fits = tables.score(seeds)
     seed_fitness = float(fits.min(initial=inf))
-    if seed_fitness == tables.floor():  # the loop's answer, without the loop
+    # no job fits and a seed parks them all: the loop's answer, without the loop
+    if not table.fits[:, ~table.dummy].any() and (seeds == table.parking).all(axis=1).any():
         iterations = min(params.max_iterations, 1 + params.convergence_window)
         return GaResult(
             best=tuple(seeds[fits.argmin()].tolist()),
@@ -387,17 +382,16 @@ def _refine(
 
 def relax_and_consolidate(table: PairTable) -> Schedule:
     """The batch's relaxation consolidated by ``modified_min_cost``: the
-    mmc scheduler and ``lpga``'s seed.  MMC leaves no job where it does not
-    fit whole (``PairTable.fits``): freeze keeps feasible providers the
-    relaxation found room on, and the other phases look for room.  So
-    where no job fits on a real resource, the relaxation is neither built
-    nor solved, and MMC gets the all-parked allocation, which it
-    consolidates as it would the relaxation's answer."""
-    if table.fits[:, ~table.dummy].any():
-        placed = solve_relaxed(build_relaxed(table))
-    else:
-        placed = whole_jobs(table, [table.parking] * len(table.jobs))
-    return modified_min_cost(table, placed)
+    mmc scheduler and ``lpga``'s seed.  MMC puts a job on a real resource
+    only where the pair is feasible and has room for the whole job, a pair
+    that ``PairTable.fits``.  So where no job fits on a real resource,
+    every job is parked whatever the relaxation answers, and that schedule
+    is read off the table, with no relaxation built or solved and no MMC
+    call."""
+    if not table.fits[:, ~table.dummy].any():
+        logger.debug("no job fits whole on a real resource: %d job(s) parked", len(table.jobs))
+        return build_schedule(table, whole_jobs(table, [table.parking] * len(table.jobs)))
+    return modified_min_cost(table, solve_relaxed(build_relaxed(table)))
 
 
 def lpga(table: PairTable, params: GaParams = GaParams()) -> tuple[Schedule, GaResult]:

@@ -279,6 +279,9 @@ class PairTable:
     make, capacity aside: every dummy pair and each real pair without a
     breach.  ``fits`` marks the feasible pairs with room for the whole job
     now, as many free PEs as it has PEs; a dummy pair always fits.
+    ``admissible`` marks the pairs a split placement may use, the ones the
+    relaxation keeps: every dummy pair and each real pair on time where a
+    single PE is affordable.
     ``weight`` is what one PE counts against the budget:
     ``coeff``, and 0.0 on a dummy, which is budget-exempt.  ``pes`` holds
     each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
@@ -300,6 +303,7 @@ class PairTable:
     breaches: np.ndarray
     feasible: np.ndarray
     fits: np.ndarray
+    admissible: np.ndarray
     dummy: np.ndarray
 
 
@@ -334,9 +338,10 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     weight = np.where(dummy, 0.0, coeff)
     feasible = dummy | (breaches == 0)
     fits = dummy | (feasible & (pes[:, None] <= free))
+    admissible = dummy | (on_time & (weight <= limit[:, None]))
     return PairTable(
         jobs, resources, parking, pes, limit, free, rate, exec_s, coeff, cost, weight,
-        on_time, breaches, feasible, fits, dummy,
+        on_time, breaches, feasible, fits, admissible, dummy,
     )
 
 

@@ -15,10 +15,11 @@ allow: no PE parks while its job can afford a free real PE, and no job
 parks to free a cheaper machine for another.
 
 The model is a set of job x resource arrays over the batch's
-``PairTable``, which the caller builds.  It keeps every admissible pair,
-but the program handed to the solver gets only the columns that can
-matter (``RelaxedModel.columns``): every job's dummy pair and the real
-pairs that survive the rules below, none of which loses the optimum.
+``PairTable``, which the caller builds.  It keeps every pair the table
+marks ``admissible``, but the program handed to the solver gets only the
+columns that can matter (``RelaxedModel.columns``): every job's dummy
+pair and the real pairs that survive the rules below, none of which
+loses the optimum.
 
 Job-side prefix: per job, its admissible real pairs in ascending (cost
 coefficient, resource id) order, stopping once their summed free PEs
@@ -117,25 +118,24 @@ class RelaxedModel:
     """The built relaxation: job x resource arrays over the batch's
     ``table``, which holds its jobs, resources and dummy.
 
-    ``admissible`` marks the pairs the model keeps and ``columns`` the
-    subset the solver sees (module docstring); both are walked row-major,
-    so variables run job-major, resource-minor.  ``objective`` is the money
-    per PE of each pair: the table's ``coeff``, plus the parking surcharge
-    of the module docstring on dummy columns.  A pair's budget weight is
+    The model keeps the pairs ``table.admissible`` marks, and ``columns``
+    the subset the solver sees (module docstring); both are walked
+    row-major, so variables run job-major, resource-minor.  ``objective``
+    is the money per PE of each pair: the table's ``coeff``, plus the
+    parking surcharge of the module docstring on dummy columns.  A pair's budget weight is
     ``table.weight``, and the job's budget with its tolerance
     ``table.limit``.
     """
 
     table: PairTable
     objective: np.ndarray
-    admissible: np.ndarray
     columns: np.ndarray
 
     @property
     def pair_order(self) -> tuple[tuple[str, str], ...]:
         """Every admissible (resource id, job id) pair, job-major; built on
         each call."""
-        ji, ri = np.nonzero(self.admissible)
+        ji, ri = np.nonzero(self.table.admissible)
         rids = [r.resource_id for r in self.table.resources]
         jids = [j.job_id for j in self.table.jobs]
         return tuple(zip(map(rids.__getitem__, ri.tolist()), map(jids.__getitem__, ji.tolist())))
@@ -144,14 +144,13 @@ class RelaxedModel:
 def build_relaxed(table: PairTable) -> RelaxedModel:
     """Assemble the relaxation over the batch's ``table``.
 
-    Keeps a (resource, job) pair iff the job finishes within its deadline
-    there and a single PE is affordable; dummy pairs are always kept.
-    Every table has its dummy column, so the model is feasible whatever
-    the grid; its pairs carry the parking surcharge that makes parking a
-    last resort (module docstring).
+    Keeps the pairs ``table.admissible`` marks: those where the job
+    finishes within its deadline and a single PE is affordable, and every
+    dummy pair.  Every table has its dummy column, so the model is
+    feasible whatever the grid; its pairs carry the parking surcharge that
+    makes parking a last resort (module docstring).
     """
-    dummy = table.dummy
-    admissible = dummy | (table.on_time & (table.weight <= table.limit[:, None]))
+    dummy, admissible = table.dummy, table.admissible
     # lexicographic parking: a parked PE also pays a bound on the batch's
     # unsurcharged cost, so an optimum parks the fewest PEs possible
     objective = table.coeff.copy()
@@ -183,7 +182,7 @@ def build_relaxed(table: PairTable) -> RelaxedModel:
         np.put_along_axis(prefix, order, before < grid, axis=0)
         columns &= prefix
     columns |= dummy
-    return RelaxedModel(table, objective, admissible, columns)
+    return RelaxedModel(table, objective, columns)
 
 
 def _spend_bound(weight, ub, pes) -> np.ndarray:
@@ -366,14 +365,13 @@ def solve_relaxed(model: RelaxedModel) -> np.ndarray:
     """Optimal integer solution of the relaxation: the jobs x resources
     int array of PE counts over ``model.table``, zero off the columns.
 
-    A model with no real column (each job's only column is its dummy pair,
-    or no job at all) has a single feasible allocation, every job parked
-    whole: it is returned after the exact feasibility re-check below, and
-    HiGHS is not called.  Otherwise the arrays go to HiGHS (``linprog``,
-    module docstring) first as a plain LP.  When no budget row binds, its
-    vertex is already an integer optimum (module docstring), and it is
-    taken if every entry lies within 1e-9 of an integer and the rounded
-    answer passes that re-check.
+    A model without a job is answered without HiGHS, which reports a
+    program without a column as empty, not optimal.  Otherwise the arrays
+    go to HiGHS (``linprog``, module docstring) first as a plain LP.  When
+    no budget row binds, its vertex is already an integer optimum (module
+    docstring), and it is taken if every entry lies within 1e-9 of an
+    integer and the rounded answer passes the exact feasibility re-check
+    (``_check_integer_solution``).
     Otherwise the same arrays go to the branch-and-cut engine as an integer
     program at zero optimality gap, and its rounded answer must pass the
     same re-check.  A fractional vertex is never rounded and taken:
@@ -383,12 +381,9 @@ def solve_relaxed(model: RelaxedModel) -> np.ndarray:
     model status other than optimal raises ``RuntimeError``.
     """
     placed = np.zeros(model.columns.shape, dtype=int)
+    if not model.table.jobs:
+        return placed
     ji, ri = np.nonzero(model.columns)
-    if len(ji) == len(model.table.jobs):  # each job's one column is its dummy pair
-        x = model.table.pes.astype(int)
-        if _check_integer_solution(model, ji, ri, x):
-            placed[ji, ri] = x
-            return placed
     arrays = _model_arrays(model)
     for integer in (False, True):  # the LP, then the integer program
         res = linprog(*arrays, integer=integer)

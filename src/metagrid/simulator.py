@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .ga import GaParams, hga, lpga, relax_and_consolidate
 from .greedy import greedy_schedule
-from .model import JobRequest, ResourceInfo, build_schedule, exec_time, pair_table
+from .model import JobRequest, ResourceInfo, build_schedule, exec_time, pair_table, whole_jobs
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
@@ -90,8 +90,13 @@ def _run_mmc(jobs, resources, params, seed):
 
 
 def _run_relaxed_mgn(jobs, resources, params, seed):
-    model = build_relaxed(pair_table(jobs, resources))
-    return build_schedule(model.table, solve_relaxed(model)), 0
+    # a job whose admissible real free PEs fall short of its PE count keeps
+    # a dummy share in every answer of the relaxation, and is parked whole
+    table = pair_table(jobs, resources)
+    if not ((table.admissible & ~table.dummy) @ table.free >= table.pes).any():
+        logger.debug("no job's admissible free PEs cover it: %d job(s) parked", len(table.jobs))
+        return build_schedule(table, whole_jobs(table, [table.parking] * len(table.jobs))), 0
+    return build_schedule(table, solve_relaxed(build_relaxed(table))), 0
 
 
 def _run_lpga(jobs, resources, params, seed):

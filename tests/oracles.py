@@ -211,7 +211,7 @@ def views(model: RelaxedModel) -> SimpleNamespace:
     * ``lp_columns``: the pairs the solver sees, in ``pair_order`` order
     """
     pairs = model.pair_order
-    ji, ri = np.nonzero(model.admissible)
+    ji, ri = np.nonzero(model.table.admissible)
     weights = model.table.weight[ji, ri].tolist()
     keep = model.columns[ji, ri].tolist()
     return SimpleNamespace(
@@ -234,7 +234,7 @@ def job_side_columns(model: RelaxedModel) -> np.ndarray:
     for j in range(len(table.jobs)):
         ranked = sorted(
             (table.coeff[j, r], r) for r in range(len(table.resources))
-            if model.admissible[j, r] and not table.dummy[r]
+            if table.admissible[j, r] and not table.dummy[r]
         )
         covered = 0
         for _, r in ranked:

@@ -1,5 +1,6 @@
 """Every name a ``src/metagrid`` module or a test module imports is used
-in that module, so a deletion cannot leave a stale import behind; every
+in that module, and every private helper ``src/metagrid`` defines is read
+in it, so a deletion cannot leave a stale import or helper behind; every
 name the benchmark's tracer rebinds exists; importing the package
 loads scipy's HiGHS binding without ``scipy.optimize`` or
 ``scipy.sparse``; and README's library example runs."""
@@ -52,6 +53,37 @@ def test_the_checker_finds_an_unused_import():
 )
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """The functions, methods and classes with a leading underscore (not
+    dunders) that ``sources`` define but never read, as a bare name or as
+    an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_the_checker_finds_an_unread_private_helper():
+    sources = [
+        "def _kept(): ...\ndef _left(): ...\nclass _Gone: ...\n",
+        "class T:\n    def _method(self): ...\n    def __init__(self): self._method()\n",
+        "def f(m): return m._kept()\n",
+    ]
+    assert unread_private_definitions(sources) == ["_Gone", "_left"]
+
+
+def test_every_private_helper_is_read():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unread_private_definitions(sources) == []
 
 
 def test_every_benchmark_entry_point_resolves(monkeypatch):

@@ -30,7 +30,8 @@ from metagrid.model import (
 )
 import metagrid.relaxed as relaxed_module
 from metagrid.relaxed import Csc, _model_arrays, _spend_bound, _stack, build_relaxed, solve_relaxed
-from metagrid import simulator
+from metagrid import ga, simulator
+from metagrid.ga import GaParams
 from metagrid.workload import ScenarioConfig, generate_scenario
 from oracles import (
     TooLargeError,
@@ -101,9 +102,9 @@ def test_build_rejects_a_real_resource_using_the_dummy_id():
 
 
 def test_pair_table_matches_the_per_pair_rule():
-    """Reference loop: every field of the batch's pair table, and each
-    pair's admissibility and objective coefficient in the relaxation,
-    computed one pair at a time by the scalar helpers of ``model``; the
+    """Reference loop: every field of the batch's pair table, the
+    admissible mask the relaxation keeps among them, and each pair's
+    objective coefficient in the relaxation, computed one pair at a time by the scalar helpers of ``model``; the
     floats must be identical.  A pair fits when it is feasible and the
     resource has a free PE for each of the job's PEs.  A dummy column
     follows the same formulas, except that its budget weight is 0.0 and it
@@ -138,7 +139,7 @@ def test_pair_table_matches_the_per_pair_rule():
                 admissible = res.is_dummy or (
                     meets_deadline(job, res) and weight <= budget_limit(job.budget_gd)
                 )
-                assert model.admissible[j, r] == admissible, where
+                assert table.admissible[j, r] == admissible, where
                 if admissible:
                     kept[(j, r)] = pair_charge(job, res, 1)
         surcharge = sum(
@@ -159,7 +160,7 @@ def test_model_keeps_what_the_benchmark_tracer_reads(s1_jobs, s1_resources, high
     per ``linprog`` call (one per HiGHS solve) the length of ``x`` and the
     ``mip_node_count`` of its result."""
     model = build_relaxed(pair_table(s1_jobs, s1_resources))
-    assert len(model.pair_order) == model.admissible.sum() == 5
+    assert len(model.pair_order) == model.table.admissible.sum() == 5
     arrays = _model_arrays(model)
     assert len(arrays) == 6
     c, a_ub, b_ub, a_eq, b_eq, ub = arrays
@@ -270,24 +271,34 @@ def no_real_column_batches():
 def test_a_model_without_a_real_column_parks_every_job_without_highs(
     jobs, resources, monkeypatch
 ):
+    """``solve_relaxed`` returns the one feasible answer, every job parked,
+    and the relaxed-mgn and mmc adapters return it from the batch's table
+    alone: no relaxation built or solved and no HiGHS call."""
     model = build_relaxed(pair_table(jobs, resources))
     assert not (model.columns & ~model.table.dummy).any()
-
-    def no_highs(*args, **kwargs):
-        raise AssertionError("HiGHS called on a model without a real column")
-
-    monkeypatch.setattr(relaxed_module, "linprog", no_highs)
     alloc = allocation(solve_relaxed(model), model.table)
     assert dict(alloc.entries) == {(parking_id(model.table), j.job_id): j.pe_count for j in jobs}
     assert alloc == brute_force_relaxed(model)
     assert validate(alloc, jobs, model.table.resources, JobKind.MGN) == []
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("the relaxation was built or solved")
+
+    for module in (simulator, ga):
+        for name in ("build_relaxed", "solve_relaxed"):
+            monkeypatch.setattr(module, name, no_call)
+    monkeypatch.setattr(relaxed_module, "linprog", no_call)
+    for scheduler in ("relaxed-mgn", "mmc"):
+        schedule, _ = simulator.SCHEDULERS[scheduler](jobs, resources, GaParams(), 0)
+        assert schedule.assignments == alloc, scheduler
+        assert schedule.dummy_jobs == {j.job_id for j in jobs}, scheduler
 
 
 # --- solver columns ---------------------------------------------------------
 
 
 def every_column(model):
-    return dataclasses.replace(model, columns=model.admissible)
+    return dataclasses.replace(model, columns=model.table.admissible)
 
 
 def test_columns_stop_once_the_cheapest_prefix_covers_the_batch():
@@ -342,7 +353,7 @@ def test_column_pruning_keeps_the_optimum_on_tiny_instances():
         model = build_relaxed(pair_table(jobs, resources))
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"instance seed {seed}"
-        pruned += model.columns.sum() < model.admissible.sum()
+        pruned += model.columns.sum() < model.table.admissible.sum()
     assert pruned > 50
 
 
@@ -365,7 +376,7 @@ def test_column_pruning_keeps_the_optimum_on_generated_scenarios(
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
         if resource_count == 200:
-            assert model.columns.sum() < model.admissible.sum() / 3
+            assert model.columns.sum() < model.table.admissible.sum() / 3
         if job_count == 200:
             job_side = job_side_columns(model)
             assert not (model.columns & ~job_side).any()

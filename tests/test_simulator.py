@@ -16,8 +16,8 @@ from metagrid.ga import GaParams
 from metagrid.greedy import greedy_schedule
 from metagrid.mmc import modified_min_cost
 from metagrid.model import (
-    DUMMY_ID, AllocationMatrix, JobKind, JobRequest, ResourceInfo, Schedule, ensure_dummy,
-    pair_table, validate,
+    DUMMY_ID, AllocationMatrix, JobKind, JobRequest, ResourceInfo, Schedule, budget_limit,
+    build_schedule, ensure_dummy, meets_deadline, pair_charge, pair_table, validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import (
@@ -413,12 +413,27 @@ def fitting_jobs(jobs, resources) -> int:
     return int(table.fits[:, ~table.dummy].any(axis=1).sum())
 
 
+def covering_jobs(jobs, resources) -> int:
+    """How many jobs of the batch have real resources, each on time with a
+    single PE affordable, whose free PEs add up to the job's PE count."""
+    return sum(
+        sum(
+            r.free_pes for r in resources
+            if meets_deadline(j, r) and pair_charge(j, r, 1) <= budget_limit(j.budget_gd)
+        ) >= j.pe_count
+        for j in jobs
+    )
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Every relaxation build, ``solve_relaxed`` and HiGHS call from here
-    on, by name."""
+    """Every relaxation build, ``solve_relaxed``, HiGHS and MMC call from
+    here on, by name."""
     calls = []
-    for module, name in ((ga, "build_relaxed"), (ga, "solve_relaxed"), (relaxed, "linprog")):
+    for module, name in (
+        (ga, "build_relaxed"), (ga, "solve_relaxed"), (ga, "modified_min_cost"),
+        (simulator, "build_relaxed"), (simulator, "solve_relaxed"), (relaxed, "linprog"),
+    ):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -432,16 +447,20 @@ def solves(monkeypatch):
 def test_a_batch_in_which_no_job_fits_is_answered_without_a_solve(solves):
     """On ``tiny_instance`` 0-599 with random free-PE cuts, the mmc and
     lpga adapters answer each batch in which no job fits whole on a real
-    resource without building the relaxation, ``solve_relaxed`` or HiGHS,
-    and both answer it with the schedule MMC makes of the relaxation's
+    resource without building the relaxation, ``solve_relaxed``, HiGHS or
+    MMC, and both answer it with the schedule MMC makes of the relaxation's
     answer, every job parked.  Every other batch, one in which a single job
-    fits too, is built and solved once by each, and mmc still answers it
-    with that schedule."""
-    fitting = Counter()
+    fits too, is built, solved and consolidated once by each, and mmc still
+    answers it with that schedule.  The relaxed-mgn adapter answers every
+    batch with ``build_schedule`` of the relaxation's answer, and one in
+    which no job's admissible real free PEs cover it without a build,
+    solve or HiGHS call."""
+    fitting, covered = Counter(), Counter()
     for seed in range(600):
         jobs, resources = cut_instance(seed)
-        relaxation = build_relaxed(pair_table(jobs, resources))
-        want = modified_min_cost(relaxation.table, solve_relaxed(relaxation))
+        table = pair_table(jobs, resources)
+        placed = solve_relaxed(build_relaxed(table))
+        want, want_mgn = modified_min_cost(table, placed), build_schedule(table, placed)
         solves.clear()
         mmc_schedule, _ = SCHEDULERS["mmc"](jobs, resources, SMALL_GA, seed)
         lpga_schedule, _ = SCHEDULERS["lpga"](jobs, resources, SMALL_GA, seed)
@@ -450,12 +469,24 @@ def test_a_batch_in_which_no_job_fits_is_answered_without_a_solve(solves):
         fitting[min(fits, 2)] += 1
         if fits:
             assert solves.count("build_relaxed") == solves.count("solve_relaxed") == 2, seed
+            assert solves.count("modified_min_cost") == 2, seed
             assert "linprog" in solves, seed
         else:
             assert solves == [], seed
             assert same_schedule(lpga_schedule, want), seed
             assert want.dummy_jobs == {j.job_id for j in jobs}, seed
+        solves.clear()
+        mgn_schedule, _ = SCHEDULERS["relaxed-mgn"](jobs, resources, SMALL_GA, seed)
+        assert same_schedule(mgn_schedule, want_mgn), seed
+        cover = covering_jobs(jobs, resources)
+        covered[min(cover, 2)] += 1
+        if cover:
+            assert solves.count("build_relaxed") == solves.count("solve_relaxed") == 1, seed
+        else:
+            assert solves == [], seed
+            assert want_mgn.dummy_jobs == {j.job_id for j in jobs}, seed
     assert fitting == {0: 257, 1: 135, 2: 208}  # batches by fitting jobs, 2 for 2 or more
+    assert covered == {0: 233, 1: 131, 2: 236}  # batches by covered jobs, likewise
 
 
 @pytest.mark.parametrize("scheduler", ("lpga", "hga"))
