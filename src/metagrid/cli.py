@@ -25,14 +25,15 @@ import configparser
 import csv
 import json
 import logging
-import os
 import statistics
 import sys
 from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .ga import GaParams
 from .simulator import (
+    SCHEDULERS,
     ScenarioMetrics,
     UnknownSchedulerError,
     jsonl_sink,
@@ -42,8 +43,6 @@ from .simulator import (
 from .workload import BadConfigError, DeadlineMode, ScenarioConfig
 
 logger = logging.getLogger(__name__)
-
-SEED_ENV_VAR = "METAGRID_SEED"
 
 RESULT_COLUMNS = (
     "seed",
@@ -57,9 +56,6 @@ RESULT_COLUMNS = (
     "wall_time_s",
 )
 
-DEFAULT_RESOURCE_COUNTS = (25, 50, 100, 150, 200)
-DEFAULT_MODES = ("tight", "medium", "relaxed")
-DEFAULT_SCHEDULERS = ("greedy", "mmc", "relaxed-mgn", "hga", "lpga")
 QUICK_RESOURCE_COUNTS = (25,)
 QUICK_MODES = ("medium",)
 QUICK_JOB_COUNT = 12
@@ -67,9 +63,8 @@ QUICK_GA = GaParams(
     population_size=24, convergence_window=20, max_iterations=120
 )
 
-
-class MissingColumnsError(ValueError):
-    """A results file does not carry the expected column set."""
+# the [ga] keys: every GaParams field but the seed, which the sweep sets per run
+GA_CASTS = {f.name: type(f.default) for f in fields(GaParams) if f.name != "rng_seed"}
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -83,17 +78,17 @@ def _parse_name_list(text: str) -> list[str]:
     return [part for part in text.replace(",", " ").split() if part]
 
 
+@dataclass
 class Sweep:
     """Everything one ``run`` invocation will simulate."""
 
-    def __init__(self) -> None:
-        self.resource_counts: list[int] = list(DEFAULT_RESOURCE_COUNTS)
-        self.deadline_modes: list[str] = list(DEFAULT_MODES)
-        self.schedulers: list[str] = list(DEFAULT_SCHEDULERS)
-        self.seeds: list[int] | None = None  # resolved later
-        self.job_count: int = 50
-        self.interval_s: float = 50.0
-        self.ga = GaParams()
+    resource_counts: list[int] = field(default_factory=lambda: [25, 50, 100, 150, 200])
+    deadline_modes: list[str] = field(default_factory=lambda: list(DeadlineMode))
+    schedulers: list[str] = field(default_factory=lambda: list(SCHEDULERS))
+    seeds: list[int] = field(default_factory=lambda: [0])
+    job_count: int = ScenarioConfig.job_count
+    interval_s: float = ScenarioConfig.interval_s
+    ga: GaParams = GaParams()
 
 
 def _read_section(parser: configparser.ConfigParser, name: str, casts: dict) -> dict:
@@ -114,48 +109,31 @@ def _read_section(parser: configparser.ConfigParser, name: str, casts: dict) -> 
 
 def _load_ini(path: Path, sweep: Sweep) -> None:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise BadConfigError(f"cannot read config file {path}")
-    unknown = set(parser.sections()) - {"sweep", "ga"}
-    if parser.defaults():  # configparser would copy its keys into every section
-        unknown.add(parser.default_section)
-    if unknown:
-        raise BadConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
+    try:
+        if not parser.read(path):
+            raise BadConfigError(f"cannot read config file {path}")
+        unknown = set(parser.sections()) - {"sweep", "ga"}
+        if parser.defaults():  # configparser would copy its keys into every section
+            unknown.add(parser.default_section)
+        if unknown:
+            raise BadConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
 
-    for key, value in _read_section(parser, "sweep", {
-        "resource_counts": lambda v: _parse_int_list(v, "resource_counts"),
-        "deadline_modes": _parse_name_list,
-        "schedulers": _parse_name_list,
-        "seeds": lambda v: _parse_int_list(v, "seeds"),
-        "job_count": int,
-        "interval_s": float,
-    }).items():
-        setattr(sweep, key, value)
-    ga = _read_section(parser, "ga", {
-        "population_size": int,
-        "crossover_rate": float,
-        "mutation_rate": float,
-        "convergence_window": int,
-        "max_iterations": int,
-        "elitism": int,
-    })
+        for key, value in _read_section(parser, "sweep", {
+            "resource_counts": lambda v: _parse_int_list(v, "resource_counts"),
+            "deadline_modes": _parse_name_list,
+            "schedulers": _parse_name_list,
+            "seeds": lambda v: _parse_int_list(v, "seeds"),
+            "job_count": int,
+            "interval_s": float,
+        }).items():
+            setattr(sweep, key, value)
+        ga = _read_section(parser, "ga", GA_CASTS)
+    except configparser.Error as exc:  # no section header, a key given twice, a stray %
+        raise BadConfigError(str(exc)) from exc
     try:
         sweep.ga = GaParams(**ga)  # no [ga] section: the defaults
     except ValueError as exc:
         raise BadConfigError(str(exc)) from exc
-
-
-def _resolve_seeds(sweep: Sweep, cli_seeds: str | None) -> list[int]:
-    """Seed precedence: --seeds flag, then the environment, then the config
-    file, then the default single seed 0."""
-    if cli_seeds is not None:
-        return _parse_int_list(cli_seeds, "seeds")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return _parse_int_list(env, "seeds")
-    if sweep.seeds is not None:
-        return sweep.seeds
-    return [0]
 
 
 def _format_row(seed: int, config: ScenarioConfig, metrics: ScenarioMetrics) -> dict:
@@ -173,6 +151,11 @@ def _format_row(seed: int, config: ScenarioConfig, metrics: ScenarioMetrics) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    logging.basicConfig(
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr,
+    )
     sweep = Sweep()
     if args.config is not None:
         _load_ini(Path(args.config), sweep)
@@ -183,9 +166,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         sweep.ga = QUICK_GA
     if args.schedulers is not None:
         sweep.schedulers = _parse_name_list(args.schedulers)
-    seeds = _resolve_seeds(sweep, args.seeds)
-    if args.quick:
-        seeds = seeds[:1]
+    if args.seeds is not None:  # the flag beats the config file
+        sweep.seeds = _parse_int_list(args.seeds, "seeds")
+    seeds = sweep.seeds[:1] if args.quick else sweep.seeds
 
     for what, values in (
         ("seeds", seeds), ("schedulers", sweep.schedulers),
@@ -193,18 +176,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     ):
         if not values:
             raise BadConfigError(f"empty {what} list: the sweep would run nothing")
-    known = set(list_schedulers())
-    bad = [s for s in sweep.schedulers if s not in known]
+    bad = [s for s in sweep.schedulers if s not in SCHEDULERS]
     if bad:
         raise UnknownSchedulerError(
-            f"unknown scheduler(s) {', '.join(bad)}; choose from {', '.join(sorted(known))}"
+            f"unknown scheduler(s) {', '.join(bad)}; choose from {', '.join(list_schedulers())}"
         )
     # every config is checked (bad mode name, non-finite interval) before
     # anything is written
     combos = [
         (scheduler, ScenarioConfig(
             resource_count=count,
-            deadline_mode=DeadlineMode(mode),
+            deadline_mode=mode,
             job_count=sweep.job_count,
             rng_seed=seed,
             interval_s=sweep.interval_s,
@@ -273,7 +255,7 @@ def _read_results(path: Path) -> list[dict]:
         fieldnames = reader.fieldnames or []
         missing = [c for c in RESULT_COLUMNS if c not in fieldnames]
         if missing:
-            raise MissingColumnsError(
+            raise ValueError(
                 f"{path} lacks column(s): {', '.join(missing)}"
             )
         return list(reader)
@@ -301,77 +283,72 @@ def cmd_report(args: argparse.Namespace) -> int:
         values = [float(r[column]) for r in sub]
         return statistics.stdev(values) if len(values) > 1 else 0.0
 
-    written = []
-    for mode in modes:
-        table_path = out_dir / f"summary_{mode}.csv"
-        with table_path.open("w", newline="") as fh:
+    def write(name: str, header: list[str], table: list[list]) -> None:
+        path = out_dir / name
+        with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["resource_count"]
-            for s in schedulers:
-                header += [f"{s}_mean_cost_gd", f"{s}_stdev_cost_gd"]
             writer.writerow(header)
-            for count in counts:
-                row: list = [count]
-                for scheduler in schedulers:
-                    sub = groups.get((mode, scheduler, count))
-                    if sub:
-                        row += [
-                            repr(mean_of(sub, "total_cost_gd")),
-                            repr(stdev_of(sub, "total_cost_gd")),
-                        ]
-                    else:
-                        row += ["", ""]
-                writer.writerow(row)
-        written.append(table_path)
+            writer.writerows(table)
+        print(f"wrote {path}")
 
-    iters_path = out_dir / "iterations.csv"
-    with iters_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scheduler", "resource_count", "median_ga_iterations", "mean_ga_iterations"]
-        )
-        for scheduler in schedulers:
-            for count in counts:
-                # median and fmean do not depend on the order of the values
-                values = [
-                    int(r["ga_iterations"])
-                    for mode in modes
-                    for r in groups.get((mode, scheduler, count), ())
-                ]
-                if not values:
-                    continue
-                writer.writerow(
+    for mode in modes:
+        header = ["resource_count"]
+        for s in schedulers:
+            header += [f"{s}_mean_cost_gd", f"{s}_stdev_cost_gd"]
+        table = []
+        for count in counts:
+            row: list = [count]
+            for scheduler in schedulers:
+                sub = groups.get((mode, scheduler, count))
+                if sub:
+                    row += [
+                        repr(mean_of(sub, "total_cost_gd")),
+                        repr(stdev_of(sub, "total_cost_gd")),
+                    ]
+                else:
+                    row += ["", ""]
+            table.append(row)
+        write(f"summary_{mode}.csv", header, table)
+
+    table = []
+    for scheduler in schedulers:
+        for count in counts:
+            # median and fmean do not depend on the order of the values
+            values = [
+                int(r["ga_iterations"])
+                for mode in modes
+                for r in groups.get((mode, scheduler, count), ())
+            ]
+            if values:
+                table.append(
                     [scheduler, count, statistics.median(values), statistics.fmean(values)]
                 )
-    written.append(iters_path)
+    write(
+        "iterations.csv",
+        ["scheduler", "resource_count", "median_ga_iterations", "mean_ga_iterations"],
+        table,
+    )
 
-    plot_path = out_dir / "plot_data.csv"
-    with plot_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "deadline_mode", "resource_count", "scheduler",
-                "mean_total_cost_gd", "mean_jobs_completed", "mean_tasks_completed",
-            ]
-        )
-        for mode in modes:
-            for count in counts:
-                for scheduler in schedulers:
-                    sub = groups.get((mode, scheduler, count))
-                    if not sub:
-                        continue
-                    writer.writerow(
-                        [
-                            mode, count, scheduler,
-                            repr(mean_of(sub, "total_cost_gd")),
-                            statistics.fmean(int(r["jobs_completed"]) for r in sub),
-                            statistics.fmean(int(r["tasks_completed"]) for r in sub),
-                        ]
-                    )
-    written.append(plot_path)
-
-    for path in written:
-        print(f"wrote {path}")
+    table = []
+    for mode in modes:
+        for count in counts:
+            for scheduler in schedulers:
+                sub = groups.get((mode, scheduler, count))
+                if sub:
+                    table.append([
+                        mode, count, scheduler,
+                        repr(mean_of(sub, "total_cost_gd")),
+                        statistics.fmean(int(r["jobs_completed"]) for r in sub),
+                        statistics.fmean(int(r["tasks_completed"]) for r in sub),
+                    ])
+    write(
+        "plot_data.csv",
+        [
+            "deadline_mode", "resource_count", "scheduler",
+            "mean_total_cost_gd", "mean_jobs_completed", "mean_tasks_completed",
+        ],
+        table,
+    )
     return 0
 
 
@@ -389,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="small smoke sweep (25 resources, medium deadlines, 1 seed)",
     )
     run_p.add_argument(
-        "--seeds", help=f"comma-separated seeds (default: ${SEED_ENV_VAR} or 0)"
+        "--seeds", help="comma-separated seeds (default: the config file's, or 0)"
     )
     run_p.add_argument(
         "--schedulers",
@@ -404,23 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument(
         "--out", help="directory for summary tables (default: alongside the input)"
     )
-    report_p.add_argument("--verbose", action="store_true", help="progress logging")
     report_p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.func(args)
-    except (
-        BadConfigError, MissingColumnsError, UnknownSchedulerError, ValueError, OSError
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -109,12 +109,13 @@ def _run_hga(jobs, resources, params, seed):
     return schedule, result.iterations_used
 
 
+# `metagrid run` runs them in this order by default
 SCHEDULERS: dict[str, Callable] = {
     "greedy": _run_greedy,
     "mmc": _run_mmc,
     "relaxed-mgn": _run_relaxed_mgn,
-    "lpga": _run_lpga,
     "hga": _run_hga,
+    "lpga": _run_lpga,
 }
 
 

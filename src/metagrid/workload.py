@@ -189,9 +189,3 @@ def generate_jobs(config: ScenarioConfig) -> list[JobRequest]:
             )
         )
     return jobs
-
-
-def generate_scenario(
-    config: ScenarioConfig,
-) -> tuple[list[ResourceInfo], list[JobRequest]]:
-    return generate_grid(config), generate_jobs(config)

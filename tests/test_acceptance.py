@@ -31,7 +31,7 @@ from metagrid.model import (
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import run_scenario
-from metagrid.workload import ScenarioConfig, generate_scenario
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 from oracles import (
     allocation,
     brute_force_relaxed,
@@ -66,7 +66,7 @@ def sweep_corpus():
     for count in SWEEP_COUNTS:
         for seed in SWEEP_SEEDS:
             cfg = ScenarioConfig(resource_count=count, job_count=50, rng_seed=seed)
-            grid, jobs = generate_scenario(cfg)
+            grid, jobs = generate_grid(cfg), generate_jobs(cfg)
             params = replace(CORPUS_GA, rng_seed=97 * count + seed)
             table = pair_table(jobs, grid)
             greedy_s = greedy_schedule(table)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from metagrid.cli import RESULT_COLUMNS, main
+from metagrid.cli import RESULT_COLUMNS, Sweep, _load_ini, main
+from metagrid.ga import GaParams
 
 FAST_INI = """\
 [sweep]
@@ -21,11 +23,6 @@ population_size = 8
 convergence_window = 5
 max_iterations = 20
 """
-
-
-@pytest.fixture(autouse=True)
-def _no_seed_env(monkeypatch):
-    monkeypatch.delenv("METAGRID_SEED", raising=False)
 
 
 def _read_rows(path: Path) -> list[dict]:
@@ -127,6 +124,10 @@ def test_verbose_run_streams_events(tmp_path):
         ("[sweep]\nseeds = ,\n", "empty seeds list"),
         ("[sweep]\nresource_counts =\n", "empty resource_counts list"),
         ("[sweep]\ndeadline_modes =\n", "empty deadline_modes list"),
+        ("seeds = 1\n", "no section headers"),
+        ("[sweep]\nseeds = 1\nseeds = 2\n", "option 'seeds' in section 'sweep' already exists"),
+        ("[sweep]\nschedulers = greedy%\n", "'%' must be followed by '%' or '('"),
+        ("[ga]\nrng_seed = 3\n", "unknown [ga] key: rng_seed"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, ini_text, complaint):
@@ -195,14 +196,8 @@ def _seed_column(tmp_path: Path, name: str, argv_extra: list[str]) -> set[str]:
     return {r["seed"] for r in _read_rows(out / "results.csv")}
 
 
-def test_seed_flag_beats_everything(tmp_path, monkeypatch):
-    monkeypatch.setenv("METAGRID_SEED", "9")
+def test_seed_flag_beats_everything(tmp_path):
     assert _seed_column(tmp_path, "flag", ["--seeds", "11"]) == {"11"}
-
-
-def test_seed_env_beats_config(tmp_path, monkeypatch):
-    monkeypatch.setenv("METAGRID_SEED", "9")
-    assert _seed_column(tmp_path, "env", []) == {"9"}
 
 
 def test_seed_config_beats_default(tmp_path):
@@ -214,6 +209,57 @@ def test_seed_defaults_to_zero(tmp_path):
     out = tmp_path / "dflt"
     assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
     assert {r["seed"] for r in _read_rows(out / "results.csv")} == {"0"}
+
+
+# ------------------------------------------------------- sweep and config
+
+
+def test_sweep_defaults():
+    assert vars(Sweep()) == {
+        "resource_counts": [25, 50, 100, 150, 200],
+        "deadline_modes": ["tight", "medium", "relaxed"],
+        "schedulers": ["greedy", "mmc", "relaxed-mgn", "hga", "lpga"],
+        "seeds": [0],
+        "job_count": 50,
+        "interval_s": 50.0,
+        "ga": GaParams(),
+    }
+
+
+def test_ga_section_takes_every_ga_param_but_the_seed(tmp_path):
+    values = {
+        "population_size": 30, "crossover_rate": 0.5, "mutation_rate": 0.05,
+        "convergence_window": 25, "max_iterations": 300, "elitism": 2,
+    }
+    assert {f.name for f in fields(GaParams)} - set(values) == {"rng_seed"}
+    ini = tmp_path / "ga.ini"
+    ini.write_text("[ga]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    sweep = Sweep()
+    _load_ini(ini, sweep)
+    assert sweep.ga == GaParams(**values)
+
+
+def test_the_readme_config_example_loads(tmp_path):
+    """The INI block under README's ``## CLI`` heading loads into the
+    values it shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    ini = tmp_path / "readme.ini"
+    ini.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+    sweep = Sweep()
+    _load_ini(ini, sweep)
+    assert vars(sweep) == {
+        "resource_counts": [25, 50, 100, 150, 200],
+        "deadline_modes": ["tight", "medium", "relaxed"],
+        "schedulers": ["greedy", "mmc", "relaxed-mgn", "lpga", "hga"],
+        "seeds": [0, 1, 2],
+        "job_count": 50,
+        "interval_s": 50.0,
+        "ga": GaParams(
+            population_size=30, crossover_rate=0.8, mutation_rate=0.05,
+            convergence_window=25, max_iterations=300, elitism=2,
+        ),
+    }
 
 
 # ----------------------------------------------------------------- report
@@ -263,6 +309,62 @@ def test_report_summary_statistics(tmp_path):
     with (tmp_path / "plot_data.csv").open(newline="") as fh:
         plot = list(csv.reader(fh))
     assert ["medium", "25", "greedy", "105.0", "5.5", "27.5"] in plot
+
+
+# two deadline modes, two schedulers; tight/hga has no 50-resource row
+REPORT_ROWS = FIXTURE_ROWS + [
+    ("0", "50", "medium", "hga", "180.5", "7", "35", "21", "0.600000"),
+    ("0", "25", "tight", "greedy", "120.0", "4", "20", "0", "0.100000"),
+    ("1", "25", "tight", "greedy", "125.0", "4", "21", "0", "0.100000"),
+    ("0", "25", "tight", "hga", "118.25", "4", "20", "9", "0.400000"),
+    ("1", "25", "tight", "hga", "119.0", "5", "24", "10", "0.400000"),
+    ("0", "50", "tight", "greedy", "240.0", "6", "30", "0", "0.200000"),
+]
+
+REPORT_FILES = {
+    "summary_medium.csv": [
+        "resource_count,greedy_mean_cost_gd,greedy_stdev_cost_gd,hga_mean_cost_gd,hga_stdev_cost_gd",
+        "25,105.0,7.0710678118654755,92.5,3.5355339059327378",
+        "50,200.0,0.0,180.5,0.0",
+    ],
+    "summary_tight.csv": [
+        "resource_count,greedy_mean_cost_gd,greedy_stdev_cost_gd,hga_mean_cost_gd,hga_stdev_cost_gd",
+        "25,122.5,3.5355339059327378,118.625,0.5303300858899106",
+        "50,240.0,0.0,,",
+    ],
+    "iterations.csv": [
+        "scheduler,resource_count,median_ga_iterations,mean_ga_iterations",
+        "greedy,25,0.0,0.0",
+        "greedy,50,0.0,0.0",
+        "hga,25,11.0,11.25",
+        "hga,50,21,21.0",
+    ],
+    "plot_data.csv": [
+        "deadline_mode,resource_count,scheduler,mean_total_cost_gd,mean_jobs_completed,mean_tasks_completed",
+        "medium,25,greedy,105.0,5.5,27.5",
+        "medium,25,hga,92.5,5.5,27.5",
+        "medium,50,greedy,200.0,7.0,35.0",
+        "medium,50,hga,180.5,7.0,35.0",
+        "tight,25,greedy,122.5,4.0,20.5",
+        "tight,25,hga,118.625,4.5,22.0",
+        "tight,50,greedy,240.0,6.0,30.0",
+    ],
+}
+
+
+def test_report_output_is_pinned_byte_for_byte(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    _write_fixture_csv(results, rows=REPORT_ROWS)
+    out = tmp_path / "out"
+    assert main(["report", str(results), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"wrote {out / name}\n"
+        for name in ("summary_medium.csv", "summary_tight.csv", "iterations.csv", "plot_data.csv")
+    )
+    assert sorted(p.name for p in out.iterdir()) == sorted(REPORT_FILES)
+    for name, lines in REPORT_FILES.items():
+        # csv.writer ends each row with \r\n
+        assert (out / name).read_bytes() == "".join(f"{line}\r\n" for line in lines).encode(), name
 
 
 def test_report_on_header_only_csv(tmp_path):

@@ -40,7 +40,7 @@ from metagrid.model import (
     pair_table,
     validate,
 )
-from metagrid.workload import ScenarioConfig, generate_scenario
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 from oracles import (
     breach_count,
     brute_force_sgn,
@@ -575,10 +575,8 @@ def reference_batches():
         yield f"fuzz {seed}", fuzz_instance(seed)
     for seed in range(3):
         for resources, jobs in ((200, 50), (50, 200)):
-            grid, batch = generate_scenario(
-                ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
-            )
-            yield f"{resources}x{jobs} {seed}", (batch, grid)
+            config = ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
+            yield f"{resources}x{jobs} {seed}", (generate_jobs(config), generate_grid(config))
 
 
 def test_greedy_and_decode_equal_their_scalar_references():

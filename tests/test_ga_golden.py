@@ -24,15 +24,13 @@ import pytest
 from conftest import fuzz_instance, tiny_instance
 from metagrid.ga import GaParams, hga, lpga, run_ga
 from metagrid.model import pair_table
-from metagrid.workload import ScenarioConfig, generate_scenario
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 from oracles import gene_map
 
 
 def _batch(resources: int, jobs: int, seed: int):
-    grid, batch_jobs = generate_scenario(
-        ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
-    )
-    return batch_jobs, grid
+    config = ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
+    return generate_jobs(config), generate_grid(config)
 
 
 def _unseeded(jobs, resources, params):

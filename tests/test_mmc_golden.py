@@ -20,7 +20,7 @@ import pytest
 from conftest import fuzz_instance, tiny_instance
 from metagrid.model import pair_table
 from metagrid.relaxed import build_relaxed, solve_relaxed
-from metagrid.workload import ScenarioConfig, generate_scenario
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 
 SHAPES = {
     "25x50-tight": (25, 50, "tight"),
@@ -49,10 +49,10 @@ def _mmc(model, alloc, stats):
 def _generated(shape):
     resources, jobs, mode = SHAPES[shape]
     for seed in GENERATED_SEEDS:
-        grid, batch = generate_scenario(ScenarioConfig(
+        config = ScenarioConfig(
             resource_count=resources, job_count=jobs, deadline_mode=mode, rng_seed=seed
-        ))
-        yield batch, grid
+        )
+        yield generate_jobs(config), generate_grid(config)
 
 
 CORPORA = {

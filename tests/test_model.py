@@ -34,7 +34,7 @@ from metagrid.model import (
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import SCHEDULERS
-from metagrid.workload import ScenarioConfig, generate_scenario
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 
 from conftest import (
     S1_OPTIMAL_ALLOC,
@@ -270,10 +270,10 @@ def equivalence_batches():
     for resources, jobs, mode in ((25, 50, "tight"), (50, 50, "medium"), (200, 50, "medium"),
                                   (50, 200, "medium")):
         for seed in range(4):
-            grid, batch = generate_scenario(ScenarioConfig(
+            config = ScenarioConfig(
                 resource_count=resources, job_count=jobs, deadline_mode=mode, rng_seed=seed
-            ))
-            yield batch, grid
+            )
+            yield generate_jobs(config), generate_grid(config)
 
 
 def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):

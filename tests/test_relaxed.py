@@ -32,7 +32,7 @@ import metagrid.relaxed as relaxed_module
 from metagrid.relaxed import Csc, _model_arrays, _spend_bound, _stack, build_relaxed, solve_relaxed
 from metagrid import ga, simulator
 from metagrid.ga import GaParams
-from metagrid.workload import ScenarioConfig, generate_scenario
+from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
 from oracles import (
     TooLargeError,
     allocation,
@@ -368,11 +368,11 @@ def test_column_pruning_keeps_the_optimum_on_generated_scenarios(
     asks for more PEs than the grid holds, no job-side prefix closes, and
     the resource-side prefix cuts."""
     for seed in range(5):
-        grid, jobs = generate_scenario(ScenarioConfig(
+        config = ScenarioConfig(
             resource_count=resource_count, job_count=job_count,
             deadline_mode=deadline_mode, rng_seed=seed,
-        ))
-        model = build_relaxed(pair_table(jobs, grid))
+        )
+        model = build_relaxed(pair_table(generate_jobs(config), generate_grid(config)))
         fewer, full = solve_both(model)
         assert fewer == pytest.approx(full, abs=1e-9), f"scenario seed {seed}"
         if resource_count == 200:

@@ -13,7 +13,6 @@ from metagrid.workload import (
     ScenarioConfig,
     generate_grid,
     generate_jobs,
-    generate_scenario,
 )
 
 
@@ -139,13 +138,6 @@ def test_task_count_stays_in_its_variation_band():
     # 5 x (1 +/- v) with v <= 0.5, rounded half to even: 2.5 -> 2, 7.5 -> 8
     assert all(2 <= c <= 8 for c in counts)
     assert abs(fmean(counts) - 5.0) < 0.1
-
-
-def test_generate_scenario_bundles_both():
-    cfg = ScenarioConfig(resource_count=6, job_count=4, rng_seed=11)
-    grid, jobs = generate_scenario(cfg)
-    assert grid == generate_grid(cfg)
-    assert jobs == generate_jobs(cfg)
 
 
 # --------------------------------------------------------------- records
