@@ -110,7 +110,7 @@ def _read_section(parser: configparser.ConfigParser, name: str, casts: dict) -> 
 def _load_ini(path: Path, sweep: Sweep) -> None:
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(str(path)):  # its errors would name a Path as PosixPath(...)
             raise BadConfigError(f"cannot read config file {path}")
         unknown = set(parser.sections()) - {"sweep", "ga"}
         if parser.defaults():  # configparser would copy its keys into every section

@@ -11,8 +11,11 @@ cost-second, and a feasible fully-placed chromosome's fitness is exactly
 its schedule cost.  The raw 64-bit words of ``numpy.random.PCG64(rng_seed)``,
 a stream NEP 19 keeps stable across numpy releases, determine the run: a
 word ``w`` is a uniform ``(w >> 11) * 2**-53`` or an int below ``n`` by
-multiply-shift, ``((w >> 32) * n) >> 32``.  The initial genes come first,
-then each generation's words in ``mutate``'s order, a few array calls.
+multiply-shift, ``((w >> 32) * n) >> 32``; a rate test needs no uniform:
+``uniforms(w) < rate`` exactly when ``w <= (ceil(rate * 2**53) << 11) - 1``.
+The initial genes come first, then each generation's words in ``mutate``'s
+order, a few array calls.  A row's costs are added job by job, so a row
+scores the same alone as in any population.
 
 Every stage here takes the batch's ``PairTable``, which the caller
 builds: the fitness tables, the loop, ``decode_schedule``,
@@ -29,7 +32,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from math import inf
+from math import ceil, inf
 
 import numpy as np
 
@@ -159,6 +162,13 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
+def _threshold(rate: float) -> int:
+    """The largest word ``w`` with ``uniforms(w) < rate``, -1 when there is
+    none: a word's top 53 bits ``u`` give ``u * 2**-53 < rate`` exactly
+    when ``u < ceil(rate * 2**53)``."""
+    return (ceil(rate * 2.0**53) << 11) - 1
+
+
 def belows(words: np.ndarray, n: int) -> np.ndarray:
     """Ints in [0, n), 0 < n < 2**32, by multiply-shift of each raw word's
     top 32 bits, with no rejection: bias at most n / 2**32."""
@@ -196,9 +206,9 @@ def mutate(
     pairs = (size - elitism + 1) // 2
     words = bits.random_raw(4 * pairs + (size - elitism) * n_genes)
     draws = uniforms(words[: 2 * pairs])
-    crossed = uniforms(words[2 * pairs : 3 * pairs]) < params.crossover_rate
+    crossed = words[2 * pairs : 3 * pairs] <= _threshold(params.crossover_rate)
     cuts = np.where(crossed, belows(words[3 * pairs : 4 * pairs], n_genes + 1), n_genes)
-    resets = uniforms(words[4 * pairs :]) < params.mutation_rate
+    resets = words[4 * pairs :] <= _threshold(params.mutation_rate)
     genes = elitism * n_genes + np.flatnonzero(resets)
     return draws, cuts, genes, belows(bits.random_raw(len(genes)), n_choices)
 
@@ -267,7 +277,9 @@ def _breed(
     draws, cuts, genes, values = mutate(bits, params, n_genes, n_choices)
     parents = roulette_wheel(fits)(draws)
     children = crossover(population, parents, cuts)
-    elites = population.take(fits.argsort(kind="stable")[: params.elitism], 0)
+    # argmin is the first fittest row, as the stable sort ranks it
+    best = fits.argmin(keepdims=True) if params.elitism == 1 else fits.argsort(kind="stable")
+    elites = population.take(best[: params.elitism], 0)
     bred = np.concatenate([elites, children[: size - params.elitism]])
     bred.put(genes, values)
     return bred

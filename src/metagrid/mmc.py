@@ -22,7 +22,7 @@ the relaxation), starting from the relaxation's answer ``alloc``,
   it: each evictee, smallest first, is re-homed whole on the cheapest of
   the consuming job's other real providers with room that meets its
   deadline and budget, or else parked;
-* rescue: parked jobs, in priority order (``qos_index`` descending), go
+* rescue: parked jobs, in priority order (the table's ``rank``), go
   whole onto the cheapest real resource with room that meets their
   deadline and budget; the rest stay parked on the table's dummy.
 
@@ -43,7 +43,7 @@ from math import inf
 
 import numpy as np
 
-from .model import PairTable, Schedule, build_schedule, qos_index, whole_jobs
+from .model import PairTable, Schedule, build_schedule, whole_jobs
 
 
 @dataclass
@@ -141,8 +141,8 @@ def modified_min_cost(
 
     # rescue
     largest = max(available.values(), default=0)
-    parked = [j for j, k in home.items() if k == parking]
-    for j in sorted(parked, key=lambda j: (-qos_index(jobs[j]), j)):
+    parked = [j for j in table.rank.tolist() if home[j] == parking]
+    for j in parked:
         pes = jobs[j].pe_count
         if pes > largest:
             # no block has room: the scan below would reject every resource

@@ -286,11 +286,14 @@ class PairTable:
     ``coeff``, and 0.0 on a dummy, which is budget-exempt.  ``pes`` holds
     each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
     resource's free PEs.  A dummy column follows the same formulas.
+    ``rank`` lists the rows in priority order: the QoS index, budget per
+    deadline-second per PE, descending, and ties by job id.
     """
 
     jobs: tuple[JobRequest, ...]
     resources: tuple[ResourceInfo, ...]
     parking: int
+    rank: np.ndarray
     pes: np.ndarray
     limit: np.ndarray
     free: np.ndarray
@@ -321,7 +324,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
     pes = np.array([j.pe_count for j in jobs], dtype=float)
     deadline = np.array([j.deadline_s for j in jobs], dtype=float)
-    limit = budget_limit(np.array([j.budget_gd for j in jobs], dtype=float))
+    budget = np.array([j.budget_gd for j in jobs], dtype=float)
+    limit = budget_limit(budget)
     free = np.array([r.free_pes for r in resources], dtype=int)
     speed = np.array([r.pe_speed_mips for r in resources], dtype=float)
     rate = np.array([r.cost_per_pe_second for r in resources], dtype=float)
@@ -339,16 +343,12 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     feasible = dummy | (breaches == 0)
     fits = dummy | (feasible & (pes[:, None] <= free))
     admissible = dummy | (on_time & (weight <= limit[:, None]))
+    # a stable sort keeps ties in id order
+    rank = np.argsort(-(budget / (deadline * pes)), kind="stable")
     return PairTable(
-        jobs, resources, parking, pes, limit, free, rate, exec_s, coeff, cost, weight,
+        jobs, resources, parking, rank, pes, limit, free, rate, exec_s, coeff, cost, weight,
         on_time, breaches, feasible, fits, admissible, dummy,
     )
-
-
-def qos_index(job: JobRequest) -> float:
-    """Priority score: budget per deadline-second per PE (higher = richer
-    and more urgent per unit of work, scheduled first)."""
-    return job.budget_gd / (job.deadline_s * job.pe_count)
 
 
 def _index(records: Sequence, key: str) -> dict:
@@ -526,18 +526,18 @@ def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
     """
     jobs, resources = table.jobs, table.resources
     dummy_id = resources[table.parking].resource_id
-    parked = (placed[:, table.parking] > 0).tolist()
-    ji, ki = np.nonzero(placed)  # row-major: job-major, resource-minor
+    parked = placed[:, table.parking] > 0
+    parked_jobs = [jobs[j] for j in np.flatnonzero(parked).tolist()]
+    entries = {(dummy_id, job.job_id): job.pe_count for job in parked_jobs}
+    # the placed jobs' fragments, row-major: job-major, resource-minor (a
+    # flat mask's flatnonzero: np.nonzero of a 2-D array is several times slower)
+    ji, ki = np.divmod(np.flatnonzero((placed != 0) & ~parked[:, None]), placed.shape[1])
     pes = placed[ji, ki]
     fragments = table.rate[ki] * pes * table.exec_s[ji, ki]
-    entries: dict[tuple[str, str], int] = {}
     job_costs: dict[int, float] = {}  # per placed job, in row order
     for j, k, n, cost in zip(ji.tolist(), ki.tolist(), pes.tolist(), fragments.tolist()):
-        if parked[j]:
-            entries[(dummy_id, jobs[j].job_id)] = jobs[j].pe_count
-        else:
-            entries[(resources[k].resource_id, jobs[j].job_id)] = n
-            job_costs[j] = job_costs.get(j, 0.0) + cost
-    dummy_jobs = frozenset(job.job_id for job, p in zip(jobs, parked) if p)
+        entries[(resources[k].resource_id, jobs[j].job_id)] = n
+        job_costs[j] = job_costs.get(j, 0.0) + cost
+    dummy_jobs = frozenset(job.job_id for job in parked_jobs)
     # not a running +=: Python >= 3.12 compensates sum()
     return Schedule(AllocationMatrix(entries), dummy_jobs, sum(job_costs.values(), 0.0))

@@ -76,11 +76,12 @@ HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) is called directly
 through scipy's binding ``scipy.optimize._highspy._core``, not through
 ``scipy.optimize.linprog``, whose wrapper (input checks, a result
 re-check, per-column bound marginals nobody reads) costs more than many
-of these small solves.  ``linprog`` here fills a ``HighsLp`` with the
-rows in the order scipy's wrapper stacks them (inequality rows, then the
-demand rows as lower = upper = PE count), the matrix as the CSC arrays
-scipy's stacking produces (built in numpy by ``_model_arrays`` and
-``_stack``), and column bounds [0, ub], and sets exactly the options the
+of these small solves.  ``linprog`` here fills a ``HighsLp`` from
+Python lists (the binding reads a numpy array one scalar at a time) with
+the rows in the order scipy's wrapper stacks them (inequality rows, then
+the demand rows as lower = upper = PE count), the matrix as the CSC
+arrays scipy's stacking produces (built in numpy by ``_model_arrays``
+and ``_stack``), and column bounds [0, ub], and sets exactly the options the
 wrapper sets: presolve on, dual simplex, debug and console output off,
 ``mip_rel_gap`` 0.  So HiGHS sees the same model and returns the same
 ``x``, bit for bit; with presolve off it would pick other tied optima.
@@ -316,14 +317,16 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq, ub, integer: bool = False):
     called directly (module docstring)."""
     n = len(c)
     a = _stack(a_ub, a_eq)
-    lp = _core.HighsLp()
+    lp = _core.HighsLp()  # filled from lists (module docstring)
     lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(n), ub
-    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_core.kHighsInf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    lp.a_matrix_.start_ = a.indptr.tolist()
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indices.tolist(), a.data.tolist()
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c.tolist(), [0.0] * n, ub.tolist()
+    b_eq = b_eq.tolist()
+    lp.row_lower_ = [-_core.kHighsInf] * len(b_ub) + b_eq
+    lp.row_upper_ = b_ub.tolist() + b_eq
     if integer:
         lp.integrality_ = [_core.HighsVarType.kInteger] * n
     options = _core.HighsOptions()  # the options linprog sets; the rest default

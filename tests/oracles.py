@@ -30,7 +30,6 @@ from metagrid.model import (
     meets_deadline,
     pair_charge,
     pair_table,
-    qos_index,
 )
 from metagrid.ga import FitnessTables
 from metagrid.relaxed import RelaxedModel
@@ -51,6 +50,12 @@ def breach_count(job: JobRequest, resource: ResourceInfo) -> int:
     resource.  Capacity is the caller's concern."""
     late = not meets_deadline(job, resource)
     return late + (pair_charge(job, resource, job.pe_count) > budget_limit(job.budget_gd))
+
+
+def qos_index(job: JobRequest) -> float:
+    """Reference for ``PairTable.rank``: budget per deadline-second per PE
+    (higher = richer and more urgent per unit of work, scheduled first)."""
+    return job.budget_gd / (job.deadline_s * job.pe_count)
 
 
 def placement_feasible(job: JobRequest, resource: ResourceInfo) -> bool:

@@ -135,7 +135,12 @@ def test_bad_config_exits_one(tmp_path, capsys, ini_text, complaint):
     ini.write_text(ini_text)
     code = main(["run", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert complaint in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert complaint in err
+    # configparser's reading errors name the file as given, not as a Path's repr
+    reading_error = "section headers" in complaint or "already exists" in complaint
+    assert (repr(str(ini)) in err) == reading_error
+    assert "PosixPath(" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import S1_OPTIMAL_COST, fuzz_instance, same_schedule, tiny_instance
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import metagrid.ga as ga_module
 from metagrid.greedy import greedy_schedule
 from metagrid.ga import (
@@ -242,6 +244,36 @@ def test_batch_scores_equal_the_dict_walk_bit_for_bit(batch):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(batch=scored_batches())
+def test_a_row_scores_alone_what_it_scores_in_the_population(batch):
+    """``run_ga`` scores its seed rows alone and every generation as a
+    whole population; each row's score is the same either way, bit for
+    bit, so the costs are added in one order whatever the row count."""
+    jobs, pool, rows = batch
+    tables = FitnessTables(pair_table(jobs, pool))
+    population = np.array(rows)
+    alone = [tables.score(population[i : i + 1]).tolist() for i in range(len(rows))]
+    assert alone == [[fit] for fit in tables.score(population).tolist()]
+
+
+def test_a_row_scores_alone_what_it_scores_in_a_generated_population():
+    """The same on generated batches of 200 resources x 50 jobs and 50 x
+    200, greedy's row and 29 random rows each: with this many jobs and
+    costs, a pairwise sum of one row's costs would differ in the last bits."""
+    rng = np.random.default_rng(0)
+    for seed in range(3):
+        for resources, jobs in ((200, 50), (50, 200)):
+            config = ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
+            table = pair_table(generate_jobs(config), generate_grid(config))
+            tables = FitnessTables(table)
+            seed_row = chromosome_from_schedule(greedy_schedule(table), table)
+            drawn = rng.integers(0, len(table.resources), (29, jobs))
+            population = np.concatenate([[seed_row], drawn])
+            alone = [tables.score(row[None]).tolist()[0] for row in population]
+            assert alone == tables.score(population).tolist(), config
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(batch=scored_batches())
 def test_no_score_is_below_the_floor(batch):
     """The floor is the penalty for each job that has no real resource
     without a breach and with a free PE for each of its PEs, and every row
@@ -436,6 +468,57 @@ def test_mutate_draws_stay_in_range(seed, n_choices, n_genes, size, elitism, rat
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
+class PlannedWords:
+    """A bit source that hands out ``words`` in order, then zeros."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        out = np.zeros(count, dtype=np.uint64)
+        taken, self.words = self.words[:count], self.words[count:]
+        out[: len(taken)] = taken
+        return out
+
+
+FIXED_RATES = (0.0, 2.0**-60, 0.02, 0.5, 0.8, 1.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rate=st.floats(0.0, 1.0))
+@example(rate=0.0)
+@example(rate=2.0**-60)
+@example(rate=0.02)
+@example(rate=0.5)
+@example(rate=0.8)
+@example(rate=1.0)
+def test_mutate_decides_each_rate_on_the_raw_words(rate):
+    """``mutate`` crosses a pair and resets a gene exactly where the raw
+    word's uniform is below the rate, ``uniforms(w) < rate``.  The words
+    probed are 0, 2**64 - 1 and, for this rate and each of ``FIXED_RATES``,
+    the largest word whose uniform is below it (``T``) and ``T +- 1``;
+    0.5 * 2**53 is an integer, 0.02 * 2**53 is not.  Each probe word is one
+    pair's crossover word and two child genes' mutation words, over one
+    gene and no elite, and every cut word is 0, so a crossed pair cuts at
+    0 and a kept one at 1."""
+    probes = {0, 2**64 - 1}
+    for r in (rate, *FIXED_RATES):
+        # the largest top-53-bit value below r * 2**53, -1 at rate 0, and
+        # T, the last word that carries it
+        top = math.ceil(Fraction(r) * 2**53) - 1
+        threshold = (top << 11) | 2047
+        probes |= {w for w in (threshold - 1, threshold, threshold + 1) if 0 <= w < 2**64}
+    words = np.array(sorted(probes), dtype=np.uint64)
+    m = len(words)
+    params = GaParams(population_size=2 * m, elitism=0, crossover_rate=rate, mutation_rate=rate)
+    zeros = np.zeros(m, dtype=np.uint64)
+    planned = PlannedWords(np.concatenate([zeros, zeros, words, zeros, words, words]))
+    _, cuts, genes, _ = mutate(planned, params, 1, 5)
+    below = uniforms(words) < rate
+    assert (cuts == 0).tolist() == below.tolist()
+    assert genes.tolist() == np.flatnonzero(np.concatenate([below, below])).tolist()
+
+
 def test_the_stream_and_its_decoders_are_pinned():
     """The first raw words of ``PCG64(0)``, which NEP 19 keeps stable
     across numpy releases, and what the two decoders make of them: a numpy
@@ -567,24 +650,41 @@ def test_decode_output_is_always_sgn_feasible():
         assert violations == [], f"instance seed {seed}: {violations}"
 
 
+def cut(resources, rng, share=1):
+    """Each resource with its free PEs cut to a random count from 0 to
+    ``1 / share`` of its own."""
+    return [r.with_free_pes(rng.randint(0, r.free_pes // share)) for r in resources]
+
+
 def reference_batches():
     """``tiny_instance`` and ``fuzz_instance`` 0-249, then generated
-    batches of 200 resources x 50 jobs and 50 resources x 200 jobs."""
+    batches of 200 resources x 50 jobs and 50 resources x 200 jobs; each
+    one also with random free-PE cuts, the generated ones twice: cut to
+    at most half, where greedy fills up (about one job in eight fits
+    nowhere), and to at most a third, where most jobs fit nowhere."""
     for seed in range(250):
-        yield f"tiny {seed}", tiny_instance(seed)
-        yield f"fuzz {seed}", fuzz_instance(seed)
+        for name, (jobs, resources) in (("tiny", tiny_instance(seed)),
+                                        ("fuzz", fuzz_instance(seed))):
+            yield f"{name} {seed}", (jobs, resources)
+            yield f"{name} {seed} cut", (jobs, cut(resources, random.Random(seed)))
     for seed in range(3):
-        for resources, jobs in ((200, 50), (50, 200)):
-            config = ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
-            yield f"{resources}x{jobs} {seed}", (generate_jobs(config), generate_grid(config))
+        for n_resources, n_jobs in ((200, 50), (50, 200)):
+            config = ScenarioConfig(resource_count=n_resources, job_count=n_jobs, rng_seed=seed)
+            jobs, resources = generate_jobs(config), generate_grid(config)
+            name = f"{n_resources}x{n_jobs} {seed}"
+            yield name, (jobs, resources)
+            for share in (2, 3):
+                yield f"{name} cut 1/{share}", (jobs, cut(resources, random.Random(seed), share))
 
 
 def test_greedy_and_decode_equal_their_scalar_references():
     """``greedy_schedule`` and ``decode_schedule`` read the batch's pair
     table; they give the schedules of the scalar loops of ``oracles``,
-    which check each pair with ``placement_feasible``.  Decode runs on
-    greedy's genes, on seeded random gene rows over the pool and on a row
-    that crowds every job onto one resource."""
+    which check each pair with ``placement_feasible``, and so does
+    ``build_schedule``, which makes both.  Decode runs on greedy's genes,
+    on seeded random gene rows over the pool and on a row that crowds
+    every job onto one resource.  On the cut batches most jobs are parked,
+    and greedy walks only the jobs that fit on some real resource."""
     for name, (jobs, resources) in reference_batches():
         table = pair_table(jobs, resources)
         greedy = greedy_schedule(table)

@@ -29,7 +29,6 @@ from metagrid.model import (
     exec_time,
     make_dummy_resource,
     pair_table,
-    qos_index,
     validate,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
@@ -50,6 +49,7 @@ from oracles import (
     pe_array,
     placement_cost,
     placement_feasible,
+    qos_index,
     schedule_by_id,
     schedule_cost,
 )
@@ -209,6 +209,27 @@ def test_placement_feasible_checks_deadline_and_budget(s1_jobs, s1_resources):
 def test_qos_index_formula():
     job = JobRequest("U", "J", 100.0, 20.0, (1.0, 1.0), 2)
     assert qos_index(job) == 100.0 / (20.0 * 2)
+
+
+def test_pair_table_ranks_jobs_by_qos_index_then_id():
+    """``rank`` lists the table's rows by the QoS index descending, ties
+    by job id, with each index computed in ``oracles.qos_index``'s order
+    of operations: 1 / (0.1 * 3) is one ulp below 10 / 3, and (1 / 0.1) / 3
+    is not.  The hand-made batch, then ``tiny_instance`` and
+    ``fuzz_instance`` 0-299."""
+    jobs = [
+        JobRequest("U", "D", 10.0, 3.0, (1.0,), 1),
+        JobRequest("U", "C", 100.0, 20.0, (1.0, 1.0), 2),
+        JobRequest("U", "B", 50.0, 10.0, (1.0, 1.0), 2),  # ties C at 2.5
+        JobRequest("U", "A", 1.0, 0.1, (1.0,) * 3, 3),
+    ]
+    table = pair_table(jobs, [ResourceInfo("R1", 4, 1.0, 100.0)])
+    assert [table.jobs[j].job_id for j in table.rank] == ["D", "A", "B", "C"]
+    for seed in range(300):
+        for jobs, resources in (tiny_instance(seed), fuzz_instance(seed)):
+            table = pair_table(jobs, resources)
+            want = sorted(table.jobs, key=lambda j: (-qos_index(j), j.job_id))
+            assert [table.jobs[j] for j in table.rank] == want, seed
 
 
 def test_make_dummy_resource_parameters(s1_jobs, s1_resources):
