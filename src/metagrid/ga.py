@@ -19,12 +19,13 @@ scores the same alone as in any population.
 
 Every stage here takes the batch's ``PairTable``, which the caller
 builds: the fitness tables, the loop, ``decode_schedule``,
-``chromosome_from_schedule``, ``relax_and_consolidate`` and both
-pipelines.  So a gene is judged by the same deadline and budget rule as
-every other scheduler applies.  ``lpga`` seeds the population with the
-consolidated relaxation solution and ``hga`` with the greedy baseline,
-both over that one table.  Both then run the one shared tail,
-``_refine``, which is what makes the two directly comparable.
+``relax_and_consolidate`` and both pipelines.  So a gene is judged by the
+same deadline and budget rule as every other scheduler applies.  ``lpga``
+seeds the population with the consolidated relaxation solution and
+``hga`` with the greedy baseline, both over that one table.  Both then
+run the one shared tail, ``_refine``, which reads the seed's table and
+gene row off its ``Schedule`` (each row's one column with PEs, the
+dummy's for a parked job); that is what makes the two directly comparable.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def roulette_wheel(fits: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
     fits = np.asarray(fits, dtype=float)
     f_max = fits.max()
     weights = (f_max - fits) + (1e-6 * f_max if f_max > 0 else 1.0)
-    prefix = weights.cumsum()[:-1]  # running totals, added left to right
-    total = sum(weights.tolist())  # not a cumsum: Python >= 3.12 compensates sum()
+    running = weights.cumsum()  # left to right on any Python; >= 3.12 compensates sum()
+    prefix, total = running[:-1], running[-1]
 
     def pick(draws: np.ndarray) -> np.ndarray:
         return prefix.searchsorted(draws * total)
@@ -242,23 +243,6 @@ def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
             assign[shed] = parking
 
     return build_schedule(table, whole_jobs(table, assign))
-
-
-def chromosome_from_schedule(schedule: Schedule, table: PairTable) -> tuple[int, ...]:
-    """Gene row of a whole-job schedule; deferred jobs get the dummy's
-    column."""
-    columns = {r.resource_id: k for k, r in enumerate(table.resources)}
-    by_job = schedule.assignments.by_job()
-    row = []
-    for job in table.jobs:
-        placements = by_job.get(job.job_id, {})
-        if job.job_id in schedule.dummy_jobs or not placements:
-            row.append(table.parking)
-        elif len(placements) != 1:
-            raise ValueError(f"job {job.job_id} is not placed whole: {placements}")
-        else:
-            row.append(columns[next(iter(placements))])
-    return tuple(row)
 
 
 def _breed(
@@ -372,23 +356,24 @@ def run_ga(
     )
 
 
-def _refine(
-    tag: str, seed_schedule: Schedule, table: PairTable, params: GaParams
-) -> tuple[Schedule, GaResult]:
-    """The tail both pipelines share: seed the GA with ``seed_schedule``'s
-    row and decode the best row it finds."""
-    result = run_ga([chromosome_from_schedule(seed_schedule, table)], table, params)
+def _refine(tag: str, seed: Schedule, params: GaParams) -> tuple[Schedule, GaResult]:
+    """The tail both pipelines share: seed the GA with the row of ``seed``,
+    a whole-job schedule (each row's one column with PEs), and decode the
+    best row it finds over ``seed``'s table."""
+    table = seed.table
+    result = run_ga([seed.placed.argmax(axis=1)], table, params)
     schedule = decode_schedule(result.best, table)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "%s: seed fitness %.6g -> best %.6g in %d iterations",
             tag, result.seed_fitness, result.best_fitness, result.iterations_used,
         )
-        for jid, rids in sorted(schedule.assignments.by_job().items()):
-            if jid in schedule.dummy_jobs:
-                logger.debug("%s: job %s deferred to the next period", tag, jid)
+        for job, k in zip(table.jobs, schedule.placed.argmax(axis=1).tolist()):
+            if k == table.parking:
+                logger.debug("%s: job %s deferred to the next period", tag, job.job_id)
             else:
-                logger.debug("%s: job %s placed on %s", tag, jid, ",".join(sorted(rids)))
+                rid = table.resources[k].resource_id
+                logger.debug("%s: job %s placed on %s", tag, job.job_id, rid)
     return schedule, result
 
 
@@ -415,9 +400,9 @@ def lpga(table: PairTable, params: GaParams = GaParams()) -> tuple[Schedule, GaR
     over the table's id-sorted rows and columns and ranks by cost or
     priority itself, so none depends on the order the batch came in.
     """
-    return _refine("lpga", relax_and_consolidate(table), table, params)
+    return _refine("lpga", relax_and_consolidate(table), params)
 
 
 def hga(table: PairTable, params: GaParams = GaParams()) -> tuple[Schedule, GaResult]:
     """Greedy-seeded meta-scheduler: identical GA, cheaper seed."""
-    return _refine("hga", greedy_schedule(table), table, params)
+    return _refine("hga", greedy_schedule(table), params)

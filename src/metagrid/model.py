@@ -25,7 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -216,19 +217,6 @@ class Violation:
     resource_id: str | None
     job_id: str | None
     detail: str
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A finished scheduling decision for one batch of jobs.
-
-    ``dummy_jobs`` lists jobs parked for rollover; they never appear among
-    the real assignments and contribute nothing to ``total_cost_gd``.
-    """
-
-    assignments: AllocationMatrix
-    dummy_jobs: frozenset[str] = field(default_factory=frozenset)
-    total_cost_gd: float = 0.0
 
 
 def exec_time(job: JobRequest, resource: ResourceInfo) -> float:
@@ -514,30 +502,55 @@ def whole_jobs(table: PairTable, homes: Sequence[int]) -> np.ndarray:
     return placed
 
 
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """A finished scheduling decision for one batch: ``placed``, a jobs x
+    resources int array of PE counts over the batch's ``table``, in which a
+    parked row holds its PEs on ``table.parking`` and nowhere else.
+
+    Derived: ``dummy_jobs``, the parked jobs' ids (rolled over, costing
+    nothing); ``total_cost_gd``, each placed job's fragments (rate x PEs x
+    runtime) added in column order, then the jobs in row order; and
+    ``assignments``, the id-keyed ``AllocationMatrix`` for ``validate``.
+    Build one with ``build_schedule``, which applies the parking rule;
+    neither this record nor the simulator checks it."""
+
+    table: PairTable
+    placed: np.ndarray
+
+    @cached_property
+    def dummy_jobs(self) -> frozenset[str]:
+        parked = np.flatnonzero(self.placed[:, self.table.parking])
+        return frozenset(self.table.jobs[j].job_id for j in parked.tolist())
+
+    @cached_property
+    def total_cost_gd(self) -> float:
+        table = self.table
+        fragments = table.rate * np.where(table.dummy, 0, self.placed) * table.exec_s
+        total = 0.0  # a loop, not sum(): Python >= 3.12 compensates sum()
+        for job_cost in fragments.cumsum(axis=1)[:, -1].tolist():
+            total += job_cost
+        return total
+
+    @cached_property
+    def assignments(self) -> AllocationMatrix:
+        ji, ki = np.nonzero(self.placed)
+        return AllocationMatrix({
+            (self.table.resources[k].resource_id, self.table.jobs[j].job_id): pes
+            for j, k, pes in zip(ji.tolist(), ki.tolist(), self.placed[ji, ki].tolist())
+        })
+
+
 def build_schedule(table: PairTable, placed: np.ndarray) -> Schedule:
-    """Turn ``placed``, a jobs x resources array of PE counts over
-    ``table``, into a Schedule.
+    """The Schedule of ``placed``, a jobs x resources array of PE counts
+    over ``table``.
 
     Any job with PEs on the dummy column is parked whole: its real fragments
     (possible in split-mode solutions when capacity ran short) are dropped
-    because a partially-placed job cannot run, and its PEs are re-parked on
-    the table's dummy.  The cost covers really-placed jobs only: each
-    fragment costs rate x PEs x runtime, summed per job in column order.
+    because a partially-placed job cannot run, and all its PEs go on the
+    dummy column.
     """
-    jobs, resources = table.jobs, table.resources
-    dummy_id = resources[table.parking].resource_id
     parked = placed[:, table.parking] > 0
-    parked_jobs = [jobs[j] for j in np.flatnonzero(parked).tolist()]
-    entries = {(dummy_id, job.job_id): job.pe_count for job in parked_jobs}
-    # the placed jobs' fragments, row-major: job-major, resource-minor (a
-    # flat mask's flatnonzero: np.nonzero of a 2-D array is several times slower)
-    ji, ki = np.divmod(np.flatnonzero((placed != 0) & ~parked[:, None]), placed.shape[1])
-    pes = placed[ji, ki]
-    fragments = table.rate[ki] * pes * table.exec_s[ji, ki]
-    job_costs: dict[int, float] = {}  # per placed job, in row order
-    for j, k, n, cost in zip(ji.tolist(), ki.tolist(), pes.tolist(), fragments.tolist()):
-        entries[(resources[k].resource_id, jobs[j].job_id)] = n
-        job_costs[j] = job_costs.get(j, 0.0) + cost
-    dummy_jobs = frozenset(job.job_id for job in parked_jobs)
-    # not a running +=: Python >= 3.12 compensates sum()
-    return Schedule(AllocationMatrix(entries), dummy_jobs, sum(job_costs.values(), 0.0))
+    placed = np.where(parked[:, None], 0, placed)
+    placed[parked, table.parking] = table.pes[parked]
+    return Schedule(table, placed)

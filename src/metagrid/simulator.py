@@ -6,9 +6,11 @@ PEs.  Each queued job is presented with its *remaining* deadline
 (submission time plus deadline minus now), so waiting erodes slack and a
 tight job can become unplaceable while it queues.  Presented jobs and
 changed resources are copies that check only the new deadline or free-PE
-count (``with_deadline``, ``with_free_pes``).  Placements run to
-completion and release their PEs; jobs the scheduler parks stay queued;
-jobs whose remaining deadline hits zero are recorded as missed.
+count (``with_deadline``, ``with_free_pes``).  A returned ``Schedule``'s
+real fragments are placed row-major over its table (job id, then resource
+id) at the table's runtimes and rates, and every job with none, parked or
+left out, stays queued.  Placements run to completion and release their
+PEs; jobs whose remaining deadline hits zero are recorded as missed.
 
 Time is integer milliseconds throughout: boundaries fall at exact
 multiples of the interval, execution times are truncated to whole
@@ -26,9 +28,11 @@ import time as _time
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 
+import numpy as np
+
 from .ga import GaParams, hga, lpga, relax_and_consolidate
 from .greedy import greedy_schedule
-from .model import JobRequest, ResourceInfo, build_schedule, exec_time, pair_table, whole_jobs
+from .model import JobRequest, ResourceInfo, build_schedule, pair_table, whole_jobs
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
@@ -145,7 +149,6 @@ def run_scenario(
 
     resources = list(grid) if grid is not None else generate_grid(config)
     jobs = list(jobs) if jobs is not None else generate_jobs(config)
-    res_by_id = {r.resource_id: r for r in resources}
 
     interval_ms = max(1, int(round(config.interval_s * 1000)))
     submit_ms = {j.job_id: int(round(j.submit_time_s * 1000)) for j in jobs}
@@ -217,32 +220,30 @@ def run_scenario(
             sched_time += _time.perf_counter() - t0
             ga_iterations += iters
 
-            # pending is in id order: place what the schedule placed, carry
-            # what it parked or left out
-            by_job = schedule.assignments.by_job()
-            unknown = by_job.keys() - {j.job_id for j in pending}
+            # place the real fragments row-major; carry every job with none
+            table = schedule.table
+            unknown = {j.job_id for j in table.jobs} - {j.job_id for j in pending}
             assert not unknown, f"schedule mentions unknown jobs: {unknown}"
-            carried: list[JobRequest] = []
-            for job in pending:
-                jid = job.job_id
-                if jid not in by_job or jid in schedule.dummy_jobs:
-                    carried.append(job)
-                    continue
-                fragments = sorted(by_job[jid].items())
-                fragments_left[jid] = len(fragments)
-                for rid, pes in fragments:
-                    res = res_by_id[rid]
-                    exec_s = exec_time(job, res)
-                    end = now + int(exec_s * 1000)
-                    assert end <= submit_ms[jid] + deadline_ms[jid], (
-                        f"{scheduler} placed {jid} on {rid} past its deadline"
-                    )
-                    assert free[rid] >= pes, f"{scheduler} overcommitted {rid}"
-                    free[rid] -= pes
-                    seq += 1
-                    heapq.heappush(running, (end, seq, rid, jid, pes))
-                    total_cost += res.cost_per_pe_second * pes * exec_s
-                    emit(SimEvent(now, "schedule", jid, rid, detail=f"pes={pes}"))
+            real = np.where(table.dummy, 0, schedule.placed)
+            # flatnonzero + divmod: np.nonzero of a 2-D array is several times slower
+            ji, ki = np.divmod(np.flatnonzero(real), real.shape[1])
+            for j, k, pes, exec_s, rate in zip(
+                ji.tolist(), ki.tolist(), real[ji, ki].tolist(),
+                table.exec_s[ji, ki].tolist(), table.rate[ki].tolist(),
+            ):
+                jid, rid = table.jobs[j].job_id, table.resources[k].resource_id
+                end = now + int(exec_s * 1000)
+                assert end <= submit_ms[jid] + deadline_ms[jid], (
+                    f"{scheduler} placed {jid} on {rid} past its deadline"
+                )
+                assert free[rid] >= pes, f"{scheduler} overcommitted {rid}"
+                free[rid] -= pes
+                fragments_left[jid] = fragments_left.get(jid, 0) + 1
+                seq += 1
+                heapq.heappush(running, (end, seq, rid, jid, pes))
+                total_cost += rate * pes * exec_s
+                emit(SimEvent(now, "schedule", jid, rid, detail=f"pes={pes}"))
+            carried = [job for job in pending if job.job_id not in fragments_left]
             if carried:
                 logger.debug(
                     "t=%.3fs: %d job(s) carried to the next period", now / 1000.0, len(carried)

@@ -1,10 +1,13 @@
 """Shared fixtures: the hand-checked reference instance, random-instance
-generators sized for the exhaustive oracles, a field-by-field record
-comparison and a schedule comparison."""
+generators sized for the exhaustive oracles and free-PE cuts of them, a
+field-by-field record comparison, a schedule comparison, and a port of
+CPython 3.12's ``sum()`` that the goldens also run under."""
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import math
 import random
 
 import pytest
@@ -53,6 +56,64 @@ def same_schedule(got, want) -> bool:
         and repr(got.total_cost_gd) == repr(want.total_cost_gd)
         and got.dummy_jobs == want.dummy_jobs
     )
+
+
+def sum_312(iterable, /, start=0):
+    """CPython 3.12's ``sum()``: exact while the total is an int; once it
+    is an exact float, each float item adds with Neumaier's compensation and
+    each int item that fits a C long adds as a float, and the compensation
+    joins the total at the end, or before any other item, when it is finite
+    and nonzero.  Every other total adds item by item."""
+    total, items = start, iter(iterable)
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -(2**63) <= item < 2**63:
+                total += float(item)
+            else:
+                total = (total + c if c and math.isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        total = total + item
+    return total
+
+
+@pytest.fixture
+def sum_rule(request, monkeypatch):
+    """Parametrized indirectly: ``"3.12"`` runs the test with
+    ``builtins.sum`` patched to ``sum_312``, ``"builtin"`` with this
+    interpreter's own."""
+    if request.param == "3.12":
+        monkeypatch.setattr(builtins, "sum", sum_312)
+    return request.param
+
+
+def under_both_sum_rules(cases, ids=str):
+    """Parameters for a test taking ``case`` and ``sum_rule`` (indirect):
+    each case under the builtin ``sum()`` with its own id, then each under
+    3.12's with ``-sum312`` appended."""
+    return [
+        pytest.param(case, rule, id=ids(case) + suffix)
+        for rule, suffix in (("builtin", ""), ("3.12", "-sum312"))
+        for case in cases
+    ]
+
+
+def cut(resources, rng, share=1):
+    """Each resource with its free PEs cut to a random count from 0 to
+    ``1 / share`` of its own."""
+    return [r.with_free_pes(rng.randint(0, r.free_pes // share)) for r in resources]
 
 
 S1_OPTIMAL_COST = 110.0

@@ -1,11 +1,12 @@
 """Test-only oracles: the whole-job rule one pair at a time, the
-id-keyed schedule builder, greedy and the GA's decode on that scalar rule,
-exhaustive searches for small instances, the money an allocation spends,
-the converters between id-keyed allocations and PE arrays over a
-``PairTable`` and its dummy's id, gene maps (job id -> resource id) and
-the GA's gene rows, the penalised fitness of one gene map, the
-relaxation's canonical objective, the per-pair dict views of a built
-relaxation that the oracles walk, and the GA's scalar breeding loop."""
+id-keyed schedule builder and the record it returns, greedy and the GA's
+decode on that scalar rule, exhaustive searches for small instances, the
+money an allocation spends, the converters between id-keyed allocations
+and PE arrays over a ``PairTable`` and its dummy's id, gene maps (job id
+-> resource id) and the GA's gene rows, the penalised fitness of one gene
+map, the relaxation's canonical objective, the per-pair dict views of a
+built relaxation that the oracles walk, and the GA's scalar breeding
+loop."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from collections.abc import Mapping, Sequence
 from itertools import accumulate
 from math import inf
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from metagrid.model import (
     JobRequest,
     PairTable,
     ResourceInfo,
-    Schedule,
     UnknownIdError,
     budget_limit,
     ensure_dummy,
@@ -67,16 +68,25 @@ def placement_feasible(job: JobRequest, resource: ResourceInfo) -> bool:
     return resource.is_dummy or breach_count(job, resource) == 0
 
 
+class IdSchedule(NamedTuple):
+    """A schedule as the oracles build it, by ids: the three derived
+    fields of ``Schedule`` that ``conftest.same_schedule`` compares."""
+
+    assignments: AllocationMatrix
+    dummy_jobs: frozenset[str] = frozenset()
+    total_cost_gd: float = 0.0
+
+
 def schedule_by_id(
     alloc: AllocationMatrix,
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-) -> Schedule:
+) -> IdSchedule:
     """Reference for ``build_schedule``, keyed by ids: any job touching a
     dummy resource is parked whole on the dummy of least id; every other
     job keeps its fragments, each costing rate x PEs x ``exec_time``,
-    summed per job in resource-id order, and the total is ``sum()`` over
-    the placed jobs in job-id order."""
+    summed per job in resource-id order, and the total adds the placed
+    jobs' costs left to right in job-id order."""
     jobs_by_id = {j.job_id: j for j in jobs}
     res_by_id = {r.resource_id: r for r in resources}
     dummy_ids = {r.resource_id for r in resources if r.is_dummy}
@@ -85,7 +95,7 @@ def schedule_by_id(
 
     dummy_home = min(dummy_ids, default=None)
     entries: dict[tuple[str, str], int] = {}
-    job_costs: list[float] = []
+    total = 0.0
     for jid in sorted(by_job):
         job = jobs_by_id[jid]
         if jid in parked:
@@ -97,8 +107,8 @@ def schedule_by_id(
             res = res_by_id[rid]
             entries[(rid, jid)] = pes
             cost += res.cost_per_pe_second * pes * exec_time(job, res)
-        job_costs.append(cost)
-    return Schedule(AllocationMatrix(entries), frozenset(parked), sum(job_costs, 0.0))
+        total += cost
+    return IdSchedule(AllocationMatrix(entries), frozenset(parked), total)
 
 
 def parking_id(table: PairTable) -> str:
@@ -126,12 +136,12 @@ def allocation(placed: np.ndarray, table: PairTable) -> AllocationMatrix:
     })
 
 
-def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> Schedule:
+def scalar_greedy(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) -> IdSchedule:
     """Reference for ``greedy_schedule``: lowest-rate feasible resource
     first, one whole job at a time, each pair checked by
     ``placement_feasible``."""
     if not jobs:
-        return Schedule(AllocationMatrix({}))
+        return IdSchedule(AllocationMatrix({}))
     pool, dummy_id = ensure_dummy(jobs, resources)
     real = [r for r in pool if not r.is_dummy]
     available = {r.resource_id: r.free_pes for r in real}
@@ -161,7 +171,7 @@ def scalar_decode(
     genes: Mapping[str, str],
     jobs: Sequence[JobRequest],
     resources: Sequence[ResourceInfo],
-) -> Schedule:
+) -> IdSchedule:
     """Reference for ``decode_schedule``: park each gene on a dummy or on a
     resource that ``placement_feasible`` rejects, then shed each
     overloaded resource's largest jobs until its PE capacity holds."""
@@ -524,7 +534,7 @@ def scalar_generation(
     floor = 1e-6 * f_max if f_max > 0 else 1.0
     weights = [(f_max - f) + floor for f in fits]
     prefix = list(accumulate(weights))
-    total = sum(weights)
+    total = prefix[-1]
     picks = [min(bisect_left(prefix, u * total), len(rows) - 1) for u in draws.tolist()]
     for pair, cut in enumerate(cuts.tolist()):
         a, b = rows[picks[2 * pair]], rows[picks[2 * pair + 1]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import itertools
 import math
@@ -11,14 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import S1_OPTIMAL_COST, fuzz_instance, same_schedule, tiny_instance
+from conftest import (
+    S1_OPTIMAL_COST, cut, fuzz_instance, same_schedule, sum_312, tiny_instance,
+)
 from hypothesis import example, given, settings, strategies as st
 import metagrid.ga as ga_module
 from metagrid.greedy import greedy_schedule
 from metagrid.ga import (
     FitnessTables,
     GaParams,
-    chromosome_from_schedule,
     crossover,
     decode_schedule,
     hga,
@@ -31,11 +33,9 @@ from metagrid.ga import (
     uniforms,
 )
 from metagrid.model import (
-    AllocationMatrix,
     JobKind,
     JobRequest,
     ResourceInfo,
-    build_schedule,
     ensure_dummy,
     exec_time,
     pair_charge,
@@ -50,7 +50,6 @@ from oracles import (
     gene_map,
     gene_row,
     parking_id,
-    pe_array,
     placement_cost,
     placement_feasible,
     scalar_decode,
@@ -265,7 +264,7 @@ def test_a_row_scores_alone_what_it_scores_in_a_generated_population():
             config = ScenarioConfig(resource_count=resources, job_count=jobs, rng_seed=seed)
             table = pair_table(generate_jobs(config), generate_grid(config))
             tables = FitnessTables(table)
-            seed_row = chromosome_from_schedule(greedy_schedule(table), table)
+            seed_row = greedy_schedule(table).placed.argmax(axis=1)
             drawn = rng.integers(0, len(table.resources), (29, jobs))
             population = np.concatenate([[seed_row], drawn])
             alone = [tables.score(row[None]).tolist()[0] for row in population]
@@ -345,7 +344,7 @@ def test_roulette_picks_the_first_member_whose_running_total_reaches_the_draw(fi
     f_max = max(fits)
     floor = 1e-6 * f_max if f_max > 0 else 1.0
     weights = [(f_max - f) + floor for f in fits]
-    total = sum(weights)
+    total = list(itertools.accumulate(weights))[-1]
     draws = _draws(seed, 20)
     expected = []
     for u in draws.tolist():
@@ -358,6 +357,29 @@ def test_roulette_picks_the_first_member_whose_running_total_reaches_the_draw(fi
                 break
         expected.append(first)
     assert roulette_wheel(fits)(draws).tolist() == expected
+
+
+def test_roulette_picks_on_the_running_totals_hold_under_3_12_sum(monkeypatch):
+    """The wheel's total is its last running total, not ``sum()``, which
+    Python >= 3.12 compensates: draws on every running total and on its
+    neighbouring doubles pick the same members under ``conftest.sum_312``,
+    on populations whose compensated weight sum differs from the
+    left-to-right one."""
+    rng = np.random.default_rng(0)
+    populations = rng.uniform(0.0, 1e6, (40, 30))
+    boundaries, differ = [], 0
+    for fits in populations:
+        weights = (fits.max() - fits) + 1e-6 * fits.max()
+        running = weights.cumsum()
+        differ += sum_312(weights.tolist()) != running[-1]
+        on = running / running[-1]
+        # draws lie in [0, 1): the last total's draw, 1.0, wraps to 0.0
+        boundaries.append(np.concatenate([np.nextafter(on, 0), on, np.nextafter(on, 1)]) % 1.0)
+    picks = [roulette_wheel(fits)(draws) for fits, draws in zip(populations, boundaries)]
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    for fits, draws, want in zip(populations, boundaries, picks):
+        assert roulette_wheel(fits)(draws).tolist() == want.tolist()
+    assert differ > 20
 
 
 # ------------------------------------------------------------- crossover
@@ -650,12 +672,6 @@ def test_decode_output_is_always_sgn_feasible():
         assert violations == [], f"instance seed {seed}: {violations}"
 
 
-def cut(resources, rng, share=1):
-    """Each resource with its free PEs cut to a random count from 0 to
-    ``1 / share`` of its own."""
-    return [r.with_free_pes(rng.randint(0, r.free_pes // share)) for r in resources]
-
-
 def reference_batches():
     """``tiny_instance`` and ``fuzz_instance`` 0-249, then generated
     batches of 200 resources x 50 jobs and 50 resources x 200 jobs; each
@@ -691,26 +707,12 @@ def test_greedy_and_decode_equal_their_scalar_references():
         assert same_schedule(greedy, scalar_greedy(jobs, resources)), name
         rng = random.Random(name)
         rids = [r.resource_id for r in table.resources]
-        maps = [gene_map(chromosome_from_schedule(greedy, table), table)]
+        maps = [gene_map(greedy.placed.argmax(axis=1).tolist(), table)]
         maps += [{j.job_id: rng.choice(rids) for j in jobs} for _ in range(3)]
         maps.append(dict.fromkeys((j.job_id for j in jobs), rng.choice(rids)))
         for genes in maps:
             assert same_schedule(decode_schedule(gene_row(genes, table), table),
                                  scalar_decode(genes, jobs, resources)), name
-
-
-def test_chromosome_from_schedule_roundtrip(s1_jobs, s1_resources):
-    table = pair_table(s1_jobs, s1_resources)
-    row = gene_row({"A": "R1", "B": "R2"}, table)
-    assert chromosome_from_schedule(decode_schedule(row, table), table) == row
-
-
-def test_chromosome_from_schedule_rejects_split_jobs(s1_jobs, s1_resources):
-    table = pair_table(s1_jobs, s1_resources)
-    alloc = AllocationMatrix({("R1", "A"): 1, ("R2", "A"): 1, ("R2", "B"): 3})
-    schedule = build_schedule(table, pe_array(alloc, table))
-    with pytest.raises(ValueError, match="not placed whole"):
-        chromosome_from_schedule(schedule, table)
 
 
 # ---------------------------------------------------------------- run_ga

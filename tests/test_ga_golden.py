@@ -11,7 +11,8 @@ genes, then per generation two roulette uniforms per pair, a crossover
 uniform per pair, a cut per pair, a mutation uniform per child gene and a
 value per reset gene.  The fitness sums each chromosome's costs in sorted
 job order.  Any change to that order, to the decoding or to the summation
-shows up here as a different trace or gene map;
+shows up here as a different trace or gene map, and every run is also made
+under CPython 3.12's compensated ``sum()`` (``conftest.sum_312``);
 ``test_ga.py::test_the_stream_and_its_decoders_are_pinned`` tells a change
 of numpy's stream apart from one of these.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from conftest import fuzz_instance, tiny_instance
+from conftest import fuzz_instance, tiny_instance, under_both_sum_rules
 from metagrid.ga import GaParams, hga, lpga, run_ga
 from metagrid.model import pair_table
 from metagrid.workload import ScenarioConfig, generate_grid, generate_jobs
@@ -258,6 +259,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_ga_run_matches_golden(name):
+@pytest.mark.parametrize(
+    "name, sum_rule", under_both_sum_rules(sorted(CASES)), indirect=["sum_rule"]
+)
+def test_ga_run_matches_golden(name, sum_rule):
     assert _summary(name) == GOLDEN[name]

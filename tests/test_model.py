@@ -39,12 +39,14 @@ from conftest import (
     S1_OPTIMAL_ALLOC,
     S1_OPTIMAL_COST,
     assert_same_record,
+    cut,
     fuzz_instance,
     same_schedule,
     tiny_instance,
 )
 from oracles import (
     allocation,
+    gene_row,
     parking_id,
     pe_array,
     placement_cost,
@@ -285,25 +287,39 @@ def test_build_schedule_parks_dummy_touched_jobs_whole(s1_jobs, s1_resources):
 
 def equivalence_batches():
     """``tiny_instance`` 0-599, ``fuzz_instance`` 0-299 and generated
-    batches for seeds 0-3 at four shapes: 916 batches."""
-    yield from (tiny_instance(seed) for seed in range(600))
-    yield from (fuzz_instance(seed) for seed in range(300))
+    batches for seeds 0-3 at four shapes, each also with its free PEs cut
+    at random, as ``test_ga.reference_batches`` cuts them (the generated
+    ones twice, to at most a half and to at most a third, where most jobs
+    are parked): 1,848 batches."""
+    for seed in range(600):
+        jobs, resources = tiny_instance(seed)
+        yield jobs, resources
+        yield jobs, cut(resources, random.Random(seed))
+    for seed in range(300):
+        jobs, resources = fuzz_instance(seed)
+        yield jobs, resources
+        yield jobs, cut(resources, random.Random(seed))
     for resources, jobs, mode in ((25, 50, "tight"), (50, 50, "medium"), (200, 50, "medium"),
                                   (50, 200, "medium")):
         for seed in range(4):
             config = ScenarioConfig(
                 resource_count=resources, job_count=jobs, deadline_mode=mode, rng_seed=seed
             )
-            yield generate_jobs(config), generate_grid(config)
+            batch, grid = generate_jobs(config), generate_grid(config)
+            yield batch, grid
+            for share in (2, 3):
+                yield batch, cut(grid, random.Random(seed), share)
 
 
 def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
     """On every batch, ``build_schedule`` over the batch's table gives the
     schedule ``oracles.schedule_by_id`` builds by ids from the same
     placement, in entries, parked jobs and ``repr(total_cost_gd)``: for the
-    relaxation's answer, split or not, and for every whole-job array that
-    greedy, MMC and decode hand it (decode on greedy's row and on a random
-    one)."""
+    relaxation's answer, split or not, with real PEs beside a dummy share
+    or not, and for every whole-job array that greedy, MMC and decode hand
+    it (decode on greedy's row and on a random one).  The gene row ``_refine`` seeds the
+    GA with, read off greedy's and MMC's ``placed``, is the row of the
+    oracle's entries by ids."""
     built = Counter()
 
     def checked(name):
@@ -311,6 +327,9 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
             schedule = build_schedule(table, placed)
             want = schedule_by_id(allocation(placed, table), table.jobs, table.resources)
             assert same_schedule(schedule, want), (name, allocation(placed, table))
+            if name in ("metagrid.greedy", "metagrid.mmc"):
+                genes = {jid: rid for rid, jid in want.assignments.entries}
+                assert tuple(schedule.placed.argmax(axis=1).tolist()) == gene_row(genes, table)
             built[name] += 1
             return schedule
         return build
@@ -318,21 +337,23 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
     for module in (greedy, mmc, ga):
         monkeypatch.setattr(module, "build_schedule", checked(module.__name__))
     rng = random.Random(0)
-    batches = split = 0
+    batches = split = mixed = 0
     for jobs, resources in equivalence_batches():
         batches += 1
         model = build_relaxed(pair_table(jobs, resources))
         placed = solve_relaxed(model)
         split += bool(((placed > 0).sum(axis=1) > 1).any())
+        share = placed[:, model.table.parking]
+        mixed += bool(((share > 0) & (share < model.table.pes)).any())
         checked("relaxed")(model.table, placed)
         mmc.modified_min_cost(model.table, placed)
         table = pair_table(jobs, resources)
-        row = ga.chromosome_from_schedule(greedy.greedy_schedule(table), table)
+        row = greedy.greedy_schedule(table).placed.argmax(axis=1).tolist()
         ga.decode_schedule(row, table)
         ga.decode_schedule([rng.randrange(len(table.resources)) for _ in row], table)
-    assert (batches, split) == (916, 544)
-    assert built == {"relaxed": 916, "metagrid.mmc": 916, "metagrid.greedy": 916,
-                     "metagrid.ga": 2 * 916}
+    assert (batches, split, mixed) == (1848, 1091, 775)
+    assert built == {"relaxed": 1848, "metagrid.mmc": 1848, "metagrid.greedy": 1848,
+                     "metagrid.ga": 2 * 1848}
 
 
 def test_pair_table_and_every_adapter_reject_a_second_dummy(monkeypatch):

@@ -17,7 +17,7 @@ from metagrid.greedy import greedy_schedule
 from metagrid.mmc import modified_min_cost
 from metagrid.model import (
     DUMMY_ID, AllocationMatrix, JobKind, JobRequest, ResourceInfo, Schedule, budget_limit,
-    build_schedule, ensure_dummy, meets_deadline, pair_charge, pair_table, validate,
+    build_schedule, ensure_dummy, meets_deadline, pair_charge, pair_table, validate, whole_jobs,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import (
@@ -330,22 +330,53 @@ def test_a_job_the_schedule_leaves_out_rolls_over(s1_jobs, s1_resources, monkeyp
     assert metrics.jobs_completed == 2
 
 
-@pytest.mark.parametrize(
-    "entry, parked",
-    [(("R1", "Z"), frozenset()), ((DUMMY_ID, "Z"), frozenset({"Z"}))],
-    ids=["placed", "parked"],
-)
+@pytest.mark.parametrize("parked", [False, True], ids=["placed", "parked"])
 def test_a_schedule_naming_a_job_outside_the_queue_fails(
-    s1_jobs, s1_resources, monkeypatch, entry, parked
+    s1_jobs, s1_resources, monkeypatch, parked
 ):
+    """A schedule over a table that also holds a job Z, which is not
+    queued, is an error, whether it places Z or parks it."""
+    z = JobRequest("UZ", "Z", 100.0, 100.0, (1000.0,), 1)
+
     def names_z(jobs, resources, params, seed):
-        return Schedule(AllocationMatrix({entry: 1}), parked), 0
+        table = pair_table([*jobs, z], resources)
+        homes = [table.parking] * len(table.jobs)
+        if not parked:  # Z, last by id, on R1
+            homes[-1] = [r.resource_id for r in table.resources].index("R1")
+        schedule = build_schedule(table, whole_jobs(table, homes))
+        assert schedule.assignments.pes("R1", "Z") == (0 if parked else 1)
+        return schedule, 0
 
     monkeypatch.setitem(SCHEDULERS, "greedy", names_z)
     with pytest.raises(AssertionError, match="schedule mentions unknown jobs"):
         run_scenario(
             ScenarioConfig(resource_count=1), "greedy", grid=s1_resources, jobs=s1_jobs
         )
+
+
+def test_no_scheduler_builds_an_id_keyed_allocation(monkeypatch, caplog):
+    """From the solver to the simulator a schedule stays its table and
+    placement array: ``run_scenario`` constructs no ``AllocationMatrix``
+    under any scheduler, at DEBUG level too, on a scenario that parks jobs
+    and rolls them over.  Reading ``assignments`` builds one."""
+    built = []
+    post_init = AllocationMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AllocationMatrix, "__post_init__", counted)
+    caplog.set_level("DEBUG", logger="metagrid")
+    config = ScenarioConfig(resource_count=25, job_count=30, deadline_mode="tight")
+    for scheduler in ALL_SCHEDULERS:
+        m = run_scenario(config, scheduler, ga_params=SMALL_GA)
+        assert m.jobs_missed and max(m.rollovers_per_period), scheduler
+        assert built == [], scheduler
+    schedule = greedy_schedule(pair_table(generate_jobs(config), generate_grid(config)))
+    assert built == []
+    assignments = schedule.assignments
+    assert built == [assignments]
 
 
 def test_jsonl_sink_emits_one_parseable_object_per_event(s1_jobs, s1_resources):
