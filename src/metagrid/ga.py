@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import ceil, inf
 
 import numpy as np
@@ -56,6 +56,9 @@ class GaParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -99,7 +102,7 @@ class FitnessTables:
         max_exec = table.exec_s[:, real].max(initial=0.0)
         self.weight = float(10.0 * max(max_rate, 1.0) * max(max_exec, 1.0) * table.pes.max())
         self._columns = len(table.resources)
-        self.pes = table.pes
+        self.pes = table.pes.astype(float)  # float, so bincount need not convert it per call
         self.capacity = np.where(table.dummy, inf, table.free)
         # flat views, indexed by job row offset plus gene
         self._cost = np.where(table.dummy, 0.0, table.cost).ravel()
@@ -219,29 +222,22 @@ def decode_schedule(row: Sequence[int], table: PairTable) -> Schedule:
 
     Genes that point at a resource the job cannot use (deadline or budget,
     as ``table.feasible`` marks it) are parked, and so are genes on the
-    dummy column, ``table.parking``; then any overloaded resource
-    sheds its largest jobs until its PE capacity holds.
+    dummy column, ``table.parking``; then each overloaded resource sheds
+    its largest jobs (ties: the lower row first) until its PE capacity
+    holds.  With a resource's genes ordered by PEs descending, then row,
+    that sheds a gene exactly when the load from it to the last gene
+    exceeds the resource's free PEs.
     """
     wanted = np.asarray(row, dtype=np.intp)
-    usable = table.feasible[np.arange(len(table.jobs)), wanted]
-    pes = [job.pe_count for job in table.jobs]
-    parking = table.parking
-
-    assign = np.where(usable, wanted, parking).tolist()
-    holders: dict[int, list[int]] = {}
-    for j, k in enumerate(assign):
-        if k != parking:
-            holders.setdefault(k, []).append(j)
-    free = table.free.tolist()
-    for k in sorted(holders):
-        queue = holders[k]
-        used = sum(pes[j] for j in queue)
-        while used > free[k]:
-            shed = min(queue, key=lambda j: (-pes[j], j))
-            queue.remove(shed)
-            used -= pes[shed]
-            assign[shed] = parking
-
+    assign = np.where(table.feasible[np.arange(len(table.jobs)), wanted], wanted, table.parking)
+    # by column, then PEs descending; lexsort is stable, so ties keep row order
+    order = np.lexsort((-table.pes, assign))
+    column, pes = assign[order], table.pes[order]
+    load = pes.cumsum()
+    # the load from each gene to the last of its column
+    suffix = load[np.searchsorted(column, column, side="right") - 1] - load + pes
+    shed = (suffix > table.free[column]) & ~table.dummy[column]
+    assign[order[shed]] = table.parking
     return build_schedule(table, whole_jobs(table, assign))
 
 
@@ -387,7 +383,7 @@ def relax_and_consolidate(table: PairTable) -> Schedule:
     call."""
     if not table.fits[:, ~table.dummy].any():
         logger.debug("no job fits whole on a real resource: %d job(s) parked", len(table.jobs))
-        return build_schedule(table, whole_jobs(table, [table.parking] * len(table.jobs)))
+        return build_schedule(table, whole_jobs(table, table.parking))
     return modified_min_cost(table, solve_relaxed(build_relaxed(table)))
 
 

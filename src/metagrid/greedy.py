@@ -17,21 +17,20 @@ from .model import PairTable, Schedule, build_schedule, whole_jobs
 
 def greedy_schedule(table: PairTable) -> Schedule:
     """Lowest-rate feasible resource first, one whole job at a time."""
-    jobs = table.jobs
     real = np.flatnonzero(~table.dummy)
     # columns run in id order, so a stable sort ranks by (rate, id)
     ranked = real[np.argsort(table.rate[real], kind="stable")]
     candidates = table.fits[:, ranked]
-    available = table.free.tolist()
+    pes, available = table.pes.tolist(), table.free.tolist()
 
-    homes = [table.parking] * len(jobs)
+    homes = [table.parking] * len(table.jobs)
     # free PEs only shrink, so a job that fits on no real column now never
     # will: the walk skips it and it stays parked
     for j in table.rank[candidates.any(axis=1)[table.rank]].tolist():
-        pes = jobs[j].pe_count
+        need = pes[j]
         for k in ranked[candidates[j]].tolist():
-            if available[k] >= pes:
-                available[k] -= pes
+            if available[k] >= need:
+                available[k] -= need
                 homes[j] = k
                 break
 

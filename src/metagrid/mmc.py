@@ -6,10 +6,12 @@ need all PEs on one resource.  ``modified_min_cost(table, alloc)`` fixes
 that in the minimum-cost-method spirit, in three phases over the
 relaxation's own ``PairTable`` (``RelaxedModel.table``, all it reads of
 the relaxation), starting from the relaxation's answer ``alloc``,
-``solve_relaxed``'s array of PE counts over that table:
+``solve_relaxed``'s array of PE counts over that table.  Its nonzero
+entries are the jobs' tentative holds, one bool mask whose row is cleared
+once the job is settled:
 
-* freeze: jobs already on a single provider the table marks
-  ``feasible`` stay there, consuming capacity (a job whose one provider
+* freeze: jobs with one hold, on a provider the table marks
+  ``feasible``, stay there, consuming capacity (a job whose one provider
   is the dummy is parked); the relaxation's budget re-check, (rate x
   runtime) x PEs, can pass a whole job that the table's (rate x PEs) x
   runtime rejects by one ulp, and such a job is consolidated like the rest;
@@ -18,8 +20,8 @@ the relaxation), starting from the relaxation's answer ``alloc``,
   in order of how many PEs the relaxation put there (most first; ties
   prefer the cheaper placement, then the resource id).  Reaching its
   dummy share, or running out of providers, parks it.  Consuming a
-  provider evicts the tentative holds other (still unplaced) jobs had on
-  it: each evictee, smallest first, is re-homed whole on the cheapest of
+  provider evicts the jobs the mask's column still shows holding there:
+  each evictee, smallest first, is re-homed whole on the cheapest of
   the consuming job's other real providers with room that meets its
   deadline and budget, or else parked;
 * rescue: parked jobs, in priority order (the table's ``rank``), go
@@ -77,84 +79,80 @@ def modified_min_cost(
     just hints that guide provider choice and eviction.
     """
     stats = stats if stats is not None else MmcStats()
-    jobs, resources = table.jobs, table.resources
     parking = table.parking
     order = cost_order(table)
-    available = {k: r.free_pes for k, r in enumerate(resources) if k != parking}
-
-    shares: dict[int, list[tuple[int, int]]] = {}  # job -> (column, relaxed PEs)
-    holders: dict[int, set[int]] = {}  # column -> unsettled jobs holding PEs there
-    ji, ki = np.nonzero(alloc > 0)  # row-major: job-major, resource-minor
-    for j, k, pes in zip(ji.tolist(), ki.tolist(), alloc[ji, ki].tolist()):
-        shares.setdefault(j, []).append((k, pes))
-        holders.setdefault(k, set()).add(j)
-
-    home: dict[int, int] = {}  # settled job -> its column (parked: the dummy's)
+    pes = table.pes.tolist()
+    available = table.free.tolist()  # the dummy's entry is never read
+    held = alloc > 0  # the relaxation's holds of the jobs not yet settled
+    count = held.sum(axis=1)
+    home: list[int | None] = [None] * len(table.jobs)  # parked: the dummy's column
 
     def settle(j: int, k: int) -> None:
         if k == parking:
             stats.parked += 1
         else:
-            available[k] -= jobs[j].pe_count
-            assert available[k] >= 0, f"overcommitted {resources[k].resource_id}"
+            available[k] -= pes[j]
+            assert available[k] >= 0, f"overcommitted {table.resources[k].resource_id}"
         home[j] = k
-        for held, _ in shares[j]:
-            holders[held].discard(j)
+        held[j] = False
 
     # freeze
-    for j, share in shares.items():
-        if len(share) == 1 and table.feasible[j, share[0][0]]:
-            stats.steps += 1
-            settle(j, share[0][0])
+    single = np.flatnonzero(count == 1)
+    only = held[single].argmax(axis=1)
+    kept = table.feasible[single, only]
+    for j, k in zip(single[kept].tolist(), only[kept].tolist()):
+        stats.steps += 1
+        settle(j, k)
 
     # consolidate with interchange
-    for j in sorted(shares, key=lambda j: (len(shares[j]), j)):
-        if j in home:
+    for j in np.argsort(count, kind="stable").tolist():
+        if home[j] is not None:
             continue  # frozen, or re-homed or parked by an earlier interchange
         stats.steps += 1
-        cost, feasible = table.cost[j], table.feasible[j]
+        share, cost, feasible = alloc[j], table.cost[j], table.feasible[j]
         target = parking
-        ranked = sorted(
-            shares[j], key=lambda s: (-s[1], inf if s[0] == parking else cost[s[0]], s[0])
-        )
-        for k, _ in ranked:
+        mine = share.nonzero()[0].tolist()
+        ranked = sorted(mine, key=lambda k: (-share[k], inf if k == parking else cost[k], k))
+        for k in ranked:
             stats.steps += 1
             if k == parking:
                 break  # reaching the relaxation's dummy share parks the job
-            if available[k] >= jobs[j].pe_count and feasible[k]:
+            if available[k] >= pes[j] and feasible[k]:
                 target = k
                 break
         settle(j, target)
         if target == parking:
             continue
-        alternates = {k for k, _ in shares[j] if k != target}
-        for e in sorted(holders[target], key=lambda e: (jobs[e].pe_count, e)):
+        alternate = share > 0
+        alternate[target] = False
+        for e in sorted(held[:, target].nonzero()[0].tolist(), key=pes.__getitem__):
             stats.displacements += 1
             rehome = parking
-            for k in order[e].tolist():
-                if k in alternates:
-                    stats.steps += 1
-                    if available[k] >= jobs[e].pe_count and table.feasible[e, k]:
-                        rehome = k
-                        break
+            tries = order[e][alternate[order[e]]]
+            for k, ok in zip(tries.tolist(), table.feasible[e, tries].tolist()):
+                stats.steps += 1
+                if available[k] >= pes[e] and ok:
+                    rehome = k
+                    break
             settle(e, rehome)
 
     # rescue
-    largest = max(available.values(), default=0)
+    real = np.flatnonzero(~table.dummy).tolist()
+    largest = max(map(available.__getitem__, real), default=0)
     parked = [j for j in table.rank.tolist() if home[j] == parking]
     for j in parked:
-        pes = jobs[j].pe_count
-        if pes > largest:
+        need = pes[j]
+        if need > largest:
             # no block has room: the scan below would reject every resource
-            stats.steps += len(available)
+            stats.steps += len(real)
             continue
         feasible = table.feasible[j].tolist()
         for k in order[j].tolist():
             stats.steps += 1
-            if available[k] >= pes and feasible[k]:
+            if available[k] >= need and feasible[k]:
                 home[j] = k
-                available[k] -= pes
-                largest = max(available.values())
+                available[k] -= need
+                largest = max(map(available.__getitem__, real))
                 break
 
-    return build_schedule(table, whole_jobs(table, [home[j] for j in range(len(jobs))]))
+    return build_schedule(table, whole_jobs(table, home))

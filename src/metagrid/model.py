@@ -272,8 +272,9 @@ class PairTable:
     single PE is affordable.
     ``weight`` is what one PE counts against the budget:
     ``coeff``, and 0.0 on a dummy, which is budget-exempt.  ``pes`` holds
-    each job's PE count, ``limit`` its ``budget_limit`` and ``free`` each
-    resource's free PEs.  A dummy column follows the same formulas.
+    each job's PE count and ``free`` each resource's free PEs, both ints,
+    and ``limit`` each job's ``budget_limit``.  A dummy column follows the
+    same formulas.
     ``rank`` lists the rows in priority order: the QoS index, budget per
     deadline-second per PE, descending, and ties by job id.
     """
@@ -310,7 +311,7 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     _index(jobs, "job_id")
     _index(resources, "resource_id")
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
-    pes = np.array([j.pe_count for j in jobs], dtype=float)
+    pes = np.array([j.pe_count for j in jobs], dtype=int)
     deadline = np.array([j.deadline_s for j in jobs], dtype=float)
     budget = np.array([j.budget_gd for j in jobs], dtype=float)
     limit = budget_limit(budget)
@@ -495,8 +496,9 @@ def ensure_dummy(
     return list(resources) + [dummy], dummy.resource_id
 
 
-def whole_jobs(table: PairTable, homes: Sequence[int]) -> np.ndarray:
-    """The PE array over ``table`` placing each row j whole on ``homes[j]``."""
+def whole_jobs(table: PairTable, homes: int | Sequence[int]) -> np.ndarray:
+    """The PE array over ``table`` placing each row j whole on ``homes[j]``,
+    or every row on ``homes`` when it is one column."""
     placed = np.zeros(table.cost.shape, dtype=int)
     placed[np.arange(len(table.jobs)), homes] = table.pes
     return placed

@@ -251,7 +251,7 @@ def _model_arrays(model: RelaxedModel):
         (len(used) + int(binds.sum()), n),
     )
     b_ub = np.concatenate([free[used], budget[binds]])
-    return c, a_ub, b_ub, a_eq, pes, ub
+    return c, a_ub, b_ub, a_eq, pes.astype(float), ub  # HiGHS takes double row bounds
 
 
 def _stack(a_ub: Csc, a_eq: Csc) -> Csc:

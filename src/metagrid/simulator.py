@@ -99,7 +99,7 @@ def _run_relaxed_mgn(jobs, resources, params, seed):
     table = pair_table(jobs, resources)
     if not ((table.admissible & ~table.dummy) @ table.free >= table.pes).any():
         logger.debug("no job's admissible free PEs cover it: %d job(s) parked", len(table.jobs))
-        return build_schedule(table, whole_jobs(table, [table.parking] * len(table.jobs))), 0
+        return build_schedule(table, whole_jobs(table, table.parking)), 0
     return build_schedule(table, solve_relaxed(build_relaxed(table))), 0
 
 
@@ -150,7 +150,7 @@ def run_scenario(
     resources = list(grid) if grid is not None else generate_grid(config)
     jobs = list(jobs) if jobs is not None else generate_jobs(config)
 
-    interval_ms = max(1, int(round(config.interval_s * 1000)))
+    interval_ms = int(round(config.interval_s * 1000))
     submit_ms = {j.job_id: int(round(j.submit_time_s * 1000)) for j in jobs}
     deadline_ms = {j.job_id: int(round(j.deadline_s * 1000)) for j in jobs}
 

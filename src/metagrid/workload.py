@@ -86,6 +86,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise BadConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and type(value) is not int:
+                raise BadConfigError(f"{f.name} must be an int, got {value!r}")
         if self.resource_count < 0:
             raise BadConfigError("resource_count must not be negative")
         if self.job_count < 0:
@@ -95,8 +97,8 @@ class ScenarioConfig:
         object.__setattr__(
             self, "deadline_mode", DeadlineMode(self.deadline_mode)
         )
-        if self.interval_s <= 0:
-            raise BadConfigError("interval_s must be positive")
+        if round(self.interval_s * 1000) < 1:  # the simulator's clock ticks in ms
+            raise BadConfigError(f"interval_s must be at least 1 ms, got {self.interval_s!r}")
 
     @property
     def slack_mean_s(self) -> float:

@@ -566,6 +566,18 @@ def test_a_negative_seed_is_rejected(seed):
         GaParams(rng_seed=seed)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("population_size", 30.0),  # numpy would fail deep in random_raw
+    ("convergence_window", 1.5),
+    ("max_iterations", 2.5),  # would run 3 iterations
+    ("elitism", True),
+    ("rng_seed", 1.5),
+])
+def test_a_count_or_seed_that_is_not_an_int_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        GaParams(**{field: value})
+
+
 def test_the_initial_population_is_drawn_with_the_int_decoder(s1_jobs, s1_resources):
     # with no seed rows and one iteration, the best row is the fittest of
     # the population decoded from the first words of the seed's stream

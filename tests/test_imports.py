@@ -1,7 +1,8 @@
 """Every name a ``src/metagrid`` module or a test module imports is used
 in that module, and every private helper ``src/metagrid`` defines is read
 in it, so a deletion cannot leave a stale import or helper behind; every
-name the benchmark's tracer rebinds exists; importing the package
+name the benchmark's tracer rebinds exists; greedy, MMC and the GA
+read no record field that the batch's ``PairTable`` holds; importing the package
 loads scipy's HiGHS binding without ``scipy.optimize`` or
 ``scipy.sparse``; and README's library example runs."""
 
@@ -98,6 +99,22 @@ def test_every_benchmark_entry_point_resolves(monkeypatch):
     assert tracing.ENTRY_POINTS
     for module, attr, span in tracing.ENTRY_POINTS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr, span)
+
+
+# the job and resource record fields that ``PairTable`` carries as arrays
+RECORD_FIELDS = {
+    "pe_count", "free_pes", "budget_gd", "deadline_s", "task_sizes_mi", "cost_per_pe_second",
+    "pe_speed_mips",
+}
+
+
+@pytest.mark.parametrize("name", ["greedy.py", "mmc.py", "ga.py"])
+def test_the_schedulers_read_counts_prices_and_times_off_the_table(name):
+    """Greedy, MMC and the GA read no job or resource record field that the
+    batch's ``PairTable`` holds as an array."""
+    tree = ast.parse((SRC / name).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(read & RECORD_FIELDS) == []
 
 
 def run_fresh(code: str) -> None:

@@ -30,6 +30,7 @@ from metagrid.model import (
     make_dummy_resource,
     pair_table,
     validate,
+    whole_jobs,
 )
 from metagrid.relaxed import build_relaxed, solve_relaxed
 from metagrid.simulator import SCHEDULERS
@@ -319,12 +320,15 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
     or not, and for every whole-job array that greedy, MMC and decode hand
     it (decode on greedy's row and on a random one).  The gene row ``_refine`` seeds the
     GA with, read off greedy's and MMC's ``placed``, is the row of the
-    oracle's entries by ids."""
+    oracle's entries by ids.  The table's ``pes`` is an int array of the
+    jobs' PE counts, and every array ``whole_jobs`` and ``build_schedule``
+    return is an int array."""
     built = Counter()
 
     def checked(name):
         def build(table, placed):
             schedule = build_schedule(table, placed)
+            assert placed.dtype.kind == schedule.placed.dtype.kind == "i", name
             want = schedule_by_id(allocation(placed, table), table.jobs, table.resources)
             assert same_schedule(schedule, want), (name, allocation(placed, table))
             if name in ("metagrid.greedy", "metagrid.mmc"):
@@ -341,6 +345,9 @@ def test_build_schedule_equals_the_id_keyed_reference(monkeypatch):
     for jobs, resources in equivalence_batches():
         batches += 1
         model = build_relaxed(pair_table(jobs, resources))
+        assert model.table.pes.dtype.kind == "i"
+        assert model.table.pes.tolist() == [job.pe_count for job in model.table.jobs]
+        assert whole_jobs(model.table, model.table.parking).dtype.kind == "i"
         placed = solve_relaxed(model)
         split += bool(((placed > 0).sum(axis=1) > 1).any())
         share = placed[:, model.table.parking]

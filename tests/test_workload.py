@@ -40,6 +40,18 @@ def test_rejects_bad_bounds():
         ScenarioConfig(resource_count=5, interval_s=-50.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("resource_count", True),  # would build a one-resource grid
+    ("resource_count", 2.5),
+    ("job_count", 50.0),
+    ("rng_seed", 1.5),
+    ("interval_s", 0.0004),  # rounds to 0 ms
+])
+def test_rejects_a_non_int_count_or_seed_and_an_interval_below_1_ms(field, value):
+    with pytest.raises(BadConfigError, match=field):
+        ScenarioConfig(**{"resource_count": 5, field: value})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("field", ["interval_s"])
 def test_rejects_non_finite_floats(field, bad):
