@@ -57,8 +57,11 @@ class GaParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and (type(value) is bool or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0.0 <= self.crossover_rate <= 1.0:

@@ -308,8 +308,8 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     resources, _ = ensure_dummy(jobs, resources)
     jobs = tuple(sorted(jobs, key=lambda j: j.job_id))
     resources = tuple(sorted(resources, key=lambda r: r.resource_id))
-    _index(jobs, "job_id")
-    _index(resources, "resource_id")
+    positions(jobs, "job_id")
+    positions(resources, "resource_id")
     longest = np.array([max(j.task_sizes_mi) for j in jobs], dtype=float)
     pes = np.array([j.pe_count for j in jobs], dtype=int)
     deadline = np.array([j.deadline_s for j in jobs], dtype=float)
@@ -340,15 +340,15 @@ def pair_table(jobs: Sequence[JobRequest], resources: Sequence[ResourceInfo]) ->
     )
 
 
-def _index(records: Sequence, key: str) -> dict:
-    """Records by their id attribute ``key``; two records with one id are
-    a ``ValueError``."""
+def positions(records: Sequence, key: str) -> dict[str, int]:
+    """Each record's position by its id attribute ``key``; two records
+    with one id are a ``ValueError``."""
     out = {}
-    for record in records:
+    for i, record in enumerate(records):
         value = getattr(record, key)
         if value in out:
             raise ValueError(f"duplicate {key} {value}")
-        out[value] = record
+        out[value] = i
     return out
 
 
@@ -368,8 +368,8 @@ def validate(
     job is accounted for) but are exempt from budget and deadline, which
     only constrain actual execution.
     """
-    jobs_by_id = _index(jobs, "job_id")
-    res_by_id = _index(resources, "resource_id")
+    jobs_by_id = {jid: jobs[i] for jid, i in positions(jobs, "job_id").items()}
+    res_by_id = {rid: resources[k] for rid, k in positions(resources, "resource_id").items()}
     for (rid, jid) in alloc.entries:
         if rid not in res_by_id:
             raise UnknownIdError(f"allocation references unknown resource {rid}")

@@ -12,6 +12,11 @@ id) at the table's runtimes and rates, and every job with none, parked or
 left out, stays queued.  Placements run to completion and release their
 PEs; jobs whose remaining deadline hits zero are recorded as missed.
 
+A job is a row (the scenario's jobs sorted by id) and a resource a column
+(the grid in its given order): release and due times, free PEs, running
+fragments, outcomes and the queue are lists over them.  One id-to-row and
+one id-to-column map, built once, map a returned table back onto them.
+
 Time is integer milliseconds throughout: boundaries fall at exact
 multiples of the interval, execution times are truncated to whole
 milliseconds, and all event ordering is deterministic — events at the same
@@ -21,6 +26,7 @@ id, which is the order this module emits them in.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import logging
@@ -32,7 +38,7 @@ import numpy as np
 
 from .ga import GaParams, hga, lpga, relax_and_consolidate
 from .greedy import greedy_schedule
-from .model import JobRequest, ResourceInfo, build_schedule, pair_table, whole_jobs
+from .model import JobRequest, ResourceInfo, build_schedule, pair_table, positions, whole_jobs
 from .relaxed import build_relaxed, solve_relaxed
 from .workload import ScenarioConfig, generate_grid, generate_jobs
 
@@ -146,84 +152,69 @@ def run_scenario(
         )
     adapter = SCHEDULERS[scheduler]
     base_params = ga_params if ga_params is not None else GaParams()
+    emit = event_sink if event_sink is not None else lambda event: None
 
     resources = list(grid) if grid is not None else generate_grid(config)
-    jobs = list(jobs) if jobs is not None else generate_jobs(config)
+    jobs = sorted(jobs if jobs is not None else generate_jobs(config), key=lambda j: j.job_id)
+    row_of, col_of = positions(jobs, "job_id"), positions(resources, "resource_id")
 
     interval_ms = int(round(config.interval_s * 1000))
-    submit_ms = {j.job_id: int(round(j.submit_time_s * 1000)) for j in jobs}
-    deadline_ms = {j.job_id: int(round(j.deadline_s * 1000)) for j in jobs}
-
-    def emit(event: SimEvent) -> None:
-        if event_sink is not None:
-            event_sink(event)
-
-    releases = sorted(jobs, key=lambda j: (submit_ms[j.job_id], j.job_id))
-    release_i = 0
-    pending: list[JobRequest] = []
-    free = {r.resource_id: r.free_pes for r in resources}
+    submit = [int(round(j.submit_time_s * 1000)) for j in jobs]
+    due = [s + int(round(j.deadline_s * 1000)) for s, j in zip(submit, jobs)]
+    arrivals = sorted(range(len(jobs)), key=submit.__getitem__)  # stable: ties in id order
+    released = 0
+    pending: list[int] = []  # the queued rows, ascending
+    free = [r.free_pes for r in resources]
     snapshot = resources  # the grid as last presented; copies only what changed
-    running: list[tuple[int, int, str, str, int]] = []  # (end, seq, rid, jid, pes)
-    seq = 0
-    fragments_left: dict[str, int] = {}
-
-    completed: set[str] = set()
-    missed: set[str] = set()
-    total_cost = 0.0
-    ga_iterations = 0
-    sched_time = 0.0
-    period = 0
+    running: list[tuple[int, int, int, int, int]] = []  # (end, seq, column, row, pes)
+    fragments = [0] * len(jobs)  # running fragments per row
+    outcome: list[str | None] = [None] * len(jobs)  # "complete" or "miss" per row
+    seq, total_cost, ga_iterations, sched_time = 0, 0.0, 0, 0.0
     rollovers: list[int] = []
 
     def sweep_completions(now: int | None) -> None:
         while running and (now is None or running[0][0] <= now):
-            end, _, rid, jid, pes = heapq.heappop(running)
-            free[rid] += pes
-            fragments_left[jid] -= 1
-            if fragments_left[jid] == 0:
-                completed.add(jid)
-                emit(SimEvent(end, "complete", jid, rid))
+            end, _, col, row, pes = heapq.heappop(running)
+            free[col] += pes
+            fragments[row] -= 1
+            if not fragments[row]:
+                outcome[row] = "complete"
+                emit(SimEvent(end, "complete", jobs[row].job_id, resources[col].resource_id))
 
-    while release_i < len(releases) or pending:
-        now = period * interval_ms
+    while released < len(arrivals) or pending:
+        now = len(rollovers) * interval_ms
         sweep_completions(now)
 
-        while release_i < len(releases) and submit_ms[releases[release_i].job_id] <= now:
-            job = releases[release_i]
-            release_i += 1
-            pending.append(job)
-            emit(SimEvent(submit_ms[job.job_id], "release", job.job_id))
+        while released < len(arrivals) and submit[arrivals[released]] <= now:
+            row = arrivals[released]
+            released += 1
+            bisect.insort(pending, row)
+            emit(SimEvent(submit[row], "release", jobs[row].job_id))
 
-        still: list[JobRequest] = []
-        for job in sorted(pending, key=lambda j: j.job_id):
-            remaining = submit_ms[job.job_id] + deadline_ms[job.job_id] - now
-            if remaining <= 0:
-                missed.add(job.job_id)
-                emit(SimEvent(now, "miss", job.job_id))
-            else:
-                still.append(job)
-        pending = still
+        for row in pending:
+            if due[row] <= now:
+                outcome[row] = "miss"
+                emit(SimEvent(now, "miss", jobs[row].job_id))
+        pending = [row for row in pending if due[row] > now]
 
         if pending:
             snapshot = [
-                r if r.free_pes == free[r.resource_id]
-                else r.with_free_pes(free[r.resource_id])
-                for r in snapshot
+                r if r.free_pes == f else r.with_free_pes(f) for r, f in zip(snapshot, free)
             ]
-            presented = [
-                j.with_deadline((submit_ms[j.job_id] + deadline_ms[j.job_id] - now) / 1000.0)
-                for j in pending
-            ]
-            seed = config.rng_seed * GA_PERIOD_SEED_STRIDE + period
+            presented = [jobs[row].with_deadline((due[row] - now) / 1000.0) for row in pending]
+            seed = config.rng_seed * GA_PERIOD_SEED_STRIDE + len(rollovers)
             t0 = _time.perf_counter()
             schedule, iters = adapter(presented, snapshot, base_params, seed)
             sched_time += _time.perf_counter() - t0
             ga_iterations += iters
 
-            # place the real fragments row-major; carry every job with none
+            # a queued row is released and has neither an outcome nor a running fragment
             table = schedule.table
-            unknown = {j.job_id for j in table.jobs} - {j.job_id for j in pending}
+            rows = [row_of.get(j.job_id) for j in table.jobs]
+            unknown = [j.job_id for j, row in zip(table.jobs, rows)
+                       if row is None or submit[row] > now or outcome[row] or fragments[row]]
             assert not unknown, f"schedule mentions unknown jobs: {unknown}"
+            # place the real fragments row-major; carry every row with none
             real = np.where(table.dummy, 0, schedule.placed)
             # flatnonzero + divmod: np.nonzero of a 2-D array is several times slower
             ji, ki = np.divmod(np.flatnonzero(real), real.shape[1])
@@ -232,30 +223,27 @@ def run_scenario(
                 table.exec_s[ji, ki].tolist(), table.rate[ki].tolist(),
             ):
                 jid, rid = table.jobs[j].job_id, table.resources[k].resource_id
+                row, col = rows[j], col_of[rid]
                 end = now + int(exec_s * 1000)
-                assert end <= submit_ms[jid] + deadline_ms[jid], (
-                    f"{scheduler} placed {jid} on {rid} past its deadline"
-                )
-                assert free[rid] >= pes, f"{scheduler} overcommitted {rid}"
-                free[rid] -= pes
-                fragments_left[jid] = fragments_left.get(jid, 0) + 1
+                assert end <= due[row], f"{scheduler} placed {jid} on {rid} past its deadline"
+                assert free[col] >= pes, f"{scheduler} overcommitted {rid}"
+                free[col] -= pes
+                fragments[row] += 1
                 seq += 1
-                heapq.heappush(running, (end, seq, rid, jid, pes))
+                heapq.heappush(running, (end, seq, col, row, pes))
                 total_cost += rate * pes * exec_s
                 emit(SimEvent(now, "schedule", jid, rid, detail=f"pes={pes}"))
-            carried = [job for job in pending if job.job_id not in fragments_left]
-            if carried:
+            pending = [row for row in pending if not fragments[row]]
+            if pending:
                 logger.debug(
-                    "t=%.3fs: %d job(s) carried to the next period", now / 1000.0, len(carried)
+                    "t=%.3fs: %d job(s) carried to the next period", now / 1000.0, len(pending)
                 )
-            pending = carried
         rollovers.append(len(pending))
-        period += 1
 
     sweep_completions(None)
 
-    done_tasks = sum(j.pe_count for j in jobs if j.job_id in completed)
-    missed_tasks = sum(j.pe_count for j in jobs if j.job_id in missed)
+    completed = [j.pe_count for j, o in zip(jobs, outcome) if o == "complete"]
+    missed = [j.pe_count for j, o in zip(jobs, outcome) if o == "miss"]
     assert len(completed) + len(missed) == len(jobs), "job conservation violated"
     assert not running and not pending, "simulation ended with work in flight"
 
@@ -265,11 +253,11 @@ def run_scenario(
         jobs_completed=len(completed),
         jobs_missed=len(missed),
         tasks_submitted=sum(j.pe_count for j in jobs),
-        tasks_completed=done_tasks,
-        tasks_missed=missed_tasks,
+        tasks_completed=sum(completed),
+        tasks_missed=sum(missed),
         total_cost_gd=total_cost,
         ga_iterations=ga_iterations,
-        periods=period,
+        periods=len(rollovers),
         rollovers_per_period=tuple(rollovers),
         wall_time_s=sched_time,
     )

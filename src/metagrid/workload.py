@@ -88,6 +88,8 @@ class ScenarioConfig:
                 raise BadConfigError(f"{f.name} must be finite, got {value!r}")
             if f.type == "int" and type(value) is not int:
                 raise BadConfigError(f"{f.name} must be an int, got {value!r}")
+            if f.type == "float" and (type(value) is bool or not isinstance(value, (int, float))):
+                raise BadConfigError(f"{f.name} must be a number, got {value!r}")
         if self.resource_count < 0:
             raise BadConfigError("resource_count must not be negative")
         if self.job_count < 0:

@@ -572,10 +572,20 @@ def test_a_negative_seed_is_rejected(seed):
     ("max_iterations", 2.5),  # would run 3 iterations
     ("elitism", True),
     ("rng_seed", 1.5),
+    # a rate takes an int or a float, never a bool or a string
+    ("crossover_rate", True),  # would run as the rate 1.0
+    ("mutation_rate", False),
+    ("crossover_rate", "0.5"),  # would fail in a comparison
 ])
 def test_a_count_or_seed_that_is_not_an_int_is_rejected(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an int"):
+    kind = "an int" if type(getattr(GaParams(), field)) is int else "a number"
+    with pytest.raises(ValueError, match=f"{field} must be {kind}"):
         GaParams(**{field: value})
+
+
+def test_an_int_rate_is_a_rate():
+    params = GaParams(crossover_rate=1, mutation_rate=0)
+    assert (params.crossover_rate, params.mutation_rate) == (1, 0)
 
 
 def test_the_initial_population_is_drawn_with_the_int_decoder(s1_jobs, s1_resources):

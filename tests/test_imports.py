@@ -2,9 +2,11 @@
 in that module, and every private helper ``src/metagrid`` defines is read
 in it, so a deletion cannot leave a stale import or helper behind; every
 name the benchmark's tracer rebinds exists; greedy, MMC and the GA
-read no record field that the batch's ``PairTable`` holds; importing the package
-loads scipy's HiGHS binding without ``scipy.optimize`` or
-``scipy.sparse``; and README's library example runs."""
+read no record field that the batch's ``PairTable`` holds; the
+simulator's period loop builds no dict or set and sorts nothing;
+importing the package loads scipy's HiGHS binding without
+``scipy.optimize`` or ``scipy.sparse``; and README's library example
+runs."""
 
 from __future__ import annotations
 
@@ -115,6 +117,26 @@ def test_the_schedulers_read_counts_prices_and_times_off_the_table(name):
     tree = ast.parse((SRC / name).read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert sorted(read & RECORD_FIELDS) == []
+
+
+def test_the_simulator_period_loop_builds_no_dict_or_set_and_sorts_nothing():
+    """``run_scenario``'s period loop keeps its bookkeeping on lists over
+    the scenario's rows and columns: it holds no dict or set display or
+    comprehension and calls none of ``dict``, ``set``, ``sorted`` or
+    ``list.sort``."""
+    tree = ast.parse((SRC / "simulator.py").read_text())
+    run = next(n for n in tree.body if getattr(n, "name", None) == "run_scenario")
+    loop = next(n for n in run.body if isinstance(n, ast.While))
+    found = []
+    for node in ast.walk(loop):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (
+            isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
+            or isinstance(func, ast.Name) and func.id in {"dict", "set", "sorted"}
+            or isinstance(func, ast.Attribute) and func.attr == "sort"
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)[:40]}")
+    assert found == []
 
 
 def run_fresh(code: str) -> None:

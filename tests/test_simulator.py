@@ -354,6 +354,95 @@ def test_a_schedule_naming_a_job_outside_the_queue_fails(
         )
 
 
+@pytest.mark.parametrize("outside, period", [("B", 0), ("A", 1), ("A", 2)],
+                         ids=["unreleased", "running", "completed"])
+def test_a_schedule_naming_a_scenario_job_that_is_not_queued_fails(
+    s1_jobs, s1_resources, monkeypatch, outside, period
+):
+    """A job of the scenario that is not queued is unknown to a period's
+    schedule: B, submitted at 100 s, named at 0 s; or A, placed at 0 s for
+    10 s, named at 5 s while it runs or at 10 s once it has completed."""
+    a, b = s1_jobs
+    if outside == "B":
+        b = replace(b, submit_time_s=100.0)
+    periods = []
+
+    def names_a_and_b(jobs, resources, params, seed):
+        periods.append(seed)  # the period, at seed 0
+        table = pair_table([a, b] if seed == period else jobs, resources)
+        homes = [table.parking] * len(table.jobs)
+        if seed == 0 and len(jobs) == 2:  # both queued at 0 s: A runs on R1 and B waits
+            homes[0] = [r.resource_id for r in table.resources].index("R1")
+        return build_schedule(table, whole_jobs(table, homes)), 0
+
+    monkeypatch.setitem(SCHEDULERS, "greedy", names_a_and_b)
+    with pytest.raises(AssertionError, match=f"schedule mentions unknown jobs: .*{outside}"):
+        run_scenario(
+            ScenarioConfig(resource_count=1, interval_s=5.0), "greedy",
+            grid=s1_resources, jobs=[a, b],
+        )
+    assert periods == list(range(period + 1))
+
+
+@pytest.mark.parametrize("homes, message", [
+    ({"A": "R2", "B": "R2"}, "greedy overcommitted R2"),  # 2 + 3 PEs on R2's 4
+    ({"A": DUMMY_ID, "B": "R1"}, "greedy placed B on R1 past its deadline"),  # 20 s > 15 s
+], ids=["overcommitted", "past-deadline"])
+def test_a_placement_that_cannot_run_fails(s1_jobs, s1_resources, monkeypatch, homes, message):
+    """The simulator checks each placement it runs: a schedule that puts
+    more PEs on a resource than it has free, or a job where it ends past
+    its deadline, is an error."""
+
+    def places_at_homes(jobs, resources, params, seed):
+        table = pair_table(jobs, resources)
+        ids = [r.resource_id for r in table.resources]
+        columns = [ids.index(homes[j.job_id]) for j in table.jobs]
+        return build_schedule(table, whole_jobs(table, columns)), 0
+
+    monkeypatch.setitem(SCHEDULERS, "greedy", places_at_homes)
+    with pytest.raises(AssertionError, match=message):
+        run_scenario(
+            ScenarioConfig(resource_count=1), "greedy", grid=s1_resources, jobs=s1_jobs
+        )
+
+
+@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+def test_the_order_of_the_jobs_and_the_grid_does_not_matter(scheduler):
+    """Jobs are taken in id order, and jobs released at one time are
+    released in id order: given in reverse, the jobs and the grid give
+    the same events and metrics."""
+    grid = generate_grid(BACKLOG)
+    jobs = sorted(generate_jobs(BACKLOG), key=lambda j: j.job_id)
+    tied = (jobs[3].job_id, jobs[7].job_id)
+    jobs[7] = replace(jobs[7], submit_time_s=jobs[3].submit_time_s)
+    runs = []
+    for given_grid, given_jobs in ((grid, jobs), (grid[::-1], jobs[::-1])):
+        events: list[SimEvent] = []
+        metrics = run_scenario(
+            BACKLOG, scheduler, ga_params=SMALL_GA, event_sink=events.append,
+            grid=given_grid, jobs=given_jobs,
+        )
+        runs.append((replace(metrics, wall_time_s=0.0), events))
+    assert runs[0] == runs[1]
+    releases = [e for e in runs[0][1] if e.kind == "release" and e.job_id in tied]
+    assert [e.job_id for e in releases] == list(tied)
+    assert releases[0].time_ms == releases[1].time_ms
+    assert sum(runs[0][0].rollovers_per_period) > 0
+
+
+@pytest.mark.parametrize("twice", ["job_id A", "resource_id R1"])
+def test_a_duplicate_id_is_rejected(s1_jobs, s1_resources, twice):
+    """Two jobs, or two resources, with one id are a ``ValueError`` naming
+    the id, even when the two jobs are never queued together."""
+    jobs, grid = list(s1_jobs), list(s1_resources)
+    if twice.startswith("job"):
+        jobs.append(replace(jobs[0], submit_time_s=500.0))
+    else:
+        grid.append(replace(grid[0], free_pes=1))
+    with pytest.raises(ValueError, match=f"duplicate {twice}"):
+        run_scenario(ScenarioConfig(resource_count=1), "greedy", grid=grid, jobs=jobs)
+
+
 def test_no_scheduler_builds_an_id_keyed_allocation(monkeypatch, caplog):
     """From the solver to the simulator a schedule stays its table and
     placement array: ``run_scenario`` constructs no ``AllocationMatrix``

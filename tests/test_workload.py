@@ -46,10 +46,16 @@ def test_rejects_bad_bounds():
     ("job_count", 50.0),
     ("rng_seed", 1.5),
     ("interval_s", 0.0004),  # rounds to 0 ms
+    ("interval_s", True),  # would run 1 s periods
+    ("interval_s", "5"),  # would fail in round()
 ])
 def test_rejects_a_non_int_count_or_seed_and_an_interval_below_1_ms(field, value):
     with pytest.raises(BadConfigError, match=field):
         ScenarioConfig(**{"resource_count": 5, field: value})
+
+
+def test_an_int_interval_is_an_interval():
+    assert ScenarioConfig(resource_count=5, interval_s=5).interval_s == 5
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
